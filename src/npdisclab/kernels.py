@@ -17,13 +17,13 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .series import (
     CoefficientSequence,
     DEFAULT_TERMS,
     InvalidSequenceError,
     KernelWeights,
+    fft_convolve,
     is_complete_np,
     moduli_from_weights,
     weights_from_moduli,
@@ -343,7 +343,7 @@ def classify(k: KernelHandle, n_terms: int | None = None) -> ClassificationRepor
     ratio_bounded = sup_tail <= sup_head * (1.0 + COMPARABLE_DRIFT) or sup_tail <= 1.0 + 1e-12
 
     # strict-cyclicity quotients via one self-convolution
-    self_conv = fftconvolve(av, av)[: n + 1]
+    self_conv = fft_convolve(av, av)[: n + 1]
     quot = self_conv / av
     sc_full = float(quot.max())
     sc_half = float(quot[: n // 2 + 1].max())

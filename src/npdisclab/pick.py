@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .geometry import BallPoint, crossing_map, crossing_scalar, one_minus_inner
 from .kernels import KernelHandle
@@ -171,6 +170,8 @@ def _pivoted_cholesky_floor(m: np.ndarray) -> float:
     smallest updated Schur-complement diagonal, whose sign separates the
     indefinite case from the semidefinite boundary.
     """
+    from scipy.linalg import lapack  # ~0.4 s import, needed only above _EIG_SIZE
+
     factor, _, rank, info = lapack.zpstrf(np.ascontiguousarray(m, dtype=complex), lower=1)
     if info < 0:
         raise np.linalg.LinAlgError(f"zpstrf failed with info={info}")

@@ -16,7 +16,6 @@ other.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 #: relative tolerance for round-trip identities
 REL_TOL = 1e-12
@@ -180,12 +179,42 @@ def moduli_from_weights(
     return CoefficientSequence(np.asarray(cv, dtype=float), validate=False)
 
 
+def _fast_fft_len(n: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fft_convolve(x, y) -> np.ndarray:
+    """Full linear convolution of two real 1-d arrays through the real FFT.
+
+    The transform length is the smallest 5-smooth number covering the
+    result, the length ``scipy.signal.fftconvolve`` picks; with it numpy's
+    pocketfft returns the same bits as that function whenever both inputs
+    hold two or more entries, while power-of-two padding moves the last few
+    ulps.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    size = x.size + y.size - 1
+    n = _fast_fft_len(size)
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:size]
+
+
 def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients of 1/D(z) through order ``n_terms``, D(0) != 0.
 
     Newton doubling r <- r(2 - D r): a computation path independent of the
-    linear recursion, used as its cross-check.  Convolutions switch to FFT
-    once they are long enough for it to pay off.
+    linear recursion, used as its cross-check.  Convolutions longer than 512
+    go through :func:`fft_convolve`.
     """
     d = np.asarray(d, dtype=float)
     if d[0] == 0.0:
@@ -193,7 +222,7 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
 
     def conv(x, y, length):
         if length > 512:
-            return fftconvolve(x, y)[:length]
+            return fft_convolve(x, y)[:length]
         return np.convolve(x, y)[:length]
 
     r = np.array([1.0 / d[0]])

@@ -6,6 +6,7 @@ from npdisclab.series import (
     InvalidSequenceError,
     KernelWeights,
     evaluate_generating,
+    fft_convolve,
     is_complete_np,
     moduli_from_weights,
     weights_by_reciprocal,
@@ -182,3 +183,28 @@ class TestProperties:
         assert np.all(a.values[1:] == 0.5)
         back = moduli_from_weights(a, 1200)
         np.testing.assert_allclose(back.values, c.padded(1200), rtol=1e-12, atol=1e-15)
+
+
+class TestFftConvolve:
+    # 513 and 1025 sit just past the switch in series_reciprocal; 4099 is prime
+    LENGTHS = (1, 2, 7, 513, 1025, 4099)
+
+    @staticmethod
+    def _pair(n):
+        rng = np.random.default_rng(np.random.Philox(n))
+        return rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_matches_direct_convolution(self, n):
+        x, y = self._pair(n)
+        direct = np.convolve(x, y)
+        got = fft_convolve(x, y)
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct) / direct) < 1e-12
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_same_bits_as_scipy_fftconvolve(self, n):
+        from scipy.signal import fftconvolve
+
+        x, y = self._pair(n)
+        assert np.array_equal(fft_convolve(x, y), fftconvolve(x, y))
