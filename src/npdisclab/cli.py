@@ -8,8 +8,8 @@ for a fixed configuration and seed; ``--reproducible`` suppresses the
 timestamp comment so two runs are byte-identical.  Randomness goes through
 a counter-based generator keyed by the recorded seed.
 
-Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter,
-4 unwritable output path.
+Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter or
+unreadable input file, 4 unwritable output path.
 """
 
 from __future__ import annotations
@@ -421,10 +421,8 @@ def run(config: ExperimentConfig) -> int:
     rng = np.random.default_rng(np.random.Philox(config.seed))
     try:
         result = recipe.run(params, rng)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
-    except (ValueError, KeyError) as exc:
+    except (ParameterError, ValueError, KeyError, OSError) as exc:
+        # OSError: a custom: family CSV that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
     cols, rows, *extra = result

@@ -283,8 +283,7 @@ def disc_embed_eval(e: EmbeddedDisc, z: complex, want_deriv: bool = True) -> Emb
     and exact only when |b_n| is nonincreasing.
     """
     z = complex(z)
-    limit = 1.0 if e.regime == "compact" else 1.0
-    if abs(z) > limit + 1e-12:
+    if abs(z) > 1.0 + 1e-12:
         raise ValueError("embedding evaluated outside the closed disc")
     point = e.eval(z)
     deriv = e.deriv(z) if want_deriv else None

@@ -73,6 +73,14 @@ class TestExitCodes:
         # x outside (0, 0.1) violates the recipe's precondition
         assert main(["crossing", "x=0.5"]) == EXIT_BAD_PARAMETER
 
+    @pytest.mark.parametrize("name", ["absent.csv", "."])
+    def test_unreadable_custom_csv_is_bad_parameter(self, name, tmp_path, capsys):
+        # a missing file and a directory both fail in open()
+        path = tmp_path / name
+        assert main(["classify", f"family=custom:{path}"]) == EXIT_BAD_PARAMETER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(RECIPE_ARGS))
