@@ -21,7 +21,8 @@ def format_cell(value) -> str:
             return "nan"
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        return repr(value)
+        # float() strips subclasses such as np.float64, whose repr is wrapped
+        return repr(float(value))
     try:
         return repr(float(value))
     except (TypeError, ValueError):

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from npdisclab.cli import EXIT_BAD_PARAMETER, EXIT_UNKNOWN_RECIPE, RECIPES, list_recipes, main
-from npdisclab.csvio import read_rows
+from npdisclab.csvio import format_cell, parse_cell, read_rows
 
 # small, fast parameterizations of every recipe for determinism checks
 RECIPE_ARGS = {
@@ -19,6 +19,9 @@ RECIPE_ARGS = {
     "tangential-embed": ["m=256"],
     "tangency-report": ["m=4096", "jmin=4", "jmax=8"],
 }
+
+#: the only columns whose cells are text rather than numbers or booleans
+TEXT_COLUMNS = {"family", "family2", "verdict", "rule"}
 
 
 def run_cli(args):
@@ -114,9 +117,16 @@ class TestRoundTrip:
         assert any(line.startswith("recipe =") for line in doc.comments)
         # every parsed row has the full column count
         assert all(len(row) == len(doc.columns) for row in doc.rows)
+        # outside the text columns every cell is a number (bool included),
+        # and every cell re-formats to the exact text written
+        with open(out, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if not line.startswith("#")]
+        for raw_row, row in zip((line.split(",") for line in lines[1:]), doc.rows):
+            for column, raw, value in zip(doc.columns, raw_row, row):
+                if column not in TEXT_COLUMNS:
+                    assert isinstance(value, (int, float)), (column, raw)
+                assert format_cell(parse_cell(raw)) == raw, (column, raw)
 
     def test_float_cells_round_trip_exactly(self):
-        from npdisclab.csvio import format_cell, parse_cell
-
         for value in (1 / 3, 2.0**-52, 1e300, -0.0, float("inf")):
             assert parse_cell(format_cell(value)) == value
