@@ -40,9 +40,8 @@ from .sequences import (
     blaschke_sum,
     carleson_ratio,
     garnett_targets,
-    is_separated,
     named_sequence,
-    separation_delta,
+    nearest_distances,
 )
 from .tangential import ConformalChain, assemble_embedding, tangency_report
 
@@ -189,15 +188,12 @@ def _run_separation(p, rng):
     seq = named_sequence(p["tag"], p["n"])
     budgets = garnett_targets(seq)
     bl = blaschke_sum(seq)
-    _, inf_gap = is_separated(seq)
-    rows = []
-    for i in range(seq.n):
-        delta = separation_delta(seq, i)
-        gap_i = min(seq.pair_dist(j, i) for j in range(seq.n) if j != i)
-        rows.append([i + 1, delta.value, gap_i, budgets[i].budget])
+    gaps = nearest_distances(seq).tolist()
+    rows = [[i + 1, b.delta.value, gap, b.budget]
+            for i, (b, gap) in enumerate(zip(budgets, gaps))]
     cols = ["n", "delta_n", "gap_n", "budget_n"]
     comments = [f"blaschke_sum = {bl.total!r} (converged = {bl.converged})",
-                f"inf_gap = {inf_gap!r}"]
+                f"inf_gap = {min(gaps)!r}"]
     return cols, rows, comments
 
 

@@ -54,15 +54,15 @@ class DiscSequence:
         if angles is None:
             angles = np.mod(np.angle(pts), 2.0 * math.pi)
         self.angles = np.asarray(angles, dtype=float)
+        #: all points on [0, 1): distances then come from the exact log-gaps
+        self.is_radial_positive = bool(
+            np.all(pts.imag == 0.0) and np.all(pts.real >= 0.0)
+            and np.all(self.angles == 0.0)
+        )
 
     @property
     def n(self) -> int:
         return self.points.size
-
-    @property
-    def is_radial_positive(self) -> bool:
-        return bool(np.all(self.points.imag == 0.0) and np.all(self.points.real >= 0.0)
-                    and np.all(self.angles == 0.0))
 
     def log_pair_dist(self, i: int, j: int) -> float:
         """log d(v_i, v_j), accurate arbitrarily close to the boundary."""
@@ -149,6 +149,12 @@ class SeparationDelta:
     underflowed: bool
 
 
+def _delta_record(log_total: float) -> SeparationDelta:
+    underflowed = log_total < LOG_FLOOR or math.isinf(log_total)
+    value = math.exp(log_total) if log_total > LOG_FLOOR else 0.0
+    return SeparationDelta(value, log_total, underflowed)
+
+
 def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     """delta_n = prod_{i != n} |b_{v_i}(v_n)|, the Blaschke-factor product.
 
@@ -156,6 +162,10 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     accumulated in log space and floored (with a flag) at log = -700 where
     the plain value would underflow.  The truncated product over-estimates
     the full one; callers see the truncation level through ``s.n``.
+
+    This is the scalar per-point reference, one ``log_pair_dist`` call per
+    factor; :func:`garnett_targets` computes every delta at once from the
+    distance matrix and is tested against it.
     """
     if not 0 <= n < s.n:
         raise IndexError(f"index {n} outside sequence of length {s.n}")
@@ -164,9 +174,7 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
         if i == n:
             continue
         log_total += s.log_pair_dist(i, n)
-    underflowed = log_total < LOG_FLOOR or math.isinf(log_total)
-    value = math.exp(log_total) if log_total > LOG_FLOOR else 0.0
-    return SeparationDelta(value, log_total, underflowed)
+    return _delta_record(log_total)
 
 
 def pairwise_distances(s: DiscSequence) -> np.ndarray:
@@ -187,13 +195,18 @@ def pairwise_distances(s: DiscSequence) -> np.ndarray:
     return d
 
 
-def is_separated(s: DiscSequence) -> tuple[bool, float]:
-    """Minimum pairwise distance and its verdict against the threshold."""
+def nearest_distances(s: DiscSequence) -> np.ndarray:
+    """Distance from each point to its nearest other point of the list."""
     if s.n < 2:
         raise ValueError("separation needs at least two points")
     d = pairwise_distances(s)
     np.fill_diagonal(d, np.inf)
-    inf_gap = float(d.min())
+    return d.min(axis=1)
+
+
+def is_separated(s: DiscSequence) -> tuple[bool, float]:
+    """Minimum pairwise distance and its verdict against the threshold."""
+    inf_gap = float(nearest_distances(s).min())
     return inf_gap > SEPARATION_THRESHOLD, inf_gap
 
 
@@ -224,14 +237,13 @@ def garnett_targets(s: DiscSequence) -> list[GarnettBudget]:
     """Per-point maximal target magnitudes guaranteed interpolable.
 
     Formed from the strong-separation products; points whose truncated
-    delta underflowed are flagged through the attached delta record.
+    delta underflowed are flagged through the attached delta record.  Each
+    log delta_n is the sum down column n of log d(v_i, v_n), added row by
+    row in the order :func:`separation_delta` uses.
     """
-    out = []
-    for n in range(s.n):
-        d = separation_delta(s, n)
-        if d.log_value > LOG_FLOOR:
-            budget = math.exp(d.log_value) * (1.0 - d.log_value) ** -2.0
-        else:
-            budget = 0.0
-        out.append(GarnettBudget(budget, d))
-    return out
+    with np.errstate(divide="ignore"):
+        log_d = np.log(pairwise_distances(s))
+    np.fill_diagonal(log_d, 0.0)
+    # an underflowed delta has value 0.0, so its budget is 0.0 as well
+    return [GarnettBudget(d.value * (1.0 - d.log_value) ** -2.0, d)
+            for d in map(_delta_record, log_d.sum(axis=0).tolist())]

@@ -10,6 +10,7 @@ from npdisclab.sequences import (
     garnett_targets,
     is_separated,
     named_sequence,
+    nearest_distances,
     separation_delta,
 )
 
@@ -169,6 +170,38 @@ class TestGarnett:
             budgets.append(garnett_targets(s)[n // 2].budget)
         assert all(b < a for a, b in zip(budgets, budgets[1:]))
         assert budgets[-1] < 1e-3
+
+
+class TestArraySeparation:
+    @pytest.mark.parametrize("tag, n", [("vn_quadratic", 400), ("wn_gaussian", 60),
+                                        ("xn_alternating", 200), ("dyadic_separated", 12)])
+    def test_matches_scalar_reference(self, tag, n):
+        s = named_sequence(tag, n)
+        budgets = garnett_targets(s)
+        gaps = nearest_distances(s)
+        for i, b in enumerate(budgets):
+            ref = separation_delta(s, i)
+            err = abs(b.delta.log_value - ref.log_value)
+            assert err <= 1e-12 * max(1.0, abs(ref.log_value)), (i, b.delta, ref)
+            assert b.delta.underflowed == ref.underflowed
+            nearest = min(s.pair_dist(j, i) for j in range(s.n) if j != i)
+            assert gaps[i] == pytest.approx(nearest, rel=1e-12, abs=0.0), i
+        assert is_separated(s)[1] == gaps.min()
+
+    def test_log_delta_matches_mpmath_past_gap_underflow(self):
+        mpmath = pytest.importorskip("mpmath")
+        s = named_sequence("wn_gaussian", 60)
+        assert np.all(s.gaps[27:] == 0.0)  # only the log-gaps carry these points
+        budgets = garnett_targets(s)
+        with mpmath.workdps(50):
+            g = [mpmath.exp(mpmath.mpf(float(lg))) for lg in s.log_gaps]
+            for n, b in enumerate(budgets):
+                exact = float(mpmath.fsum(
+                    mpmath.log(abs(g[i] - g[n]) / (g[i] + g[n] - g[i] * g[n]))
+                    for i in range(s.n) if i != n
+                ))
+                err = abs(b.delta.log_value - exact)
+                assert err <= 1e-12 * max(1.0, abs(exact)), (n, b.delta.log_value, exact)
 
 
 class TestAlternatingTargets:
