@@ -9,12 +9,16 @@ timestamp comment so two runs are byte-identical.  Randomness goes through
 a counter-based generator keyed by the recorded seed.
 
 Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter or
-unreadable input file, 4 unwritable output path.
+unreadable input file, 4 unwritable output path or closed output pipe,
+5 computation did not certify (the interpolating-subsequence extractor ran
+out of points or lost definiteness).  Every failure prints one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,6 +34,7 @@ from .geometry import (
     hs_embedding,
 )
 from .pick import (
+    ExtractionExhaustedError,
     PickProblem,
     crossing_determinant,
     extract_interpolating_subsequence,
@@ -49,6 +54,7 @@ EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2
 EXIT_BAD_PARAMETER = 3
 EXIT_UNWRITABLE = 4
+EXIT_NOT_CERTIFIED = 5
 
 
 class ParameterError(Exception):
@@ -421,10 +427,21 @@ def run(config: ExperimentConfig) -> int:
         # OSError: a custom: family CSV that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
+    except ExtractionExhaustedError as exc:
+        print(f"error: not certified: {exc}", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     cols, rows, *extra = result
     comments = _comments(config) + (extra[0] if extra else [])
     if config.out is None:
-        write_rows(sys.stdout, comments, cols, rows)
+        try:
+            write_rows(sys.stdout, comments, cols, rows)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (``| head``); point stdout at devnull so the
+            # interpreter's final flush does not raise a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: output pipe closed", file=sys.stderr)
+            return EXIT_UNWRITABLE
         return EXIT_OK
     try:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:

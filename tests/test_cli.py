@@ -3,7 +3,15 @@ import sys
 
 import pytest
 
-from npdisclab.cli import EXIT_BAD_PARAMETER, EXIT_UNKNOWN_RECIPE, RECIPES, list_recipes, main
+from npdisclab.cli import (
+    EXIT_BAD_PARAMETER,
+    EXIT_NOT_CERTIFIED,
+    EXIT_UNKNOWN_RECIPE,
+    EXIT_UNWRITABLE,
+    RECIPES,
+    list_recipes,
+    main,
+)
 from npdisclab.csvio import format_cell, parse_cell, read_rows
 
 # small, fast parameterizations of every recipe for determinism checks
@@ -83,6 +91,26 @@ class TestExitCodes:
         assert main(["classify", f"family=custom:{path}"]) == EXIT_BAD_PARAMETER
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+
+    def test_failed_extraction_is_not_certified(self, capsys):
+        # the vn_quadratic norms approach the boundary too slowly for k = 3
+        assert main(["interp-extract", "tag=vn_quadratic", "n=40"]) == EXIT_NOT_CERTIFIED
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_closed_output_pipe(self):
+        # 4096 rows are far more than a pipe buffer holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "npdisclab", "tangential-embed", "m=4096"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("# npdisclab")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=240) == EXIT_UNWRITABLE
+        assert "Traceback" not in err
+        assert err.strip().splitlines() == ["error: output pipe closed"]
 
 
 class TestDeterminism:
