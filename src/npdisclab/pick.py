@@ -307,8 +307,9 @@ def extract_interpolating_subsequence(
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
     last-row expansion terms, where delta estimates the infimum of
     det A_{k-1}(w) over the sampled targets (polydisc corners plus seeded
-    random draws).  Acceptance is then re-verified by explicit Cholesky
-    positive-definiteness of the normalized A_k(w) over the same sample.
+    random draws).  Acceptance is then re-verified on a fresh sample of
+    targets w in the k-polydisc: the smallest eigenvalue (``eigvalsh``) of
+    every normalized A_k(w) must exceed ``PSD_TOL``.
 
     The sampled delta may over-estimate the true infimum, so acceptance can
     fire earlier than the proof's asymptotic rule would; the verification
