@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -116,7 +116,7 @@ def _comments(config: ExperimentConfig) -> list[str]:
 def _run_classify(p, rng):
     handle = kernels.parse_family(p["family"], p["N"])
     rep = kernels.classify(handle)
-    return list(rep.CSV_COLUMNS), [rep.as_row()]
+    return [f.name for f in fields(rep)], [rep.as_row()]
 
 
 def _run_compare(p, rng):

@@ -233,14 +233,12 @@ class EmbeddedDisc:
             )
         b = np.sqrt(np.clip(cv, 0.0, None))
         compact = handle.is_compact_regime()
-        # the boundary derivative exists iff sum n c_n converges
-        ncn = cv * np.arange(1, cv.size + 1)
-        mu_conv = (ncn.sum() - ncn[: cv.size // 2].sum()) <= 0.01 * max(ncn.sum(), 1e-300)
         return cls(
             b,
             "compact" if compact else "open",
             gram=handle.generating_value,
-            boundary_c1=bool(mu_conv),
+            # the boundary derivative exists iff sum n c_n converges
+            boundary_c1=math.isfinite(handle.renewal_mean()),
         )
 
     @property

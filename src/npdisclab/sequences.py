@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import pseudo_dist_scalar, radial_log_gap_dist
+from .series import settled
 
 #: minimum pairwise distance for the separation verdict
 SEPARATION_THRESHOLD = 1e-3
@@ -135,9 +136,7 @@ class BlaschkeSum:
 def blaschke_sum(s: DiscSequence) -> BlaschkeSum:
     """sum (1 - |v_n|) over the truncated list."""
     total = float(s.gaps.sum())
-    half = float(s.gaps[: s.n // 2].sum())
-    converged = (total - half) <= 0.01 * total if total > 0 else True
-    return BlaschkeSum(total, bool(converged))
+    return BlaschkeSum(total, settled(total, float(s.gaps[: s.n // 2].sum())))
 
 
 @dataclass(frozen=True)

@@ -146,14 +146,19 @@ def weights_from_moduli(
     if not c.is_valid_embedding:
         raise InvalidSequenceError("moduli do not describe a valid embedding")
     n = _resolve_terms(c.n, n_terms)
-    cv = c.padded(n)
     dtype = np.longdouble if n > _LONG_ACCUM_N else np.float64
-    cw = cv.astype(dtype)
-    a = np.empty(n + 1, dtype=dtype)
+    a = _renewal(c.padded(n).astype(dtype))
+    return KernelWeights(np.asarray(a, dtype=float))
+
+
+def _renewal(cv: np.ndarray) -> np.ndarray:
+    """a_0..a_N from any real c_1..c_N by the recursion, in ``cv.dtype``."""
+    n = cv.size
+    a = np.empty(n + 1, dtype=cv.dtype)
     a[0] = 1.0
     for m in range(1, n + 1):
-        a[m] = np.dot(cw[:m], a[m - 1 :: -1])
-    return KernelWeights(np.asarray(a, dtype=float))
+        a[m] = np.dot(cv[:m], a[m - 1 :: -1])
+    return a
 
 
 def moduli_from_weights(
@@ -252,10 +257,24 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int | None = None) ->
     return series_reciprocal(d, n)
 
 
-def is_complete_np(a: KernelWeights, tol: float = 1e-10) -> bool:
+#: inverted moduli down to -CNP_TOL still count as nonnegative
+CNP_TOL = 1e-10
+
+
+def is_complete_np(a: KernelWeights, tol: float = CNP_TOL) -> bool:
     """Whether every inverted modulus is >= -tol (complete-Pick test)."""
     c = moduli_from_weights(a)
     return bool(np.all(c.values >= -tol))
+
+
+#: relative increase of a partial sum between its halves below which the
+#: sum is treated as converged (doubling test)
+DOUBLING_TOL = 0.01
+
+
+def settled(full: float, half: float) -> bool:
+    """Doubling test: ``full`` exceeds its leading half by at most DOUBLING_TOL."""
+    return bool(full - half <= DOUBLING_TOL * max(full, 1e-300))
 
 
 #: largest |z| accepted by the truncated generating-function evaluators

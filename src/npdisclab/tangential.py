@@ -121,11 +121,6 @@ class ConformalChain:
         return out
 
 
-def chain_eval(chain: ConformalChain, z, stage: str = "clipped"):
-    """Module-level wrapper over :meth:`ConformalChain.eval`."""
-    return chain.eval(z, stage)
-
-
 @dataclass
 class BoundarySampling:
     """Real samples on the uniform circle grid e^{2 pi i k / m}.

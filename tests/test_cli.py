@@ -1,5 +1,7 @@
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,9 @@ RECIPE_ARGS = {
     "tangential-embed": ["m=256"],
     "tangency-report": ["m=4096", "jmin=4", "jmax=8"],
 }
+
+#: ``--reproducible`` output of every RECIPE_ARGS run, one file per recipe
+GOLDEN = Path(__file__).parent / "golden"
 
 #: the only columns whose cells are text rather than numbers or booleans
 TEXT_COLUMNS = {"family", "family2", "verdict", "rule"}
@@ -93,6 +98,22 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+    def test_drifting_inversion_is_bad_parameter(self, capsys):
+        assert main(["classify", "family=hs:0.5", "N=16384"]) == EXIT_BAD_PARAMETER
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_zero_renewal_mean_classifies(self, tmp_path):
+        # a_n = n + 1 inverts to c = (2, -1, 0, ...): mu = 0 exactly, so
+        # efp_agreement is nan rather than 1/0
+        out = tmp_path / "hs1.csv"
+        assert main(["classify", "family=hs:1", "N=128", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            doc = read_rows(fh)
+        row = dict(zip(doc.columns, doc.rows[0]))
+        assert row["mu"] == 0.0
+        assert math.isnan(row["efp_agreement"])
+
     def test_failed_extraction_is_not_certified(self, capsys):
         # the vn_quadratic norms approach the boundary too slowly for k = 3
         assert main(["interp-extract", "tag=vn_quadratic", "n=40"]) == EXIT_NOT_CERTIFIED
@@ -123,6 +144,12 @@ class TestDeterminism:
         assert p1.returncode == 0, p1.stderr
         assert p2.returncode == 0, p2.stderr
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(RECIPE_ARGS))
+    def test_matches_golden(self, name, tmp_path):
+        out = tmp_path / "g.csv"
+        assert main([name, *RECIPE_ARGS[name], "--reproducible", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
 
     def test_timestamp_only_without_reproducible(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -12,7 +12,12 @@ from npdisclab.kernels import (
     kernel_eval,
     monomial_multiplier_norm,
 )
-from npdisclab.series import KernelWeights
+from npdisclab.series import (
+    CoefficientSequence,
+    InvalidSequenceError,
+    KernelWeights,
+    _renewal,
+)
 
 
 class TestFamilies:
@@ -33,6 +38,23 @@ class TestFamilies:
             kernels.geometric(0.6)
         k = kernels.geometric(0.5, 64)
         assert np.all(k.weights.values[1:] == 0.5)
+
+    @pytest.mark.parametrize("make", [
+        kernels.hardy,
+        lambda n: kernels.geometric(0.5, n),
+        lambda n: kernels.from_moduli(CoefficientSequence([0.7, 0.3]), n),
+    ], ids=["hardy", "geom:0.5", "from_moduli"])
+    def test_unchecked_families_are_consistent(self, make):
+        # these handles skip the consistency check; the float64 recursion on
+        # their moduli must reproduce their weights past _LONG_ACCUM_N
+        k = make(4096)
+        a = k.weights.values
+        assert np.all(np.abs(_renewal(k.moduli.values) - a) <= 1e-10 * np.maximum(np.abs(a), 1.0))
+
+    def test_drifting_inversion_is_rejected(self):
+        # above _FFT_N the Newton reciprocal of (n+1)^0.5 drifts by 4e-10 relative
+        with pytest.raises(InvalidSequenceError, match="inconsistent"):
+            kernels.hs(0.5, 16384)
 
     def test_parse_family_tags(self):
         assert kernels.parse_family("hardy", 16).family_tag == "hardy"
@@ -139,8 +161,6 @@ class TestClassify:
 
     def test_efp_consistency_when_mu_converges(self):
         # two-point moduli: mu = c_1 + 2 c_2 = 1.3, a_n -> 1/1.3
-        from npdisclab.series import CoefficientSequence
-
         k = kernels.from_moduli(CoefficientSequence([0.7, 0.3]), 4096)
         rep = classify(k)
         assert math.isfinite(rep.mu)

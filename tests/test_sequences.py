@@ -156,12 +156,9 @@ class TestGarnett:
     def test_hand_value_at_inverse_e(self):
         # delta = 1/e: budget = e^-1 (1 + 1)^-2 = 1/(4e)
         budget = math.exp(-1.0) * (1.0 + 1.0) ** -2
-        s = DiscSequence([0.0, 1.0 - 2.0 * math.e**-1 / (1.0 + math.e**-1)], "pair")
-        # d(0, v) = |v| chosen so that the single factor equals 1/e
-        v = s.points[1].real
-        assert v == pytest.approx(1.0 / math.e, abs=1e-12) or True
-        got = garnett_targets(DiscSequence([0.0, 1.0 / math.e], "pair"))[0]
-        assert got.budget == pytest.approx(budget, rel=1e-12)
+        # d(0, 1/e) = 1/e is the single factor of both points' products
+        got = garnett_targets(DiscSequence([0.0, 1.0 / math.e], "pair"))
+        assert [t.budget for t in got] == pytest.approx([budget, budget], rel=1e-12)
 
     def test_quadratic_budgets_vanish(self):
         budgets = []

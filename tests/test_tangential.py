@@ -9,7 +9,6 @@ from npdisclab.tangential import (
     ConformalChain,
     assemble_embedding,
     boundary_modulus_defect,
-    chain_eval,
     harmonic_conjugate,
     tangency_report,
 )
@@ -33,31 +32,31 @@ def fine_embedding(chain):
 
 class TestChain:
     def test_half_disc_fixed_values(self, chain):
-        assert chain_eval(chain, 1.0, "half_disc") == pytest.approx(0.0, abs=1e-12)
-        assert chain_eval(chain, -1j, "half_disc") == pytest.approx(-1.0, abs=1e-12)
+        assert chain.eval(1.0, "half_disc") == pytest.approx(0.0, abs=1e-12)
+        assert chain.eval(-1j, "half_disc") == pytest.approx(-1.0, abs=1e-12)
 
     def test_pole_guard(self, chain):
         with pytest.raises(ChainDomainError):
-            chain_eval(chain, 1j, "half_plane")
+            chain.eval(1j, "half_plane")
         with pytest.raises(ChainDomainError):
-            chain_eval(chain, -1j + 1e-10, "quadrant")
+            chain.eval(-1j + 1e-10, "quadrant")
 
     def test_half_disc_derivative_magnitude(self, chain):
         # |g'(1)| = 1/4, estimated from inside along the real axis
         h = 1e-7
-        d = (chain_eval(chain, 1.0, "half_disc") - chain_eval(chain, 1.0 - h, "half_disc")) / h
+        d = (chain.eval(1.0, "half_disc") - chain.eval(1.0 - h, "half_disc")) / h
         assert abs(d) == pytest.approx(0.25, abs=1e-5)
 
     def test_image_in_half_disc(self, chain):
         rng = np.random.default_rng(np.random.Philox(51))
         z = 0.99 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
-        g = chain_eval(chain, z, "half_disc")
+        g = chain.eval(z, "half_disc")
         assert np.all(np.abs(g) < 1.0 + 1e-12)
         assert np.all(g.imag > -1e-12)
 
     def test_full_map_boundary_singularity(self, chain):
-        assert chain_eval(chain, 1.0, "full") == 1.0
-        assert chain_eval(chain, 1.0, "clipped") == 1.0
+        assert chain.eval(1.0, "full") == 1.0
+        assert chain.eval(1.0, "clipped") == 1.0
 
 
 class TestBoundarySampling:
