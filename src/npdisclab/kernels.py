@@ -96,11 +96,13 @@ class KernelHandle:
         cv = self.moduli.values
         return complex(np.dot(cv, np.asarray(t, dtype=complex) ** np.arange(1, cv.size + 1)))
 
-    def kernel_from_defect(self, omt: float) -> float | None:
+    def kernel_from_defect(self, omt: complex | np.ndarray) -> complex | np.ndarray | None:
         """K expressed through 1 - t for families with a closed form.
 
-        Near the boundary 1 - t is the well-conditioned datum; returning
-        None means the caller must fall back to the truncated series.
+        Near the boundary 1 - t is the well-conditioned datum.  ``omt`` may
+        be a scalar or an array, real or complex; the closed form applies
+        to every entry.  None means the family has no closed form and the
+        caller must evaluate the truncated series with :meth:`kernel_value`.
         """
         if self.family_tag == "hardy":
             return 1.0 / omt
@@ -109,9 +111,19 @@ class KernelHandle:
             return (1.0 - q + q * omt) / (1.0 - 2.0 * q + 2.0 * q * omt)
         return None
 
-    def kernel_value(self, t: complex) -> complex:
+    def kernel_value(self, t: complex | np.ndarray) -> complex | np.ndarray:
+        """Truncated K = sum a_n t^n by Horner on the weights, in place.
+
+        ``t`` may be a scalar (returns a Python complex) or an array of any
+        shape (returns an array of that shape, complex or real like ``t``).
+        """
+        t = np.asarray(t)
         av = self.weights.values
-        return complex(np.dot(av, np.asarray(t, dtype=complex) ** np.arange(av.size)))
+        acc = np.full(t.shape, av[-1], dtype=np.result_type(t, av))
+        for a in av[-2::-1]:
+            acc *= t
+            acc += a
+        return acc if acc.ndim else complex(acc)
 
 
 def _hs_generating(s: float, t: complex) -> complex:

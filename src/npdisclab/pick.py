@@ -10,6 +10,14 @@ boundary-bound point list and keeps a point once a single determinant term
 (1 - r^2) delta K(z, z) provably dominates the remaining expansion terms,
 the dominance being certified through Hadamard bounds; every acceptance is
 re-verified by explicit positive-definiteness checks over a target sample.
+
+Everything works on whole arrays.  The Gram matrix takes 1 - <z_i, z_j>
+for all node pairs at once, from the stacked coordinates, and evaluates the
+kernel on all of them in one call: closed forms (Drury-Arveson, hardy,
+geometric) on every entry, the truncated series by Horner otherwise.  The
+coincidence check is one broadcast comparison.  Each extractor stage stacks
+its target sample into (S, k, k) blocks and makes one ``eigvalsh`` call per
+dtype group, real polydisc corners and complex random draws apart.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallPoint, crossing_map, crossing_scalar, one_minus_inner
+from .geometry import BallPoint, crossing_map, crossing_scalar
 from .kernels import KernelHandle
 
 #: relative eigenvalue tolerance separating the three verdict zones
@@ -67,50 +75,86 @@ class PickProblem:
         for p in self.nodes:
             if not p.is_interior:
                 raise PickProblemError("all nodes must be interior points")
-        for i in range(len(self.nodes)):
-            for j in range(i + 1, len(self.nodes)):
-                if _coincident(self.nodes[i], self.nodes[j]):
-                    raise PickProblemError(
-                        f"nodes {i} and {j} coincide; interpolation is ill-posed"
-                    )
+        pair = _first_coincident_pair(self.nodes)
+        if pair is not None:
+            raise PickProblemError(
+                f"nodes {pair[0]} and {pair[1]} coincide; interpolation is ill-posed"
+            )
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
 
-def _coincident(p: BallPoint, q: BallPoint) -> bool:
-    if p.coords.size != q.coords.size:
-        return False
-    if not np.array_equal(p.coords, q.coords):
-        return False
-    if p.gap is not None or q.gap is not None:
-        return p.gap == q.gap
-    return True
+def _stacked_coords(pts: list[BallPoint]) -> np.ndarray:
+    """Coordinates as rows of one matrix, shorter points zero-padded."""
+    z = np.zeros((len(pts), max((p.coords.size for p in pts), default=1)), dtype=complex)
+    for i, p in enumerate(pts):
+        z[i, : p.coords.size] = p.coords
+    return z
 
 
-def _kernel_entry(kernel, p: BallPoint, q: BallPoint) -> complex:
-    if kernel == DRURY_ARVESON:
-        return 1.0 / one_minus_inner(p, q)
-    if isinstance(kernel, KernelHandle):
-        omt = complex(one_minus_inner(p, q))
-        if omt.imag == 0.0:
-            closed = kernel.kernel_from_defect(omt.real)
-            if closed is not None:
-                return closed
-        return kernel.kernel_value(1.0 - omt)
-    raise PickProblemError(f"unknown kernel specification {kernel!r}")
+def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
+    """Lexicographically first (i, j), i < j, of coinciding points, by one broadcast.
+
+    Points coincide when they have the same dimension and equal coordinates
+    and, if either carries an exact gap, equal gaps.
+    """
+    dims = np.array([p.coords.size for p in pts])
+    has_gap = np.array([p.gap is not None for p in pts])
+    gaps = np.array([0.0 if p.gap is None else p.gap for p in pts])
+    z = _stacked_coords(pts)
+    same = (
+        (dims[:, None] == dims[None, :])
+        & (has_gap[:, None] == has_gap[None, :])
+        & (gaps[:, None] == gaps[None, :])
+        & (z[:, None, :] == z[None, :, :]).all(axis=2)
+    )
+    hits = np.argwhere(np.triu(same, 1))  # row-major, so the first is smallest
+    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+
+
+def _radial_gaps(pts: list[BallPoint]) -> np.ndarray:
+    """Exact gap of every radial real point, nan for the others."""
+    return np.array([p.gap if p.is_radial_real else math.nan for p in pts])
+
+
+def _one_minus_inner_pairs(z: np.ndarray, gaps: np.ndarray, rows, cols) -> np.ndarray:
+    """1 - <z_i, z_j> over broadcast index arrays of stacked coordinates.
+
+    Pairs of radial real points use the exact gap algebra
+    g_i + g_j - g_i g_j, as :func:`~npdisclab.geometry.one_minus_inner` does.
+    """
+    omt = 1.0 - np.sum(z[rows] * np.conj(z[cols]), axis=-1)
+    gi, gj = gaps[rows], gaps[cols]
+    return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
 def kernel_gram(nodes, kernel=DRURY_ARVESON) -> np.ndarray:
-    """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored."""
+    """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored.
+
+    1 - <z_i, z_j> is formed for all upper-triangle pairs at once from the
+    stacked, zero-padded coordinates, with the exact gap algebra wherever
+    both points are radial and real.  The kernel then evaluates every entry
+    in one call: the closed form where the family has one (Drury-Arveson,
+    hardy, geometric), else the truncated series by Horner.
+    """
+    if kernel != DRURY_ARVESON and not isinstance(kernel, KernelHandle):
+        raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
-    m = len(pts)
-    g = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(i, m):
-            g[i, j] = _kernel_entry(kernel, pts[i], pts[j])
-            g[j, i] = np.conj(g[i, j])
+    rows, cols = np.triu_indices(len(pts))
+    omt = _one_minus_inner_pairs(_stacked_coords(pts), _radial_gaps(pts), rows, cols)
+    if not omt.imag.any():
+        omt = omt.real  # real data stays on the real path
+    if kernel == DRURY_ARVESON:
+        upper = 1.0 / omt
+    else:
+        upper = kernel.kernel_from_defect(omt)
+        if upper is None:
+            upper = kernel.kernel_value(1.0 - omt)
+    g = np.empty((len(pts), len(pts)), dtype=complex)
+    g[rows, cols] = upper
+    g[cols, rows] = np.conj(upper)
     return g
 
 
@@ -208,88 +252,91 @@ class ExtractionResult:
 
 
 class _LogKernel:
-    """Lazy log |K(z_i, z_j)| access for the extractor.
+    """Lazy log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| access for the extractor.
 
     Radial point lists work straight off their gap vector so no quadratic
-    table is ever materialized; general lists fall back to pairwise inner
-    products.
+    table is ever materialized; general lists evaluate the inner products
+    of the requested pairs only.
     """
 
     def __init__(self, points: list[BallPoint]):
-        self.points = points
-        self.radial_gaps = None
-        if all(p.is_radial_real for p in points):
-            self.radial_gaps = np.array([p.gap for p in points])
+        self.gaps = _radial_gaps(points)
+        self.radial = not np.isnan(self.gaps).any()
+        if not self.radial:
+            self.coords = _stacked_coords(points)
 
     def diag(self, idx: np.ndarray) -> np.ndarray:
-        if self.radial_gaps is not None:
-            g = self.radial_gaps[idx]
+        if self.radial:
+            g = self.gaps[idx]
             return -np.log(g * (2.0 - g))
-        return np.array(
-            [-math.log(abs(one_minus_inner(self.points[i], self.points[i]))) for i in idx]
-        )
+        return _neg_log_abs(_one_minus_inner_pairs(self.coords, self.gaps, idx, idx))
 
     def col(self, idx: np.ndarray, j: int) -> np.ndarray:
-        if self.radial_gaps is not None:
-            g = self.radial_gaps[idx]
-            gj = self.radial_gaps[j]
+        if self.radial:
+            g = self.gaps[idx]
+            gj = self.gaps[j]
             return -np.log(g + gj - g * gj)
-        return np.array(
-            [-math.log(abs(one_minus_inner(self.points[i], self.points[j]))) for i in idx]
-        )
-
-    def entry(self, i: int, j: int) -> float:
-        if self.radial_gaps is not None:
-            gi, gj = self.radial_gaps[i], self.radial_gaps[j]
-            if i == j:
-                return -math.log(gi * (2.0 - gi))
-            return -math.log(gi + gj - gi * gj)
-        return -math.log(abs(one_minus_inner(self.points[i], self.points[j])))
+        return _neg_log_abs(_one_minus_inner_pairs(self.coords, self.gaps, idx, j))
 
     def block(self, idx: list[int]) -> np.ndarray:
-        k = len(idx)
-        out = np.empty((k, k))
-        for a in range(k):
-            for b in range(a, k):
-                out[a, b] = out[b, a] = self.entry(idx[a], idx[b])
+        idx = np.asarray(idx)
+        out = np.column_stack([self.col(idx, j) for j in idx])
+        np.fill_diagonal(out, self.diag(idx))
         return out
 
 
+def _neg_log_abs(omt: np.ndarray) -> np.ndarray:
+    """-log |1 - <z_i, z_j>|, refusing the zeros np.log would turn into inf."""
+    mag = np.abs(omt)
+    if not np.all(mag > 0.0):
+        raise ValueError(
+            "1 - <z_i, z_j> rounds to 0: a point without an exact gap lies on "
+            "the sphere to double precision"
+        )
+    return -np.log(mag)
+
+
 def _target_sample(k: int, r: float, rng, corner_cap: int = 512,
-                   n_random: int = 256) -> list[np.ndarray]:
-    """Corner sign patterns of the r-polydisc plus uniform complex draws."""
-    sample = []
+                   n_random: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Corner sign patterns of the r-polydisc plus uniform complex draws.
+
+    Returns the real corners and the complex draws as two (S, k) stacks, so
+    each keeps its own dtype through the eigenvalue checks.  The uniform
+    draws are laid out (S, 2, k) so that each row takes its k magnitudes and
+    then its k phases in stream order.
+    """
     if 2**k <= corner_cap:
-        sample.extend(np.array(p) for p in itertools.product((r, -r), repeat=k))
+        corners = np.array(list(itertools.product((r, -r), repeat=k)))
     else:
-        for _ in range(corner_cap):
-            sample.append(r * rng.choice((-1.0, 1.0), size=k))
-    for _ in range(n_random):
-        mag = r * np.sqrt(rng.uniform(size=k))
-        sample.append(mag * np.exp(2j * np.pi * rng.uniform(size=k)))
-    return sample
+        corners = r * rng.choice((-1.0, 1.0), size=(corner_cap, k))
+    u = rng.uniform(size=(n_random, 2, k))
+    draws = r * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    return corners, draws
 
 
 def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Diagonally rescaled Pick block: unit diagonal, entries O(1).
+    """Diagonally rescaled Pick blocks: unit diagonal, entries O(1).
 
-    Congruence keeps definiteness while avoiding the e^{n^2} dynamic range
-    of raw kernel entries near the boundary.
+    ``w`` is one target vector of length k or an (S, k) stack of them; the
+    result is (k, k) or (S, k, k).  Congruence keeps definiteness while
+    avoiding the e^{n^2} dynamic range of raw kernel entries near the
+    boundary.
     """
     diag = np.diag(log_block)
     corr = np.exp(log_block - 0.5 * (diag[:, None] + diag[None, :]))
-    wfac = (1.0 - np.outer(w, np.conj(w))) / np.sqrt(
-        np.outer(1.0 - np.abs(w) ** 2, 1.0 - np.abs(w) ** 2)
+    om = 1.0 - np.abs(w) ** 2
+    wfac = (1.0 - w[..., :, None] * np.conj(w)[..., None, :]) / np.sqrt(
+        om[..., :, None] * om[..., None, :]
     )
     b = corr * wfac
-    np.fill_diagonal(b, 1.0)
+    b[..., np.arange(diag.size), np.arange(diag.size)] = 1.0
     return b
 
 
-def _logsumexp(values) -> float:
-    arr = np.asarray(values, dtype=float)
-    mx = arr.max()
-    return float(mx + np.log(np.sum(np.exp(arr - mx))))
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis."""
+    mx = values.max(axis=-1)
+    return mx + np.log(np.sum(np.exp(values - mx[..., None]), axis=-1))
 
 
 def extract_interpolating_subsequence(
@@ -333,21 +380,22 @@ def extract_interpolating_subsequence(
 
     for k in range(2, k_max + 1):
         sel_block = kern.block(selected)
-        sample = _target_sample(k - 1, r, rng, corner_cap, n_random_targets)
         # delta estimate: smallest determinant of the previous stage over
-        # the sample, assembled in log space from the normalized block
+        # the sample, assembled in log space from the normalized blocks, one
+        # eigvalsh call per dtype group (real corners, complex draws)
         log_delta = math.inf
-        for w in sample:
-            b = _normalized_pick(sel_block, w)
-            eig = np.linalg.eigvalsh(b)
+        for w in _target_sample(k - 1, r, rng, corner_cap, n_random_targets):
+            if not len(w):
+                continue
+            eig = np.linalg.eigvalsh(_normalized_pick(sel_block, w))
             if eig.min() <= 0.0:
                 raise ExtractionExhaustedError(
                     f"stage {k - 1} block lost definiteness during sampling"
                 )
-            log_det = float(np.sum(np.log(eig)))
-            log_det += float(np.sum(np.log1p(-np.abs(w) ** 2)))
-            log_det += float(np.trace(sel_block))
-            log_delta = min(log_delta, log_det)
+            log_det = (np.sum(np.log(eig), axis=1)
+                       + np.sum(np.log1p(-np.abs(w) ** 2), axis=1)
+                       + np.trace(sel_block))
+            log_delta = min(log_delta, float(log_det.min()))
 
         # vectorized dominance scan over all remaining candidates
         cands = np.arange(selected[-1] + 1, len(pts))
@@ -360,41 +408,33 @@ def extract_interpolating_subsequence(
         lhs = log_one_minus_rsq + log_delta + log_kzz
         # Hadamard bound on the remaining last-row expansion terms: for the
         # term dropping column `drop`, each minor row i mixes fixed selected
-        # entries with the single candidate-dependent entry K(z_i, z)
-        rhs_terms = np.empty((cands.size, k - 1))
-        for drop in range(k - 1):
-            log_minor = np.zeros(cands.size)
-            for i in range(k - 1):
-                fixed = [
-                    2.0 * (log_one_plus_rsq + sel_block[i, l])
-                    for l in range(k - 1)
-                    if l != drop
-                ]
-                fixed_sum = _logsumexp(fixed) if fixed else -math.inf
-                cand_ent = 2.0 * (log_one_plus_rsq + log_kc[:, i])
-                log_minor += 0.5 * np.logaddexp(fixed_sum, cand_ent)
-            rhs_terms[:, drop] = log_one_plus_rsq + log_kc[:, drop] + log_minor
-        rhs_max = rhs_terms.max(axis=1)
-        rhs = rhs_max + np.log(np.sum(np.exp(rhs_terms - rhs_max[:, None]), axis=1))
+        # entries with the single candidate-dependent entry K(z_i, z);
+        # fixed_sum[i, drop] is the logsumexp of row i's fixed entries
+        # without column `drop`, and the minor rows add up in order of i
+        n_sel = k - 1
+        fixed = 2.0 * (log_one_plus_rsq + sel_block)
+        others = np.nonzero(~np.eye(n_sel, dtype=bool))[1].reshape(n_sel, n_sel - 1)
+        fixed_sum = _logsumexp(fixed[:, others]) if n_sel > 1 else np.full((1, 1), -math.inf)
+        cand_ent = 2.0 * (log_one_plus_rsq + log_kc)
+        log_minor = np.zeros((cands.size, n_sel))
+        for i in range(n_sel):
+            log_minor += 0.5 * np.logaddexp(fixed_sum[i], cand_ent[:, i, None])
+        rhs_terms = log_one_plus_rsq + log_kc + log_minor
+        rhs = _logsumexp(rhs_terms)
 
         accepted = None
-        min_eig_seen = math.inf
         for pos in np.nonzero(lhs > rhs)[0]:
             cand = int(cands[pos])
             # dominance fired; certify definiteness over a fresh k-target sample
             trial = selected + [cand]
             trial_block = kern.block(trial)
             verify = _target_sample(k, r, rng, corner_cap, n_random_targets)
-            ok = True
-            min_eig_seen = math.inf
-            for wk in verify:
-                b = _normalized_pick(trial_block, wk)
-                eig_min = float(np.linalg.eigvalsh(b).min())
-                min_eig_seen = min(min_eig_seen, eig_min)
-                if eig_min <= PSD_TOL:
-                    ok = False
-                    break
-            if ok:
+            min_eig_seen = min(
+                (float(np.linalg.eigvalsh(_normalized_pick(trial_block, w)).min())
+                 for w in verify if len(w)),
+                default=math.inf,
+            )
+            if min_eig_seen > PSD_TOL:
                 accepted = cand
                 break
         if accepted is None:

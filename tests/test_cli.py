@@ -30,7 +30,8 @@ RECIPE_ARGS = {
     "tangency-report": ["m=4096", "jmin=4", "jmax=8"],
 }
 
-#: ``--reproducible`` output of every RECIPE_ARGS run, one file per recipe
+#: ``--reproducible`` output of every RECIPE_ARGS run, one file per recipe,
+#: plus ``interp-extract-k18.csv`` for the extractor past its corner cap
 GOLDEN = Path(__file__).parent / "golden"
 
 #: the only columns whose cells are text rather than numbers or booleans
@@ -118,7 +119,21 @@ class TestExitCodes:
         # the vn_quadratic norms approach the boundary too slowly for k = 3
         assert main(["interp-extract", "tag=vn_quadratic", "n=40"]) == EXIT_NOT_CERTIFIED
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert err == [
+            "error: not certified: point list exhausted at stage 3: no candidate "
+            "after index 4 passed dominance; the norms may approach the boundary "
+            "too slowly for this truncation"
+        ]
+
+    def test_underflowed_gap_is_bad_parameter(self, capsys):
+        # ROADMAP 4b: wn_gaussian gaps underflow to 0 from n = 28, leaving
+        # points at 1.0 without a gap; until log-gaps reach the extractor
+        # this must stay one error line and no CSV of inf/nan
+        assert main(["interp-extract", "tag=wn_gaussian", "n=30"]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "rounds to 0" in err[0]
 
     def test_closed_output_pipe(self):
         # 4096 rows are far more than a pipe buffer holds
@@ -150,6 +165,14 @@ class TestDeterminism:
         out = tmp_path / "g.csv"
         assert main([name, *RECIPE_ARGS[name], "--reproducible", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+    def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
+        # from stage 10 on 2^k exceeds the corner cap, so the corners are
+        # drawn by rng.choice, which the kmax = 5 golden never reaches
+        out = tmp_path / "k18.csv"
+        args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]
+        assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "interp-extract-k18.csv").read_bytes()
 
     def test_timestamp_only_without_reproducible(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from npdisclab import kernels
+from npdisclab import kernels, pick
 from npdisclab.geometry import BallPoint, pseudo_dist_scalar
 from npdisclab.pick import (
     CrossingObstruction,
@@ -62,6 +62,122 @@ class TestPickMatrix:
         np.testing.assert_allclose(pick_matrix(p), kernel_gram(nodes, kernels.hs(-0.5, 512)))
         verdict = psd_check(pick_matrix(p))
         assert verdict.verdict != "indefinite"
+
+
+class TestCoincidence:
+    @pytest.mark.parametrize("nodes, pair", [
+        ([0.1, 0.5, 0.3, 0.5], (1, 3)),     # duplicate at non-adjacent positions
+        ([0.3, 0.6, 0.6, 0.3], (0, 3)),     # two duplicates: lexicographic first
+        ([0.2, 0.7, 0.2, 0.7, 0.7], (0, 2)),
+    ])
+    def test_reports_first_coinciding_pair(self, nodes, pair):
+        with pytest.raises(PickProblemError, match=f"nodes {pair[0]} and {pair[1]} coincide"):
+            PickProblem(nodes, np.zeros(len(nodes)))
+
+    def test_equal_coordinates_with_different_gaps_are_distinct(self):
+        p = BallPoint([0.5], gap=0.5)
+        q = BallPoint([0.5], gap=0.5 + 2.0**-40)
+        assert PickProblem([p, q, BallPoint([0.5])], [0.0, 0.1, 0.2]).size == 3
+        with pytest.raises(PickProblemError, match="nodes 0 and 2 coincide"):
+            PickProblem([p, q, BallPoint([0.5], gap=0.5)], [0.0, 0.1, 0.2])
+
+    def test_different_dimensions_are_distinct(self):
+        nodes = [BallPoint([0.5]), BallPoint([0.5, 0.0]), BallPoint([0.5, 0.0, 0.0])]
+        assert PickProblem(nodes, [0.0, 0.1, 0.2]).size == 3
+        with pytest.raises(PickProblemError, match="nodes 1 and 3 coincide"):
+            PickProblem(nodes + [BallPoint([0.5, 0.0])], [0.0, 0.1, 0.2, 0.3])
+
+    def test_signed_zero_coordinates_coincide(self):
+        with pytest.raises(PickProblemError, match="nodes 0 and 1 coincide"):
+            PickProblem([complex(0.5, 0.0), complex(0.5, -0.0)], [0.0, 0.1])
+
+    def test_unknown_kernel_specification(self):
+        with pytest.raises(PickProblemError, match="unknown kernel"):
+            pick_matrix(PickProblem([0.1, 0.5], [0.0, 0.1], kernel="szego"))
+
+
+class TestGramOracle:
+    """kernel_gram against 50-digit evaluations of the same kernels."""
+
+    @staticmethod
+    def nodes():
+        rng = np.random.default_rng(np.random.Philox(46))
+        return 0.9 * np.sqrt(rng.uniform(size=30)) * np.exp(2j * np.pi * rng.uniform(size=30))
+
+    def check(self, handle, make_exact):
+        mpmath = pytest.importorskip("mpmath")
+        z = self.nodes()
+        gram = kernel_gram(z, handle)
+        scale = np.abs(gram).max()
+        with mpmath.workdps(50):
+            exact = make_exact(mpmath)
+            for i in range(z.size):
+                for j in range(i, z.size):
+                    t = mpmath.mpc(z[i]) * mpmath.conj(mpmath.mpc(z[j]))
+                    want = complex(exact(t))
+                    assert abs(gram[i, j] - want) <= 1e-13 * scale, (i, j)
+                    assert abs(gram[j, i] - np.conj(want)) <= 1e-13 * scale, (j, i)
+        assert np.array_equal(np.tril(gram, -1), np.triu(gram, 1).conj().T)
+
+    def test_hs_truncated_series(self):
+        n = 256
+
+        def make_exact(mp):
+            # Horner on the exact weights (m + 1)^-1/2, highest order first
+            weights = [mp.power(m + 1, mp.mpf(-0.5)) for m in range(n, -1, -1)]
+            return lambda t: mp.polyval(weights, t)
+
+        self.check(kernels.hs(-0.5, n), make_exact)
+
+    def test_hardy_closed_form(self):
+        self.check(kernels.hardy(64), lambda mp: lambda t: 1 / (1 - t))
+
+    def test_geometric_closed_form(self):
+        self.check(kernels.geometric(0.5, 64), lambda mp: lambda t: (1 - t / 2) / (1 - t))
+
+
+    def test_radial_pairs_keep_the_gap_algebra(self):
+        # 1 - z w rounds to 0 for these radial points; only the exact gaps
+        # g_i + g_j - g_i g_j keep the kernel finite
+        gaps = [1e-20, 3e-20]
+        pts = [BallPoint.radial(g) for g in gaps] + [BallPoint([0.3j])]
+        for kernel in (pick.DRURY_ARVESON, kernels.hardy(64)):
+            gram = kernel_gram(pts, kernel)
+            for i, gi in enumerate(gaps):
+                for j, gj in enumerate(gaps):
+                    assert gram[i, j] == pytest.approx(1.0 / (gi + gj - gi * gj), rel=1e-15)
+            assert gram[0, 2] == pytest.approx(1.0 / (1.0 + 0.3j * (1.0 - gaps[0])), rel=1e-15)
+
+
+class TestCallCounts:
+    """Whole-array evaluation: no per-pair or per-sample calls."""
+
+    def test_gram_evaluates_the_kernel_once(self, monkeypatch):
+        calls = []
+        series = kernels.KernelHandle.kernel_value
+        monkeypatch.setattr(kernels.KernelHandle, "kernel_value",
+                            lambda self, t: calls.append(1) or series(self, t))
+        rng = np.random.default_rng(np.random.Philox(47))
+        z = 0.9 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+        kernel_gram(z, kernels.hs(-0.5, 256))
+        assert len(calls) <= 1
+        kernel_gram(z, kernels.hardy(256))  # closed form on every entry
+        kernel_gram(z, kernels.geometric(0.5, 256))
+        assert len(calls) <= 1
+
+    def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
+        # each delta estimate and each verified candidate draws one target
+        # sample and may spend one eigvalsh call per dtype group on it
+        eig_calls, samples = [], []
+        eigvalsh, target_sample = np.linalg.eigvalsh, pick._target_sample
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: eig_calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(pick, "_target_sample",
+                            lambda *a: samples.append(1) or target_sample(*a))
+        res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
+        assert len(res.indices) == 12
+        assert len(samples) >= 2 * 11
+        assert len(eig_calls) <= 2 * len(samples)
 
 
 class TestPsdCheck:
@@ -183,6 +299,13 @@ class TestExtractor:
         pts = quadratic_points(6)  # far too short to reach stage 6
         with pytest.raises(ExtractionExhaustedError):
             extract_interpolating_subsequence(pts, 0.5, 6)
+
+    def test_point_on_sphere_without_gap_is_an_error(self):
+        # the gap of 1 - e^{-28^2} underflows, leaving the point [1.0]; the
+        # log-kernel must refuse it rather than carry log(0) = -inf along
+        pts = gaussian_points(3) + [BallPoint([1.0])]
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
+            extract_interpolating_subsequence(pts, 0.5, 3)
 
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):
