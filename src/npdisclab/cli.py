@@ -142,10 +142,9 @@ def _run_interp_extract(p, rng):
     seq = named_sequence(p["tag"], p["n"])
     from .geometry import BallPoint
 
-    points = [
-        BallPoint.radial(g) if g > 0.0 else BallPoint([pt])
-        for g, pt in zip(seq.gaps, seq.points)
-    ]
+    # each point keeps its angle; an underflowed gap is left out
+    points = [BallPoint([pt], gap=g if g > 0.0 else None)
+              for g, pt in zip(seq.gaps, seq.points)]
     res = extract_interpolating_subsequence(
         points, p["r"], p["kmax"], seed=p["_seed"]
     )

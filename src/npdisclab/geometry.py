@@ -6,9 +6,15 @@ The distance between interior points z, w is
 
 where phi_w is the ball automorphism swapping w and 0.  Points very close
 to the boundary lose all their information in plain coordinates, so a point
-may carry its boundary gap 1 - |z| exactly; radial points then get
-cancellation-free distances through the gap algebra
-1 - z*w = g_z + g_w - g_z*g_w.
+may carry its boundary gap 1 - |z| exactly.
+
+:class:`PointTable` is the one owner of 1 - <z_i, z_j>, the quantity behind
+every kernel entry and distance: it stacks the points' coordinates once and
+forms 1 - <z_i, z_j> over broadcast index arrays, through the exact gap
+algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both points are radial and
+real, so pairs far below double-precision resolution stay cancellation-free.
+The Pick layer, the two-point :func:`one_minus_inner` and
+:func:`radial_gap_dist` all read it.
 """
 
 from __future__ import annotations
@@ -83,30 +89,44 @@ class BallPoint:
         return f"BallPoint(dim={self.coords.size}, norm={self.norm:.6g})"
 
 
-def _padded_pair(p: BallPoint, q: BallPoint):
-    d = max(p.coords.size, q.coords.size)
-    a = np.zeros(d, dtype=complex)
-    b = np.zeros(d, dtype=complex)
-    a[: p.coords.size] = p.coords
-    b[: q.coords.size] = q.coords
-    return a, b
+class PointTable:
+    """Ball points stacked once: the single owner of 1 - <z_i, z_j>.
+
+    ``coords`` holds the coordinates as rows of one matrix, shorter points
+    zero-padded; ``gaps`` holds the exact gap of every radial real point and
+    nan for the others.
+    """
+
+    __slots__ = ("coords", "gaps")
+
+    def __init__(self, pts):
+        dim = max((p.coords.size for p in pts), default=1)
+        self.coords = np.zeros((len(pts), dim), dtype=complex)
+        for i, p in enumerate(pts):
+            self.coords[i, : p.coords.size] = p.coords
+        self.gaps = np.array([p.gap if p.is_radial_real else math.nan for p in pts])
+
+    def one_minus_inner(self, rows, cols) -> np.ndarray:
+        """1 - <z_i, z_j> over broadcast index arrays ``rows`` and ``cols``.
+
+        Pairs of radial real points use the exact gap algebra
+        g_i + g_j - g_i g_j, which stays accurate when both gaps are far
+        below machine epsilon; all other pairs use the coordinates.
+        """
+        omt = 1.0 - np.sum(self.coords[rows] * np.conj(self.coords[cols]), axis=-1)
+        gi, gj = self.gaps[rows], self.gaps[cols]
+        return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
 def ball_inner(p: BallPoint, q: BallPoint) -> complex:
     """<p, q> = sum p_i conj(q_i), shorter vector zero-padded."""
-    a, b = _padded_pair(p, q)
+    a, b = PointTable([p, q]).coords
     return complex(np.dot(a, np.conj(b)))
 
 
 def one_minus_inner(p: BallPoint, q: BallPoint) -> complex:
-    """1 - <p, q>, through the gap algebra for radial pairs.
-
-    For two real radial points 1 - z w = g_z + g_w - g_z g_w exactly, which
-    stays accurate when both gaps are far below machine epsilon.
-    """
-    if p.is_radial_real and q.is_radial_real:
-        return p.gap + q.gap - p.gap * q.gap
-    return 1.0 - ball_inner(p, q)
+    """1 - <p, q>: the two-point call of :meth:`PointTable.one_minus_inner`."""
+    return complex(PointTable([p, q]).one_minus_inner(0, 1))
 
 
 def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
@@ -125,7 +145,7 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     if p.is_radial_real and q.is_radial_real:
         num = (p.gap - q.gap) ** 2  # collinear points: the Gram defect vanishes
     else:
-        a, b = _padded_pair(p, q)
+        a, b = PointTable([p, q]).coords
         diff_sq = float(np.sum(np.abs(a - b) ** 2))
         # all three through the same dot-product path, so the defect is an
         # exact zero for identical coordinate arrays
@@ -146,12 +166,11 @@ def pseudo_dist_scalar(z: complex, w: complex) -> float:
 def radial_gap_dist(gap_a: float, gap_b: float) -> float:
     """Distance between the real points 1 - gap_a and 1 - gap_b.
 
-    Cancellation-free: both the difference and 1 - zw are formed from the
-    gaps directly.
+    Cancellation-free: the difference is formed from the gaps directly and
+    1 - zw through the gap algebra of :class:`PointTable`.
     """
     num = abs(gap_a - gap_b)
-    den = gap_a + gap_b - gap_a * gap_b
-    return num / den
+    return num / one_minus_inner(BallPoint.radial(gap_a), BallPoint.radial(gap_b)).real
 
 
 def radial_log_gap_dist(log_gap_a: float, log_gap_b: float) -> float:
@@ -173,7 +192,7 @@ def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
     phi_w swaps w and 0; its norm at z reproduces the pseudohyperbolic
     distance: ||phi_w(z)|| = d(z, w).
     """
-    wc, zc = _padded_pair(w, z)
+    wc, zc = PointTable([w, z]).coords
     wn_sq = float(np.sum(np.abs(wc) ** 2))
     if wn_sq == 0.0:
         return BallPoint(-zc)

@@ -281,9 +281,8 @@ class ComparabilityReport:
     verdict: str  # "comparable" | "diverging" | "inconclusive"
 
 
-def are_comparable(a: KernelWeights, a2: KernelWeights,
-                   n_terms: int | None = None) -> ComparabilityReport:
-    n = min(a.n, a2.n) if n_terms is None else n_terms
+def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
+    n = min(a.n, a2.n)
     r = a.padded(n) / a2.padded(n)
     tail = r[-max(n // 4, 2):]
     drift = float((tail.max() - tail.min()) / tail.max())

@@ -11,13 +11,17 @@ boundary-bound point list and keeps a point once a single determinant term
 the dominance being certified through Hadamard bounds; every acceptance is
 re-verified by explicit positive-definiteness checks over a target sample.
 
-Everything works on whole arrays.  The Gram matrix takes 1 - <z_i, z_j>
-for all node pairs at once, from the stacked coordinates, and evaluates the
-kernel on all of them in one call: closed forms (Drury-Arveson, hardy,
-geometric) on every entry, the truncated series by Horner otherwise.  The
-coincidence check is one broadcast comparison.  Each extractor stage stacks
-its target sample into (S, k, k) blocks and makes one ``eigvalsh`` call per
-dtype group, real polydisc corners and complex random draws apart.
+Everything works on whole arrays, and every 1 - <z_i, z_j> comes from one
+owner, :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps
+the exact gap algebra for radial points.  The Gram matrix takes it for all
+node pairs in one call and evaluates the kernel on all of them at once:
+closed forms (Drury-Arveson, hardy, geometric) on every entry, the truncated
+series by Horner otherwise.  The coincidence check is one broadcast
+comparison on the same point table.  Each extractor stage reads its log
+kernel blocks -log |1 - <z_i, z_j>| from the owner in one broadcast call per
+block, stacks its target sample into (S, k, k) blocks and makes one
+``eigvalsh`` call per dtype group, real polydisc corners and complex random
+draws apart.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallPoint, crossing_map, crossing_scalar
+from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar
 from .kernels import KernelHandle
 
 #: relative eigenvalue tolerance separating the three verdict zones
@@ -36,6 +40,13 @@ PSD_TOL = 1e-10
 
 #: largest matrix dispatched to a full eigendecomposition
 _EIG_SIZE = 200
+
+#: extractor target samples: all polydisc corners up to this many, else a
+#: random draw of this many corners
+_CORNER_CAP = 512
+
+#: extractor target samples: uniform complex draws per sample
+_N_RANDOM_TARGETS = 256
 
 DRURY_ARVESON = "drury-arveson"
 
@@ -86,14 +97,6 @@ class PickProblem:
         return len(self.nodes)
 
 
-def _stacked_coords(pts: list[BallPoint]) -> np.ndarray:
-    """Coordinates as rows of one matrix, shorter points zero-padded."""
-    z = np.zeros((len(pts), max((p.coords.size for p in pts), default=1)), dtype=complex)
-    for i, p in enumerate(pts):
-        z[i, : p.coords.size] = p.coords
-    return z
-
-
 def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
     """Lexicographically first (i, j), i < j, of coinciding points, by one broadcast.
 
@@ -103,7 +106,7 @@ def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
     dims = np.array([p.coords.size for p in pts])
     has_gap = np.array([p.gap is not None for p in pts])
     gaps = np.array([0.0 if p.gap is None else p.gap for p in pts])
-    z = _stacked_coords(pts)
+    z = PointTable(pts).coords
     same = (
         (dims[:, None] == dims[None, :])
         & (has_gap[:, None] == has_gap[None, :])
@@ -114,36 +117,20 @@ def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
     return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
-def _radial_gaps(pts: list[BallPoint]) -> np.ndarray:
-    """Exact gap of every radial real point, nan for the others."""
-    return np.array([p.gap if p.is_radial_real else math.nan for p in pts])
-
-
-def _one_minus_inner_pairs(z: np.ndarray, gaps: np.ndarray, rows, cols) -> np.ndarray:
-    """1 - <z_i, z_j> over broadcast index arrays of stacked coordinates.
-
-    Pairs of radial real points use the exact gap algebra
-    g_i + g_j - g_i g_j, as :func:`~npdisclab.geometry.one_minus_inner` does.
-    """
-    omt = 1.0 - np.sum(z[rows] * np.conj(z[cols]), axis=-1)
-    gi, gj = gaps[rows], gaps[cols]
-    return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
-
-
 def kernel_gram(nodes, kernel=DRURY_ARVESON) -> np.ndarray:
     """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored.
 
-    1 - <z_i, z_j> is formed for all upper-triangle pairs at once from the
-    stacked, zero-padded coordinates, with the exact gap algebra wherever
-    both points are radial and real.  The kernel then evaluates every entry
-    in one call: the closed form where the family has one (Drury-Arveson,
-    hardy, geometric), else the truncated series by Horner.
+    1 - <z_i, z_j> comes from the point table for all upper-triangle pairs
+    in one call, with the exact gap algebra wherever both points are radial
+    and real.  The kernel then evaluates every entry in one call: the closed
+    form where the family has one (Drury-Arveson, hardy, geometric), else
+    the truncated series by Horner.
     """
     if kernel != DRURY_ARVESON and not isinstance(kernel, KernelHandle):
         raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
     rows, cols = np.triu_indices(len(pts))
-    omt = _one_minus_inner_pairs(_stacked_coords(pts), _radial_gaps(pts), rows, cols)
+    omt = PointTable(pts).one_minus_inner(rows, cols)
     if not omt.imag.any():
         omt = omt.real  # real data stays on the real path
     if kernel == DRURY_ARVESON:
@@ -179,12 +166,13 @@ class PsdVerdict:
     verdict: str  # "positive-definite" | "positive-semidefinite" | "indefinite"
 
 
-def psd_check(m: np.ndarray, tol: float = PSD_TOL) -> PsdVerdict:
+def psd_check(m: np.ndarray) -> PsdVerdict:
     """Classify a Hermitian matrix via its spectrum.
 
-    Positive-definite above +tol * scale, indefinite below -tol * scale,
-    the boundary band in between; scale is the largest entry magnitude so
-    kernel matrices with enormous boundary entries are judged relatively.
+    Positive-definite above +PSD_TOL * scale, indefinite below
+    -PSD_TOL * scale, the boundary band in between; scale is the largest
+    entry magnitude so kernel matrices with enormous boundary entries are
+    judged relatively.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -197,9 +185,9 @@ def psd_check(m: np.ndarray, tol: float = PSD_TOL) -> PsdVerdict:
         min_eig = float(np.linalg.eigvalsh(m).min())
     else:
         min_eig = _pivoted_cholesky_floor(m)
-    if min_eig > tol * scale:
+    if min_eig > PSD_TOL * scale:
         verdict = "positive-definite"
-    elif min_eig < -tol * scale:
+    elif min_eig < -PSD_TOL * scale:
         verdict = "indefinite"
     else:
         verdict = "positive-semidefinite"
@@ -251,43 +239,12 @@ class ExtractionResult:
     rows: list[ExtractionRow]
 
 
-class _LogKernel:
-    """Lazy log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| access for the extractor.
+def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
+    """log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| over broadcast index arrays.
 
-    Radial point lists work straight off their gap vector so no quadratic
-    table is ever materialized; general lists evaluate the inner products
-    of the requested pairs only.
+    Refuses the zeros np.log would turn into inf.
     """
-
-    def __init__(self, points: list[BallPoint]):
-        self.gaps = _radial_gaps(points)
-        self.radial = not np.isnan(self.gaps).any()
-        if not self.radial:
-            self.coords = _stacked_coords(points)
-
-    def diag(self, idx: np.ndarray) -> np.ndarray:
-        if self.radial:
-            g = self.gaps[idx]
-            return -np.log(g * (2.0 - g))
-        return _neg_log_abs(_one_minus_inner_pairs(self.coords, self.gaps, idx, idx))
-
-    def col(self, idx: np.ndarray, j: int) -> np.ndarray:
-        if self.radial:
-            g = self.gaps[idx]
-            gj = self.gaps[j]
-            return -np.log(g + gj - g * gj)
-        return _neg_log_abs(_one_minus_inner_pairs(self.coords, self.gaps, idx, j))
-
-    def block(self, idx: list[int]) -> np.ndarray:
-        idx = np.asarray(idx)
-        out = np.column_stack([self.col(idx, j) for j in idx])
-        np.fill_diagonal(out, self.diag(idx))
-        return out
-
-
-def _neg_log_abs(omt: np.ndarray) -> np.ndarray:
-    """-log |1 - <z_i, z_j>|, refusing the zeros np.log would turn into inf."""
-    mag = np.abs(omt)
+    mag = np.abs(table.one_minus_inner(rows, cols))
     if not np.all(mag > 0.0):
         raise ValueError(
             "1 - <z_i, z_j> rounds to 0: a point without an exact gap lies on "
@@ -296,8 +253,7 @@ def _neg_log_abs(omt: np.ndarray) -> np.ndarray:
     return -np.log(mag)
 
 
-def _target_sample(k: int, r: float, rng, corner_cap: int = 512,
-                   n_random: int = 256) -> tuple[np.ndarray, np.ndarray]:
+def _target_sample(k: int, r: float, rng) -> tuple[np.ndarray, np.ndarray]:
     """Corner sign patterns of the r-polydisc plus uniform complex draws.
 
     Returns the real corners and the complex draws as two (S, k) stacks, so
@@ -305,11 +261,11 @@ def _target_sample(k: int, r: float, rng, corner_cap: int = 512,
     draws are laid out (S, 2, k) so that each row takes its k magnitudes and
     then its k phases in stream order.
     """
-    if 2**k <= corner_cap:
+    if 2**k <= _CORNER_CAP:
         corners = np.array(list(itertools.product((r, -r), repeat=k)))
     else:
-        corners = r * rng.choice((-1.0, 1.0), size=(corner_cap, k))
-    u = rng.uniform(size=(n_random, 2, k))
+        corners = r * rng.choice((-1.0, 1.0), size=(_CORNER_CAP, k))
+    u = rng.uniform(size=(_N_RANDOM_TARGETS, 2, k))
     draws = r * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     return corners, draws
 
@@ -345,8 +301,6 @@ def extract_interpolating_subsequence(
     k_max: int,
     *,
     seed: int = 0,
-    corner_cap: int = 512,
-    n_random_targets: int = 256,
 ) -> ExtractionResult:
     """Greedy extraction of a subsequence whose Pick matrices stay definite.
 
@@ -371,7 +325,7 @@ def extract_interpolating_subsequence(
         raise ValueError("point list must approach the boundary (final norm > 0.9)")
 
     rng = np.random.default_rng(np.random.Philox(seed))
-    kern = _LogKernel(pts)
+    table = PointTable(pts)
     log_one_minus_rsq = math.log1p(-r * r)
     log_one_plus_rsq = math.log1p(r * r)
 
@@ -379,12 +333,13 @@ def extract_interpolating_subsequence(
     rows = [ExtractionRow(1, 0, pts[0].norm, 1.0, "initial")]
 
     for k in range(2, k_max + 1):
-        sel_block = kern.block(selected)
+        idx = np.array(selected)
+        sel_block = _log_kernel(table, idx[:, None], idx[None, :])
         # delta estimate: smallest determinant of the previous stage over
         # the sample, assembled in log space from the normalized blocks, one
         # eigvalsh call per dtype group (real corners, complex draws)
         log_delta = math.inf
-        for w in _target_sample(k - 1, r, rng, corner_cap, n_random_targets):
+        for w in _target_sample(k - 1, r, rng):
             if not len(w):
                 continue
             eig = np.linalg.eigvalsh(_normalized_pick(sel_block, w))
@@ -403,8 +358,8 @@ def extract_interpolating_subsequence(
             raise ExtractionExhaustedError(
                 f"point list exhausted at stage {k}: no candidates remain"
             )
-        log_kzz = kern.diag(cands)
-        log_kc = np.column_stack([kern.col(cands, j) for j in selected])
+        log_kzz = _log_kernel(table, cands, cands)
+        log_kc = _log_kernel(table, cands[:, None], idx[None, :])
         lhs = log_one_minus_rsq + log_delta + log_kzz
         # Hadamard bound on the remaining last-row expansion terms: for the
         # term dropping column `drop`, each minor row i mixes fixed selected
@@ -426,9 +381,9 @@ def extract_interpolating_subsequence(
         for pos in np.nonzero(lhs > rhs)[0]:
             cand = int(cands[pos])
             # dominance fired; certify definiteness over a fresh k-target sample
-            trial = selected + [cand]
-            trial_block = kern.block(trial)
-            verify = _target_sample(k, r, rng, corner_cap, n_random_targets)
+            trial = np.append(idx, cand)
+            trial_block = _log_kernel(table, trial[:, None], trial[None, :])
+            verify = _target_sample(k, r, rng)
             min_eig_seen = min(
                 (float(np.linalg.eigvalsh(_normalized_pick(trial_block, w)).min())
                  for w in verify if len(w)),

@@ -261,10 +261,10 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int | None = None) ->
 CNP_TOL = 1e-10
 
 
-def is_complete_np(a: KernelWeights, tol: float = CNP_TOL) -> bool:
-    """Whether every inverted modulus is >= -tol (complete-Pick test)."""
+def is_complete_np(a: KernelWeights) -> bool:
+    """Whether every inverted modulus is >= -CNP_TOL (complete-Pick test)."""
     c = moduli_from_weights(a)
-    return bool(np.all(c.values >= -tol))
+    return bool(np.all(c.values >= -CNP_TOL))
 
 
 #: relative increase of a partial sum between its halves below which the

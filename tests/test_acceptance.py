@@ -15,6 +15,7 @@ import pytest
 from npdisclab import kernels
 from npdisclab.geometry import (
     BallPoint,
+    PointTable,
     crossing_map,
     crossing_scalar,
     distortion_profile,
@@ -29,7 +30,7 @@ from npdisclab.geometry import (
     transversality_pairing,
 )
 from npdisclab.pick import (
-    _LogKernel,
+    _log_kernel,
     _normalized_pick,
     crossing_determinant,
     extract_interpolating_subsequence,
@@ -179,8 +180,8 @@ def test_criterion_10_extractor_soundness():
     points = [BallPoint.radial(math.exp(-float(n * n))) for n in range(1, 13)]
     start = time.monotonic()
     res = extract_interpolating_subsequence(points, 0.5, 10)
-    kern = _LogKernel(points)
-    blocks = [kern.block(res.indices[:k]) for k in range(1, 11)]
+    table, idx = PointTable(points), np.array(res.indices)
+    blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
     rng = np.random.default_rng(np.random.Philox(110))
     for _ in range(500):
         mag = 0.5 * np.sqrt(rng.uniform(size=10))

@@ -174,6 +174,20 @@ class TestDeterminism:
         assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "interp-extract-k18.csv").read_bytes()
 
+    def test_interp_extract_keeps_each_angle(self, tmp_path):
+        # xn_alternating puts every other point on the negative axis; moved
+        # to the positive axis it would repeat vn_quadratic's output
+        bodies = {}
+        for tag in ("xn_alternating", "vn_quadratic"):
+            out = tmp_path / f"{tag}.csv"
+            args = [f"tag={tag}", "n=400", "kmax=3", "--reproducible", "--out", str(out)]
+            assert main(["interp-extract", *args]) == 0
+            with open(out, encoding="utf-8") as fh:
+                bodies[tag] = read_rows(fh).rows
+        assert bodies["xn_alternating"] != bodies["vn_quadratic"]
+        assert [row[1] for row in bodies["xn_alternating"]] == [0, 1, 8]
+        assert [row[1] for row in bodies["vn_quadratic"]] == [0, 4, 127]
+
     def test_timestamp_only_without_reproducible(self, tmp_path):
         out = tmp_path / "c.csv"
         run_cli(["crossing", "r=0.5", "C=2", "x=1e-3", "--out", str(out)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from npdisclab import kernels, pick
-from npdisclab.geometry import BallPoint, pseudo_dist_scalar
+from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar
 from npdisclab.pick import (
     CrossingObstruction,
     ExtractionExhaustedError,
@@ -179,6 +179,28 @@ class TestCallCounts:
         assert len(samples) >= 2 * 11
         assert len(eig_calls) <= 2 * len(samples)
 
+    def test_one_minus_inner_calls(self, monkeypatch):
+        # kernel_gram takes every pair in one call; an extractor stage takes
+        # its selected block, candidate diagonal and candidate columns in
+        # three calls and one block per verified candidate, whatever k is
+        calls, samples = [], []
+        owner, target_sample = PointTable.one_minus_inner, pick._target_sample
+        monkeypatch.setattr(PointTable, "one_minus_inner",
+                            lambda self, rows, cols: calls.append(1) or owner(self, rows, cols))
+        monkeypatch.setattr(pick, "_target_sample",
+                            lambda *a: samples.append(1) or target_sample(*a))
+        for kernel in (pick.DRURY_ARVESON, kernels.hs(-0.5, 256)):
+            calls.clear()
+            kernel_gram(gaussian_points(20), kernel)
+            assert len(calls) == 1
+        for k_max in (4, 12):
+            calls.clear()
+            samples.clear()
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max)
+            stages = k_max - 1
+            verified = len(samples) - stages  # one sample per delta estimate
+            assert len(calls) <= 3 * stages + verified
+
 
 class TestPsdCheck:
     def test_identity(self):
@@ -273,10 +295,10 @@ class TestExtractor:
         assert max(np.diff(res.indices)) > 1  # strictly sparser than the input
         # the consecutive-index two-point block loses definiteness for large
         # n, forcing the skips: check it directly at the tail
-        from npdisclab.pick import _LogKernel, _normalized_pick
+        from npdisclab.pick import _log_kernel, _normalized_pick
 
-        kern = _LogKernel(pts)
-        block = kern.block([90000, 90001])
+        idx = np.array([90000, 90001])
+        block = _log_kernel(PointTable(pts), idx[:, None], idx[None, :])
         b = _normalized_pick(block, np.array([0.5, -0.5]))
         assert np.linalg.eigvalsh(b).min() < 0.0
 
@@ -284,10 +306,10 @@ class TestExtractor:
         res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
         pts = gaussian_points(12)
         rng = np.random.default_rng(np.random.Philox(45))
-        from npdisclab.pick import _LogKernel, _normalized_pick
+        from npdisclab.pick import _log_kernel, _normalized_pick
 
-        kern = _LogKernel(pts)
-        blocks = [kern.block(res.indices[:k]) for k in range(1, 11)]
+        table, idx = PointTable(pts), np.array(res.indices)
+        blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
         for _ in range(500):
             mag = 0.5 * np.sqrt(rng.uniform(size=10))
             w = mag * np.exp(2j * np.pi * rng.uniform(size=10))

@@ -139,6 +139,13 @@ class TestEmbedding:
         fine = assemble_embedding(chain, 8192)
         assert fine.midpoint_sphere_defect() < coarse.midpoint_sphere_defect()
 
+    def test_midpoint_values_match_h(self, embedding):
+        m = embedding.m
+        h_mid = embedding._h_at_midpoints()
+        for j in (0, 1, 7, m // 4, m // 2 + 3, m - 1):
+            z = complex(np.exp(1j * (2.0 * math.pi * j / m + math.pi / m)))
+            assert abs(h_mid[j] - embedding.h(z)) <= 1e-12 * max(1.0, abs(h_mid[j])), j
+
     def test_f2_vanishes_at_singularity(self, fine_embedding):
         assert fine_embedding.eval(1.0).coords[1] == 0.0
         # along the real approach the second coordinate decays, but only at
