@@ -111,9 +111,13 @@ class PointTable:
 
         Pairs of radial real points use the exact gap algebra
         g_i + g_j - g_i g_j, which stays accurate when both gaps are far
-        below machine epsilon; all other pairs use the coordinates.
+        below machine epsilon; all other pairs use the coordinates.  Where
+        ``rows == cols`` only the real part 1 - |z_i|^2 is kept, dropping
+        the rounding residue the complex product leaves in the imaginary
+        part.
         """
         omt = 1.0 - np.sum(self.coords[rows] * np.conj(self.coords[cols]), axis=-1)
+        omt = np.where(np.equal(rows, cols), omt.real, omt)
         gi, gj = self.gaps[rows], self.gaps[cols]
         return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 

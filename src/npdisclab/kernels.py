@@ -36,6 +36,13 @@ from .series import (
 COMPARABLE_DRIFT = 0.05
 
 
+#: first and largest chunk of terms summed by :func:`_hs_generating`
+_HS_CHUNK_MIN = 256
+_HS_CHUNK_MAX = 65536
+#: :func:`_hs_generating` stops after about this many terms
+_HS_TERM_CAP = 5e7
+
+
 class KernelDomainError(ValueError):
     """Evaluation requested outside the kernel's admissible region."""
 
@@ -127,11 +134,16 @@ class KernelHandle:
 
 
 def _hs_generating(s: float, t: complex) -> complex:
-    """A_s(t) = sum (n+1)^s t^n by adaptive partial sums, |t| <= 1.
+    """A_s(t) = sum (n+1)^s t^n by partial sums over doubling chunks, |t| <= 1.
 
-    For |t| = 1 the sum is only taken when s < -1 (absolutely summable);
-    the truncation tail is below 1e-16 relative once terms fall under the
-    stopping threshold.
+    Chunks start at ``_HS_CHUNK_MIN`` terms and double up to
+    ``_HS_CHUNK_MAX``; the sum stops once the last term times the chunk
+    length falls below 1e-17 of the running total.  For |t| < 1 the error
+    is then at most 1e-14 * A_s(|t|), an absolute bound scaled by the sum
+    of the term magnitudes: close to the circle it is set by cancellation
+    between terms, not by truncation.  For |t| = 1 the sum is only taken
+    when s < -1 (absolutely summable), and it is truncated silently after
+    ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).
     """
     t = complex(t)
     if abs(t) > 1.0 + 1e-12:
@@ -139,17 +151,18 @@ def _hs_generating(s: float, t: complex) -> complex:
     if abs(t) > 1.0 - 1e-12 and s >= -1.0 and t == 1.0:
         return math.inf
     total = 0.0 + 0.0j
-    chunk = 65536
+    chunk = _HS_CHUNK_MIN
     n0 = 0
     while True:
         n = np.arange(n0, n0 + chunk)
         terms = (n + 1.0) ** s * t**n
         total += terms.sum()
-        if abs(terms[-1]) * max(chunk, 1) < 1e-17 * max(abs(total), 1e-300):
+        if abs(terms[-1]) * chunk < 1e-17 * max(abs(total), 1e-300):
             break
         n0 += chunk
-        if n0 > 5e7:
+        if n0 > _HS_TERM_CAP:
             break
+        chunk = min(2 * chunk, _HS_CHUNK_MAX)
     return total
 
 

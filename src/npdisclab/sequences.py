@@ -26,6 +26,9 @@ LOG_FLOOR = -700.0
 
 NAMED_TAGS = ("vn_quadratic", "wn_gaussian", "dyadic_separated", "xn_alternating")
 
+#: most points ``dyadic_separated`` may hold (generations n <= 30)
+DYADIC_MAX_POINTS = 2**17
+
 
 class DiscSequence:
     """Finite list of distinct points in the open disc.
@@ -88,7 +91,8 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
     vn_quadratic: v_n = 1 - 1/n^2 for n >= 2 (n points).
     wn_gaussian:  w_n = 1 - e^{-n^2} for n >= 1 (n points).
     dyadic_separated: generations 1..n, generation m holding
-        floor(2^{m/2}) points (1 - 2^-m) e^{ik 2^-m}.
+        floor(2^{m/2}) points (1 - 2^-m) e^{ik 2^-m}; ValueError beyond
+        ``DYADIC_MAX_POINTS`` points in all.
     xn_alternating: x_n = (-1)^n (1 - 1/n^2) for n >= 2.
     """
     if n < 1:
@@ -112,10 +116,17 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
         angles = np.where(signs > 0, 0.0, math.pi)
         return DiscSequence(pts, tag, gaps=gaps, angles=angles)
     if tag == "dyadic_separated":
-        pts, gaps, angles = [], [], []
+        counts = []
         for m in range(1, n + 1):
+            counts.append(int(math.floor(2.0 ** (m / 2.0))))
+            if sum(counts) > DYADIC_MAX_POINTS:
+                raise ValueError(
+                    f"dyadic_separated n={n} passes {DYADIC_MAX_POINTS} points "
+                    f"at generation {m}"
+                )
+        pts, gaps, angles = [], [], []
+        for m, count in enumerate(counts, start=1):
             radius_gap = 2.0**-m
-            count = int(math.floor(2.0 ** (m / 2.0)))
             for k in range(count):
                 theta = k * radius_gap  # k 2^-m, exact in binary
                 pts.append((1.0 - radius_gap) * np.exp(1j * theta))

@@ -154,11 +154,13 @@ def weights_from_moduli(
 def _renewal(cv: np.ndarray) -> np.ndarray:
     """a_0..a_N from any real c_1..c_N by the recursion, in ``cv.dtype``."""
     n = cv.size
-    a = np.empty(n + 1, dtype=cv.dtype)
-    a[0] = 1.0
+    # rev[n - m] = a_m, so each step dots two stride-1 slices; a reversed
+    # view of a would send every dot down BLAS's slow strided route
+    rev = np.empty(n + 1, dtype=cv.dtype)
+    rev[n] = 1.0
     for m in range(1, n + 1):
-        a[m] = np.dot(cv[:m], a[m - 1 :: -1])
-    return a
+        rev[n - m] = np.dot(cv[:m], rev[n - m + 1 :])
+    return rev[::-1].copy()
 
 
 def moduli_from_weights(

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,25 @@ class TestExitCodes:
         assert main(["classify", "family=hs:0.5", "N=16384"]) == EXIT_BAD_PARAMETER
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_drifting_inversion_message_is_unchanged(self, capsys):
+        # the float64 recursion re-run still measures the same defect
+        assert main(["classify", "family=hs:0.5", "N=16384"]) == EXIT_BAD_PARAMETER
+        assert capsys.readouterr().err == (
+            "error: weights and moduli are inconsistent (max defect 5.08e-08)\n"
+        )
+
+    def test_oversized_dyadic_sequence_is_bad_parameter(self, capsys):
+        # about 2^200 points were asked for; the cap refuses before building any
+        start = time.perf_counter()
+        code = main(["interp-extract", "tag=dyadic_separated", "n=400"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BAD_PARAMETER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: dyadic_separated n=400 passes 131072 points at generation 31\n"
+        )
 
     def test_zero_renewal_mean_classifies(self, tmp_path):
         # a_n = n + 1 inverts to c = (2, -1, 0, ...): mu = 0 exactly, so

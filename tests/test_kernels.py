@@ -93,6 +93,23 @@ class TestKernelEval:
         assert direct == pytest.approx(via_g, rel=1e-12)
 
 
+class TestPowerWeightGenerating:
+    """A_s(t) = sum (n+1)^s t^n = lerchphi(t, -s, 1) against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("s", [-2.0, -1.5, -1.0, -0.75, -0.5, 0.5])
+    @pytest.mark.parametrize("radius", [0.5, 0.9, 0.999])
+    def test_matches_lerchphi(self, s, radius):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            # the sum of the term magnitudes scales the documented bound
+            scale = float(mpmath.lerchphi(radius, -s, 1))
+            for theta in (0.3, 1.7, -2.4, 3.14159):
+                t = radius * complex(math.cos(theta), math.sin(theta))
+                want = complex(mpmath.lerchphi(mpmath.mpc(t.real, t.imag), -s, 1))
+                got = kernels._hs_generating(s, t)
+                assert abs(got - want) <= 1e-14 * scale, f"theta={theta}"
+
+
 class TestMonomialNorms:
     def test_hardy_norms_are_one(self):
         assert monomial_multiplier_norm(kernels.hardy(16), 7) == 1.0

@@ -16,6 +16,7 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from npdisclab.geometry import BallPoint, PointTable, one_minus_inner  # noqa: E402
+from npdisclab.kernels import parse_family  # noqa: E402
 from npdisclab.pick import DRURY_ARVESON, kernel_gram  # noqa: E402
 
 ORACLE = settings(derandomize=True, max_examples=300, deadline=None)
@@ -86,3 +87,15 @@ def test_drury_arveson_gram_is_one_over_the_owner(radial, general):
     assert np.array_equal(gram[rows[off], cols[off]], want[off])
     # the conjugate mirror writes the diagonal last
     assert np.array_equal(gram[rows[~off], cols[~off]], np.conj(want[~off]))
+
+
+@pytest.mark.parametrize("kernel", [DRURY_ARVESON, "hs:-0.5", "geom:0.5"])
+def test_gram_diagonal_is_real_for_complex_nodes(kernel):
+    rng = np.random.default_rng(np.random.Philox(17))
+    nodes = [BallPoint(_in_ball(rng.uniform(-1.0, 1.0, 4))) for _ in range(20)]
+    # z conj(z) leaves -1.47e-17j on 1 - |z|^2 for this point
+    nodes.append(BallPoint([0.0, 0.9 * (1 + 1j) / math.sqrt(2.0)]))
+    k = kernel if kernel == DRURY_ARVESON else parse_family(kernel, 64)
+    gram = kernel_gram(nodes, k)
+    assert np.any(gram.imag != 0.0)  # the nodes are complex
+    assert np.all(np.diag(gram).imag == 0.0)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from npdisclab.series import (
+    _LONG_ACCUM_N,
     CoefficientSequence,
     InvalidSequenceError,
     KernelWeights,
+    _renewal,
     evaluate_generating,
     fft_convolve,
     is_complete_np,
@@ -77,6 +79,48 @@ class TestRecursion:
         assert c.values[1] == pytest.approx(1.0 / 12.0, abs=1e-15)
         back = weights_from_moduli(CoefficientSequence(c.values), 256)
         np.testing.assert_allclose(back.values, av.values, rtol=1e-12)
+
+
+class TestRecursionOracle:
+    """``_renewal`` against the same recursion run at 50 digits."""
+
+    @staticmethod
+    def _mp_renewal(mpmath, cv):
+        c = [mpmath.mpf(float(x)) for x in cv]
+        a = [mpmath.mpf(1)]
+        for m in range(1, len(c) + 1):
+            a.append(mpmath.fdot(c[:m], a[::-1]))  # c_1 a_{m-1} + ... + c_m a_0
+        return a
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_matches_reversed_view_loop(self, dtype):
+        # the loop _renewal replaced, dotting against a reversed view of a:
+        # the arithmetic is the same, so the bits must be
+        cv = np.random.default_rng(np.random.Philox(5)).random(1000).astype(dtype) / 1000
+        a = np.empty(cv.size + 1, dtype=dtype)
+        a[0] = 1.0
+        for m in range(1, cv.size + 1):
+            a[m] = np.dot(cv[:m], a[m - 1 :: -1])
+        assert np.array_equal(_renewal(cv), a)
+
+    @pytest.mark.parametrize("n, dtype, bound", [
+        (512, np.float64, 1e-13),
+        (_LONG_ACCUM_N + 24, np.longdouble, 1e-15),
+    ], ids=["float64", "longdouble"])
+    @pytest.mark.parametrize("family", ["geom:0.5", "hs:-0.5"])
+    def test_matches_fifty_digit_recursion(self, n, dtype, bound, family):
+        mpmath = pytest.importorskip("mpmath")
+        if family == "geom:0.5":
+            cv = geometric_moduli(n).values
+        else:  # the moduli hs:-0.5 inverts to
+            cv = moduli_from_weights(KernelWeights((np.arange(n + 1) + 1.0) ** -0.5)).values
+        got = _renewal(cv.astype(dtype))
+        assert got.dtype == dtype
+        with mpmath.workdps(50):
+            ref = self._mp_renewal(mpmath, cv)
+            # str() round-trips float64 and longdouble alike
+            err = max(abs(mpmath.mpf(str(g)) - r) / abs(r) for g, r in zip(got, ref))
+        assert err <= bound
 
 
 class TestInversion:
