@@ -8,11 +8,11 @@ for a fixed configuration and seed; ``--reproducible`` suppresses the
 timestamp comment so two runs are byte-identical.  Randomness goes through
 a counter-based generator keyed by the recorded seed.
 
-Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter or
-unreadable input file, 4 unwritable output path or closed output pipe,
-5 computation did not certify (the interpolating-subsequence extractor ran
-out of points or lost definiteness).  Every failure prints one ``error:``
-line on stderr.
+Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter, unreadable
+input file or a size whose arrays do not fit in memory, 4 unwritable output
+path or closed output pipe, 5 computation did not certify (the
+interpolating-subsequence extractor ran out of points or lost
+definiteness).  Every failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -425,6 +425,9 @@ def run(config: ExperimentConfig) -> int:
     except (ParameterError, ValueError, KeyError, OSError) as exc:
         # OSError: a custom: family CSV that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMETER
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
     except ExtractionExhaustedError as exc:
         print(f"error: not certified: {exc}", file=sys.stderr)

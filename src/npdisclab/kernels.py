@@ -79,7 +79,7 @@ class KernelHandle:
         return settled(float(av.sum()), float(av[: av.size // 2].sum()))
 
     def renewal_mean(self) -> float:
-        """mu = sum n c_n, or inf when the doubling test finds it diverging."""
+        """mu = sum n c_n, or inf when the doubling test finds it diverging or drifting."""
         ncn = self.moduli.values * np.arange(1, self.moduli.n + 1)
         full = float(ncn.sum())
         return full if settled(full, float(ncn[: ncn.size // 2].sum())) else math.inf

@@ -204,7 +204,7 @@ def fft_convolve(x, y) -> np.ndarray:
     """Full linear convolution of two real 1-d arrays through the real FFT.
 
     The transform length is the smallest 5-smooth number covering the
-    result, the length ``scipy.signal.fftconvolve`` picks; with it numpy's
+    result, the length SciPy's ``fftconvolve`` picks; with it numpy's
     pocketfft returns the same bits as that function whenever both inputs
     hold two or more entries, while power-of-two padding moves the last few
     ulps.
@@ -269,14 +269,18 @@ def is_complete_np(a: KernelWeights) -> bool:
     return bool(np.all(c.values >= -CNP_TOL))
 
 
-#: relative increase of a partial sum between its halves below which the
+#: relative change of a partial sum between its halves below which the
 #: sum is treated as converged (doubling test)
 DOUBLING_TOL = 0.01
 
 
 def settled(full: float, half: float) -> bool:
-    """Doubling test: ``full`` exceeds its leading half by at most DOUBLING_TOL."""
-    return bool(full - half <= DOUBLING_TOL * max(full, 1e-300))
+    """Doubling test: ``full`` differs from its leading half by at most DOUBLING_TOL.
+
+    The change is taken in absolute value, so a sum drifting downwards
+    through negative tail terms does not pass as converged.
+    """
+    return bool(abs(full - half) <= DOUBLING_TOL * max(abs(full), 1e-300))
 
 
 #: largest |z| accepted by the truncated generating-function evaluators

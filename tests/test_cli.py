@@ -1,4 +1,6 @@
 import math
+import os
+import resource
 import subprocess
 import sys
 import time
@@ -123,6 +125,24 @@ class TestExitCodes:
         assert captured.err == (
             "error: dyadic_separated n=400 passes 131072 points at generation 31\n"
         )
+
+    def test_out_of_memory_is_bad_parameter(self):
+        # 13 977 points ask for a 2.9 GiB pair-distance temporary; the child
+        # alone runs under a 1.5 GiB address-space limit
+        limit = 3 * 2**29
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "npdisclab", "separation", "tag=dyadic_separated", "n=24"],
+            capture_output=True, text=True, timeout=240, preexec_fn=cap_memory,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out of memory:")
 
     def test_zero_renewal_mean_classifies(self, tmp_path):
         # a_n = n + 1 inverts to c = (2, -1, 0, ...): mu = 0 exactly, so

@@ -1,9 +1,12 @@
-"""Heavy scipy submodules load only on the code path that needs them."""
+"""No runtime path loads scipy; the package runs on numpy alone."""
 
 import cmath
+import json
 import math
 import subprocess
 import sys
+
+from .test_cli import RECIPE_ARGS
 
 
 def _nodes(count):
@@ -13,23 +16,30 @@ def _nodes(count):
     )
 
 
+def _run_child(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=240
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _scipy_modules_after(code):
     script = (
         f"{code}\n"
         "import sys\n"
         "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=240
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    return set(_run_child(script).split())
+
+
+def _pick_check_argv(count):
+    nodes = _nodes(count)
+    return ["pick-check", "family=hardy", f"nodes={nodes}", f"targets={nodes}", "N=64"]
 
 
 def _pick_check(count, out):
-    nodes = _nodes(count)
-    argv = ["pick-check", "family=hardy", f"nodes={nodes}", f"targets={nodes}",
-            "N=64", "--out", str(out)]
+    argv = [*_pick_check_argv(count), "--out", str(out)]
     return f"from npdisclab.cli import main\nassert main({argv!r}) == 0"
 
 
@@ -38,9 +48,34 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_eigvalsh_pick_check_loads_no_scipy(tmp_path):
-    # 200 nodes is the largest matrix psd_check sends to numpy's eigvalsh
-    assert _scipy_modules_after(_pick_check(200, tmp_path / "p.csv")) == set()
+    # 200 and 201 nodes straddle the size where psd_check used to turn to scipy
+    for count in (200, 201, 500):
+        assert _scipy_modules_after(_pick_check(count, tmp_path / "p.csv")) == set(), count
 
 
-def test_pivoted_cholesky_pick_check_loads_scipy_linalg(tmp_path):
-    assert "scipy.linalg" in _scipy_modules_after(_pick_check(201, tmp_path / "p.csv"))
+def _recipe_outputs(block_scipy):
+    """(exit code, stdout) of every RECIPE_ARGS run and a 500-node pick-check."""
+    runs = {name: [name, *args, "--reproducible"] for name, args in RECIPE_ARGS.items()}
+    runs["pick-check-500"] = [*_pick_check_argv(500), "--reproducible"]
+    script = (
+        "import contextlib, io, json, sys\n"
+        + ("sys.modules['scipy'] = None  # any scipy import now raises\n" if block_scipy else "")
+        + "from npdisclab.cli import main\n"
+        "results = {}\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    results[name] = [code, buf.getvalue()]\n"
+        "print(json.dumps(results))\n"
+    )
+    return json.loads(_run_child(script))
+
+
+def test_recipes_run_without_scipy():
+    blocked = _recipe_outputs(block_scipy=True)
+    normal = _recipe_outputs(block_scipy=False)
+    assert len(blocked) == 11
+    for name, (code, out) in blocked.items():
+        assert code == 0, name
+        assert out == normal[name][1], name

@@ -183,6 +183,15 @@ class TestClassify:
         assert math.isfinite(rep.mu)
         assert rep.efp_agreement < 1e-3
 
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_drifting_mu_is_not_reported(self, n):
+        # hs:0.2 inverts to moduli with a negative tail, so the partial sums
+        # of n c_n fall with N (0.426 at 128, 0.281 at 1024): no finite mu
+        rep = classify(kernels.hs(0.2, n))
+        assert math.isinf(rep.mu)
+        assert not rep.iso_to_hinf
+        assert math.isnan(rep.efp_agreement)
+
     def test_gram_matrix_psd_on_random_nodes(self):
         rng = np.random.default_rng(np.random.Philox(21))
         for k in (kernels.hardy(512), kernels.hs(-0.5, 512), kernels.geometric(0.4, 512)):

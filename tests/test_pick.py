@@ -221,7 +221,7 @@ class TestPsdCheck:
         with pytest.raises(ValueError):
             psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_large_matrix_cholesky_path(self):
+    def test_large_matrix_verdicts(self):
         rng = np.random.default_rng(np.random.Philox(42))
         b = rng.normal(size=(250, 250))
         spd = b @ b.T + 250 * np.eye(250)
@@ -229,6 +229,23 @@ class TestPsdCheck:
         indef = spd.copy()
         indef[0, 0] = -spd[0, 0]
         assert psd_check(indef).verdict == "indefinite"
+
+    @pytest.mark.parametrize("lam_min", [-1e-6, -1e-12, 1e-12, 1e-6])
+    @pytest.mark.parametrize("n", [201, 500])
+    def test_planted_spectrum(self, n, lam_min):
+        # Q diag(lam) Q^H with a seeded random unitary Q: the reported
+        # minimum is the planted one at every size, and so is the verdict
+        rng = np.random.default_rng(np.random.Philox(n))
+        q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        lam = np.concatenate([[lam_min], rng.uniform(0.5, 2.0, n - 1)])
+        m = (q * lam) @ q.conj().T
+        m = 0.5 * (m + m.conj().T)
+        v = psd_check(m)
+        expected = {-1e-6: "indefinite", 1e-6: "positive-definite"}.get(
+            lam_min, "positive-semidefinite"
+        )
+        assert v.verdict == expected
+        assert abs(v.min_eigenvalue - lam_min) <= 1e-12 * v.matrix_scale
 
     def test_crossing_pinch_matrix_indefinite(self):
         from npdisclab.geometry import crossing_map, crossing_scalar
