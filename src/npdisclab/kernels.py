@@ -24,7 +24,7 @@ from .series import (
     DEFAULT_TERMS,
     InvalidSequenceError,
     KernelWeights,
-    _renewal,
+    _FFT_N,
     fft_convolve,
     moduli_from_weights,
     settled,
@@ -53,10 +53,10 @@ class KernelHandle:
     Construct via the family helpers :func:`hardy`, :func:`hs`,
     :func:`geometric`, :func:`from_moduli`, :func:`from_weights` or
     :func:`parse_family`; the constructor only stores its fields.  Hardy
-    weights are exact and geometric and :func:`from_moduli` weights come
-    from the renewal recursion itself; moduli inverted from weights
-    (:func:`hs`, :func:`from_weights`) can drift and are checked by
-    :func:`_verified_moduli`.
+    and geometric weights are closed forms and :func:`from_moduli` weights
+    come from the renewal recursion itself; moduli inverted from weights
+    (:func:`hs`, :func:`from_weights`) are checked against those weights by
+    their residual in :func:`_verified_moduli`.
     """
 
     def __init__(self, weights: KernelWeights, moduli: CoefficientSequence,
@@ -181,17 +181,28 @@ def hardy(n_terms: int = DEFAULT_TERMS) -> KernelHandle:
 
 
 def hs(s: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
-    """Power-weight family a_n = (n+1)^s; moduli derived by inversion."""
-    a = KernelWeights((np.arange(n_terms + 1) + 1.0) ** float(s))
+    """Power-weight family a_n = (n+1)^s; moduli derived by inversion.
+
+    Weights that overflow are rejected by :class:`KernelWeights`.
+    """
+    with np.errstate(over="ignore"):
+        a = KernelWeights((np.arange(n_terms + 1) + 1.0) ** float(s))
     return KernelHandle(a, _verified_moduli(a), f"hs:{s:g}", s=float(s))
 
 
 def geometric(q: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
-    """Geometric moduli c_n = q^n; requires 0 < q <= 1/2 so mass stays <= 1."""
+    """Geometric moduli c_n = q^n; requires 0 < q <= 1/2 so mass stays <= 1.
+
+    The weights need no recursion: 1/(1 - qz/(1 - qz)) = 1 + qz/(1 - 2qz),
+    so a_0 = 1 and a_n = q (2q)^(n-1), computed as (2q)^n / 2 where both the
+    doubling and the halving are exact.  For q < 1/2 the weights underflow
+    to 0 past n of about 1074 / log2(1/(2q)), which :class:`KernelWeights`
+    rejects.
+    """
     if not 0.0 < q <= 0.5:
         raise ValueError("geometric ratio must lie in (0, 1/2]")
     c = CoefficientSequence(q ** np.arange(1, n_terms + 1))
-    a = weights_from_moduli(c, n_terms)
+    a = KernelWeights(np.concatenate(([1.0], 0.5 * (2.0 * q) ** np.arange(1, n_terms + 1))))
     return KernelHandle(a, c, f"geom:{q:g}", q=float(q))
 
 
@@ -207,17 +218,50 @@ def from_weights(a: KernelWeights, family_tag: str = "custom") -> KernelHandle:
 
 
 def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
-    """Invert ``a`` and check the float64 recursion reproduces it to 1e-10.
+    """Invert ``a`` and check the moduli by the residual of the renewal identity.
 
-    The FFT/Newton inversion drifts past that, e.g. for hs:0.5 at N = 16384.
+    The residual is r = a - delta_0 - (0, c) * a.  Above ``_FFT_N`` terms,
+    where :func:`moduli_from_weights` runs the FFT/Newton reciprocal, it is
+    one :func:`fft_convolve` call; up to ``_FFT_N``, where the inversion is
+    the O(N^2) recursion anyway, the sums are direct.  Each check raises
+    InvalidSequenceError:
+
+    - consistency: |r_n| <= 1e-10 max(|a_n|, 1) for every n;
+    - certification, Newton path only: the exact moduli c* satisfy
+      c - c* = -r * (1 - C*), so each modulus lies within
+      ||r||_inf (1 + ||c||_1) of its exact value (to first order); that
+      bound must not exceed ``CNP_TOL``, the margin at which
+      :func:`classify` reads the moduli's sign.  The direct path solves the
+      recursion itself, and there the bound is pessimistic: 1.6e-10 at
+      hs:1.8, N = 128.
+
+    The FFT residual carries its own rounding, about
+    3 log2(L) u ||a||_2 ||(0, c)||_2 for three real transforms of length L
+    and unit roundoff u (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 24).  That is the residual's noise floor, not a gate:
+    at hs:1, N = 1024 it is 1.56 times the tolerance at n = 0.  At hs:2,
+    N = 128 the FFT residual of the exact integer moduli is 4.5e-10
+    relative, while direct sums give 0.  Inversion and check run with
+    overflow and invalid-value warnings off; a NaN or inf fails them.
     """
-    c = moduli_from_weights(a)
-    err = np.abs(_renewal(c.values) - a.values)
-    tol = 1e-10 * np.maximum(np.abs(a.values), 1.0)
-    if np.any(err > tol):
-        raise InvalidSequenceError(
-            f"weights and moduli are inconsistent (max defect {err.max():.3g})"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = moduli_from_weights(a)
+        av = a.values
+        newton = a.n > _FFT_N
+        conv = fft_convolve if newton else np.convolve
+        r = av - conv(np.concatenate(([0.0], c.values)), av)[: av.size]
+        r[0] -= 1.0
+        err = np.abs(r)
+        if not np.all(err <= 1e-10 * np.maximum(np.abs(av), 1.0)):
+            raise InvalidSequenceError(
+                f"weights and moduli are inconsistent (max defect {err.max():.3g})"
+            )
+        if newton:
+            bound = float(err.max()) * (1.0 + float(np.abs(c.values).sum()))
+            if not bound <= CNP_TOL:
+                raise InvalidSequenceError(
+                    f"inverted moduli are not certified to {CNP_TOL:g} (error bound {bound:.3g})"
+                )
     return c
 
 

@@ -82,7 +82,7 @@ class CoefficientSequence:
 
 
 class KernelWeights:
-    """Kernel Taylor weights a_0..a_N with a_0 = 1 and a_n > 0.
+    """Kernel Taylor weights a_0..a_N with a_0 = 1 and finite a_n > 0.
 
     ``values[k]`` is a_k.  Weights derived from a valid embedding also
     satisfy a_n <= 1 and supermultiplicativity a_k * a_n <= a_{n+k}; those
@@ -98,6 +98,8 @@ class KernelWeights:
             raise InvalidSequenceError("weights must contain a_0 and at least a_1")
         if v[0] != 1.0:
             raise InvalidSequenceError(f"a_0 must equal 1, got {v[0]!r}")
+        if not np.all(np.isfinite(v)):
+            raise InvalidSequenceError("all weights must be finite")
         if np.any(v <= 0.0):
             raise InvalidSequenceError("all weights must be strictly positive")
         self.values = v
@@ -168,6 +170,10 @@ def moduli_from_weights(
 ) -> CoefficientSequence:
     """Invert the recursion: Taylor coefficients of 1 - 1/(sum a_n z^n).
 
+    Up to ``_FFT_N`` terms the recursion is solved term by term (extended
+    precision above ``_LONG_ACCUM_N``); above, by the FFT/Newton
+    :func:`series_reciprocal` in O(N log N).  ``kernels`` checks either
+    output against the weights by the residual a - delta_0 - (0, c) * a.
     Negative output entries are returned, not rejected -- their sign is the
     content consumed by :func:`is_complete_np`.
     """
@@ -220,8 +226,9 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
     """Coefficients of 1/D(z) through order ``n_terms``, D(0) != 0.
 
     Newton doubling r <- r(2 - D r): a computation path independent of the
-    linear recursion, used as its cross-check.  Convolutions longer than 512
-    go through :func:`fft_convolve`.
+    linear recursion, used as its cross-check and as the O(N log N)
+    inversion above ``_FFT_N``.  Convolutions longer than 512 go through
+    :func:`fft_convolve`.
     """
     d = np.asarray(d, dtype=float)
     if d[0] == 0.0:

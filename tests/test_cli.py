@@ -103,16 +103,29 @@ class TestExitCodes:
 
 
     def test_drifting_inversion_is_bad_parameter(self, capsys):
-        assert main(["classify", "family=hs:0.5", "N=16384"]) == EXIT_BAD_PARAMETER
+        # the Newton reciprocal of (n+1)^40 overflows to nan
+        assert main(["classify", "family=hs:40", "N=16384"]) == EXIT_BAD_PARAMETER
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
     def test_drifting_inversion_message_is_unchanged(self, capsys):
-        # the float64 recursion re-run still measures the same defect
-        assert main(["classify", "family=hs:0.5", "N=16384"]) == EXIT_BAD_PARAMETER
+        # the direct inversion of (n+1)^80 overflows as well
+        assert main(["classify", "family=hs:80", "N=2000"]) == EXIT_BAD_PARAMETER
         assert capsys.readouterr().err == (
-            "error: weights and moduli are inconsistent (max defect 5.08e-08)\n"
+            "error: weights and moduli are inconsistent (max defect nan)\n"
         )
+
+    @pytest.mark.parametrize("family, n, message", [
+        ("hs:40", "16384", "weights and moduli are inconsistent (max defect nan)"),
+        ("hs:80", "16384", "all weights must be finite"),
+        ("hs:80", "2000", "weights and moduli are inconsistent (max defect nan)"),
+    ])
+    def test_overflow_prints_one_line(self, family, n, message):
+        # in a fresh process, so numpy's RuntimeWarnings would reach stderr
+        proc = run_cli(["classify", f"family={family}", f"N={n}"])
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
 
     def test_oversized_dyadic_sequence_is_bad_parameter(self, capsys):
         # about 2^200 points were asked for; the cap refuses before building any

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from npdisclab import kernels
+from npdisclab import kernels, series
+from npdisclab.csvio import format_cell
 from npdisclab.kernels import (
     KernelDomainError,
     are_comparable,
@@ -13,10 +15,13 @@ from npdisclab.kernels import (
     monomial_multiplier_norm,
 )
 from npdisclab.series import (
+    CNP_TOL,
     CoefficientSequence,
     InvalidSequenceError,
     KernelWeights,
     _renewal,
+    moduli_from_weights,
+    weights_from_moduli,
 )
 
 
@@ -51,10 +56,29 @@ class TestFamilies:
         a = k.weights.values
         assert np.all(np.abs(_renewal(k.moduli.values) - a) <= 1e-10 * np.maximum(np.abs(a), 1.0))
 
+    @pytest.mark.parametrize("q", [0.5, 0.25])
+    def test_geometric_closed_form_matches_recursion(self, q):
+        # dyadic ratios: the recursion and (2q)^n / 2 are both exact
+        n = 1001
+        a = weights_from_moduli(CoefficientSequence(q ** np.arange(1, n + 1)), n)
+        assert np.array_equal(kernels.geometric(q, n).weights.values, a.values)
+
+    @pytest.mark.parametrize("q", [0.3, 0.45, 0.49])
+    def test_geometric_closed_form_against_mpmath(self, q):
+        # a_n = q (2q)^(n-1) at 40 digits, q taken as the stored double
+        mpmath.mp.dps = 40
+        n = 1001
+        got = kernels.geometric(q, n).weights.values
+        mq = mpmath.mpf(q)
+        ref = [mpmath.mpf(1)] + [mq * (2 * mq) ** (k - 1) for k in range(1, n + 1)]
+        rel = max(abs((mpmath.mpf(float(g)) - r) / r) for g, r in zip(got, ref))
+        assert rel <= 2.0**-52
+
     def test_drifting_inversion_is_rejected(self):
-        # above _FFT_N the Newton reciprocal of (n+1)^0.5 drifts by 4e-10 relative
-        with pytest.raises(InvalidSequenceError, match="inconsistent"):
-            kernels.hs(0.5, 16384)
+        # (n+1)^40 overflows the Newton reciprocal to nan, which fails every
+        # comparison with the tolerance
+        with pytest.raises(InvalidSequenceError, match=r"inconsistent \(max defect nan\)"):
+            kernels.hs(40.0, 16384)
 
     def test_parse_family_tags(self):
         assert kernels.parse_family("hardy", 16).family_tag == "hardy"
@@ -62,6 +86,70 @@ class TestFamilies:
         assert kernels.parse_family("geom:0.25", 16)._q == 0.25
         with pytest.raises(ValueError):
             kernels.parse_family("nope", 16)
+
+
+class TestVerifiedModuli:
+    """The residual check of inverted moduli against independent oracles."""
+
+    @pytest.mark.parametrize("n", [256, 16384], ids=["direct", "newton"])
+    def test_perturbed_modulus_is_inconsistent(self, n, monkeypatch):
+        invert = kernels.moduli_from_weights
+
+        def perturbed(a):
+            c = invert(a)
+            c.values[n // 2] += 1e-8
+            return c
+
+        monkeypatch.setattr(kernels, "moduli_from_weights", perturbed)
+        with pytest.raises(InvalidSequenceError, match="inconsistent"):
+            kernels.hs(-0.5, n)
+
+    def test_hs_one_newton_moduli_against_exact(self):
+        # a_n = n + 1 = 1/(1 - z)^2, so c = 1 - (1 - z)^2 = (2, -1, 0, ...)
+        n = 16384
+        c = moduli_from_weights(KernelWeights(np.arange(n + 1) + 1.0)).values
+        exact = np.zeros(n)
+        exact[:2] = 2.0, -1.0
+        assert np.max(np.abs(c - exact)) <= CNP_TOL  # 4.7e-11 measured
+        # the residual cannot show it: ||r|| (1 + ||c||_1) is 1.3e-7, and
+        # the drift is enough to move mu off 0 and fail the doubling test
+        with pytest.raises(InvalidSequenceError, match="not certified"):
+            kernels.hs(1.0, n)
+
+    def test_hs_two_integer_moduli_pass(self):
+        # a_n = (n+1)^2 = (1 + z)/(1 - z)^3, so c = 1 - (1 - z)^3/(1 + z) =
+        # (4, -7, 8, -8, 8, ...); direct sums check these integers exactly,
+        # where an FFT residual would be 1.8e-7 off at N = 1024
+        n = 1024
+        exact = 8.0 * (-1.0) ** np.arange(n)
+        exact[:2] = 4.0, -7.0
+        assert np.array_equal(kernels.hs(2.0, n).moduli.values, exact)
+
+    def test_hs_half_newton_moduli_against_direct_inversion(self, monkeypatch):
+        k = kernels.hs(0.5, 16384)
+        monkeypatch.setattr(series, "_FFT_N", 1 << 20)
+        direct = moduli_from_weights(k.weights).values
+        assert np.max(np.abs(k.moduli.values - direct)) <= 1e-12  # 2.7e-13 measured
+        oracle = kernels.KernelHandle(
+            k.weights, CoefficientSequence(direct, validate=False), k.family_tag, s=0.5
+        )
+        # every CSV cell agrees but the last digits of moduli_mass
+        got, ref = classify(k).as_row(), classify(oracle).as_row()
+        assert list(map(format_cell, got[:-1])) == list(map(format_cell, ref[:-1]))
+        assert got[-1] == pytest.approx(ref[-1], rel=1e-12)
+
+    def test_large_handles_skip_the_recursion(self, monkeypatch):
+        # no O(N^2) renewal run on the way to an N = 65536 handle
+        def boom(*args):
+            raise AssertionError("renewal recursion called")
+
+        monkeypatch.setattr(series, "_renewal", boom)
+        monkeypatch.setattr(kernels, "_renewal", boom, raising=False)
+        kernels.hs(-0.5, 65536)
+        kernels.geometric(0.5, 65536)
+        # (2q)^n / 2 underflows past n = 1073 and is refused at once
+        with pytest.raises(InvalidSequenceError, match="strictly positive"):
+            kernels.geometric(0.25, 65536)
 
 
 class TestKernelEval:

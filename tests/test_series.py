@@ -53,6 +53,12 @@ class TestValidation:
         with pytest.raises(InvalidSequenceError):
             KernelWeights([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weights_must_be_finite(self, bad):
+        # nan passes every ordering test, so only an explicit check catches it
+        with pytest.raises(InvalidSequenceError, match="finite"):
+            KernelWeights([1.0, 0.5, bad])
+
     def test_recursion_rejects_invalid_moduli(self):
         bad = CoefficientSequence([0.5, -0.25], validate=False)
         with pytest.raises(InvalidSequenceError):
