@@ -204,13 +204,12 @@ def _run_separation(p, rng):
 
 def _run_tangential_embed(p, rng):
     emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
-    defect = emb.sphere_defect()
-    rows = []
-    for i in range(emb.m):
-        rows.append([
-            emb.u1.angles[i], emb.u1.values[i], emb.u1_tilde.values[i],
-            abs(emb.f1_boundary[i]), abs(emb.f2_boundary[i]), defect[i],
-        ])
+    f1, f2 = emb.f1_boundary, emb.f2_boundary
+    # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
+    rows = np.column_stack([
+        emb.u1.angles, emb.u1.values, emb.u1_tilde.values,
+        np.hypot(f1.real, f1.imag), np.hypot(f2.real, f2.imag), emb.sphere_defect(),
+    ])
     cols = ["t", "u1", "u1_tilde", "abs_f1", "abs_f2", "sphere_defect"]
     return cols, rows
 

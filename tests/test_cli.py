@@ -6,8 +6,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from npdisclab import cli, csvio
 from npdisclab.cli import (
     EXIT_BAD_PARAMETER,
     EXIT_NOT_CERTIFIED,
@@ -18,6 +20,7 @@ from npdisclab.cli import (
     main,
 )
 from npdisclab.csvio import format_cell, parse_cell, read_rows
+from npdisclab.tangential import ConformalChain, assemble_embedding
 
 # small, fast parameterizations of every recipe for determinism checks
 RECIPE_ARGS = {
@@ -275,3 +278,55 @@ class TestRoundTrip:
     def test_float_cells_round_trip_exactly(self):
         for value in (1 / 3, 2.0**-52, 1e300, -0.0, float("inf")):
             assert parse_cell(format_cell(value)) == value
+
+    def test_numpy_integer_and_bool_cells(self):
+        assert format_cell(np.int64(3)) == "3"
+        assert format_cell(np.bool_(True)) == "true"
+        assert format_cell(np.bool_(False)) == "false"
+        for value in (np.int64(3), np.int32(-7), np.uint64(2**64 - 1), np.bool_(True)):
+            parsed = parse_cell(format_cell(value))
+            assert parsed == value and type(parsed) is type(value.item())
+
+
+class TestTangentialAtWorkloadSize:
+    def test_body_matches_scalar_rows(self, tmp_path):
+        # the recipe takes |f| by np.hypot, where np.abs on the complex
+        # array misses the scalar abs() in tens of thousands of entries
+        m = 65536
+        out = tmp_path / "t.csv"
+        assert main(["tangential-embed", f"m={m}", "--reproducible", "--out", str(out)]) == 0
+        emb = assemble_embedding(ConformalChain(0.75), m)
+        defect = emb.sphere_defect()
+        lines = [",".join(format_cell(v) for v in (
+            emb.u1.angles[i], emb.u1.values[i], emb.u1_tilde.values[i],
+            abs(emb.f1_boundary[i]), abs(emb.f2_boundary[i]), defect[i],
+        )) for i in range(m)]
+        body = out.read_text(encoding="utf-8").split("\n")[-m - 1:-1]
+        assert body == lines
+
+
+class TestBenchmarkHook:
+    """perfbench wraps csvio.write_rows by name and counts rows as len(args[3])."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tangential-embed", "m=256"],
+        ["classify", *RECIPE_ARGS["classify"]],
+    ], ids=["tangential-embed", "classify"])
+    def test_writer_gets_four_positional_arguments(self, argv, monkeypatch, tmp_path):
+        calls = []
+        original = csvio.write_rows
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(csvio, "write_rows", spy)
+        monkeypatch.setattr(cli, "write_rows", spy)
+        out = tmp_path / "s.csv"
+        assert main([*argv, "--reproducible", "--out", str(out)]) == 0
+        [(args, kwargs)] = calls
+        assert len(args) == 4 and kwargs == {}
+        with open(out, encoding="utf-8") as fh:
+            assert len(args[3]) == len(read_rows(fh).rows)
+        if argv[0] == "tangential-embed":
+            assert len(args[3]) == 256
