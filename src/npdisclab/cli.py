@@ -8,11 +8,11 @@ for a fixed configuration and seed; ``--reproducible`` suppresses the
 timestamp comment so two runs are byte-identical.  Randomness goes through
 a counter-based generator keyed by the recorded seed.
 
-Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter, unreadable
-input file or a size whose arrays do not fit in memory, 4 unwritable output
-path or closed output pipe, 5 computation did not certify (the
-interpolating-subsequence extractor ran out of points or lost
-definiteness).  Every failure prints one ``error:`` line on stderr.
+Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter, a seed
+outside 0..2**64-1, unreadable input file or a size whose arrays do not fit
+in memory, 4 unwritable output path or closed output pipe, 5 computation
+did not certify (the interpolating-subsequence extractor ran out of points
+or lost definiteness).  Every failure prints one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,34 +21,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .csvio import write_rows
-from .geometry import (
-    crossing_map,
-    crossing_scalar,
-    distortion_profile,
-    hs_embedding,
-)
-from .pick import (
-    ExtractionExhaustedError,
-    PickProblem,
-    crossing_determinant,
-    extract_interpolating_subsequence,
-    pick_matrix,
-    psd_check,
-)
-from .sequences import (
-    blaschke_sum,
-    carleson_ratio,
-    garnett_targets,
-    named_sequence,
-    nearest_distances,
-)
-from .tangential import ConformalChain, assemble_embedding, tangency_report
+
+# each recipe imports the library layers it uses when it runs, so a run
+# loads only its own; numpy.random is loaded only by the recipes that draw
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2
@@ -59,6 +39,10 @@ EXIT_NOT_CERTIFIED = 5
 
 class ParameterError(Exception):
     pass
+
+
+class NotCertifiedError(Exception):
+    """A computation ran but could not certify its result (exit code 5)."""
 
 
 @dataclass
@@ -106,6 +90,8 @@ def _comments(config: ExperimentConfig) -> list[str]:
         lines.append(f"param {key} = {config.parameters[key]}")
     lines.append(f"seed = {config.seed}")
     if not config.reproducible:
+        from datetime import datetime, timezone
+
         lines.append(f"generated = {datetime.now(timezone.utc).isoformat()}")
     return lines
 
@@ -113,13 +99,17 @@ def _comments(config: ExperimentConfig) -> list[str]:
 # -- recipe implementations ---------------------------------------------------
 
 
-def _run_classify(p, rng):
+def _run_classify(p):
+    from . import kernels
+
     handle = kernels.parse_family(p["family"], p["N"])
     rep = kernels.classify(handle)
     return [f.name for f in fields(rep)], [rep.as_row()]
 
 
-def _run_compare(p, rng):
+def _run_compare(p):
+    from . import kernels
+
     a = kernels.parse_family(p["family"], p["N"]).weights
     b = kernels.parse_family(p["family2"], p["N"]).weights
     rep = kernels.are_comparable(a, b)
@@ -129,7 +119,10 @@ def _run_compare(p, rng):
                    rep.ratio_max, rep.tail_drift, rep.verdict]]
 
 
-def _run_pick_check(p, rng):
+def _run_pick_check(p):
+    from . import kernels
+    from .pick import PickProblem, pick_matrix, psd_check
+
     handle = kernels.parse_family(p["family"], p["N"])
     problem = PickProblem(p["nodes"], p["targets"], handle)
     verdict = psd_check(pick_matrix(problem))
@@ -138,29 +131,38 @@ def _run_pick_check(p, rng):
                    verdict.verdict, verdict.verdict != "indefinite"]]
 
 
-def _run_interp_extract(p, rng):
-    seq = named_sequence(p["tag"], p["n"])
+def _run_interp_extract(p):
     from .geometry import BallPoint
+    from .pick import ExtractionExhaustedError, extract_interpolating_subsequence
+    from .sequences import named_sequence
 
+    seq = named_sequence(p["tag"], p["n"])
     # each point keeps its angle; an underflowed gap is left out
     points = [BallPoint([pt], gap=g if g > 0.0 else None)
               for g, pt in zip(seq.gaps, seq.points)]
-    res = extract_interpolating_subsequence(
-        points, p["r"], p["kmax"], seed=p["_seed"]
-    )
+    try:
+        res = extract_interpolating_subsequence(
+            points, p["r"], p["kmax"], seed=p["_seed"]
+        )
+    except ExtractionExhaustedError as exc:
+        raise NotCertifiedError(str(exc)) from exc
     cols = ["k", "index", "point_norm", "min_eigenvalue", "rule"]
     return cols, [[r.k, r.index, r.point_norm, r.min_eigenvalue, r.rule]
                   for r in res.rows]
 
 
-def _run_crossing(p, rng):
+def _run_crossing(p):
+    from .pick import crossing_determinant
+
     res = crossing_determinant(p["r"], p["C"], p["x"])
     cols = ["r", "C", "x", "scalar_s", "det", "lhs", "rhs", "kernel_ratio"]
     return cols, [[p["r"], p["C"], p["x"], res.scalar_s, res.det, res.lhs,
                    res.rhs, res.kernel_ratio]]
 
 
-def _run_distortion(p, rng):
+def _run_distortion(p):
+    from .geometry import crossing_map, crossing_scalar, distortion_profile, hs_embedding
+
     tag = p["map"]
     if tag.startswith("crossing:"):
         curve = crossing_map(float(tag[9:]))
@@ -174,6 +176,7 @@ def _run_distortion(p, rng):
         s = crossing_scalar(curve)
         pairs = [(1.0 - x, -1.0 + s * x) for x in p["xs"]]
     else:
+        rng = np.random.default_rng(np.random.Philox(p["_seed"]))
         draws = rng.uniform(-1.0, 1.0, (p["pairs"], 4))
         pairs = [
             (0.9 * (a + 1j * b) / math.sqrt(2.0), 0.9 * (c + 1j * d) / math.sqrt(2.0))
@@ -183,13 +186,17 @@ def _run_distortion(p, rng):
     return ["d_source", "d_image"], [[a, b] for a, b in prof.rows]
 
 
-def _run_carleson(p, rng):
+def _run_carleson(p):
+    from .sequences import carleson_ratio, named_sequence
+
     seq = named_sequence(p["tag"], p["n"])
     rows = [[q, carleson_ratio(seq, q)] for q in range(1, p["p_max"] + 1)]
     return ["p", "carleson_ratio"], rows
 
 
-def _run_separation(p, rng):
+def _run_separation(p):
+    from .sequences import blaschke_sum, garnett_targets, named_sequence, nearest_distances
+
     seq = named_sequence(p["tag"], p["n"])
     budgets = garnett_targets(seq)
     bl = blaschke_sum(seq)
@@ -202,7 +209,9 @@ def _run_separation(p, rng):
     return cols, rows, comments
 
 
-def _run_tangential_embed(p, rng):
+def _run_tangential_embed(p):
+    from .tangential import ConformalChain, assemble_embedding
+
     emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
     f1, f2 = emb.f1_boundary, emb.f2_boundary
     # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
@@ -214,7 +223,9 @@ def _run_tangential_embed(p, rng):
     return cols, rows
 
 
-def _run_tangency_report(p, rng):
+def _run_tangency_report(p):
+    from .tangential import ConformalChain, assemble_embedding, tangency_report
+
     emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
     rep = tangency_report(emb, p["jmin"], p["jmax"])
     comments = [
@@ -376,6 +387,8 @@ def _parse_argv(argv) -> ExperimentConfig | None:
                 seed = int(rest[i])
             except ValueError as exc:
                 raise ParameterError(f"bad seed {rest[i]!r}") from exc
+            if not 0 <= seed < 2**64:
+                raise ParameterError(f"bad seed {rest[i]!r}: must lie in 0..2**64-1")
         elif "=" in token:
             key, _, value = token.partition("=")
             params[key] = value
@@ -418,9 +431,8 @@ def run(config: ExperimentConfig) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
-    rng = np.random.default_rng(np.random.Philox(config.seed))
     try:
-        result = recipe.run(params, rng)
+        result = recipe.run(params)
     except (ParameterError, ValueError, KeyError, OSError) as exc:
         # OSError: a custom: family CSV that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
@@ -428,7 +440,7 @@ def run(config: ExperimentConfig) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
-    except ExtractionExhaustedError as exc:
+    except NotCertifiedError as exc:
         print(f"error: not certified: {exc}", file=sys.stderr)
         return EXIT_NOT_CERTIFIED
     cols, rows, *extra = result

@@ -12,7 +12,6 @@ are labelled as such.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 
@@ -284,6 +283,8 @@ def parse_family(tag: str, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
 
 
 def _load_custom(path: str, n_terms: int) -> KernelHandle:
+    import csv
+
     indices, values = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.reader(fh):

@@ -21,9 +21,11 @@ closed forms (Drury-Arveson, hardy, geometric) on every entry, the truncated
 series by Horner otherwise.  The coincidence check is one broadcast
 comparison on the same point table.  Each extractor stage reads its log
 kernel blocks -log |1 - <z_i, z_j>| from the owner in one broadcast call per
-block, stacks its target sample into (S, k, k) blocks and makes one
-``eigvalsh`` call per dtype group, real polydisc corners and complex random
-draws apart.
+block and stacks each target sample into (S, k, k) blocks, real polydisc
+corners and complex random draws apart.  The delta estimate needs only log
+determinants, 2 sum log diag(L), from one batched Cholesky call per dtype
+group; verifying a candidate makes one ``eigvalsh`` call per dtype group,
+whose smallest eigenvalue the audit row records.
 """
 
 from __future__ import annotations
@@ -316,17 +318,19 @@ def extract_interpolating_subsequence(
         sel_block = _log_kernel(table, idx[:, None], idx[None, :])
         # delta estimate: smallest determinant of the previous stage over
         # the sample, assembled in log space from the normalized blocks, one
-        # eigvalsh call per dtype group (real corners, complex draws)
+        # batched Cholesky call per dtype group (real corners, complex draws)
         log_delta = math.inf
         for w in _target_sample(k - 1, r, rng):
             if not len(w):
                 continue
-            eig = np.linalg.eigvalsh(_normalized_pick(sel_block, w))
-            if eig.min() <= 0.0:
+            try:
+                chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
+            except np.linalg.LinAlgError:
                 raise ExtractionExhaustedError(
                     f"stage {k - 1} block lost definiteness during sampling"
-                )
-            log_det = (np.sum(np.log(eig), axis=1)
+                ) from None
+            log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2).real)
+            log_det = (2.0 * np.sum(log_diag, axis=1)
                        + np.sum(np.log1p(-np.abs(w) ** 2), axis=1)
                        + np.trace(sel_block))
             log_delta = min(log_delta, float(log_det.min()))

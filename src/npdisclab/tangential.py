@@ -30,6 +30,9 @@ _POLE_TOL = 1e-8
 #: sphere defect
 _MIDPOINT_EXCLUDE = 0.05
 
+#: dyadic exponents j whose points enter tangency_report's c1 fit
+_FIT_J = range(6, 15)
+
 
 class ChainDomainError(ValueError):
     """Evaluation at or too close to a pole or branch point of the chain."""
@@ -283,8 +286,14 @@ def tangency_report(emb: TangentialEmbedding, j_min: int = 4, j_max: int = 14) -
     F(1) = (1, 0), so ratio2 reduces to Re(1 - f_1(x))/(1 - x) and only the
     closed-form coordinate enters it; ratio1 needs f_2 through the Fourier
     representation, which must resolve the smallest 1 - x in the sweep
-    (grid size around 2^{j_max + 4} is comfortable).
+    (grid size around 2^{j_max + 4} is comfortable).  The c1 fit takes the
+    j in 6..14; a sweep holding fewer than two of them raises ValueError.
     """
+    if len(range(max(j_min, _FIT_J.start), min(j_max + 1, _FIT_J.stop))) < 2:
+        raise ValueError(
+            f"jmin={j_min}, jmax={j_max} leave fewer than two exponents in the "
+            f"c1 fit window {_FIT_J.start}..{_FIT_J.stop - 1}"
+        )
     rows = []
     fit_x, fit_y = [], []
     for j in range(j_min, j_max + 1):
@@ -299,7 +308,7 @@ def tangency_report(emb: TangentialEmbedding, j_min: int = 4, j_max: int = 14) -
         y = (1.0 - f1x).real
         ratio2 = y / one_minus_x
         rows.append((x, ratio1, ratio2))
-        if 6 <= j <= 14:
+        if j in _FIT_J:
             fit_x.append(1.0 / math.log(one_minus_x) ** 2)
             fit_y.append(y)
     lx, ly = np.log(fit_x), np.log(fit_y)

@@ -105,6 +105,32 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("name", ["classify", "distortion", "interp-extract"])
+    def test_seed_outside_u64_is_bad_parameter(self, name, seed, capsys):
+        assert main([name, *RECIPE_ARGS[name], "--seed", seed]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad seed {seed!r}: must lie in 0..2**64-1\n"
+
+    @pytest.mark.parametrize("name", ["classify", "distortion", "interp-extract"])
+    def test_largest_seed_is_accepted(self, name, capsys):
+        args = [*RECIPE_ARGS[name], "--seed", str(2**64 - 1), "--reproducible"]
+        assert main([name, *args]) == 0
+        out, err = capsys.readouterr()
+        assert f"# seed = {2**64 - 1}\n" in out and err == ""
+
+    @pytest.mark.parametrize("jmin, jmax", [(4, 5), (15, 16), (6, 6)])
+    def test_empty_tangency_fit_window_is_bad_parameter(self, jmin, jmax):
+        # a fresh process, so a numpy warning would show on stderr
+        proc = run_cli(["tangency-report", "m=4096", f"jmin={jmin}", f"jmax={jmax}"])
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: jmin={jmin}, jmax={jmax} leave fewer than two exponents in "
+            f"the c1 fit window 6..14\n"
+        )
+
     def test_drifting_inversion_is_bad_parameter(self, capsys):
         # the Newton reciprocal of (n+1)^40 overflows to nan
         assert main(["classify", "family=hs:40", "N=16384"]) == EXIT_BAD_PARAMETER

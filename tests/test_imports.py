@@ -1,4 +1,4 @@
-"""No runtime path loads scipy; the package runs on numpy alone."""
+"""No runtime path loads scipy, and each recipe loads only its own layers."""
 
 import cmath
 import json
@@ -79,3 +79,43 @@ def test_recipes_run_without_scipy():
     for name, (code, out) in blocked.items():
         assert code == 0, name
         assert out == normal[name][1], name
+
+
+#: library modules each RECIPE_ARGS run loads besides cli and csvio, and
+#: whether it loads numpy.random (only the recipes that draw numbers)
+RECIPE_IMPORTS = {
+    "classify": ({"kernels", "series"}, False),
+    "compare": ({"kernels", "series"}, False),
+    "pick-check": ({"geometry", "kernels", "pick", "series"}, False),
+    "interp-extract": ({"geometry", "kernels", "pick", "sequences", "series"}, True),
+    "crossing": ({"geometry", "kernels", "pick", "series"}, False),
+    "distortion": ({"geometry"}, True),
+    "carleson": ({"geometry", "sequences", "series"}, False),
+    "separation": ({"geometry", "sequences", "series"}, False),
+    "tangential-embed": ({"geometry", "tangential"}, False),
+    "tangency-report": ({"geometry", "tangential"}, False),
+}
+
+
+def _loaded_after(code):
+    """(npdisclab submodules, whether numpy.random is loaded) after ``code``."""
+    script = (
+        f"{code}\n"
+        "import json, sys\n"
+        "mods = [m[10:] for m in sys.modules if m.startswith('npdisclab.')]\n"
+        "print(json.dumps([mods, 'numpy.random' in sys.modules]))\n"
+    )
+    mods, loaded_random = json.loads(_run_child(script).splitlines()[-1])
+    return set(mods), loaded_random
+
+
+def test_cli_import_loads_only_csvio():
+    assert _loaded_after("import npdisclab.cli") == ({"cli", "csvio"}, False)
+
+
+def test_each_recipe_loads_only_its_layers():
+    assert set(RECIPE_IMPORTS) == set(RECIPE_ARGS)
+    for name, (layers, loads_random) in RECIPE_IMPORTS.items():
+        argv = [name, *RECIPE_ARGS[name], "--reproducible", "--out", "/dev/null"]
+        code = f"from npdisclab.cli import main\nassert main({argv!r}) == 0"
+        assert _loaded_after(code) == ({"cli", "csvio", *layers}, loads_random), name

@@ -167,17 +167,34 @@ class TestCallCounts:
 
     def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
         # each delta estimate and each verified candidate draws one target
-        # sample and may spend one eigvalsh call per dtype group on it
-        eig_calls, samples = [], []
-        eigvalsh, target_sample = np.linalg.eigvalsh, pick._target_sample
+        # sample; a delta estimate spends one batched Cholesky call per
+        # dtype group on it, a verification one eigvalsh call per group
+        eig_calls, chol_calls, samples = [], [], []
+        eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+        target_sample = pick._target_sample
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: eig_calls.append(1) or eigvalsh(a))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: chol_calls.append(1) or cholesky(a))
         monkeypatch.setattr(pick, "_target_sample",
                             lambda *a: samples.append(1) or target_sample(*a))
         res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
         assert len(res.indices) == 12
-        assert len(samples) >= 2 * 11
-        assert len(eig_calls) <= 2 * len(samples)
+        stages = 11
+        verified = len(samples) - stages  # one sample per delta estimate
+        assert verified >= stages
+        assert stages <= len(chol_calls) <= 2 * stages
+        assert verified <= len(eig_calls) <= 2 * verified
+
+    def test_lost_definiteness_in_delta_estimate(self, monkeypatch):
+        # a Cholesky failure on the delta sample ends the run as exhausted
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(ExtractionExhaustedError,
+                           match="stage 1 block lost definiteness during sampling"):
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, 4)
 
     def test_one_minus_inner_calls(self, monkeypatch):
         # kernel_gram takes every pair in one call; an extractor stage takes

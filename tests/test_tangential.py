@@ -184,6 +184,17 @@ class TestTangencyReport:
         assert rep.correlation > 0.99
         assert rep.c1 > 0.0
 
+    @pytest.mark.parametrize("j_min, j_max", [(4, 5), (15, 16), (6, 6), (9, 8)])
+    def test_fit_window_needs_two_exponents(self, embedding, j_min, j_max):
+        with pytest.raises(ValueError, match="fit window 6..14"):
+            tangency_report(embedding, j_min, j_max)
+
+    @pytest.mark.parametrize("j_min, j_max", [(4, 7), (13, 16)])
+    def test_two_exponents_in_window_suffice(self, embedding, j_min, j_max):
+        rep = tangency_report(embedding, j_min, j_max)
+        assert len(rep.rows) == j_max - j_min + 1
+        assert math.isfinite(rep.c1) and abs(rep.correlation) == pytest.approx(1.0)
+
     def test_ratio2_reduces_to_first_coordinate(self, fine_embedding):
         rep = tangency_report(fine_embedding, 6, 10)
         x = 1.0 - 2.0**-8
