@@ -216,7 +216,7 @@ def _run_tangential_embed(p):
     f1, f2 = emb.f1_boundary, emb.f2_boundary
     # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
     rows = np.column_stack([
-        emb.u1.angles, emb.u1.values, emb.u1_tilde.values,
+        emb.angles, emb.u1, emb.u1_tilde,
         np.hypot(f1.real, f1.imag), np.hypot(f2.real, f2.imag), emb.sphere_defect(),
     ])
     cols = ["t", "u1", "u1_tilde", "abs_f1", "abs_f2", "sphere_defect"]

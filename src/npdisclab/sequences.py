@@ -70,10 +70,7 @@ class DiscSequence:
 
     def log_pair_dist(self, i: int, j: int) -> float:
         """log d(v_i, v_j), accurate arbitrarily close to the boundary."""
-        if self.is_radial_positive:
-            d = radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
-            return math.log(d) if d > 0.0 else -math.inf
-        d = pseudo_dist_scalar(self.points[i], self.points[j])
+        d = self.pair_dist(i, j)
         return math.log(d) if d > 0.0 else -math.inf
 
     def pair_dist(self, i: int, j: int) -> float:

@@ -16,7 +16,7 @@ Fourier series of u_1 + i conj(u_1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ _MIDPOINT_EXCLUDE = 0.05
 
 #: dyadic exponents j whose points enter tangency_report's c1 fit
 _FIT_J = range(6, 15)
+
+#: dyadic exponents j with x = 1 - 2^-j in (0, 1): 2^-54 is lost in 1 - 2^-54
+_J_RANGE = range(1, 54)
 
 
 class ChainDomainError(ValueError):
@@ -128,90 +131,64 @@ class ConformalChain:
         return out
 
 
-@dataclass
-class BoundarySampling:
-    """Real samples on the uniform circle grid e^{2 pi i k / m}.
-
-    The sample nearest the singular angle 0 is replaced by the asymptotic
-    model value and flagged through ``singular_index``.
-    """
-
-    m: int
-    values: np.ndarray
-    singular_index: int | None = None
-    angles: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size != self.m:
-            raise ValueError("sample count does not match the grid size")
-        self.angles = 2.0 * math.pi * np.arange(self.m) / self.m
-
-
 def _require_grid(m: int, minimum: int = 256) -> None:
     if m < minimum or m & (m - 1) != 0:
         raise ValueError(f"grid size must be a power of two >= {minimum}, got {m}")
 
 
-def boundary_modulus_defect(chain: ConformalChain, m: int) -> BoundarySampling:
-    """u_1 = log sqrt(1 - |f_1|^2) sampled on the m-point circle grid.
-
-    At the singular angle the true value is -inf; it is replaced by the
-    model u = A - log log (1/|t|) fitted on the two neighbours and
-    evaluated at half the grid spacing.
-    """
-    _require_grid(m)
-    t = 2.0 * math.pi * np.arange(m) / m
-    f1 = chain.eval(np.exp(1j * t), "clipped")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u1 = 0.5 * np.log1p(-np.abs(f1) ** 2)
-    t1 = t[1]
-    loglog = math.log(math.log(1.0 / t1))
-    fit = 0.5 * (u1[1] + u1[-1]) + loglog
-    u1[0] = fit - math.log(math.log(2.0 / t1))
-    return BoundarySampling(m, u1, singular_index=0)
+def _conjugate_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
+    """Inverse real FFT of ``spec`` times -i sign(k), zero and Nyquist bins cleared."""
+    spec = spec * -1j
+    spec[0] = 0.0
+    if m % 2 == 0:
+        spec[-1] = 0.0
+    return np.fft.irfft(spec, n=m)
 
 
-def harmonic_conjugate(b):
+def harmonic_conjugate(values) -> np.ndarray:
     """Discrete harmonic conjugate by the Fourier multiplier -i sign(k).
 
     Zero mean is preserved (the k = 0 coefficient maps to zero) and the
     Nyquist bin is annihilated; the transform is exact on trigonometric
     polynomials below the Nyquist frequency.
     """
-    values = b.values if isinstance(b, BoundarySampling) else np.asarray(b, dtype=float)
-    m = values.size
-    spec = np.fft.rfft(values)
-    spec *= -1j
-    spec[0] = 0.0
-    if m % 2 == 0:
-        spec[-1] = 0.0
-    out = np.fft.irfft(spec, n=m)
-    if isinstance(b, BoundarySampling):
-        return BoundarySampling(b.m, out, singular_index=b.singular_index)
-    return out
+    values = np.asarray(values, dtype=float)
+    return _conjugate_spectrum(np.fft.rfft(values), values.size)
 
 
 class TangentialEmbedding(GeneralCurve):
     """The assembled proper map F = (f_1, f_2) of the disc into the two-ball.
 
-    Boundary data lives on the construction grid; interior values of f_2
-    come from exponentiating the truncated analytic completion
-    h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0) exactly.
+    Boundary data lives on the construction grid as float arrays ``angles``,
+    ``u1`` and ``u1_tilde`` and complex arrays ``f1_boundary`` and
+    ``f2_boundary``, with u1[0] the model value at the singular angle 0;
+    interior values of f_2 come from exponentiating the truncated analytic
+    completion h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0)
+    exactly.
     """
 
     def __init__(self, chain: ConformalChain, m: int):
         _require_grid(m)
         self.chain = chain
         self.m = m
-        self.u1 = boundary_modulus_defect(chain, m)
-        self.u1_tilde = harmonic_conjugate(self.u1)
-        spec = np.fft.rfft(self.u1.values) / m
+        self.angles = 2.0 * math.pi * np.arange(m) / m
+        self.f1_boundary = chain.eval(np.exp(1j * self.angles), "clipped")
+        # u_1 = log sqrt(1 - |f_1|^2); at the singular angle its true value
+        # is -inf, so the sample there is the model u = A - log log (1/|t|)
+        # fitted on the two neighbours and evaluated at half the grid spacing
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u1 = 0.5 * np.log1p(-np.abs(self.f1_boundary) ** 2)
+        t1 = self.angles[1]
+        fit = 0.5 * (u1[1] + u1[-1]) + math.log(math.log(1.0 / t1))
+        u1[0] = fit - math.log(math.log(2.0 / t1))
+        self.u1 = u1
+        spec = np.fft.rfft(u1)
+        self.u1_tilde = _conjugate_spectrum(spec, m)
+        spec /= m
         coeffs = 2.0 * spec[:-1]
         coeffs[0] = spec[0].real
         self._h_coeffs = coeffs
-        self.f1_boundary = chain.eval(np.exp(1j * self.u1.angles), "clipped")
-        self.f2_boundary = np.exp(self.u1.values + 1j * self.u1_tilde.values)
+        self.f2_boundary = np.exp(u1 + 1j * self.u1_tilde)
         super().__init__(self._eval_point, label=f"tangential(m={m}, r={chain.clip:g})")
 
     def h(self, z: complex) -> complex:
@@ -252,7 +229,7 @@ class TangentialEmbedding(GeneralCurve):
         the grid is refined.  Midpoints within _MIDPOINT_EXCLUDE of the
         singular angle 0 are skipped.
         """
-        mids = self.u1.angles + math.pi / self.m
+        mids = self.angles + math.pi / self.m
         keep = (mids > _MIDPOINT_EXCLUDE) & (mids < 2.0 * math.pi - _MIDPOINT_EXCLUDE)
         f1 = self.chain.eval(np.exp(1j * mids[keep]), "clipped")
         f2 = np.exp(self._h_at_midpoints()[keep])
@@ -287,8 +264,14 @@ def tangency_report(emb: TangentialEmbedding, j_min: int = 4, j_max: int = 14) -
     closed-form coordinate enters it; ratio1 needs f_2 through the Fourier
     representation, which must resolve the smallest 1 - x in the sweep
     (grid size around 2^{j_max + 4} is comfortable).  The c1 fit takes the
-    j in 6..14; a sweep holding fewer than two of them raises ValueError.
+    j in 6..14; a sweep holding fewer than two of them raises ValueError,
+    as does one reaching past 1 <= j <= 53, where x = 1 - 2^-j lies in (0, 1).
     """
+    if j_min < _J_RANGE.start or j_max >= _J_RANGE.stop:
+        raise ValueError(
+            f"jmin={j_min}, jmax={j_max} reach outside {_J_RANGE.start}..{_J_RANGE.stop - 1}, "
+            f"the exponents j with x = 1 - 2^-j in (0, 1)"
+        )
     if len(range(max(j_min, _FIT_J.start), min(j_max + 1, _FIT_J.stop))) < 2:
         raise ValueError(
             f"jmin={j_min}, jmax={j_max} leave fewer than two exponents in the "

@@ -131,6 +131,17 @@ class TestExitCodes:
             f"the c1 fit window 6..14\n"
         )
 
+    @pytest.mark.parametrize("jmin, jmax", [(-3, 8), (0, 8), (6, 54), (6, 60)])
+    def test_tangency_exponent_outside_1_to_53_is_bad_parameter(self, jmin, jmax, capsys):
+        args = ["tangency-report", "m=4096", f"jmin={jmin}", f"jmax={jmax}"]
+        assert main(args) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: jmin={jmin}, jmax={jmax} reach outside 1..53, "
+            f"the exponents j with x = 1 - 2^-j in (0, 1)\n"
+        )
+
     def test_drifting_inversion_is_bad_parameter(self, capsys):
         # the Newton reciprocal of (n+1)^40 overflows to nan
         assert main(["classify", "family=hs:40", "N=16384"]) == EXIT_BAD_PARAMETER
@@ -324,7 +335,7 @@ class TestTangentialAtWorkloadSize:
         emb = assemble_embedding(ConformalChain(0.75), m)
         defect = emb.sphere_defect()
         lines = [",".join(format_cell(v) for v in (
-            emb.u1.angles[i], emb.u1.values[i], emb.u1_tilde.values[i],
+            emb.angles[i], emb.u1[i], emb.u1_tilde[i],
             abs(emb.f1_boundary[i]), abs(emb.f2_boundary[i]), defect[i],
         )) for i in range(m)]
         body = out.read_text(encoding="utf-8").split("\n")[-m - 1:-1]

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from npdisclab.tangential import (
-    BoundarySampling,
     ChainDomainError,
     ConformalChain,
     assemble_embedding,
-    boundary_modulus_defect,
     harmonic_conjugate,
     tangency_report,
 )
@@ -61,16 +59,16 @@ class TestChain:
 
 class TestBoundarySampling:
     def test_samples_nonpositive(self, chain):
-        b = boundary_modulus_defect(chain, 1024)
-        assert b.singular_index == 0
-        assert np.all(b.values <= 1e-12)
-        assert np.all(np.isfinite(b.values))
+        u1 = assemble_embedding(chain, 1024).u1
+        assert u1.shape == (1024,)
+        assert np.all(u1 <= 1e-12)
+        assert np.all(np.isfinite(u1))
 
     def test_integral_stable_under_doubling(self, chain):
         vals = []
         for m in (2048, 4096):
-            b = boundary_modulus_defect(chain, m)
-            vals.append(np.mean(np.abs(b.values)) * 2.0 * math.pi)
+            u1 = assemble_embedding(chain, m).u1
+            vals.append(np.mean(np.abs(u1)) * 2.0 * math.pi)
         assert abs(vals[1] - vals[0]) < 0.02 * abs(vals[0])
 
     def test_smooth_away_from_singularity(self, chain):
@@ -79,21 +77,39 @@ class TestBoundarySampling:
         # smoothness (h^4 scaling holds only where u_1 is smooth)
         from scipy.interpolate import CubicSpline
 
-        coarse = boundary_modulus_defect(chain, 2048)
-        fine = boundary_modulus_defect(chain, 4096)
+        coarse = assemble_embedding(chain, 2048)
+        fine = assemble_embedding(chain, 4096)
         knots = np.concatenate((coarse.angles, [2.0 * math.pi]))
-        vals = np.concatenate((coarse.values, [coarse.values[0]]))
+        vals = np.concatenate((coarse.u1, [coarse.u1[0]]))
         spline = CubicSpline(knots, vals, bc_type="periodic")
         t = fine.angles
         away = np.minimum(t, 2.0 * math.pi - t) > 0.5
-        assert np.max(np.abs(spline(t[away]) - fine.values[away])) < 1e-6
+        assert np.max(np.abs(spline(t[away]) - fine.u1[away])) < 1e-6
 
     def test_grid_validation(self, chain):
         with pytest.raises(ValueError):
-            boundary_modulus_defect(chain, 100)
+            assemble_embedding(chain, 100)
         with pytest.raises(ValueError):
-            boundary_modulus_defect(chain, 3000)
+            assemble_embedding(chain, 3000)
 
+    def test_one_chain_evaluation_and_one_spectrum(self, chain, monkeypatch):
+        m = 4096
+        sizes, rffts = [], []
+        chain_eval, rfft = ConformalChain.eval, np.fft.rfft
+
+        def eval_spy(self, z, stage="clipped"):
+            sizes.append(np.size(z))
+            return chain_eval(self, z, stage)
+
+        def rfft_spy(*args, **kwargs):
+            rffts.append(np.size(args[0]))
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(ConformalChain, "eval", eval_spy)
+        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+        assemble_embedding(chain, m)
+        assert sizes.count(m) == 1
+        assert rffts == [m]
 
 class TestHarmonicConjugate:
     def test_cosine_to_sine(self):
@@ -121,12 +137,6 @@ class TestHarmonicConjugate:
             u += rng.normal() * np.cos(k * t) + rng.normal() * np.sin(k * t)
         twice = harmonic_conjugate(harmonic_conjugate(u))
         np.testing.assert_allclose(twice, -u, atol=1e-12 * np.abs(u).max())
-
-    def test_wraps_boundary_sampling(self, chain):
-        b = boundary_modulus_defect(chain, 512)
-        out = harmonic_conjugate(b)
-        assert isinstance(out, BoundarySampling)
-        assert out.singular_index == 0
 
 
 class TestEmbedding:
@@ -194,6 +204,19 @@ class TestTangencyReport:
         rep = tangency_report(embedding, j_min, j_max)
         assert len(rep.rows) == j_max - j_min + 1
         assert math.isfinite(rep.c1) and abs(rep.correlation) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("j_min, j_max", [(0, 8), (-3, 8), (6, 54), (6, 60)])
+    def test_exponents_outside_1_to_53_rejected(self, embedding, j_min, j_max):
+        with pytest.raises(ValueError, match="outside 1..53"):
+            tangency_report(embedding, j_min, j_max)
+
+    @pytest.mark.parametrize("j_min, j_max", [(1, 8), (6, 53)])
+    def test_exponent_bounds_accepted(self, embedding, j_min, j_max):
+        rep = tangency_report(embedding, j_min, j_max)
+        xs = [r[0] for r in rep.rows]
+        assert len(xs) == j_max - j_min + 1
+        assert 0.0 < xs[0] and xs[-1] < 1.0
+        assert all(b > a for a, b in zip(xs, xs[1:]))
 
     def test_ratio2_reduces_to_first_coordinate(self, fine_embedding):
         rep = tangency_report(fine_embedding, 6, 10)
