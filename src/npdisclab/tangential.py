@@ -265,7 +265,7 @@ def tangency_report(emb: TangentialEmbedding, j_min: int = 4, j_max: int = 14) -
     representation, which must resolve the smallest 1 - x in the sweep
     (grid size around 2^{j_max + 4} is comfortable).  The c1 fit takes the
     j in 6..14; a sweep holding fewer than two of them raises ValueError,
-    as does one reaching past 1 <= j <= 53, where x = 1 - 2^-j lies in (0, 1).
+    as does one reaching outside 1 <= j <= 53, where x = 1 - 2^-j lies in (0, 1).
     """
     if j_min < _J_RANGE.start or j_max >= _J_RANGE.stop:
         raise ValueError(
