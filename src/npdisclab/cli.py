@@ -52,6 +52,7 @@ class ExperimentConfig:
     out: str | None
     seed: int
     reproducible: bool
+    help: bool = False
 
 
 def _parse_complex(text: str) -> complex:
@@ -366,12 +367,12 @@ def recipe_help(recipe: Recipe) -> str:
 def _parse_argv(argv) -> ExperimentConfig | None:
     recipe_name = argv[0]
     rest = argv[1:]
-    params, out, seed, reproducible = {}, None, 0, False
+    params, out, seed, reproducible, show_help = {}, None, 0, False, False
     i = 0
     while i < len(rest):
         token = rest[i]
         if token == "--help":
-            params["_help"] = True
+            show_help = True
         elif token == "--reproducible":
             reproducible = True
         elif token == "--out":
@@ -395,15 +396,13 @@ def _parse_argv(argv) -> ExperimentConfig | None:
         else:
             raise ParameterError(f"unrecognized argument {token!r}")
         i += 1
-    return ExperimentConfig(recipe_name, params, out, seed, reproducible)
+    return ExperimentConfig(recipe_name, params, out, seed, reproducible, show_help)
 
 
 def _resolve_params(recipe: Recipe, raw: dict, seed: int) -> dict:
     known = {p.name: p for p in recipe.params}
     resolved = {}
     for key, value in raw.items():
-        if key.startswith("_"):
-            continue
         if key not in known:
             raise ParameterError(
                 f"unknown parameter {key!r} for recipe {recipe.name!r}"
@@ -479,7 +478,7 @@ def main(argv=None) -> int:
         print(f"error: unknown recipe {config.recipe!r}", file=sys.stderr)
         print(list_recipes(), file=sys.stderr)
         return EXIT_UNKNOWN_RECIPE
-    if config.parameters.get("_help"):
+    if config.help:
         print(recipe_help(RECIPES[config.recipe]))
         return EXIT_OK
     return run(config)

@@ -9,12 +9,13 @@ to the boundary lose all their information in plain coordinates, so a point
 may carry its boundary gap 1 - |z| exactly.
 
 :class:`PointTable` is the one owner of 1 - <z_i, z_j>, the quantity behind
-every kernel entry and distance: it stacks the points' coordinates once and
-forms 1 - <z_i, z_j> over broadcast index arrays, through the exact gap
-algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both points are radial and
-real, so pairs far below double-precision resolution stay cancellation-free.
-The Pick layer, the two-point :func:`one_minus_inner` and
-:func:`radial_gap_dist` all read it.
+every kernel entry and ball-point distance: it stacks the points'
+coordinates once and forms 1 - <z_i, z_j> over broadcast index arrays,
+through the exact gap algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both
+points are radial and real, so pairs far below double-precision resolution
+stay cancellation-free.  The Pick layer, :func:`one_minus_inner` and
+:func:`radial_gap_dist` read it; disc-sequence distances come from the
+points or from :func:`radial_log_gap_dist` on the log-gaps instead.
 """
 
 from __future__ import annotations
@@ -141,23 +142,22 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
         d^2 = (||z - w||^2 - (||z||^2 ||w||^2 - |<z, w>|^2)) / |1 - <w, z>|^2,
 
     which is free of the 1 - (nearly 1) cancellation: it is exactly zero at
-    coincident points and stays relatively accurate for close ones.
+    coincident points and stays relatively accurate for close ones.  Radial
+    real pairs (no Gram defect) take :func:`radial_gap_dist` on their gaps.
     """
     if not (p.is_interior and q.is_interior):
         raise BoundaryPointError("distance formula degenerates at the boundary")
-    denom = abs(one_minus_inner(q, p)) ** 2
     if p.is_radial_real and q.is_radial_real:
-        num = (p.gap - q.gap) ** 2  # collinear points: the Gram defect vanishes
-    else:
-        a, b = PointTable([p, q]).coords
-        diff_sq = float(np.sum(np.abs(a - b) ** 2))
-        # all three through the same dot-product path, so the defect is an
-        # exact zero for identical coordinate arrays
-        nz_sq = complex(np.dot(a, np.conj(a))).real
-        nw_sq = complex(np.dot(b, np.conj(b))).real
-        ip = complex(np.dot(a, np.conj(b)))
-        num = diff_sq - (nz_sq * nw_sq - abs(ip) ** 2)
-    dsq = num / denom
+        return radial_gap_dist(p.gap, q.gap)
+    a, b = PointTable([p, q]).coords
+    diff_sq = float(np.sum(np.abs(a - b) ** 2))
+    # all three through the same dot-product path, so the defect is an
+    # exact zero for identical coordinate arrays
+    nz_sq = complex(np.dot(a, np.conj(a))).real
+    nw_sq = complex(np.dot(b, np.conj(b))).real
+    ip = complex(np.dot(a, np.conj(b)))
+    num = diff_sq - (nz_sq * nw_sq - abs(ip) ** 2)
+    dsq = num / abs(one_minus_inner(q, p)) ** 2
     return math.sqrt(min(max(dsq, 0.0), 1.0))
 
 
@@ -177,17 +177,19 @@ def radial_gap_dist(gap_a: float, gap_b: float) -> float:
     return num / one_minus_inner(BallPoint.radial(gap_a), BallPoint.radial(gap_b)).real
 
 
-def radial_log_gap_dist(log_gap_a: float, log_gap_b: float) -> float:
+def radial_log_gap_dist(log_gap_a, log_gap_b) -> float | np.ndarray:
     """Same as :func:`radial_gap_dist` with gaps given by their logarithms.
 
     Handles gaps far below the double-precision underflow threshold; only
-    the gap ratio and the larger gap enter the formula.
+    the gap ratio and the larger gap (0 below e^-700) enter the formula.
+    The log-gaps broadcast against each other; a scalar pair gives a float.
     """
-    lo, hi = sorted((log_gap_a, log_gap_b))
-    delta = lo - hi  # log of the small/large gap ratio, <= 0
-    small_over_large = math.exp(delta)
-    large = math.exp(hi) if hi > -700 else 0.0
-    return -math.expm1(delta) / (1.0 + small_over_large - large * small_over_large)
+    hi = np.maximum(log_gap_a, log_gap_b)
+    delta = np.minimum(log_gap_a, log_gap_b) - hi  # log of the small/large ratio, <= 0
+    small_over_large = np.exp(delta)
+    large = np.where(hi > -700.0, np.exp(np.maximum(hi, -700.0)), 0.0)
+    d = -np.expm1(delta) / (1.0 + small_over_large - large * small_over_large)
+    return d if d.ndim else float(d)
 
 
 def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:

@@ -102,20 +102,20 @@ class KernelHandle:
         cv = self.moduli.values
         return complex(np.dot(cv, np.asarray(t, dtype=complex) ** np.arange(1, cv.size + 1)))
 
-    def kernel_from_defect(self, omt: complex | np.ndarray) -> complex | np.ndarray | None:
-        """K expressed through 1 - t for families with a closed form.
+    def kernel_from_defect(self, omt: complex | np.ndarray) -> complex | np.ndarray:
+        """K expressed through 1 - t, the kernel-entry call of every family.
 
         Near the boundary 1 - t is the well-conditioned datum.  ``omt`` may
-        be a scalar or an array, real or complex; the closed form applies
-        to every entry.  None means the family has no closed form and the
-        caller must evaluate the truncated series with :meth:`kernel_value`.
+        be a scalar or an array, real or complex.  Hardy (1/(1 - t), on ball
+        points the Drury-Arveson kernel) and geometric take their closed
+        forms, the other families :meth:`kernel_value` at t = 1 - omt.
         """
         if self.family_tag == "hardy":
             return 1.0 / omt
         if self._q is not None:
             q = self._q
             return (1.0 - q + q * omt) / (1.0 - 2.0 * q + 2.0 * q * omt)
-        return None
+        return self.kernel_value(1.0 - omt)
 
     def kernel_value(self, t: complex | np.ndarray) -> complex | np.ndarray:
         """Truncated K = sum a_n t^n by Horner on the weights, in place.

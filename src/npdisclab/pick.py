@@ -16,16 +16,17 @@ positive-definiteness checks over a target sample.
 Everything works on whole arrays, and every 1 - <z_i, z_j> comes from one
 owner, :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps
 the exact gap algebra for radial points.  The Gram matrix takes it for all
-node pairs in one call and evaluates the kernel on all of them at once:
-closed forms (Drury-Arveson, hardy, geometric) on every entry, the truncated
-series by Horner otherwise.  The coincidence check is one broadcast
-comparison on the same point table.  Each extractor stage reads its log
-kernel blocks -log |1 - <z_i, z_j>| from the owner in one broadcast call per
-block and stacks each target sample into (S, k, k) blocks, real polydisc
-corners and complex random draws apart.  The delta estimate needs only log
-determinants, 2 sum log diag(L), from one batched Cholesky call per dtype
-group; verifying a candidate makes one ``eigvalsh`` call per dtype group,
-whose smallest eigenvalue the audit row records.
+node pairs in one call and evaluates the kernel on all of them in one
+``kernel_from_defect`` call: closed forms (hardy, Drury-Arveson on ball
+points, and geometric), the truncated series by Horner otherwise.  The
+coincidence check is one broadcast comparison on the point table.  Each
+extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
+owner in one broadcast call per block and stacks each target sample into
+(S, k, k) blocks, real polydisc corners and complex random draws apart.  The
+delta estimate needs only log determinants, 2 sum log diag(L), from one
+batched Cholesky call per dtype group; verifying a candidate makes one
+``eigvalsh`` call per dtype group, whose smallest eigenvalue the audit row
+records.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar
-from .kernels import KernelHandle
+from .kernels import KernelHandle, hardy
 
 #: relative eigenvalue tolerance separating the three verdict zones
 PSD_TOL = 1e-10
@@ -53,7 +54,8 @@ _CORNER_CAP = 512
 #: extractor target samples: uniform complex draws per sample
 _N_RANDOM_TARGETS = 256
 
-DRURY_ARVESON = "drury-arveson"
+#: Drury-Arveson 1/(1 - <x, y>): the hardy closed form read from the point table
+DRURY_ARVESON = hardy(1)
 
 
 class PickProblemError(ValueError):
@@ -73,9 +75,9 @@ def _as_ball_point(node) -> BallPoint:
 class PickProblem:
     """Interpolation nodes, targets and a kernel handle.
 
-    ``kernel`` is either the string ``"drury-arveson"`` (K = 1/(1 - <x, y>)
-    on ball points) or a :class:`~npdisclab.kernels.KernelHandle` evaluated
-    on scalar disc nodes.
+    ``kernel`` is a :class:`~npdisclab.kernels.KernelHandle`, evaluated at
+    1 - <z_i, z_j>; the default :data:`DRURY_ARVESON` gives
+    K = 1/(1 - <x, y>) on ball points.
     """
 
     def __init__(self, nodes, targets, kernel=DRURY_ARVESON):
@@ -127,23 +129,17 @@ def kernel_gram(nodes, kernel=DRURY_ARVESON) -> np.ndarray:
 
     1 - <z_i, z_j> comes from the point table for all upper-triangle pairs
     in one call, with the exact gap algebra wherever both points are radial
-    and real.  The kernel then evaluates every entry in one call: the closed
-    form where the family has one (Drury-Arveson, hardy, geometric), else
-    the truncated series by Horner.
+    and real.  The kernel then evaluates every entry in one
+    ``kernel_from_defect`` call.
     """
-    if kernel != DRURY_ARVESON and not isinstance(kernel, KernelHandle):
+    if not isinstance(kernel, KernelHandle):
         raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
     rows, cols = np.triu_indices(len(pts))
     omt = PointTable(pts).one_minus_inner(rows, cols)
     if not omt.imag.any():
         omt = omt.real  # real data stays on the real path
-    if kernel == DRURY_ARVESON:
-        upper = 1.0 / omt
-    else:
-        upper = kernel.kernel_from_defect(omt)
-        if upper is None:
-            upper = kernel.kernel_value(1.0 - omt)
+    upper = kernel.kernel_from_defect(omt)
     g = np.empty((len(pts), len(pts)), dtype=complex)
     g[rows, cols] = upper
     g[cols, rows] = np.conj(upper)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,24 @@ class DiscSequence:
         if self.is_radial_positive:
             return radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
         return pseudo_dist_scalar(self.points[i], self.points[j])
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Matrix of pseudohyperbolic distances, diagonal zero: built once, read-only.
+
+        Radial sequences take the exact log-gaps, the others the points.
+        """
+        if self.is_radial_positive:
+            lg = self.log_gaps
+            d = radial_log_gap_dist(lg[:, None], lg[None, :])
+        else:
+            z = self.points
+            num = np.abs(np.subtract.outer(z, z))
+            den = np.abs(1.0 - np.outer(z, np.conj(z)))
+            with np.errstate(invalid="ignore"):
+                d = np.where(num == 0.0, 0.0, num / den)
+        d.flags.writeable = False
+        return d
 
     def __repr__(self) -> str:
         return f"DiscSequence({self.label!r}, n={self.n})"
@@ -184,29 +203,11 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     return _delta_record(log_total)
 
 
-def pairwise_distances(s: DiscSequence) -> np.ndarray:
-    """Full matrix of pseudohyperbolic distances (diagonal zero)."""
-    if s.is_radial_positive:
-        lg = s.log_gaps
-        hi = np.maximum.outer(lg, lg)
-        lo = np.minimum.outer(lg, lg)
-        delta = lo - hi
-        ratio = np.exp(delta)
-        large = np.where(hi > LOG_FLOOR, np.exp(np.maximum(hi, LOG_FLOOR)), 0.0)
-        return -np.expm1(delta) / (1.0 + ratio - large * ratio)
-    z = s.points
-    num = np.abs(np.subtract.outer(z, z))
-    den = np.abs(1.0 - np.outer(z, np.conj(z)))
-    with np.errstate(invalid="ignore"):
-        d = np.where(num == 0.0, 0.0, num / den)
-    return d
-
-
 def nearest_distances(s: DiscSequence) -> np.ndarray:
     """Distance from each point to its nearest other point of the list."""
     if s.n < 2:
         raise ValueError("separation needs at least two points")
-    d = pairwise_distances(s)
+    d = s.distances.copy()
     np.fill_diagonal(d, np.inf)
     return d.min(axis=1)
 
@@ -249,7 +250,7 @@ def garnett_targets(s: DiscSequence) -> list[GarnettBudget]:
     row in the order :func:`separation_delta` uses.
     """
     with np.errstate(divide="ignore"):
-        log_d = np.log(pairwise_distances(s))
+        log_d = np.log(s.distances)
     np.fill_diagonal(log_d, 0.0)
     # an underflowed delta has value 0.0, so its budget is 0.0 as well
     return [GarnettBudget(d.value * (1.0 - d.log_value) ** -2.0, d)

@@ -19,8 +19,6 @@ import numpy as np
 
 #: relative tolerance for round-trip identities
 REL_TOL = 1e-12
-#: absolute floor below which entries are compared additively
-ABS_FLOOR = 1e-14
 
 #: default truncation length when the caller does not pass one
 DEFAULT_TERMS = 256

@@ -104,6 +104,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("key", ["_bogus=banana", "_seed=5", "_help=yes"])
+    def test_underscore_key_is_unknown_parameter(self, key, capsys):
+        # --help and the seed do not travel as parameters, so no key is exempt
+        assert main(["crossing", key]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown parameter")
+
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("name", ["classify", "distortion", "interp-extract"])

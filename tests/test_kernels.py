@@ -180,6 +180,16 @@ class TestKernelEval:
         via_g = 1.0 / (1.0 - k.generating_value(t))
         assert direct == pytest.approx(via_g, rel=1e-12)
 
+    @pytest.mark.parametrize("family", ["hs:-0.5", "custom"])
+    def test_defect_form_without_closed_form_is_the_series(self, family, tmp_path):
+        if family == "custom":
+            path = tmp_path / "moduli.csv"
+            path.write_text("n,value\n1,0.5\n2,0.25\n", encoding="utf-8")
+            family = f"custom:{path}"
+        k = kernels.parse_family(family, 64)
+        omt = np.array([0.5, 0.1 + 0.2j, 1e-3 - 1e-3j, 1.0])
+        assert np.array_equal(k.kernel_from_defect(omt), k.kernel_value(1.0 - omt))
+
 
 class TestPowerWeightGenerating:
     """A_s(t) = sum (n+1)^s t^n = lerchphi(t, -s, 1) against mpmath at 30 digits."""

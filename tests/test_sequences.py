@@ -201,6 +201,39 @@ class TestArraySeparation:
                 assert err <= 1e-12 * max(1.0, abs(exact)), (n, b.delta.log_value, exact)
 
 
+class TestDistanceMatrix:
+    def test_separation_builds_it_once(self, monkeypatch, capsys):
+        from npdisclab import sequences
+        from npdisclab.cli import main
+
+        owner, calls = sequences.radial_log_gap_dist, []
+        monkeypatch.setattr(sequences, "radial_log_gap_dist",
+                            lambda a, b: calls.append((np.ndim(a), np.ndim(b))) or owner(a, b))
+        assert main(["separation", "tag=vn_quadratic", "n=15", "--reproducible"]) == 0
+        assert calls == [(2, 2)]  # one broadcast call, no scalar pairs
+
+    def test_cached_and_read_only(self):
+        s = named_sequence("xn_alternating", 10)
+        assert s.distances is s.distances
+        with pytest.raises(ValueError):
+            s.distances[0, 1] = 0.5
+        nearest_distances(s)
+        assert np.all(np.diag(s.distances) == 0.0)
+
+    def test_quadratic_nearest_distances_match_mpmath(self):
+        # the log-gap form against the exact gap formula at 40 digits; along
+        # the radius each point's nearest neighbour is adjacent to it
+        mpmath = pytest.importorskip("mpmath")
+        s = named_sequence("vn_quadratic", 400)
+        gaps = nearest_distances(s)
+        with mpmath.workdps(40):
+            g = [mpmath.mpf(float(x)) for x in s.gaps]
+            d = [abs(a - b) / (a + b - a * b) for a, b in zip(g, g[1:])]
+            exact = [d[0]] + [min(a, b) for a, b in zip(d, d[1:])] + [d[-1]]
+            err = max(abs(float((mpmath.mpf(float(x)) - e) / e)) for x, e in zip(gaps, exact))
+        assert err <= 1e-12, err
+
+
 class TestAlternatingTargets:
     def test_no_contraction_compatible_map_reaches_alternating_targets(self):
         # any analytic disc self-map contracts the metric, so consecutive
