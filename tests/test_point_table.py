@@ -89,7 +89,9 @@ def test_drury_arveson_gram_is_one_over_the_owner(radial, general):
     assert np.array_equal(gram[rows[~off], cols[~off]], np.conj(want[~off]))
 
 
-@pytest.mark.parametrize("kernel", [DRURY_ARVESON, "hs:-0.5", "geom:0.5"])
+@pytest.mark.parametrize(
+    "kernel", [pytest.param(DRURY_ARVESON, id="drury-arveson"), "hs:-0.5", "geom:0.5"]
+)
 def test_gram_diagonal_is_real_for_complex_nodes(kernel):
     rng = np.random.default_rng(np.random.Philox(17))
     nodes = [BallPoint(_in_ball(rng.uniform(-1.0, 1.0, 4))) for _ in range(20)]
