@@ -168,7 +168,7 @@ def _run_distortion(p):
     if tag.startswith("crossing:"):
         curve = crossing_map(float(tag[9:]))
     elif tag.startswith("hs:"):
-        curve = hs_embedding(float(tag[3:]), p["N"]).as_curve()
+        curve = hs_embedding(float(tag[3:]), p["N"])
     else:
         raise ParameterError(f"unknown map tag {tag!r} (crossing:<r> or hs:<s>)")
     if p["xs"]:

@@ -3,7 +3,8 @@
 Comments are '#'-prefixed lines before the header row.  Floats are written
 with shortest round-trip decimals so a re-read reproduces the exact binary
 values; booleans (numpy's included) become true/false, integers (numpy's
-included) their decimal digits, infinities inf/-inf.
+included) their decimal digits, infinities inf/-inf, and text is written
+verbatim, even where it would parse as a number.
 
 :func:`write_rows` formats a table by columns, one block of
 :data:`BLOCK_ROWS` rows at a time.  A column of the block whose cells are
@@ -26,6 +27,8 @@ BLOCK_ROWS = 4096
 
 
 def format_cell(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

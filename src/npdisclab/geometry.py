@@ -16,6 +16,9 @@ points are radial and real, so pairs far below double-precision resolution
 stay cancellation-free.  The Pick layer, :func:`one_minus_inner` and
 :func:`radial_gap_dist` read it; disc-sequence distances come from the
 points or from :func:`radial_log_gap_dist` on the log-gaps instead.
+
+Every curve into the ball is a :class:`GeneralCurve` subclass:
+:class:`EmbeddedDisc`, :class:`CrossingCurve` and the tangential embedding.
 """
 
 from __future__ import annotations
@@ -212,17 +215,33 @@ def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
     return BallPoint((wc - proj - scale * perp) / denom)
 
 
-@dataclass
-class EmbeddingValue:
-    """Evaluation of an embedded disc: the point, the derivative vector and
-    a heuristic bound on the discarded truncation tail."""
+class GeneralCurve:
+    """Analytic curve into the ball; subclasses override :meth:`eval`.
 
-    point: BallPoint
-    deriv: np.ndarray | None
-    tail_estimate: float
+    The base :meth:`deriv` takes central differences with one Richardson
+    step (step 1e-6) and the base :meth:`inner` the inner product of the two
+    evaluated points.  Subclasses override both wherever a closed form
+    exists; the numeric derivative is then a cross-check.
+    """
+
+    label = "curve"
+
+    def eval(self, z: complex) -> BallPoint:
+        raise NotImplementedError
+
+    def deriv(self, z: complex) -> np.ndarray:
+        z, h = complex(z), 1e-6
+
+        def central(step):
+            return (self.eval(z + step).coords - self.eval(z - step).coords) / (2.0 * step)
+
+        return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+    def inner(self, z1: complex, z2: complex) -> complex:
+        return ball_inner(self.eval(z1), self.eval(z2))
 
 
-class EmbeddedDisc:
+class EmbeddedDisc(GeneralCurve):
     """Diagonal embedding f(z) = (b_1 z, b_2 z^2, ...) truncated at order N.
 
     ``regime`` is "open" when the full amplitude mass is 1 (image closure
@@ -247,6 +266,7 @@ class EmbeddedDisc:
         self.regime = regime
         self.gram = gram
         self.boundary_c1 = boundary_c1
+        self.label = f"embedded-disc(n={b.size})"
 
     @classmethod
     def from_kernel_handle(cls, handle) -> "EmbeddedDisc":
@@ -280,6 +300,8 @@ class EmbeddedDisc:
 
     def eval(self, z: complex) -> BallPoint:
         z = complex(z)
+        if abs(z) > 1.0 + 1e-12:
+            raise ValueError("embedding evaluated outside the closed disc")
         coords = self.amplitudes * z ** np.arange(1, self.n + 1)
         one_minus = 1.0 - self.inner(z, z).real
         return BallPoint(coords, one_minus_sq=one_minus)
@@ -293,96 +315,42 @@ class EmbeddedDisc:
         n = np.arange(1, self.n + 1)
         return n * self.amplitudes * z ** (n - 1)
 
-    def as_curve(self) -> "GeneralCurve":
-        return GeneralCurve(self.eval, self.deriv, inner_fn=self.inner,
-                            label=f"embedded-disc(n={self.n})")
 
-
-def disc_embed_eval(e: EmbeddedDisc, z: complex, want_deriv: bool = True) -> EmbeddingValue:
-    """Point and derivative of the embedding, plus a truncation-tail estimate.
-
-    The tail estimate majorizes sum_{n>N} |b_n z^n| by a geometric series
-    led by the last retained term; it is a heuristic for generic amplitudes
-    and exact only when |b_n| is nonincreasing.
-    """
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise ValueError("embedding evaluated outside the closed disc")
-    point = e.eval(z)
-    deriv = e.deriv(z) if want_deriv else None
-    r = abs(z)
-    last = abs(e.amplitudes[-1]) * r ** e.n
-    tail = last * r / (1.0 - r) if r < 1.0 else math.inf if last > 0 else 0.0
-    return EmbeddingValue(point, deriv, tail)
-
-
-class GeneralCurve:
-    """Analytic curve into the ball given by callables.
-
-    ``deriv_fn`` defaults to central differences with one Richardson step
-    (step 1e-6); closed-form derivatives should be supplied whenever they
-    exist, the numeric path is a cross-check.  ``inner_fn(z1, z2)`` may give
-    exact inner products of curve values.
-    """
-
-    def __init__(self, eval_fn, deriv_fn=None, inner_fn=None, label: str = "curve"):
-        self._eval = eval_fn
-        self._deriv = deriv_fn
-        self._inner = inner_fn
-        self.label = label
-
-    def eval(self, z: complex) -> BallPoint:
-        out = self._eval(complex(z))
-        return out if isinstance(out, BallPoint) else BallPoint(out)
-
-    def deriv(self, z: complex) -> np.ndarray:
-        if self._deriv is not None:
-            return np.atleast_1d(np.asarray(self._deriv(complex(z)), dtype=complex))
-        return self._fd_deriv(complex(z))
-
-    def _fd_deriv(self, z: complex, h: float = 1e-6) -> np.ndarray:
-        def central(step):
-            a = self.eval(z + step).coords
-            b = self.eval(z - step).coords
-            return (a - b) / (2.0 * step)
-
-        d1 = central(h)
-        d2 = central(h / 2.0)
-        return (4.0 * d2 - d1) / 3.0
-
-    def inner(self, z1: complex, z2: complex) -> complex:
-        if self._inner is not None:
-            return complex(self._inner(complex(z1), complex(z2)))
-        return ball_inner(self.eval(z1), self.eval(z2))
-
-
-def crossing_map(r: float) -> GeneralCurve:
+class CrossingCurve(GeneralCurve):
     """The rational curve (z^2, b(z)^2)/sqrt(2) with b a disc automorphism.
 
     Proper into the two-ball, injective except f(-1) = f(1): the image
     boundary crosses itself at that point.
     """
-    if not 0.0 < r < 1.0:
-        raise ValueError("automorphism parameter must lie in (0, 1)")
-    s2 = math.sqrt(2.0)
 
-    def b(z):
-        return (z - r) / (1.0 - r * z)
+    def __init__(self, r: float):
+        if not 0.0 < r < 1.0:
+            raise ValueError("automorphism parameter must lie in (0, 1)")
+        self.r = r
+        self.label = f"crossing(r={r:g})"
 
-    def bp(z):
-        return (1.0 - r * r) / (1.0 - r * z) ** 2
+    def b(self, z):
+        """The disc automorphism (z - r)/(1 - r z)."""
+        return (z - self.r) / (1.0 - self.r * z)
 
-    def ev(z):
-        return BallPoint(np.array([z * z, b(z) ** 2]) / s2)
+    def eval(self, z: complex) -> BallPoint:
+        z = complex(z)
+        return BallPoint(np.array([z * z, self.b(z) ** 2]) / math.sqrt(2.0))
 
-    def dv(z):
-        return np.array([2.0 * z, 2.0 * b(z) * bp(z)]) / s2
+    def deriv(self, z: complex) -> np.ndarray:
+        z, r = complex(z), self.r
+        bp = (1.0 - r * r) / (1.0 - r * z) ** 2
+        return np.array([2.0 * z, 2.0 * self.b(z) * bp]) / math.sqrt(2.0)
 
-    def ip(z1, z2):
+    def inner(self, z1: complex, z2: complex) -> complex:
+        z1, z2 = complex(z1), complex(z2)
         w2 = np.conj(z2)
-        return (z1 * z1 * w2 * w2 + b(z1) ** 2 * np.conj(b(z2)) ** 2) / 2.0
+        return complex((z1 * z1 * w2 * w2 + self.b(z1) ** 2 * np.conj(self.b(z2)) ** 2) / 2.0)
 
-    return GeneralCurve(ev, dv, inner_fn=ip, label=f"crossing(r={r:g})")
+
+def crossing_map(r: float) -> CrossingCurve:
+    """The crossing curve for the automorphism parameter r in (0, 1)."""
+    return CrossingCurve(r)
 
 
 def boundary_pairing(curve: GeneralCurve, t: float) -> complex:
@@ -468,10 +436,16 @@ def image_distance(curve: GeneralCurve, lam: complex, mu: complex) -> float:
 
 
 def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
-    """d(lambda, mu) against d(f(lambda), f(mu)) for each disc pair."""
+    """d(lambda, mu) against d(f(lambda), f(mu)) for each disc pair.
+
+    Raises ValueError unless every source point lies in the open unit disc.
+    """
     rows = []
     ratios = []
     for lam, mu in pairs:
+        for z in (lam, mu):
+            if not abs(z) < 1.0:
+                raise ValueError(f"source point {z!r} lies outside the open unit disc")
         d_src = pseudo_dist_scalar(lam, mu)
         d_img = image_distance(curve, lam, mu)
         rows.append((d_src, d_img))
@@ -491,5 +465,4 @@ def hs_embedding(s: float, n_terms: int = 2048) -> EmbeddedDisc:
 
 def hardy_embedding() -> EmbeddedDisc:
     """The coordinate embedding z -> (z): the identity curve into the ball."""
-    disc = EmbeddedDisc([1.0], "open", gram=lambda t: complex(t), boundary_c1=True)
-    return disc
+    return EmbeddedDisc([1.0], "open", gram=lambda t: complex(t), boundary_c1=True)

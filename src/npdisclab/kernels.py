@@ -170,6 +170,8 @@ def _hs_generating(s: float, t: complex) -> complex:
 
 def hardy(n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     """Szego kernel: c = (1, 0, 0, ...), a_n = 1."""
+    if n_terms < 1:
+        raise ValueError(f"hardy needs at least one term, got N={n_terms}")
     c = np.zeros(n_terms)
     c[0] = 1.0
     return KernelHandle(

@@ -88,7 +88,7 @@ class PickProblem:
             raise PickProblemError("node and target counts differ")
         if len(self.nodes) > 2000:
             raise PickProblemError("problem size capped at 2000 nodes")
-        if np.any(np.abs(self.targets) >= 1.0):
+        if not np.all(np.abs(self.targets) < 1.0):  # also refuses nan
             raise PickProblemError("all targets must lie in the open disc")
         for p in self.nodes:
             if not p.is_interior:
@@ -172,11 +172,14 @@ def psd_check(m: np.ndarray) -> PsdVerdict:
     Positive-definite above +PSD_TOL * scale, indefinite below
     -PSD_TOL * scale, the boundary band in between; scale is the largest
     entry magnitude so kernel matrices with enormous boundary entries are
-    judged relatively.
+    judged relatively.  A matrix with a nan or infinite entry raises
+    ValueError: it has no spectrum to judge.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     scale = float(np.abs(m).max())
     asym = float(np.abs(m - m.conj().T).max())
     if asym > 1e-13 * max(scale, 1e-300):
@@ -410,12 +413,13 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
 
     Nodes f(1-x) and f(-1+sx) on the two-ball kernel, targets (1-x)/C and
     (-1+sx)/C.  A valid norm-C inverse multiplier would force det >= 0 and
-    lhs <= rhs; both fail for every C > 1 once x is small.
+    lhs <= rhs; both fail for every C > 1 once x is small.  Raises
+    ValueError unless C is finite and lhs and rhs stay finite.
     """
     if not 0.0 < x < 0.1:
         raise ValueError("x must lie in (0, 0.1)")
-    if big_c <= 1.0:
-        raise ValueError("candidate multiplier norm must exceed 1")
+    if not 1.0 < big_c < math.inf:
+        raise ValueError("candidate multiplier norm must be finite and exceed 1")
     curve = crossing_map(r)
     s = crossing_scalar(curve)
     z1, z2 = 1.0 - x, -1.0 + s * x
@@ -426,7 +430,12 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
     k11, k22, k12 = 1.0 / om1, 1.0 / om2, 1.0 / om12
     det = (1.0 - t1 * t1) * (1.0 - t2 * t2) * k11 * k22 - (1.0 - t1 * t2) ** 2 * k12**2
     csq = big_c * big_c
-    lhs = (csq + (1.0 - x) * (1.0 - s * x)) ** 2 * om1 * om2
-    rhs = (csq - (1.0 - x) ** 2) * (csq - (1.0 - s * x) ** 2) * om12**2
+    try:
+        lhs = (csq + (1.0 - x) * (1.0 - s * x)) ** 2 * om1 * om2
+        rhs = (csq - (1.0 - x) ** 2) * (csq - (1.0 - s * x) ** 2) * om12**2
+    except OverflowError:
+        lhs = rhs = math.inf
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"C={big_c!r} is too large: lhs and rhs overflow")
     kernel_ratio = om1 * om2 / om12**2
     return CrossingObstruction(det, lhs, rhs, kernel_ratio, s)

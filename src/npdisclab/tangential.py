@@ -189,7 +189,7 @@ class TangentialEmbedding(GeneralCurve):
         coeffs[0] = spec[0].real
         self._h_coeffs = coeffs
         self.f2_boundary = np.exp(u1 + 1j * self.u1_tilde)
-        super().__init__(self._eval_point, label=f"tangential(m={m}, r={chain.clip:g})")
+        self.label = f"tangential(m={m}, r={chain.clip:g})"
 
     def h(self, z: complex) -> complex:
         """Truncated analytic completion of u_1 at |z| <= 1."""
@@ -202,7 +202,8 @@ class TangentialEmbedding(GeneralCurve):
     def f1(self, z: complex) -> complex:
         return complex(self.chain.eval(complex(z), "clipped"))
 
-    def _eval_point(self, z: complex) -> BallPoint:
+    def eval(self, z: complex) -> BallPoint:
+        z = complex(z)
         if z == 1.0:
             return BallPoint([1.0, 0.0])
         return BallPoint([self.f1(z), self.f2(z)])

@@ -222,7 +222,7 @@ def test_criterion_12_tangential_embedding(fine_embedding):
 
 def test_criterion_13_power_weight_tangency_exponents():
     for s in (-0.25, -0.5, -0.75):
-        curve = hs_embedding(s, 512).as_curve()
+        curve = hs_embedding(s, 512)
         xs, r1 = [], []
         for j in range(6, 17):
             x = 1.0 - 2.0**-j
@@ -241,8 +241,8 @@ def test_criterion_14_schwarz_pick_contraction(fine_embedding):
 
     curves = [
         crossing_map(0.5),
-        hs_embedding(-0.5, 512).as_curve(),
-        hs_embedding(-2.0, 512).as_curve(),
+        hs_embedding(-0.5, 512),
+        hs_embedding(-2.0, 512),
     ]
     checked = 0
     for curve in curves:

@@ -151,6 +151,34 @@ class TestExitCodes:
             f"the exponents j with x = 1 - 2^-j in (0, 1)\n"
         )
 
+    @pytest.mark.parametrize("args", [
+        # pinch pairs with a source point on or outside the unit circle
+        ["distortion", "xs=0"],
+        ["distortion", "xs=1e-300"],
+        ["distortion", "xs=1"],
+        ["distortion", "xs=-0.1"],
+        ["distortion", "xs=0.7"],
+        # a nan target is not in the open disc, so no verdict is printed
+        ["pick-check", "nodes=0;0.5", "targets=0;nan"],
+        # C must be finite, and lhs and rhs must not overflow
+        ["crossing", "C=nan"],
+        ["crossing", "C=inf"],
+        ["crossing", "C=1e200"],
+        ["crossing", "C=1e150"],
+        # a hardy kernel with no terms
+        ["classify", "N=0"],
+        ["compare", "family=hardy", "family2=hs:-0.5", "N=0"],
+        ["pick-check", "nodes=0;0.5", "targets=0;0.25", "N=0"],
+    ], ids=lambda args: " ".join(args))
+    def test_unusable_input_is_one_error_line(self, args):
+        # a fresh process, so a traceback or numpy warning would show on stderr
+        proc = run_cli([*args, "--reproducible"])
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_drifting_inversion_is_bad_parameter(self, capsys):
         # the Newton reciprocal of (n+1)^40 overflows to nan
         assert main(["classify", "family=hs:40", "N=16384"]) == EXIT_BAD_PARAMETER

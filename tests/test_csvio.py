@@ -110,3 +110,10 @@ def test_ragged_rows_raise(rows):
 def test_empty_header_raises():
     with pytest.raises(ValueError, match="at least one column"):
         written([], [], [[], []])
+
+
+@pytest.mark.parametrize("text", ["1e5", "Infinity", " 7", "-0"])
+def test_text_cells_are_written_verbatim(text):
+    # text that would parse as a float is still text, not the float's repr
+    assert format_cell(text) == text
+    assert written([], ["family"], [[text]]) == f"family\n{text}\n"

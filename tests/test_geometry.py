@@ -11,7 +11,6 @@ from npdisclab.geometry import (
     EmbeddedDisc,
     crossing_map,
     crossing_scalar,
-    disc_embed_eval,
     distortion_profile,
     hardy_embedding,
     hs_embedding,
@@ -119,16 +118,16 @@ class TestMobius:
 class TestEmbeddedDisc:
     def test_eval_at_zero(self):
         e = hs_embedding(-0.5, 128)
-        v = disc_embed_eval(e, 0.0)
-        assert np.allclose(v.point.coords, 0.0)
-        assert v.deriv[0] == e.amplitudes[0]
-        assert np.allclose(v.deriv[1:], 0.0)
+        point, deriv = e.eval(0.0), e.deriv(0.0)
+        assert np.allclose(point.coords, 0.0)
+        assert deriv[0] == e.amplitudes[0]
+        assert np.allclose(deriv[1:], 0.0)
 
     def test_hardy_embedding_is_identity(self):
         e = hardy_embedding()
-        v = disc_embed_eval(e, 0.5)
-        assert v.point.coords[0] == 0.5
-        assert v.point.norm == pytest.approx(0.5)
+        point = e.eval(0.5)
+        assert point.coords[0] == 0.5
+        assert point.norm == pytest.approx(0.5)
 
     def test_compact_embedding_boundary_norm(self):
         from npdisclab import kernels
@@ -136,12 +135,17 @@ class TestEmbeddedDisc:
         k = kernels.hs(-2.0, 2048)
         e = EmbeddedDisc.from_kernel_handle(k)
         assert e.regime == "compact"
-        v = disc_embed_eval(e, 1.0, want_deriv=False)
+        point = e.eval(1.0)
         # the exact generating value includes the full tail; the truncated
         # moduli mass sits just below it
         mass = k.moduli.values.sum()
-        assert mass <= v.point.norm**2 <= mass + 0.01
-        assert v.point.norm < 1.0
+        assert mass <= point.norm**2 <= mass + 0.01
+        assert point.norm < 1.0
+
+    def test_eval_outside_closed_disc_refused(self):
+        e = hardy_embedding()
+        with pytest.raises(ValueError, match="outside the closed disc"):
+            e.eval(1.5)
 
     def test_open_embedding_boundary_derivative_refused(self):
         e = hs_embedding(-0.5, 256)
@@ -181,41 +185,42 @@ class TestCrossing:
             )
 
     def test_hardy_boundary_pairing_is_one(self):
-        curve = hardy_embedding().as_curve()
+        curve = hardy_embedding()
         for t in (0.0, 1.0, 2.5):
             assert transversality_pairing(curve, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_difference_matches_closed_form(self):
         c = crossing_map(0.4)
-        numeric = geo.GeneralCurve(c.eval)  # no analytic derivative supplied
         z = 0.3 + 0.2j
-        np.testing.assert_allclose(numeric.deriv(z), c.deriv(z), rtol=1e-8)
+        # the base-class central differences against the closed-form override
+        numeric = geo.GeneralCurve.deriv(c, z)
+        np.testing.assert_allclose(numeric, c.deriv(z), rtol=1e-8)
 
 
 class TestTangentialRatios:
     def test_hardy_ratio1_is_one(self):
-        curve = hardy_embedding().as_curve()
+        curve = hardy_embedding()
         for x in (0.3, 0.9, 0.99):
             r1, r2 = tangential_ratio(curve, x)
             assert r1 == pytest.approx(1.0, abs=1e-12)
             assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_hs_ratio1_decay_exponent(self):
-        curve = hs_embedding(-0.5, 512).as_curve()
+        curve = hs_embedding(-0.5, 512)
         xs = [1.0 - 2.0**-j for j in range(4, 9)]
         vals = [tangential_ratio(curve, x)[0] for x in xs]
         slope = np.polyfit(np.log([1 - x for x in xs]), np.log(vals), 1)[0]
         assert slope == pytest.approx(0.25, abs=0.08)
 
     def test_hs_ratio2_grows_unbounded(self):
-        curve = hs_embedding(-0.5, 512).as_curve()
+        curve = hs_embedding(-0.5, 512)
         r2 = [tangential_ratio(curve, 1.0 - 2.0**-j)[1] for j in range(3, 8)]
         assert all(b > a for a, b in zip(r2, r2[1:]))
 
 
 class TestDistortion:
     def test_identity_profile(self):
-        ident = hardy_embedding().as_curve()
+        ident = hardy_embedding()
         rng = np.random.default_rng(np.random.Philox(36))
         raw = rng.uniform(-1, 1, (20, 2)) + 1j * rng.uniform(-1, 1, (20, 2))
         pairs = [(z1, z2) for z1, z2 in 0.8 * raw / math.sqrt(2.0)]
@@ -238,8 +243,8 @@ class TestDistortion:
         rng = np.random.default_rng(np.random.Philox(37))
         curves = [
             crossing_map(0.5),
-            hs_embedding(-0.5, 512).as_curve(),
-            hs_embedding(-2.0, 512).as_curve(),
+            hs_embedding(-0.5, 512),
+            hs_embedding(-2.0, 512),
         ]
         for curve in curves:
             for _ in range(300):
@@ -255,7 +260,7 @@ class TestScalarSchwarzPickBound:
     def test_boundary_pairing_lower_bound(self):
         # for g(z) = <f(z), f(1)>: (1-|g(z)|)/(1-|z|) >= (1-|g(0)|)/(1+|g(0)|)
         rng = np.random.default_rng(np.random.Philox(38))
-        curves = [crossing_map(0.5), hs_embedding(-0.5, 512).as_curve()]
+        curves = [crossing_map(0.5), hs_embedding(-0.5, 512)]
         for curve in curves:
             g0 = abs(curve.inner(0.0, 1.0))
             bound = (1.0 - g0) / (1.0 + g0)

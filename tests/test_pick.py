@@ -238,6 +238,12 @@ class TestPsdCheck:
         with pytest.raises(ValueError):
             psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # a nan entry must not read as the semidefinite band
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_check(np.array([[1.0, 0.0], [0.0, bad]]))
+
     def test_large_matrix_verdicts(self):
         rng = np.random.default_rng(np.random.Philox(42))
         b = rng.normal(size=(250, 250))
