@@ -165,14 +165,16 @@ def _run_distortion(p):
     from .geometry import crossing_map, crossing_scalar, distortion_profile, hs_embedding
 
     tag = p["map"]
-    if tag.startswith("crossing:"):
-        curve = crossing_map(float(tag[9:]))
-    elif tag.startswith("hs:"):
-        curve = hs_embedding(float(tag[3:]), p["N"])
-    else:
+    name, colon, number = tag.partition(":")
+    if not colon or name not in ("crossing", "hs"):
         raise ParameterError(f"unknown map tag {tag!r} (crossing:<r> or hs:<s>)")
+    try:
+        number = float(number)
+    except ValueError:
+        raise ParameterError(f"bad map tag {tag!r} (expected {name}:<number>)") from None
+    curve = crossing_map(number) if name == "crossing" else hs_embedding(number, p["N"])
     if p["xs"]:
-        if not tag.startswith("crossing:"):
+        if name != "crossing":
             raise ParameterError("pinch pairs need a crossing map")
         s = crossing_scalar(curve)
         pairs = [(1.0 - x, -1.0 + s * x) for x in p["xs"]]
@@ -188,8 +190,10 @@ def _run_distortion(p):
 
 
 def _run_carleson(p):
-    from .sequences import carleson_ratio, named_sequence
+    from .sequences import CARLESON_P_MAX, carleson_ratio, named_sequence
 
+    if not 1 <= p["p_max"] <= CARLESON_P_MAX:
+        raise ParameterError(f"p_max must lie in 1..{CARLESON_P_MAX}, got {p['p_max']}")
     seq = named_sequence(p["tag"], p["n"])
     rows = [[q, carleson_ratio(seq, q)] for q in range(1, p["p_max"] + 1)]
     return ["p", "carleson_ratio"], rows

@@ -275,10 +275,13 @@ def parse_family(tag: str, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     """
     if tag == "hardy":
         return hardy(n_terms)
-    if tag.startswith("hs:"):
-        return hs(float(tag[3:]), n_terms)
-    if tag.startswith("geom:"):
-        return geometric(float(tag[5:]), n_terms)
+    name, colon, number = tag.partition(":")
+    if colon and name in ("hs", "geom"):
+        try:
+            number = float(number)
+        except ValueError:
+            raise ValueError(f"bad kernel tag {tag!r} (expected {name}:<number>)") from None
+        return hs(number, n_terms) if name == "hs" else geometric(number, n_terms)
     if tag.startswith("custom:"):
         return _load_custom(tag[7:], n_terms)
     raise ValueError(f"unknown kernel family tag {tag!r}")
@@ -343,6 +346,8 @@ class ComparabilityReport:
 
 def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
     n = min(a.n, a2.n)
+    if n < 2:
+        raise ValueError(f"comparing weights needs N >= 2, got N={n}")
     r = a.padded(n) / a2.padded(n)
     tail = r[-max(n // 4, 2):]
     drift = float((tail.max() - tail.min()) / tail.max())

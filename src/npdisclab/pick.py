@@ -84,6 +84,8 @@ class PickProblem:
         self.nodes = [_as_ball_point(z) for z in nodes]
         self.targets = np.atleast_1d(np.asarray(targets, dtype=complex))
         self.kernel = kernel
+        if not self.nodes:
+            raise PickProblemError("nodes is empty: a Pick problem needs at least one node")
         if len(self.nodes) != self.targets.size:
             raise PickProblemError("node and target counts differ")
         if len(self.nodes) > 2000:

@@ -218,6 +218,10 @@ def is_separated(s: DiscSequence) -> tuple[bool, float]:
     return inf_gap > SEPARATION_THRESHOLD, inf_gap
 
 
+#: largest box exponent: 2^p overflows a double beyond it
+CARLESON_P_MAX = 1023
+
+
 def carleson_ratio(s: DiscSequence, p: int) -> float:
     """Box mass ratio 2^p sum_{v in S_p} (1 - |v|).
 
@@ -226,8 +230,8 @@ def carleson_ratio(s: DiscSequence, p: int) -> float:
     comparisons on the stored gaps and angles; only this dyadic-aligned box
     family is implemented.
     """
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p <= CARLESON_P_MAX:
+        raise ValueError(f"p must lie in 1..{CARLESON_P_MAX}")
     side = 2.0**-p
     mask = (s.gaps <= side) & (s.angles >= 0.0) & (s.angles < side)
     return float(2.0**p * s.gaps[mask].sum())

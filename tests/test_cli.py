@@ -179,6 +179,26 @@ class TestExitCodes:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    @pytest.mark.parametrize("args, names", [
+        (["pick-check", "nodes=", "targets="], "nodes"),
+        (["compare", "family=hardy", "family2=hs:-0.5", "N=1"], "N=1"),
+        (["carleson", "p_max=0"], "p_max"),
+        (["carleson", "p_max=1024"], "p_max"),
+        (["classify", "family=hs:"], "kernel tag 'hs:'"),
+        (["classify", "family=geom:x"], "kernel tag 'geom:x'"),
+        (["distortion", "map=hs:"], "map tag 'hs:'"),
+        (["distortion", "map=crossing:"], "map tag 'crossing:'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_error_line_names_the_parameter(self, args, names):
+        # empty or degenerate inputs used to reach a numpy reduction, an
+        # overflow or float() and print their text instead
+        proc = run_cli([*args, "--reproducible"])
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and names in err[0]
+
     def test_drifting_inversion_is_bad_parameter(self, capsys):
         # the Newton reciprocal of (n+1)^40 overflows to nan
         assert main(["classify", "family=hs:40", "N=16384"]) == EXIT_BAD_PARAMETER

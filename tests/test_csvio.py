@@ -15,6 +15,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from npdisclab import csvio  # noqa: E402
 from npdisclab.csvio import BLOCK_ROWS, format_cell, write_rows  # noqa: E402
 
 B = BLOCK_ROWS
@@ -117,3 +118,70 @@ def test_text_cells_are_written_verbatim(text):
     # text that would parse as a float is still text, not the float's repr
     assert format_cell(text) == text
     assert written([], ["family"], [[text]]) == f"family\n{text}\n"
+
+
+# -- the float kernel against repr ------------------------------------------------
+
+
+def written_lines(values):
+    """The data lines ``write_rows`` gives a one-column float array."""
+    return written([], ["x"], np.asarray(values, dtype=float)[:, None]).splitlines()[1:]
+
+
+def mismatches(values):
+    values = np.asarray(values, dtype=float)
+    want = list(map(repr, values.tolist()))
+    got = written_lines(values)
+    assert len(got) == len(want)
+    return [(w, g) for w, g in zip(want, got) if w != g][:5]
+
+
+def edge_values():
+    """Powers of two and ten with their neighbours, small integers, the
+    fixed/scientific switch points, subnormals and non-finite values, both signs."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             np.array([float(f"1e{e}") for e in range(-323, 309)])])
+    neighbours = [np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]
+    switches = [1e16, 9999999999999998.0, 1e-4, 1e-5, np.nextafter(1e-4, 0.0),
+                np.nextafter(1e16, 0.0), 5e-324, 1e-310, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 0.0, np.inf, np.nan, 1.7976931348623157e308]
+    values = np.concatenate([powers, *neighbours, np.arange(-5000.0, 5001.0), switches])
+    return np.concatenate([values, -values])
+
+
+def test_kernel_is_repr_on_edge_values():
+    assert mismatches(edge_values()) == []
+
+
+def test_kernel_is_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(20240601).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert mismatches(bits.view(np.float64)) == []
+
+
+def test_kernel_is_repr_on_random_uniform_values():
+    # the recipes' values: every decimal exponent between 1e-12 and 1e12, both signs
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-1.0, 1.0, 50_000) * 10.0 ** rng.integers(-12, 13, 50_000)
+    assert mismatches(values) == []
+
+
+def test_array_and_its_rows_write_the_same_text():
+    # float cells of row lists and of a 2-D array take the same kernel, across block edges
+    bits = np.random.default_rng(3).integers(0, 2**64, (2 * B + 3, 3), dtype=np.uint64)
+    table = bits.view(np.float64)
+    columns = ["a", "b", "c"]
+    assert written([], columns, table) == written([], columns, table.tolist())
+
+
+def test_float_cells_of_mixed_columns_take_the_kernel(monkeypatch):
+    # a float next to text in one column is still formatted by the kernel
+    calls = []
+    original = csvio.float_fields
+    monkeypatch.setattr(csvio, "float_fields", lambda v: calls.append(len(v)) or original(v))
+    assert written([], ["c"], [[0.1], ["x"], [2.5e-7], [3]]) == "c\n0.1\nx\n2.5e-07\n3\n"
+    assert calls == [2]
+
+
+def test_text_with_nul_raises():
+    with pytest.raises(ValueError, match="NUL"):
+        written([], ["family"], [["a\0b"]])
