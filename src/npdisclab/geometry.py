@@ -14,11 +14,13 @@ coordinates once and forms 1 - <z_i, z_j> over broadcast index arrays,
 through the exact gap algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both
 points are radial and real, so pairs far below double-precision resolution
 stay cancellation-free.  The Pick layer, :func:`one_minus_inner` and
-:func:`radial_gap_dist` read it; disc-sequence distances come from the
-points or from :func:`radial_log_gap_dist` on the log-gaps instead.
+:func:`radial_gap_dist` read it; disc-sequence distances come from
+:func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist` instead.
 
 Every curve into the ball is a :class:`GeneralCurve` subclass:
 :class:`EmbeddedDisc`, :class:`CrossingCurve` and the tangential embedding.
+Curve inner products, disc and image distances and the tangency ratios
+broadcast over arrays; the distortion profile is one array pass.
 """
 
 from __future__ import annotations
@@ -126,12 +128,6 @@ class PointTable:
         return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
-def ball_inner(p: BallPoint, q: BallPoint) -> complex:
-    """<p, q> = sum p_i conj(q_i), shorter vector zero-padded."""
-    a, b = PointTable([p, q]).coords
-    return complex(np.dot(a, np.conj(b)))
-
-
 def one_minus_inner(p: BallPoint, q: BallPoint) -> complex:
     """1 - <p, q>: the two-point call of :meth:`PointTable.one_minus_inner`."""
     return complex(PointTable([p, q]).one_minus_inner(0, 1))
@@ -164,10 +160,10 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     return math.sqrt(min(max(dsq, 0.0), 1.0))
 
 
-def pseudo_dist_scalar(z: complex, w: complex) -> float:
-    """|z - w| / |1 - z conj(w)| for scalar disc points."""
-    z, w = complex(z), complex(w)
-    return abs(z - w) / abs(1.0 - z * np.conj(w))
+def pseudo_dist_scalar(z, w):
+    """|z - w| / |1 - z conj(w)| for disc points, broadcast; 0 where they coincide."""
+    num = np.abs(np.subtract(z, w))
+    return num / np.where(num == 0.0, 1.0, np.abs(1.0 - np.multiply(z, np.conj(w))))
 
 
 def radial_gap_dist(gap_a: float, gap_b: float) -> float:
@@ -237,8 +233,9 @@ class GeneralCurve:
 
         return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
-    def inner(self, z1: complex, z2: complex) -> complex:
-        return ball_inner(self.eval(z1), self.eval(z2))
+    def inner(self, z1, z2):
+        return np.vectorize(lambda a, b: np.dot(self.eval(a).coords, np.conj(self.eval(b).coords)),
+                            otypes=[complex])(z1, z2)[()]
 
 
 class EmbeddedDisc(GeneralCurve):
@@ -290,13 +287,13 @@ class EmbeddedDisc(GeneralCurve):
     def n(self) -> int:
         return self.amplitudes.size
 
-    def inner(self, z1: complex, z2: complex) -> complex:
+    def inner(self, z1, z2):
         """<f(z1), f(z2)> = g(z1 conj(z2))."""
-        t = complex(z1) * np.conj(complex(z2))
+        t = np.multiply(z1, np.conj(z2))
         if self.gram is not None:
-            return complex(self.gram(t))
-        c = np.abs(self.amplitudes) ** 2
-        return complex(np.dot(c, t ** np.arange(1, self.n + 1)))
+            return self.gram(t)
+        from .series import power_sum  # here only, so crossing and tangential runs skip series
+        return (t * power_sum(np.abs(self.amplitudes) ** 2, t))[()]
 
     def eval(self, z: complex) -> BallPoint:
         z = complex(z)
@@ -342,10 +339,9 @@ class CrossingCurve(GeneralCurve):
         bp = (1.0 - r * r) / (1.0 - r * z) ** 2
         return np.array([2.0 * z, 2.0 * self.b(z) * bp]) / math.sqrt(2.0)
 
-    def inner(self, z1: complex, z2: complex) -> complex:
-        z1, z2 = complex(z1), complex(z2)
+    def inner(self, z1, z2):
         w2 = np.conj(z2)
-        return complex((z1 * z1 * w2 * w2 + self.b(z1) ** 2 * np.conj(self.b(z2)) ** 2) / 2.0)
+        return (z1 * z1 * w2 * w2 + self.b(z1) ** 2 * np.conj(self.b(z2)) ** 2) / 2.0
 
 
 def crossing_map(r: float) -> CrossingCurve:
@@ -356,10 +352,7 @@ def crossing_map(r: float) -> CrossingCurve:
 def boundary_pairing(curve: GeneralCurve, t: float) -> complex:
     """<f(z), f'(z) z> at the boundary point z = e^{it}."""
     z = complex(np.exp(1j * t))
-    p = curve.eval(z).coords
-    d = curve.deriv(z)
-    m = min(p.size, d.size)
-    return complex(np.dot(p[:m], np.conj(d[:m] * z)))
+    return complex(np.dot(curve.eval(z).coords, np.conj(curve.deriv(z) * z)))
 
 
 def transversality_pairing(curve: GeneralCurve, t: float) -> float:
@@ -387,7 +380,7 @@ def crossing_scalar(curve: GeneralCurve) -> float:
     return pair_pos / (-pair_neg)
 
 
-def tangential_ratio(curve: GeneralCurve, x: float, t: float = 0.0) -> tuple[float, float]:
+def tangential_ratio(curve: GeneralCurve, x, t=0.0):
     """The two boundary-approach ratios along the ray x e^{it}, x in (0, 1).
 
     ratio1 = (1 - ||f(x e^{it})||) / ||f(e^{it}) - f(x e^{it})|| in (0, 1];
@@ -396,18 +389,18 @@ def tangential_ratio(curve: GeneralCurve, x: float, t: float = 0.0) -> tuple[flo
     The two formulations are inequivalent in general and are never merged;
     both are reported.
     """
-    if not 0.0 < x < 1.0:
+    if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("x must lie strictly between 0 and 1")
-    e = complex(np.exp(1j * t))
+    e = np.exp(1j * t)
     xe = x * e
     ip_bb = curve.inner(e, e)
     ip_xx = curve.inner(xe, xe)
     ip_xb = curve.inner(xe, e)
     nx_sq = ip_xx.real
     # 1 - sqrt(q) = (1 - q)/(1 + sqrt(q)) avoids cancellation near the sphere
-    num = (1.0 - nx_sq) / (1.0 + math.sqrt(max(nx_sq, 0.0)))
+    num = (1.0 - nx_sq) / (1.0 + np.sqrt(np.maximum(nx_sq, 0.0)))
     diff_sq = (ip_bb - 2.0 * ip_xb.real + ip_xx).real
-    ratio1 = num / math.sqrt(max(diff_sq, 0.0))
+    ratio1 = num / np.sqrt(np.maximum(diff_sq, 0.0))
     ratio2 = (ip_bb - ip_xb).real / (1.0 - x)
     return ratio1, ratio2
 
@@ -416,12 +409,12 @@ def tangential_ratio(curve: GeneralCurve, x: float, t: float = 0.0) -> tuple[flo
 class DistortionProfile:
     """Pseudohyperbolic distances before and after a disc-to-ball map."""
 
-    rows: list[tuple[float, float]]  # (d_source, d_image) per pair
+    rows: np.ndarray  # (pairs, 2): d_source, d_image per pair
     ratio_min: float
     ratio_max: float
 
 
-def image_distance(curve: GeneralCurve, lam: complex, mu: complex) -> float:
+def image_distance(curve: GeneralCurve, lam, mu):
     """d(f(lambda), f(mu)) through the curve's inner products.
 
     Same cancellation-free rearrangement as :func:`pseudo_dist`, expressed
@@ -430,9 +423,9 @@ def image_distance(curve: GeneralCurve, lam: complex, mu: complex) -> float:
     ipll = curve.inner(lam, lam).real
     ipmm = curve.inner(mu, mu).real
     iplm = curve.inner(lam, mu)
-    num = ipll + ipmm - 2.0 * iplm.real + abs(iplm) ** 2 - ipll * ipmm
-    den = abs(1.0 - iplm) ** 2
-    return math.sqrt(min(max(num / den, 0.0), 1.0))
+    num = ipll + ipmm - 2.0 * iplm.real + np.abs(iplm) ** 2 - ipll * ipmm
+    den = np.abs(1.0 - iplm) ** 2
+    return np.sqrt(np.clip(num / den, 0.0, 1.0))
 
 
 def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
@@ -440,20 +433,15 @@ def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
 
     Raises ValueError unless every source point lies in the open unit disc.
     """
-    rows = []
-    ratios = []
-    for lam, mu in pairs:
-        for z in (lam, mu):
-            if not abs(z) < 1.0:
-                raise ValueError(f"source point {z!r} lies outside the open unit disc")
-        d_src = pseudo_dist_scalar(lam, mu)
-        d_img = image_distance(curve, lam, mu)
-        rows.append((d_src, d_img))
-        if d_src > 0.0:
-            ratios.append(d_img / d_src)
-    if not ratios:
+    pts = np.asarray(pairs, dtype=complex).reshape(-1, 2)
+    outside = pts[~(np.abs(pts) < 1.0)]  # row-major: pair order
+    if outside.size:
+        raise ValueError(f"source point {complex(outside[0])!r} lies outside the open unit disc")
+    d_src, d_img = pseudo_dist_scalar(*pts.T), image_distance(curve, *pts.T)
+    ratios = d_img[d_src > 0.0] / d_src[d_src > 0.0]
+    if not ratios.size:
         raise ValueError("no pair with distinct source points")
-    return DistortionProfile(rows, min(ratios), max(ratios))
+    return DistortionProfile(np.column_stack([d_src, d_img]), ratios.min(), ratios.max())
 
 
 def hs_embedding(s: float, n_terms: int = 2048) -> EmbeddedDisc:
@@ -465,4 +453,4 @@ def hs_embedding(s: float, n_terms: int = 2048) -> EmbeddedDisc:
 
 def hardy_embedding() -> EmbeddedDisc:
     """The coordinate embedding z -> (z): the identity curve into the ball."""
-    return EmbeddedDisc([1.0], "open", gram=lambda t: complex(t), boundary_c1=True)
+    return EmbeddedDisc([1.0], "open", boundary_c1=True)

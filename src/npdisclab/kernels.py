@@ -26,6 +26,7 @@ from .series import (
     _FFT_N,
     fft_convolve,
     moduli_from_weights,
+    power_sum,
     settled,
     weights_from_moduli,
 )
@@ -38,6 +39,8 @@ COMPARABLE_DRIFT = 0.05
 #: first and largest chunk of terms summed by :func:`_hs_generating`
 _HS_CHUNK_MIN = 256
 _HS_CHUNK_MAX = 65536
+#: most terms :func:`_hs_generating` holds in one temporary array
+_HS_BLOCK = 32768
 #: :func:`_hs_generating` stops after about this many terms
 _HS_TERM_CAP = 5e7
 
@@ -89,18 +92,22 @@ class KernelHandle:
 
     # -- pointwise evaluation ----------------------------------------------
 
-    def generating_value(self, t: complex) -> complex:
-        """g(t) = sum c_n t^n, by family closed form where one exists."""
+    def generating_value(self, t: complex | np.ndarray) -> complex | np.ndarray:
+        """g(t) = sum c_n t^n, by family closed form where one exists.
+
+        A scalar ``t`` runs as a one-element array, so it gets an array element's bits.
+        """
+        t = np.asarray(t, dtype=complex)
+        flat = t.reshape(-1)
         if self.family_tag == "hardy":
-            return complex(t)
-        if self._q is not None:
-            return self._q * t / (1.0 - self._q * t)
-        if self._s is not None:
-            if t == 1.0 and self._s >= -1.0:
-                return 1.0
-            return 1.0 - 1.0 / _hs_generating(self._s, t)
-        cv = self.moduli.values
-        return complex(np.dot(cv, np.asarray(t, dtype=complex) ** np.arange(1, cv.size + 1)))
+            g = flat
+        elif self._q is not None:
+            g = self._q * flat / (1.0 - self._q * flat)
+        elif self._s is not None:
+            g = 1.0 - 1.0 / _hs_generating(self._s, flat)  # A_s = inf gives 1
+        else:
+            g = flat * power_sum(self.moduli.values, flat)
+        return g.reshape(t.shape) if t.ndim else complex(g[0])
 
     def kernel_from_defect(self, omt: complex | np.ndarray) -> complex | np.ndarray:
         """K expressed through 1 - t, the kernel-entry call of every family.
@@ -118,49 +125,42 @@ class KernelHandle:
         return self.kernel_value(1.0 - omt)
 
     def kernel_value(self, t: complex | np.ndarray) -> complex | np.ndarray:
-        """Truncated K = sum a_n t^n by Horner on the weights, in place.
-
-        ``t`` may be a scalar (returns a Python complex) or an array of any
-        shape (returns an array of that shape, complex or real like ``t``).
-        """
-        t = np.asarray(t)
-        av = self.weights.values
-        acc = np.full(t.shape, av[-1], dtype=np.result_type(t, av))
-        for a in av[-2::-1]:
-            acc *= t
-            acc += a
+        """Truncated K = sum a_n t^n: :func:`~npdisclab.series.power_sum` on the weights."""
+        acc = power_sum(self.weights.values, t)
         return acc if acc.ndim else complex(acc)
 
 
-def _hs_generating(s: float, t: complex) -> complex:
+def _hs_generating(s: float, t) -> np.ndarray:
     """A_s(t) = sum (n+1)^s t^n by partial sums over doubling chunks, |t| <= 1.
 
-    Chunks start at ``_HS_CHUNK_MIN`` terms and double up to
-    ``_HS_CHUNK_MAX``; the sum stops once the last term times the chunk
-    length falls below 1e-17 of the running total.  For |t| < 1 the error
+    Over a 1-d array of t (a scalar is one element), ``_HS_BLOCK`` terms
+    at a time.  Chunks start at ``_HS_CHUNK_MIN`` terms and double up to
+    ``_HS_CHUNK_MAX``; each sum stops once its last term times the chunk
+    length falls below 1e-17 of its running total.  For |t| < 1 the error
     is then at most 1e-14 * A_s(|t|), an absolute bound scaled by the sum
     of the term magnitudes: close to the circle it is set by cancellation
     between terms, not by truncation.  For |t| = 1 the sum is only taken
-    when s < -1 (absolutely summable), and it is truncated silently after
-    ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).
+    when s < -1 (absolutely summable; A_s(1) = inf for s >= -1), and it is
+    truncated silently after ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).
     """
-    t = complex(t)
-    if abs(t) > 1.0 + 1e-12:
+    t = np.atleast_1d(np.asarray(t, dtype=complex))
+    if np.any(np.abs(t) > 1.0 + 1e-12):
         raise KernelDomainError("generating function evaluated outside the closed disc")
-    if abs(t) > 1.0 - 1e-12 and s >= -1.0 and t == 1.0:
-        return math.inf
-    total = 0.0 + 0.0j
-    chunk = _HS_CHUNK_MIN
-    n0 = 0
-    while True:
+    total = np.where((t == 1.0) & (s >= -1.0), complex(math.inf), 0j)
+    live = np.flatnonzero(np.isfinite(total))
+    chunk, n0 = _HS_CHUNK_MIN, 0
+    while live.size and n0 <= _HS_TERM_CAP:
         n = np.arange(n0, n0 + chunk)
-        terms = (n + 1.0) ** s * t**n
-        total += terms.sum()
-        if abs(terms[-1]) * chunk < 1e-17 * max(abs(total), 1e-300):
-            break
+        a = (n + 1.0) ** s
+        rows, going = max(_HS_BLOCK // chunk, 1), []
+        for start in range(0, live.size, rows):
+            idx = live[start:start + rows]
+            terms = a * t[idx, None] ** n
+            total[idx] += terms.sum(axis=1)
+            going.append(np.abs(terms[:, -1]) * chunk
+                         >= 1e-17 * np.maximum(np.abs(total[idx]), 1e-300))
+        live = live[np.concatenate(going)]
         n0 += chunk
-        if n0 > _HS_TERM_CAP:
-            break
         chunk = min(2 * chunk, _HS_CHUNK_MAX)
     return total
 

@@ -31,6 +31,7 @@ records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,8 +55,15 @@ _CORNER_CAP = 512
 #: extractor target samples: uniform complex draws per sample
 _N_RANDOM_TARGETS = 256
 
-#: Drury-Arveson 1/(1 - <x, y>): the hardy closed form read from the point table
-DRURY_ARVESON = hardy(1)
+#: Drury-Arveson 1/(1 - <x, y>), the hardy closed form read from the point
+#: table: the default kernel, module attribute DRURY_ARVESON, built on first use
+_drury_arveson = functools.cache(functools.partial(hardy, 1))
+
+
+def __getattr__(name: str):
+    if name == "DRURY_ARVESON":
+        return _drury_arveson()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PickProblemError(ValueError):
@@ -76,14 +84,14 @@ class PickProblem:
     """Interpolation nodes, targets and a kernel handle.
 
     ``kernel`` is a :class:`~npdisclab.kernels.KernelHandle`, evaluated at
-    1 - <z_i, z_j>; the default :data:`DRURY_ARVESON` gives
+    1 - <z_i, z_j>; the default (None) is ``DRURY_ARVESON``, which gives
     K = 1/(1 - <x, y>) on ball points.
     """
 
-    def __init__(self, nodes, targets, kernel=DRURY_ARVESON):
+    def __init__(self, nodes, targets, kernel=None):
         self.nodes = [_as_ball_point(z) for z in nodes]
         self.targets = np.atleast_1d(np.asarray(targets, dtype=complex))
-        self.kernel = kernel
+        self.kernel = _drury_arveson() if kernel is None else kernel
         if not self.nodes:
             raise PickProblemError("nodes is empty: a Pick problem needs at least one node")
         if len(self.nodes) != self.targets.size:
@@ -126,7 +134,7 @@ def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
     return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
 
 
-def kernel_gram(nodes, kernel=DRURY_ARVESON) -> np.ndarray:
+def kernel_gram(nodes, kernel: KernelHandle) -> np.ndarray:
     """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored.
 
     1 - <z_i, z_j> comes from the point table for all upper-triangle pairs
@@ -416,7 +424,8 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
     Nodes f(1-x) and f(-1+sx) on the two-ball kernel, targets (1-x)/C and
     (-1+sx)/C.  A valid norm-C inverse multiplier would force det >= 0 and
     lhs <= rhs; both fail for every C > 1 once x is small.  Raises
-    ValueError unless C is finite and lhs and rhs stay finite.
+    ValueError unless C is finite and lhs and rhs stay finite, and when x
+    is so small that a pinch point rounds onto the unit circle.
     """
     if not 0.0 < x < 0.1:
         raise ValueError("x must lie in (0, 0.1)")
@@ -425,9 +434,12 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
     curve = crossing_map(r)
     s = crossing_scalar(curve)
     z1, z2 = 1.0 - x, -1.0 + s * x
-    om1 = 1.0 - curve.inner(z1, z1).real
-    om2 = 1.0 - curve.inner(z2, z2).real
-    om12 = 1.0 - curve.inner(z1, z2).real  # real for real arguments
+    for name, z in (("1 - x", z1), ("-1 + s x", z2)):
+        if abs(z) == 1.0:
+            raise ValueError(f"x={x!r} is too small: the pinch point {name} rounds to {z!r}, "
+                             "on the unit circle")
+    # real for real arguments
+    om1, om2, om12 = 1.0 - curve.inner(np.array([z1, z2, z1]), np.array([z1, z2, z2])).real
     t1, t2 = z1 / big_c, z2 / big_c
     k11, k22, k12 = 1.0 / om1, 1.0 / om2, 1.0 / om12
     det = (1.0 - t1 * t1) * (1.0 - t2 * t2) * k11 * k22 - (1.0 - t1 * t2) ** 2 * k12**2

@@ -74,26 +74,17 @@ class DiscSequence:
         d = self.pair_dist(i, j)
         return math.log(d) if d > 0.0 else -math.inf
 
-    def pair_dist(self, i: int, j: int) -> float:
+    def pair_dist(self, i, j):
+        """d(v_i, v_j) over broadcast indices: exact log-gaps if radial, else the points."""
         if self.is_radial_positive:
             return radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
         return pseudo_dist_scalar(self.points[i], self.points[j])
 
     @cached_property
     def distances(self) -> np.ndarray:
-        """Matrix of pseudohyperbolic distances, diagonal zero: built once, read-only.
-
-        Radial sequences take the exact log-gaps, the others the points.
-        """
-        if self.is_radial_positive:
-            lg = self.log_gaps
-            d = radial_log_gap_dist(lg[:, None], lg[None, :])
-        else:
-            z = self.points
-            num = np.abs(np.subtract.outer(z, z))
-            den = np.abs(1.0 - np.outer(z, np.conj(z)))
-            with np.errstate(invalid="ignore"):
-                d = np.where(num == 0.0, 0.0, num / den)
+        """Matrix of pseudohyperbolic distances, diagonal zero: built once, read-only."""
+        idx = np.arange(self.n)
+        d = self.pair_dist(idx[:, None], idx[None, :])
         d.flags.writeable = False
         return d
 

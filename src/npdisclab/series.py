@@ -288,6 +288,19 @@ def settled(full: float, half: float) -> bool:
     return bool(abs(full - half) <= DOUBLING_TOL * max(abs(full), 1e-300))
 
 
+def power_sum(coeffs: np.ndarray, t) -> np.ndarray:
+    """sum_k coeffs[k] t^k by Horner, in place: the one truncated power-sum evaluator.
+
+    Returns an array shaped, and complex or real, like ``t`` (0-d for a scalar).
+    """
+    t = np.asarray(t)
+    acc = np.full(t.shape, coeffs[-1], dtype=np.result_type(t, coeffs))
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+    return acc
+
+
 #: largest |z| accepted by the truncated generating-function evaluators
 EVAL_RADIUS = 0.999
 
@@ -304,11 +317,8 @@ def evaluate_generating(seq, z: complex, n_terms: int | None = None) -> complex:
         raise ValueError(f"|z| = {abs(z):.6g} exceeds the evaluation radius 0.999")
     if isinstance(seq, CoefficientSequence):
         n = _resolve_terms(seq.n, n_terms)
-        cv = seq.padded(n)
-        g = np.dot(cv, z ** np.arange(1, n + 1))
-        return 1.0 / (1.0 - g)
+        return complex(1.0 / (1.0 - z * power_sum(seq.padded(n), z)))
     if isinstance(seq, KernelWeights):
         n = _resolve_terms(seq.n, n_terms, extendable=False)
-        av = seq.padded(n)
-        return complex(np.dot(av, z ** np.arange(0, n + 1)))
+        return complex(power_sum(seq.padded(n), z))
     raise TypeError(f"expected CoefficientSequence or KernelWeights, got {type(seq)!r}")

@@ -1,6 +1,7 @@
 import math
 import os
 import resource
+import struct
 import subprocess
 import sys
 import time
@@ -42,6 +43,41 @@ GOLDEN = Path(__file__).parent / "golden"
 
 #: the only columns whose cells are text rather than numbers or booleans
 TEXT_COLUMNS = {"family", "family2", "verdict", "rule"}
+
+
+def _ulp_distance(a: float, b: float) -> int:
+    """Steps between two doubles along the ordered bit patterns (0.0 and -0.0 coincide)."""
+
+    def key(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(key(a) - key(b))
+
+
+def first_moved_cell(got: bytes, want: bytes) -> str:
+    """Where ``got`` first departs from the golden ``want``.
+
+    Names the data row (1-based), the column, both texts and their ulp
+    distance; a moved comment, header or row length is named by its line.
+    """
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    head = next((i for i, line in enumerate(want_lines) if not line.startswith("#")), 0)
+    columns = want_lines[head].split(",") if want_lines else []
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        if g == w:
+            continue
+        g_cells, w_cells = g.split(","), w.split(",")
+        if i <= head or len(g_cells) != len(w_cells):
+            return f"line {i + 1} moved: golden {w!r}, got {g!r}"
+        col, gc, wc = next(c for c in zip(columns, g_cells, w_cells) if c[1] != c[2])
+        try:
+            size = f"{_ulp_distance(float(gc), float(wc))} ulp"
+        except ValueError:
+            size = "text"
+        return (f"first moved cell: row {i - head}, column {col!r}: "
+                f"golden {wc}, got {gc} ({size})")
+    return f"golden has {len(want_lines)} lines, output {len(got_lines)}"
 
 
 def run_cli(args):
@@ -265,6 +301,16 @@ class TestExitCodes:
         assert row["mu"] == 0.0
         assert math.isnan(row["efp_agreement"])
 
+    def test_pinch_point_on_the_circle_is_bad_parameter(self, capsys):
+        # 1 - 2e-17 rounds to 1.0: the pinch point sits on the circle and
+        # the determinant's kernel entries would divide by zero
+        assert main(["crossing", "x=2e-17"]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip().splitlines() == [
+            "error: x=2e-17 is too small: the pinch point 1 - x rounds to 1.0, on the unit circle"
+        ]
+
     def test_failed_extraction_is_not_certified(self, capsys):
         # the vn_quadratic norms approach the boundary too slowly for k = 3
         assert main(["interp-extract", "tag=vn_quadratic", "n=40"]) == EXIT_NOT_CERTIFIED
@@ -314,7 +360,18 @@ class TestDeterminism:
     def test_matches_golden(self, name, tmp_path):
         out = tmp_path / "g.csv"
         assert main([name, *RECIPE_ARGS[name], "--reproducible", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+        got, want = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
+        assert got == want, first_moved_cell(got, want)
+
+    def test_first_moved_cell_names_row_column_and_ulps(self):
+        want = b"# recipe = x\nd_source,d_image\n0.5,0.25\n0.75,1.0\n"
+        got = b"# recipe = x\nd_source,d_image\n0.5,0.25\n0.75,1.0000000000000004\n"
+        assert first_moved_cell(got, want) == (
+            "first moved cell: row 2, column 'd_image': golden 1.0, got 1.0000000000000004 (2 ulp)"
+        )
+        assert first_moved_cell(b"# recipe = y\n", want) == (
+            "line 1 moved: golden '# recipe = x', got '# recipe = y'"
+        )
 
     def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
         # from stage 10 on 2^k exceeds the corner cap, so the corners are
@@ -322,7 +379,8 @@ class TestDeterminism:
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]
         assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0
-        assert out.read_bytes() == (GOLDEN / "interp-extract-k18.csv").read_bytes()
+        got, want = out.read_bytes(), (GOLDEN / "interp-extract-k18.csv").read_bytes()
+        assert got == want, first_moved_cell(got, want)
 
     def test_interp_extract_keeps_each_angle(self, tmp_path):
         # xn_alternating puts every other point on the negative axis; moved

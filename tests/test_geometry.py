@@ -14,6 +14,7 @@ from npdisclab.geometry import (
     distortion_profile,
     hardy_embedding,
     hs_embedding,
+    image_distance,
     mobius_auto,
     pseudo_dist,
     pseudo_dist_scalar,
@@ -22,6 +23,7 @@ from npdisclab.geometry import (
     tangential_ratio,
     transversality_pairing,
 )
+from npdisclab.tangential import ConformalChain, assemble_embedding
 
 
 def random_ball_point(rng, dim, rmax=0.9):
@@ -254,6 +256,48 @@ class TestDistortion:
                     continue
                 prof = distortion_profile(curve, [(lam, mu)])
                 assert prof.ratio_max <= 1.0 + 1e-10, curve.label
+
+    def test_first_outside_point_is_named(self):
+        pairs = [(0.5, 0.25j), (0.3, 1.5 + 0j), (2.0, 0.1)]
+        with pytest.raises(ValueError) as exc:
+            distortion_profile(crossing_map(0.5), pairs)
+        assert str(exc.value) == "source point (1.5+0j) lies outside the open unit disc"
+
+
+CURVES = {
+    "crossing": lambda: crossing_map(0.5),
+    "hs": lambda: hs_embedding(-0.5, 256),
+    "hardy": hardy_embedding,
+    "tangential": lambda: assemble_embedding(ConformalChain(0.75), 256),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_array_calls_match_scalar_calls(name):
+    curve = CURVES[name]()
+    rng = np.random.default_rng(np.random.Philox(40))
+
+    def disc(shape):
+        return 0.9 * np.sqrt(rng.uniform(size=shape)) * np.exp(2j * np.pi * rng.uniform(size=shape))
+
+    lam, mu = disc((3, 1)), disc((1, 4))
+    calls = {
+        "inner": curve.inner,
+        "image_distance": lambda a, b: image_distance(curve, a, b),
+        "pseudo_dist_scalar": pseudo_dist_scalar,
+    }
+    for label, f in calls.items():
+        got = f(lam, mu)
+        assert got.shape == (3, 4), label
+        for i, j in np.ndindex(3, 4):
+            want = f(complex(lam[i, 0]), complex(mu[0, j]))
+            assert isinstance(want, complex if label == "inner" else float), label
+            assert abs(got[i, j] - want) <= 1e-13 * abs(want), (label, i, j)
+    xs = np.array([0.3, 0.6, 0.9])
+    for got, k in zip(tangential_ratio(curve, xs), (0, 1)):
+        assert got.shape == xs.shape
+        want = [tangential_ratio(curve, float(x))[k] for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 class TestScalarSchwarzPickBound:

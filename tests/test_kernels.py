@@ -207,6 +207,19 @@ class TestPowerWeightGenerating:
                 got = kernels._hs_generating(s, t)
                 assert abs(got - want) <= 1e-14 * scale, f"theta={theta}"
 
+    @pytest.mark.parametrize("s", [-2.0, -0.5, 0.5])
+    def test_array_equals_scalar_calls(self, s):
+        # each element runs its own stop rule inside the shared chunk loop;
+        # t = 1 is A_s = inf (g = 1) for s >= -1 and is left out below that
+        radius = np.array([0.0, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.0 if s >= -1.0 else 0.8])
+        angle = np.array([0.0, 0.7, -2.5, 3.1, 1.2, -0.4, 2.0, 0.0])
+        t = (radius * np.exp(1j * angle)).reshape(2, 4)
+        k = kernels.hs(s, 64)
+        got = k.generating_value(t)
+        want = np.array([[k.generating_value(complex(v)) for v in row] for row in t])
+        assert got.shape == t.shape
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
 
 class TestMonomialNorms:
     def test_hardy_norms_are_one(self):
