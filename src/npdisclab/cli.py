@@ -197,17 +197,17 @@ def _run_carleson(p):
 
 
 def _run_separation(p):
-    from .sequences import blaschke_sum, garnett_targets, named_sequence, nearest_distances
+    from .sequences import blaschke_sum, garnett_targets, named_sequence
 
     seq = named_sequence(p["tag"], p["n"])
-    budgets = garnett_targets(seq)
+    if seq.n < 2:
+        raise ValueError("separation needs at least two points")
+    budgets = garnett_targets(seq)  # deltas and nearest distances in one sweep
     bl = blaschke_sum(seq)
-    gaps = nearest_distances(seq).tolist()
-    rows = [[i + 1, b.delta.value, gap, b.budget]
-            for i, (b, gap) in enumerate(zip(budgets, gaps))]
+    rows = [[i + 1, b.delta.value, b.nearest, b.budget] for i, b in enumerate(budgets)]
     cols = ["n", "delta_n", "gap_n", "budget_n"]
     comments = [f"blaschke_sum = {bl.total!r} (converged = {bl.converged})",
-                f"inf_gap = {min(gaps)!r}"]
+                f"inf_gap = {min(b.nearest for b in budgets)!r}"]
     return cols, rows, comments
 
 

@@ -16,6 +16,8 @@ points are radial and real, so pairs far below double-precision resolution
 stay cancellation-free.  The Pick layer, :func:`one_minus_inner` and
 :func:`radial_gap_dist` read it; disc-sequence distances come from
 :func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist` instead.
+Pairwise consumers of both reduce over the row slices of
+:func:`row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
 
 Every curve into the ball is a :class:`GeneralCurve` subclass:
 :class:`EmbeddedDisc`, :class:`CrossingCurve` and the tangential embedding.
@@ -33,6 +35,19 @@ import numpy as np
 #: interior points must keep this much distance from the sphere unless a gap
 #: is carried exactly
 _INTERIOR_EPS = 1e-15
+
+#: most entries one row block of a pairwise or stacked layer holds (a block
+#: always takes at least one row); pairwise layers reduce block by block, so
+#: their temporaries stay at this size whatever the point count
+BLOCK_ENTRIES = 2**14
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """Consecutive row slices covering ``range(n_rows)``, each of at most
+    ``BLOCK_ENTRIES`` entries for rows of ``row_len`` entries, at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(row_len, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 class BoundaryPointError(ValueError):

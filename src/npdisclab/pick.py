@@ -13,20 +13,23 @@ dominates the remaining expansion terms, the dominance being certified
 through Hadamard bounds; every acceptance is re-verified by explicit
 positive-definiteness checks over a target sample.
 
-Everything works on whole arrays, and every 1 - <z_i, z_j> comes from one
-owner, :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps
-the exact gap algebra for radial points.  The Gram matrix takes it for all
-node pairs in one call and evaluates the kernel on all of them in one
-``kernel_from_defect`` call: closed forms (hardy, Drury-Arveson on ball
-points, and geometric), the truncated series by Horner otherwise.  The
-coincidence check is one broadcast comparison on the point table.  Each
+Everything works on arrays, and every 1 - <z_i, z_j> comes from one owner,
+:meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps the
+exact gap algebra for radial points.  Pairwise and stacked work runs in the
+row blocks of :func:`~npdisclab.geometry.row_blocks`, so temporaries stay
+within ``BLOCK_ENTRIES`` entries whatever the node count.  The Gram matrix
+takes the owner once per row block of its upper triangle and evaluates the
+kernel on the block in one ``kernel_from_defect`` call: closed forms (hardy,
+Drury-Arveson on ball points, and geometric), the truncated series by
+Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
+The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
 owner in one broadcast call per block and stacks each target sample into
-(S, k, k) blocks, real polydisc corners and complex random draws apart.  The
+(S, k, k) chunks, real polydisc corners and complex random draws apart.  The
 delta estimate needs only log determinants, 2 sum log diag(L), from one
-batched Cholesky call per dtype group; verifying a candidate makes one
-``eigvalsh`` call per dtype group, whose smallest eigenvalue the audit row
-records.
+batched Cholesky call per chunk; verifying a candidate makes one
+``eigvalsh`` call per chunk, and the audit row records the smallest
+eigenvalue over all of them.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar
+from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar, row_blocks
 from .kernels import KernelHandle, hardy
 
 #: relative eigenvalue tolerance separating the three verdict zones
@@ -115,52 +118,78 @@ class PickProblem:
 
 
 def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
-    """Lexicographically first (i, j), i < j, of coinciding points, by one broadcast.
+    """Lexicographically first (i, j), i < j, of coinciding points, by row blocks.
 
     Points coincide when they have the same dimension and equal coordinates
-    and, if either carries an exact gap, equal gaps.
+    and, if either carries an exact gap, equal gaps.  Blocks run in row
+    order and each is searched row-major, so the first hit is the smallest.
     """
     dims = np.array([p.coords.size for p in pts])
     has_gap = np.array([p.gap is not None for p in pts])
     gaps = np.array([0.0 if p.gap is None else p.gap for p in pts])
     z = PointTable(pts).coords
-    same = (
-        (dims[:, None] == dims[None, :])
-        & (has_gap[:, None] == has_gap[None, :])
-        & (gaps[:, None] == gaps[None, :])
-        & (z[:, None, :] == z[None, :, :]).all(axis=2)
-    )
-    hits = np.argwhere(np.triu(same, 1))  # row-major, so the first is smallest
-    return (int(hits[0, 0]), int(hits[0, 1])) if hits.size else None
+    for rows in row_blocks(len(pts), z.size):
+        same = (
+            (dims[rows, None] == dims[None, :])
+            & (has_gap[rows, None] == has_gap[None, :])
+            & (gaps[rows, None] == gaps[None, :])
+            & (z[rows, None, :] == z[None, :, :]).all(axis=2)
+        )
+        hits = np.argwhere(np.triu(same, rows.start + 1))
+        if hits.size:
+            return rows.start + int(hits[0, 0]), int(hits[0, 1])
+    return None
 
 
 def kernel_gram(nodes, kernel: KernelHandle) -> np.ndarray:
     """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored.
 
-    1 - <z_i, z_j> comes from the point table for all upper-triangle pairs
-    in one call, with the exact gap algebra wherever both points are radial
-    and real.  The kernel then evaluates every entry in one
-    ``kernel_from_defect`` call.
+    Row block by row block, 1 - <z_i, z_j> comes from the point table in one
+    call, with the exact gap algebra wherever both points are radial and
+    real, and the kernel evaluates the block in one ``kernel_from_defect``
+    call.  The output serves as the scratch space for the defects, since
+    the real-path choice needs all of them first: the entries take the real
+    path only if no pair has an imaginary part.
     """
     if not isinstance(kernel, KernelHandle):
         raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
-    rows, cols = np.triu_indices(len(pts))
-    omt = PointTable(pts).one_minus_inner(rows, cols)
-    if not omt.imag.any():
-        omt = omt.real  # real data stays on the real path
-    upper = kernel.kernel_from_defect(omt)
-    g = np.empty((len(pts), len(pts)), dtype=complex)
-    g[rows, cols] = upper
-    g[cols, rows] = np.conj(upper)
+    n = len(pts)
+    table = PointTable(pts)
+    g = np.empty((n, n), dtype=complex)
+    blocks = list(row_blocks(n, n))
+    # first sweep: 1 - <z_i, z_j> into the rectangle right of each block's
+    # diagonal; the entries below the diagonal are scratch, conjugates of
+    # their mirror images, so they leave the real-path test unchanged
+    complex_path = False
+    for rows in blocks:
+        a = rows.start
+        g[rows, a:] = table.one_minus_inner(np.arange(a, rows.stop)[:, None],
+                                            np.arange(a, n)[None, :])
+        complex_path = complex_path or bool(g[rows, a:].imag.any())
+    # second sweep: the kernel on each rectangle, mirrored from its own
+    # values, the diagonal conjugated last; real data stays on the real path
+    for rows in blocks:
+        a, b = rows.start, rows.stop
+        upper = kernel.kernel_from_defect(g[rows, a:] if complex_path else g[rows, a:].real)
+        g[rows, a:] = upper
+        g[b:, rows] = np.conj(upper[:, b - a:]).T
+        square = upper[:, : b - a]
+        g[rows, a:b] = np.where(np.tri(b - a, dtype=bool), np.conj(square).T, square)
     return g
 
 
 def pick_matrix(p: PickProblem) -> np.ndarray:
-    """The Pick matrix (1 - w_i conj(w_j)) K(z_i, z_j), Hermitian exactly."""
-    gram = kernel_gram(p.nodes, p.kernel)
+    """The Pick matrix (1 - w_i conj(w_j)) K(z_i, z_j), Hermitian exactly.
+
+    The target factor multiplies into the Gram matrix in place, row block
+    by row block.
+    """
+    g = kernel_gram(p.nodes, p.kernel)
     w = p.targets
-    return (1.0 - np.outer(w, np.conj(w))) * gram
+    for rows in row_blocks(p.size, p.size):
+        np.multiply(1.0 - np.outer(w[rows], np.conj(w)), g[rows], out=g[rows])
+    return g
 
 
 @dataclass(frozen=True)
@@ -182,16 +211,28 @@ def psd_check(m: np.ndarray) -> PsdVerdict:
     Positive-definite above +PSD_TOL * scale, indefinite below
     -PSD_TOL * scale, the boundary band in between; scale is the largest
     entry magnitude so kernel matrices with enormous boundary entries are
-    judged relatively.  A matrix with a nan or infinite entry raises
-    ValueError: it has no spectrum to judge.
+    judged relatively.  An empty matrix, or one with a nan or infinite
+    entry, raises ValueError: it has no spectrum to judge.
+
+    Finiteness, scale and asymmetry are read one row block at a time, so
+    ``eigvalsh``'s own copy is the only other n x n array.  Block rows are
+    compared with the columns up to the block's end, which covers every
+    pair once up to the symmetry of |m_ij - conj(m_ji)|, and only with
+    rows already found finite.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix has non-finite entries")
-    scale = float(np.abs(m).max())
-    asym = float(np.abs(m - m.conj().T).max())
+    if m.size == 0:
+        raise ValueError("matrix is empty: an empty matrix has no spectrum to judge")
+    scale = asym = 0.0
+    for rows in row_blocks(*m.shape):
+        block = m[rows]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("matrix has non-finite entries")
+        scale = max(scale, float(np.abs(block).max()))
+        end = rows.stop
+        asym = max(asym, float(np.abs(block[:, :end] - m[:end, rows].conj().T).max()))
     if asym > 1e-13 * max(scale, 1e-300):
         raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
     min_eig = float(np.linalg.eigvalsh(m).min())
@@ -264,19 +305,29 @@ def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Diagonally rescaled Pick blocks: unit diagonal, entries O(1).
 
     ``w`` is one target vector of length k or an (S, k) stack of them; the
-    result is (k, k) or (S, k, k).  Congruence keeps definiteness while
+    result is (k, k) or (S, k, k), formed in place in one array beside the
+    real (S, k, k) normalizer.  Congruence keeps definiteness while
     avoiding the e^{n^2} dynamic range of raw kernel entries near the
     boundary.
     """
     diag = np.diag(log_block)
     corr = np.exp(log_block - 0.5 * (diag[:, None] + diag[None, :]))
     om = 1.0 - np.abs(w) ** 2
-    wfac = (1.0 - w[..., :, None] * np.conj(w)[..., None, :]) / np.sqrt(
-        om[..., :, None] * om[..., None, :]
-    )
-    b = corr * wfac
+    b = w[..., :, None] * np.conj(w)[..., None, :]
+    np.subtract(1.0, b, out=b)
+    norm = om[..., :, None] * om[..., None, :]
+    b /= np.sqrt(norm, out=norm)
+    np.multiply(corr, b, out=b)
     b[..., np.arange(diag.size), np.arange(diag.size)] = 1.0
     return b
+
+
+def _sample_chunks(sample: tuple[np.ndarray, np.ndarray], k: int):
+    """The (S, k) target stacks of a sample, each dtype group in chunks whose
+    (S, k, k) Pick stacks hold at most ``BLOCK_ENTRIES`` entries."""
+    for w in sample:
+        for rows in row_blocks(len(w), k * k):
+            yield w[rows]
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:
@@ -311,6 +362,8 @@ def extract_interpolating_subsequence(
         raise ValueError("target radius r must lie in (0, 1)")
     if not 1 <= k_max <= 50:
         raise ValueError("k_max must lie in 1..50")
+    if not pts:
+        raise ValueError("point list is empty: extraction needs points approaching the boundary")
     if pts[-1].norm <= 0.9:
         raise ValueError("point list must approach the boundary (final norm > 0.9)")
 
@@ -327,11 +380,9 @@ def extract_interpolating_subsequence(
         sel_block = _log_kernel(table, idx[:, None], idx[None, :])
         # delta estimate: smallest determinant of the previous stage over
         # the sample, assembled in log space from the normalized blocks, one
-        # batched Cholesky call per dtype group (real corners, complex draws)
+        # batched Cholesky call per sample chunk
         log_delta = math.inf
-        for w in _target_sample(k - 1, r, rng):
-            if not len(w):
-                continue
+        for w in _sample_chunks(_target_sample(k - 1, r, rng), k - 1):
             try:
                 chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
             except np.linalg.LinAlgError:
@@ -375,10 +426,9 @@ def extract_interpolating_subsequence(
             # dominance fired; certify definiteness over a fresh k-target sample
             trial = np.append(idx, cand)
             trial_block = _log_kernel(table, trial[:, None], trial[None, :])
-            verify = _target_sample(k, r, rng)
             min_eig_seen = min(
                 (float(np.linalg.eigvalsh(_normalized_pick(trial_block, w)).min())
-                 for w in verify if len(w)),
+                 for w in _sample_chunks(_target_sample(k, r, rng), k)),
                 default=math.inf,
             )
             if min_eig_seen > PSD_TOL:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .geometry import pseudo_dist_scalar, radial_log_gap_dist
+from .geometry import pseudo_dist_scalar, radial_log_gap_dist, row_blocks
 from .series import settled
 
 #: minimum pairwise distance for the separation verdict
@@ -79,14 +78,6 @@ class DiscSequence:
         if self.is_radial_positive:
             return radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
         return pseudo_dist_scalar(self.points[i], self.points[j])
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        """Matrix of pseudohyperbolic distances, diagonal zero: built once, read-only."""
-        idx = np.arange(self.n)
-        d = self.pair_dist(idx[:, None], idx[None, :])
-        d.flags.writeable = False
-        return d
 
     def __repr__(self) -> str:
         return f"DiscSequence({self.label!r}, n={self.n})"
@@ -181,8 +172,8 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     the full one; callers see the truncation level through ``s.n``.
 
     This is the scalar per-point reference, one ``log_pair_dist`` call per
-    factor; :func:`garnett_targets` computes every delta at once from the
-    distance matrix and is tested against it.
+    factor; :func:`garnett_targets` computes every delta in one sweep over
+    distance row blocks and is tested against it.
     """
     if not 0 <= n < s.n:
         raise IndexError(f"index {n} outside sequence of length {s.n}")
@@ -194,13 +185,39 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     return _delta_record(log_total)
 
 
+def _pair_sweep(s: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima of d(v_i, v_j) over j != i and column sums of log d(v_i, v_j).
+
+    One sweep over distance row blocks, one :meth:`DiscSequence.pair_dist`
+    call each, so every pair is evaluated once and no n x n array exists.
+    The column sums add rows in order, as ``sum(axis=0)`` of the whole
+    log-distance matrix would: each block is reduced with the running sum
+    stacked on top of it.  The sum starts from zeros, which moves no bit
+    since no log-distance is -0.0.  A single point has minimum inf and
+    sum 0.
+    """
+    idx = np.arange(s.n)
+    nearest = np.empty(s.n)
+    blocks = list(row_blocks(s.n, s.n))
+    stack = np.zeros((blocks[0].stop + 1, s.n))  # row 0: the running sum
+    for rows in blocks:
+        d = s.pair_dist(idx[rows, None], idx[None, :])
+        diag = (np.arange(d.shape[0]), idx[rows])
+        d[diag] = np.inf
+        nearest[rows] = d.min(axis=1)
+        logs = stack[1:d.shape[0] + 1]
+        with np.errstate(divide="ignore"):
+            np.log(d, out=logs)
+        logs[diag] = 0.0
+        stack[0] = stack[:d.shape[0] + 1].sum(axis=0)
+    return nearest, stack[0]
+
+
 def nearest_distances(s: DiscSequence) -> np.ndarray:
     """Distance from each point to its nearest other point of the list."""
     if s.n < 2:
         raise ValueError("separation needs at least two points")
-    d = s.distances.copy()
-    np.fill_diagonal(d, np.inf)
-    return d.min(axis=1)
+    return _pair_sweep(s)[0]
 
 
 def is_separated(s: DiscSequence) -> tuple[bool, float]:
@@ -230,10 +247,12 @@ def carleson_ratio(s: DiscSequence, p: int) -> float:
 
 @dataclass(frozen=True)
 class GarnettBudget:
-    """Interpolation budget delta (1 + log(1/delta))^-2 for one point."""
+    """Interpolation budget delta (1 + log(1/delta))^-2 for one point,
+    with the distance to its nearest other point (inf for a single point)."""
 
     budget: float
     delta: SeparationDelta
+    nearest: float
 
 
 def garnett_targets(s: DiscSequence) -> list[GarnettBudget]:
@@ -242,11 +261,10 @@ def garnett_targets(s: DiscSequence) -> list[GarnettBudget]:
     Formed from the strong-separation products; points whose truncated
     delta underflowed are flagged through the attached delta record.  Each
     log delta_n is the sum down column n of log d(v_i, v_n), added row by
-    row in the order :func:`separation_delta` uses.
+    row in the order :func:`separation_delta` uses; the same sweep gives
+    each point's nearest distance.
     """
-    with np.errstate(divide="ignore"):
-        log_d = np.log(s.distances)
-    np.fill_diagonal(log_d, 0.0)
+    nearest, log_delta = _pair_sweep(s)
     # an underflowed delta has value 0.0, so its budget is 0.0 as well
-    return [GarnettBudget(d.value * (1.0 - d.log_value) ** -2.0, d)
-            for d in map(_delta_record, log_d.sum(axis=0).tolist())]
+    return [GarnettBudget(d.value * (1.0 - d.log_value) ** -2.0, d, gap)
+            for d, gap in zip(map(_delta_record, log_delta.tolist()), nearest.tolist())]

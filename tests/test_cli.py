@@ -273,7 +273,7 @@ class TestExitCodes:
         )
 
     def test_out_of_memory_is_bad_parameter(self):
-        # 13 977 points ask for a 2.9 GiB pair-distance temporary; the child
+        # a 2^28-point grid asks for a 2 GiB index array at once; the child
         # alone runs under a 1.5 GiB address-space limit
         limit = 3 * 2**29
 
@@ -281,7 +281,7 @@ class TestExitCodes:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "npdisclab", "separation", "tag=dyadic_separated", "n=24"],
+            [sys.executable, "-m", "npdisclab", "tangential-embed", "m=268435456"],
             capture_output=True, text=True, timeout=240, preexec_fn=cap_memory,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         )
@@ -289,6 +289,25 @@ class TestExitCodes:
         assert proc.stdout == ""
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory:")
+
+    def test_separation_runs_in_bounded_memory(self):
+        # 3489 points: the whole distance matrix and its temporaries took
+        # ~500 MiB; row blocks keep the recipe near its import footprint.
+        # A small launcher starts it, since on Linux a child's ru_maxrss
+        # also counts the peak of the process that exec'd it
+        launch = ("import os, subprocess, sys; "
+                  "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                  "_, status, usage = os.wait4(p.pid, 0); "
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        proc = subprocess.run(
+            [sys.executable, "-c", launch, sys.executable, "-m", "npdisclab", "separation",
+             "tag=dyadic_separated", "n=20", "--reproducible"],
+            capture_output=True, text=True, timeout=240,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        code, max_rss_kib = map(int, proc.stdout.split())
+        assert code == 0
+        assert max_rss_kib < 100 * 1024
 
     def test_zero_renewal_mean_classifies(self, tmp_path):
         # a_n = n + 1 inverts to c = (2, -1, 0, ...): mu = 0 exactly, so

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from npdisclab import kernels, pick
-from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar
+from npdisclab import geometry, kernels, pick
+from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar, row_blocks
 from npdisclab.pick import (
     CrossingObstruction,
     ExtractionExhaustedError,
@@ -73,6 +73,18 @@ class TestCoincidence:
     def test_reports_first_coinciding_pair(self, nodes, pair):
         with pytest.raises(PickProblemError, match=f"nodes {pair[0]} and {pair[1]} coincide"):
             PickProblem(nodes, np.zeros(len(nodes)))
+
+    def test_first_pair_across_row_blocks(self, monkeypatch):
+        # one row per block: the blocks still report the lexicographic first
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
+        with pytest.raises(PickProblemError, match="nodes 0 and 3 coincide"):
+            PickProblem([0.3, 0.6, 0.6, 0.3], np.zeros(4))
+        monkeypatch.undo()
+        nodes = list(np.linspace(-0.9, 0.9, 300))
+        nodes[290], nodes[299] = nodes[150], nodes[10]  # (10, 299) precedes (150, 290)
+        assert len(list(row_blocks(300, 300))) > 1
+        with pytest.raises(PickProblemError, match="nodes 10 and 299 coincide"):
+            PickProblem(nodes, np.zeros(300))
 
     def test_equal_coordinates_with_different_gaps_are_distinct(self):
         p = BallPoint([0.5], gap=0.5)
@@ -153,38 +165,63 @@ class TestCallCounts:
     """Whole-array evaluation: no per-pair or per-sample calls."""
 
     def test_gram_evaluates_the_kernel_once(self, monkeypatch):
+        # one kernel_value call per row block of the Gram triangle, so
+        # exactly one below the block bound; the closed forms make none
         calls = []
         series = kernels.KernelHandle.kernel_value
         monkeypatch.setattr(kernels.KernelHandle, "kernel_value",
-                            lambda self, t: calls.append(1) or series(self, t))
+                            lambda self, t: calls.append(np.size(t)) or series(self, t))
         rng = np.random.default_rng(np.random.Philox(47))
-        z = 0.9 * np.sqrt(rng.uniform(size=50)) * np.exp(2j * np.pi * rng.uniform(size=50))
-        kernel_gram(z, kernels.hs(-0.5, 256))
-        assert len(calls) <= 1
-        kernel_gram(z, kernels.hardy(256))  # closed form on every entry
-        kernel_gram(z, kernels.geometric(0.5, 256))
-        assert len(calls) <= 1
+        for size, blocks in ((50, 1), (300, 6)):  # 2500 and 90000 pairs
+            calls.clear()
+            z = 0.9 * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
+            kernel_gram(z, kernels.hs(-0.5, 256))
+            assert len(calls) == len(list(row_blocks(size, size))) == blocks
+            assert max(calls) <= geometry.BLOCK_ENTRIES
+            kernel_gram(z, kernels.hardy(256))  # closed form on every entry
+            kernel_gram(z, kernels.geometric(0.5, 256))
+            assert len(calls) == blocks
 
     def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
         # each delta estimate and each verified candidate draws one target
-        # sample; a delta estimate spends one batched Cholesky call per
-        # dtype group on it, a verification one eigvalsh call per group
-        eig_calls, chol_calls, samples = [], [], []
+        # sample; a delta estimate spends one batched Cholesky call on each
+        # chunk of the sample, a verification one eigvalsh call, and a chunk
+        # is a whole dtype group wherever its (S, k, k) stack fits the bound
+        log = []
         eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
         target_sample = pick._target_sample
+
+        def sample(k, r, rng):
+            out = target_sample(k, r, rng)
+            log.append(("sample", k, [len(w) for w in out]))
+            return out
+
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: eig_calls.append(1) or eigvalsh(a))
+                            lambda a: log.append(("eigvalsh", *a.shape[:2])) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: chol_calls.append(1) or cholesky(a))
-        monkeypatch.setattr(pick, "_target_sample",
-                            lambda *a: samples.append(1) or target_sample(*a))
-        res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
-        assert len(res.indices) == 12
-        stages = 11
-        verified = len(samples) - stages  # one sample per delta estimate
-        assert verified >= stages
-        assert stages <= len(chol_calls) <= 2 * stages
-        assert verified <= len(eig_calls) <= 2 * verified
+                            lambda a: log.append(("cholesky", *a.shape[:2])) or cholesky(a))
+        monkeypatch.setattr(pick, "_target_sample", sample)
+        for bound in (geometry.BLOCK_ENTRIES, 2**40):
+            monkeypatch.setattr(geometry, "BLOCK_ENTRIES", bound)
+            log.clear()
+            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
+            assert len(res.indices) == 12
+            starts = [i for i, entry in enumerate(log) if entry[0] == "sample"]
+            kinds = []
+            for i, j in zip(starts, starts[1:] + [len(log)]):
+                _, k, sizes = log[i]
+                calls = log[i + 1:j]
+                assert len({name for name, _, _ in calls}) == 1
+                kinds.append(calls[0][0])
+                assert len(calls) == sum(len(list(row_blocks(n, k * k))) for n in sizes)
+                assert all(dim == k and (count * k * k <= bound or count == 1)
+                           for _, count, dim in calls)
+                assert sum(count for _, count, _ in calls) == sum(sizes)
+                if bound > 2**30:
+                    assert len(calls) == 2  # one call per dtype group
+            stages = 11
+            assert kinds.count("cholesky") == stages  # one sample per delta estimate
+            assert kinds.count("eigvalsh") >= stages
 
     def test_lost_definiteness_in_delta_estimate(self, monkeypatch):
         # a Cholesky failure on the delta sample ends the run as exhausted
@@ -197,7 +234,8 @@ class TestCallCounts:
             extract_interpolating_subsequence(gaussian_points(14), 0.5, 4)
 
     def test_one_minus_inner_calls(self, monkeypatch):
-        # kernel_gram takes every pair in one call; an extractor stage takes
+        # kernel_gram takes one call per row block of the triangle, so every
+        # pair in one call below the block bound; an extractor stage takes
         # its selected block, candidate diagonal and candidate columns in
         # three calls and one block per verified candidate, whatever k is
         calls, samples = [], []
@@ -210,6 +248,9 @@ class TestCallCounts:
             calls.clear()
             kernel_gram(gaussian_points(20), kernel)
             assert len(calls) == 1
+            calls.clear()
+            kernel_gram(quadratic_points(200), kernel)
+            assert len(calls) == len(list(row_blocks(200, 200))) == 3
         for k_max in (4, 12):
             calls.clear()
             samples.clear()
@@ -220,6 +261,29 @@ class TestCallCounts:
 
 
 class TestPsdCheck:
+    def test_rejects_the_empty_matrix(self):
+        # used to reach numpy's "zero-size array to reduction operation" text
+        with pytest.raises(ValueError, match="matrix is empty"):
+            psd_check(np.zeros((0, 0)))
+
+    def test_row_blocks_see_every_pair(self, monkeypatch):
+        # one row per block: an asymmetry or a non-finite entry in the last
+        # row is still found, and an infinite pair raises no RuntimeWarning
+        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
+        m = np.eye(6, dtype=complex)
+        m[5, 0] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            psd_check(m)
+        m[5, 0], m[0, 5] = np.inf, np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_check(m)
+        m[0, 5], m[5, 0], m[5, 5] = 0.0, 0.0, np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            psd_check(m)
+        m[5, 5] = 3.0
+        v = psd_check(m)
+        assert (v.min_eigenvalue, v.matrix_scale) == (1.0, 3.0)
+
     def test_identity(self):
         v = psd_check(np.eye(3))
         assert v.verdict == "positive-definite"
@@ -368,6 +432,11 @@ class TestExtractor:
         pts = gaussian_points(3) + [BallPoint([1.0])]
         with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
             extract_interpolating_subsequence(pts, 0.5, 3)
+
+    def test_rejects_the_empty_point_list(self):
+        # used to raise IndexError on pts[-1]
+        with pytest.raises(ValueError, match="point list is empty"):
+            extract_interpolating_subsequence([], 0.5, 3)
 
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):

@@ -203,22 +203,19 @@ class TestArraySeparation:
 
 class TestDistanceMatrix:
     def test_separation_builds_it_once(self, monkeypatch, capsys):
+        # one broadcast owner call per row block, so one below the block
+        # bound, and no scalar pairs
         from npdisclab import sequences
         from npdisclab.cli import main
+        from npdisclab.geometry import row_blocks
 
         owner, calls = sequences.radial_log_gap_dist, []
         monkeypatch.setattr(sequences, "radial_log_gap_dist",
                             lambda a, b: calls.append((np.ndim(a), np.ndim(b))) or owner(a, b))
-        assert main(["separation", "tag=vn_quadratic", "n=15", "--reproducible"]) == 0
-        assert calls == [(2, 2)]  # one broadcast call, no scalar pairs
-
-    def test_cached_and_read_only(self):
-        s = named_sequence("xn_alternating", 10)
-        assert s.distances is s.distances
-        with pytest.raises(ValueError):
-            s.distances[0, 1] = 0.5
-        nearest_distances(s)
-        assert np.all(np.diag(s.distances) == 0.0)
+        for n, blocks in ((15, 1), (400, 10)):
+            calls.clear()
+            assert main(["separation", "tag=vn_quadratic", f"n={n}", "--reproducible"]) == 0
+            assert calls == [(2, 2)] * blocks == [(2, 2)] * len(list(row_blocks(n, n)))
 
     def test_quadratic_nearest_distances_match_mpmath(self):
         # the log-gap form against the exact gap formula at 40 digits; along
