@@ -22,6 +22,12 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+#: log2 of the cycles an idle OpenBLAS worker spins before it sleeps (library default 28);
+#: 2^22 (~1.6 ms at 2.6 GHz) outlasts the gaps between an eigvalsh's BLAS calls
+OPENBLAS_THREAD_TIMEOUT = "22"
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
+
 import numpy as np
 
 from . import __version__
@@ -368,7 +374,7 @@ def recipe_help(recipe: Recipe) -> str:
 def _parse_argv(argv) -> ExperimentConfig | None:
     recipe_name = argv[0]
     rest = argv[1:]
-    params, out, seed, reproducible, show_help = {}, None, 0, False, False
+    params, out, seed, reproducible, show_help = {}, None, None, False, False
     i = 0
     while i < len(rest):
         token = rest[i]
@@ -377,11 +383,15 @@ def _parse_argv(argv) -> ExperimentConfig | None:
         elif token == "--reproducible":
             reproducible = True
         elif token == "--out":
+            if out is not None:
+                raise ParameterError("option '--out' given twice")
             i += 1
             if i >= len(rest):
                 raise ParameterError("--out needs a path")
             out = rest[i]
         elif token == "--seed":
+            if seed is not None:
+                raise ParameterError("option '--seed' given twice")
             i += 1
             if i >= len(rest):
                 raise ParameterError("--seed needs an integer")
@@ -393,10 +403,13 @@ def _parse_argv(argv) -> ExperimentConfig | None:
                 raise ParameterError(f"bad seed {rest[i]!r}: must lie in 0..2**64-1")
         elif "=" in token:
             key, _, value = token.partition("=")
+            if key in params:
+                raise ParameterError(f"parameter {key!r} given twice")
             params[key] = value
         else:
             raise ParameterError(f"unrecognized argument {token!r}")
         i += 1
+    seed = 0 if seed is None else seed
     return ExperimentConfig(recipe_name, params, out, seed, reproducible, show_help)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import resource
@@ -40,6 +41,9 @@ RECIPE_ARGS = {
 #: ``--reproducible`` output of every RECIPE_ARGS run, one file per recipe,
 #: plus ``interp-extract-k18.csv`` for the extractor past its corner cap
 GOLDEN = Path(__file__).parent / "golden"
+
+#: the benchmark's workload generators, read by TestOpenBlasTimeout
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 #: the only columns whose cells are text rather than numbers or booleans
 TEXT_COLUMNS = {"family", "family2", "verdict", "rule"}
@@ -149,6 +153,18 @@ class TestExitCodes:
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: unknown parameter")
 
+    @pytest.mark.parametrize("args, repeated", [
+        (["x=1e-3", "x=2e-3"], "parameter 'x'"),
+        (["--seed", "1", "--seed", "2"], "option '--seed'"),
+        (["--seed", "1", "--seed", "1"], "option '--seed'"),
+        (["--out", os.devnull, "--out", os.devnull], "option '--out'"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_repeated_parameter_is_bad_parameter(self, args, repeated, capsys):
+        # the last value used to win silently
+        assert main(["crossing", *args]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {repeated} given twice\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("name", ["classify", "distortion", "interp-extract"])
@@ -501,3 +517,63 @@ class TestBenchmarkHook:
             assert len(args[3]) == len(read_rows(fh).rows)
         if argv[0] == "tangential-embed":
             assert len(args[3]) == 256
+
+
+class TestOpenBlasTimeout:
+    """cli shortens OpenBLAS's idle-worker spin when it is the first to load numpy."""
+
+    @staticmethod
+    def env(**values):
+        # a child whose environment never set the timeout, plus ``values``
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        return {**env, **values}
+
+    @pytest.mark.parametrize("code, values, seen", [
+        ("import npdisclab.cli", {}, "22"),
+        ("import npdisclab.cli", {"OPENBLAS_THREAD_TIMEOUT": "20"}, "20"),
+        ("import numpy; import npdisclab.cli", {}, "None"),
+    ], ids=["default", "caller-value-wins", "numpy-loaded-first"])
+    def test_default_is_set_only_before_numpy_loads(self, code, values, seen):
+        show = "import os; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+        proc = subprocess.run([sys.executable, "-c", f"{code}; {show}"], capture_output=True,
+                              text=True, timeout=240, env=self.env(**values))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{seen}\n"
+
+    def test_benchmark_pick_check_bytes_do_not_depend_on_it(self, monkeypatch):
+        # the timeout decides when an idle worker sleeps, not how the BLAS
+        # splits its sums, so the 500-node pick-check of pick-interp keeps
+        # its rounding-level min_eigenvalue under the library default 28
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        argv = workloads.pick_interp(7)[1].argv
+        assert argv[0] == "pick-check" and argv[2].count(";") == 499
+        default, library = (
+            subprocess.run([sys.executable, "-m", "npdisclab", *argv], capture_output=True,
+                           timeout=240, env=self.env(**values))
+            for values in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"}))
+        assert default.returncode == 0, default.stderr
+        assert (library.returncode, library.stdout, library.stderr) == (
+            default.returncode, default.stdout, default.stderr)
+
+    def test_idle_workers_do_not_spin(self):
+        # CPU time of every thread but the main one in a cold classify, read
+        # at exit: with the library default each idle OpenBLAS worker (one
+        # per extra core) spins for 2^28 cycles after numpy loads, 0.06-0.1 s
+        # on a 2-core VM.  The child's CPU against its wall time (os.wait4)
+        # does not show that spin when the other core is contended, since it
+        # then slows the main thread instead; a fully busy machine would hide
+        # a regression here too, as a spinning worker then gets little CPU
+        workers = max(1, (os.cpu_count() or 2) - 1)
+        code = ("import atexit, runpy, sys, time; "
+                "atexit.register(lambda: print(time.process_time() - time.thread_time(), "
+                "file=sys.stderr)); "
+                "runpy.run_module('npdisclab', run_name='__main__')")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "classify", "family=hs:-0.5", "N=128"],
+            capture_output=True, text=True, timeout=240, env=self.env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stderr) <= 0.03 * workers
