@@ -10,17 +10,19 @@ a counter-based generator keyed by the recorded seed.
 
 Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter, a seed
 outside 0..2**64-1, unreadable input file or a size whose arrays do not fit
-in memory, 4 unwritable output path or closed output pipe, 5 computation
-did not certify (the interpolating-subsequence extractor ran out of points
-or lost definiteness).  Every failure prints one ``error:`` line on stderr.
+in memory, 4 unwritable output path, closed stdout or closed output pipe,
+5 computation did not certify (the interpolating-subsequence extractor ran
+out of points or lost definiteness).  Every failure prints one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple, NoReturn
 
 #: log2 of the cycles an idle OpenBLAS worker spins before it sleeps (library default 28);
 #: 2^22 (~1.6 ms at 2.6 GHz) outlasts the gaps between an eigvalsh's BLAS calls
@@ -51,8 +53,7 @@ class NotCertifiedError(Exception):
     """A computation ran but could not certify its result (exit code 5)."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     recipe: str
     parameters: dict
     out: str | None
@@ -72,16 +73,14 @@ def _parse_list(parser):
     return inner
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     parse: object
     default: object
     help: str
 
 
-@dataclass(frozen=True)
-class Recipe:
+class Recipe(NamedTuple):
     name: str
     summary: str
     params: tuple
@@ -111,7 +110,7 @@ def _run_classify(p):
 
     handle = kernels.parse_family(p["family"], p["N"])
     rep = kernels.classify(handle)
-    return [f.name for f in fields(rep)], [rep.as_row()]
+    return rep._fields, [rep.as_row()]
 
 
 def _run_compare(p):
@@ -436,6 +435,23 @@ def _resolve_params(recipe: Recipe, raw: dict, seed: int) -> dict:
     return resolved
 
 
+def _to_stdout(write) -> int:
+    """Call ``write(sys.stdout)`` and flush; a closed stdout or output pipe is exit 4."""
+    if sys.stdout is None:  # the process started with stdout closed (``>&-``)
+        print("error: stdout is closed", file=sys.stderr)
+        return EXIT_UNWRITABLE
+    try:
+        write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``); point stdout at devnull so the
+        # interpreter's final flush does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed", file=sys.stderr)
+        return EXIT_UNWRITABLE
+    return EXIT_OK
+
+
 def run(config: ExperimentConfig) -> int:
     """Execute a recipe and write its CSV artifact."""
     recipe = RECIPES[config.recipe]
@@ -459,16 +475,7 @@ def run(config: ExperimentConfig) -> int:
     cols, rows, *extra = result
     comments = _comments(config) + (extra[0] if extra else [])
     if config.out is None:
-        try:
-            write_rows(sys.stdout, comments, cols, rows)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # the reader left (``| head``); point stdout at devnull so the
-            # interpreter's final flush does not raise a second time
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            print("error: output pipe closed", file=sys.stderr)
-            return EXIT_UNWRITABLE
-        return EXIT_OK
+        return _to_stdout(lambda out: write_rows(out, comments, cols, rows))
     try:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             write_rows(fh, comments, cols, rows)
@@ -481,8 +488,7 @@ def run(config: ExperimentConfig) -> int:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv or argv == ["--help"]:
-        print(list_recipes())
-        return EXIT_OK
+        return _to_stdout(lambda out: print(list_recipes(), file=out))
     try:
         config = _parse_argv(argv)
     except ParameterError as exc:
@@ -493,10 +499,24 @@ def main(argv=None) -> int:
         print(list_recipes(), file=sys.stderr)
         return EXIT_UNKNOWN_RECIPE
     if config.help:
-        print(recipe_help(RECIPES[config.recipe]))
-        return EXIT_OK
+        return _to_stdout(lambda out: print(recipe_help(RECIPES[config.recipe]), file=out))
     return run(config)
 
 
+def console_main() -> NoReturn:
+    """Run :func:`main` and exit with its code: the ``npdisclab`` script,
+    ``python -m npdisclab`` and ``python -m npdisclab.cli`` all end here.
+
+    ``gc.freeze()`` puts every live object, numpy's and the layers'
+    included, out of the cyclic collector's reach, so interpreter shutdown
+    no longer collects them.  Shutdown otherwise runs as usual: atexit
+    handlers run and the std streams are flushed; ``--out`` is already
+    closed.  :func:`main` does not freeze, since tests call it in process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -32,8 +32,8 @@ equals a row-by-row ``",".join(map(format_cell, row))`` writer's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,8 +275,7 @@ def write_rows(stream, comments, columns, rows) -> None:
             stream.write(_block_text(block[i:i + step], len(columns)))
 
 
-@dataclass
-class CsvDocument:
+class CsvDocument(NamedTuple):
     comments: list[str]
     columns: list[str]
     rows: list[list]

@@ -28,7 +28,7 @@ broadcast over arrays; the distortion profile is one array pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -420,8 +420,7 @@ def tangential_ratio(curve: GeneralCurve, x, t=0.0):
     return ratio1, ratio2
 
 
-@dataclass
-class DistortionProfile:
+class DistortionProfile(NamedTuple):
     """Pseudohyperbolic distances before and after a disc-to-ball map."""
 
     rows: np.ndarray  # (pairs, 2): d_source, d_image per pair

@@ -13,7 +13,7 @@ are labelled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,8 +329,7 @@ def monomial_multiplier_norm(k: KernelHandle, n: int) -> float:
     return 1.0 / math.sqrt(k.weights.values[n])
 
 
-@dataclass(frozen=True)
-class ComparabilityReport:
+class ComparabilityReport(NamedTuple):
     """Observed ratio range of two weight sequences plus a trend verdict.
 
     Finite data cannot decide an asymptotic property; ``verdict`` is a
@@ -370,8 +369,7 @@ def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
     )
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Classification quantities for one kernel handle at truncation n."""
 
     family: str
@@ -388,7 +386,7 @@ class ClassificationReport:
     moduli_mass: float             # truncated sum of c_n
 
     def as_row(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
+        return list(self)
 
 
 def classify(k: KernelHandle) -> ClassificationReport:

@@ -37,12 +37,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar, row_blocks
-from .kernels import KernelHandle, hardy
+
+if TYPE_CHECKING:  # kernels is imported where a kernel is used
+    from .kernels import KernelHandle
 
 #: relative eigenvalue tolerance separating the three verdict zones
 PSD_TOL = 1e-10
@@ -58,9 +60,14 @@ _CORNER_CAP = 512
 #: extractor target samples: uniform complex draws per sample
 _N_RANDOM_TARGETS = 256
 
-#: Drury-Arveson 1/(1 - <x, y>), the hardy closed form read from the point
-#: table: the default kernel, module attribute DRURY_ARVESON, built on first use
-_drury_arveson = functools.cache(functools.partial(hardy, 1))
+
+@functools.cache
+def _drury_arveson():
+    """Drury-Arveson 1/(1 - <x, y>), the hardy closed form read from the point
+    table: the default kernel, module attribute DRURY_ARVESON, built on first use."""
+    from .kernels import hardy
+
+    return hardy(1)
 
 
 def __getattr__(name: str):
@@ -151,6 +158,8 @@ def kernel_gram(nodes, kernel: KernelHandle) -> np.ndarray:
     the real-path choice needs all of them first: the entries take the real
     path only if no pair has an imaginary part.
     """
+    from .kernels import KernelHandle
+
     if not isinstance(kernel, KernelHandle):
         raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
@@ -192,8 +201,7 @@ def pick_matrix(p: PickProblem) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class PsdVerdict:
+class PsdVerdict(NamedTuple):
     """Spectral verdict for a Hermitian matrix.
 
     ``min_eigenvalue`` is the smallest ``eigvalsh`` eigenvalue at every
@@ -253,8 +261,7 @@ def solvable(p: PickProblem) -> bool:
 # -- interpolating-subsequence extraction ------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractionRow:
+class ExtractionRow(NamedTuple):
     """Audit record for one accepted point."""
 
     k: int                  # stage (1-based)
@@ -264,8 +271,7 @@ class ExtractionRow:
     rule: str               # "initial" | "dominance"
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     indices: list[int]
     rows: list[ExtractionRow]
 
@@ -450,8 +456,7 @@ def extract_interpolating_subsequence(
 # -- boundary-crossing obstruction -------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrossingObstruction:
+class CrossingObstruction(NamedTuple):
     """Determinant test at the pinch points of the crossing curve.
 
     ``det`` is the 2x2 Pick determinant for the candidate multiplier

@@ -11,7 +11,7 @@ hug the boundary far beyond double-precision resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
     raise ValueError(f"unknown sequence tag {tag!r}; known: {NAMED_TAGS}")
 
 
-@dataclass(frozen=True)
-class BlaschkeSum:
+class BlaschkeSum(NamedTuple):
     """Partial Blaschke mass with a tail-doubling convergence verdict."""
 
     total: float
@@ -148,8 +147,7 @@ def blaschke_sum(s: DiscSequence) -> BlaschkeSum:
     return BlaschkeSum(total, settled(total, float(s.gaps[: s.n // 2].sum())))
 
 
-@dataclass(frozen=True)
-class SeparationDelta:
+class SeparationDelta(NamedTuple):
     """Strong-separation product for one point, kept in log space."""
 
     value: float
@@ -245,8 +243,7 @@ def carleson_ratio(s: DiscSequence, p: int) -> float:
     return float(2.0**p * s.gaps[mask].sum())
 
 
-@dataclass(frozen=True)
-class GarnettBudget:
+class GarnettBudget(NamedTuple):
     """Interpolation budget delta (1 + log(1/delta))^-2 for one point,
     with the distance to its nearest other point (inf for a single point)."""
 

@@ -16,7 +16,7 @@ Fourier series of u_1 + i conj(u_1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +242,7 @@ def assemble_embedding(chain: ConformalChain, m: int = 4096) -> TangentialEmbedd
     return TangentialEmbedding(chain, m)
 
 
-@dataclass(frozen=True)
-class TangencyReport:
+class TangencyReport(NamedTuple):
     """Both boundary-approach ratios along x = 1 - 2^-j plus the model fit.
 
     ``c1`` and ``correlation`` come from the log-log regression of

@@ -379,6 +379,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.strip().splitlines() == ["error: output pipe closed"]
 
+    @pytest.mark.parametrize("args", [[], ["--help"], ["classify", "--help"]],
+                             ids=["catalog", "catalog-help", "recipe-help"])
+    def test_closed_output_pipe_before_start(self, args):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails whether or not stdout is buffered
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "npdisclab", *args], stdout=write_fd,
+                                  stderr=subprocess.PIPE, text=True, timeout=240)
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == EXIT_UNWRITABLE, proc.stderr
+        assert proc.stderr.splitlines() == ["error: output pipe closed"]
+
+    @pytest.mark.parametrize("args", [[], ["crossing"]], ids=["catalog", "recipe"])
+    def test_closed_stdout(self, args):
+        # started with file descriptor 1 closed, Python's sys.stdout is None
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m npdisclab "$@" >&-', sys.executable, *args],
+                              capture_output=True, text=True, timeout=240)
+        assert proc.returncode == EXIT_UNWRITABLE, proc.stderr
+        assert proc.stderr.splitlines() == ["error: stdout is closed"]
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("name", sorted(RECIPE_ARGS))
@@ -430,6 +453,16 @@ class TestDeterminism:
         assert bodies["xn_alternating"] != bodies["vn_quadratic"]
         assert [row[1] for row in bodies["xn_alternating"]] == [0, 1, 8]
         assert [row[1] for row in bodies["vn_quadratic"]] == [0, 4, 127]
+
+    def test_console_exit_writes_what_main_writes(self, capsys):
+        # 4096 rows are far more than a pipe buffer holds, so the child's
+        # output is still being written and flushed on its way to exit
+        argv = ["tangential-embed", "m=4096", "--reproducible"]
+        proc = subprocess.run([sys.executable, "-m", "npdisclab", *argv], capture_output=True,
+                              timeout=240)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout) == (0, capsys.readouterr().out.encode())
+        assert proc.stdout.count(b"\n") > 4096
 
     def test_timestamp_only_without_reproducible(self, tmp_path):
         out = tmp_path / "c.csv"

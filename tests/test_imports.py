@@ -82,13 +82,14 @@ def test_recipes_run_without_scipy():
 
 
 #: library modules each RECIPE_ARGS run loads besides cli and csvio, and
-#: whether it loads numpy.random (only the recipes that draw numbers)
+#: whether it loads numpy.random (only the recipes that draw numbers); no run
+#: loads dataclasses, since every record is a NamedTuple
 RECIPE_IMPORTS = {
     "classify": ({"kernels", "series"}, False),
     "compare": ({"kernels", "series"}, False),
     "pick-check": ({"geometry", "kernels", "pick", "series"}, False),
-    "interp-extract": ({"geometry", "kernels", "pick", "sequences", "series"}, True),
-    "crossing": ({"geometry", "kernels", "pick", "series"}, False),
+    "interp-extract": ({"geometry", "pick", "sequences", "series"}, True),
+    "crossing": ({"geometry", "pick"}, False),
     "distortion": ({"geometry"}, True),
     "carleson": ({"geometry", "sequences", "series"}, False),
     "separation": ({"geometry", "sequences", "series"}, False),
@@ -98,19 +99,20 @@ RECIPE_IMPORTS = {
 
 
 def _loaded_after(code):
-    """(npdisclab submodules, whether numpy.random is loaded) after ``code``."""
+    """(npdisclab submodules, whether numpy.random is loaded, whether
+    dataclasses is loaded) after ``code``."""
     script = (
         f"{code}\n"
         "import json, sys\n"
         "mods = [m[10:] for m in sys.modules if m.startswith('npdisclab.')]\n"
-        "print(json.dumps([mods, 'numpy.random' in sys.modules]))\n"
+        "print(json.dumps([mods, 'numpy.random' in sys.modules, 'dataclasses' in sys.modules]))\n"
     )
-    mods, loaded_random = json.loads(_run_child(script).splitlines()[-1])
-    return set(mods), loaded_random
+    mods, loaded_random, loaded_dataclasses = json.loads(_run_child(script).splitlines()[-1])
+    return set(mods), loaded_random, loaded_dataclasses
 
 
 def test_cli_import_loads_only_csvio():
-    assert _loaded_after("import npdisclab.cli") == ({"cli", "csvio"}, False)
+    assert _loaded_after("import npdisclab.cli") == ({"cli", "csvio"}, False, False)
 
 
 def test_each_recipe_loads_only_its_layers():
@@ -118,4 +120,4 @@ def test_each_recipe_loads_only_its_layers():
     for name, (layers, loads_random) in RECIPE_IMPORTS.items():
         argv = [name, *RECIPE_ARGS[name], "--reproducible", "--out", "/dev/null"]
         code = f"from npdisclab.cli import main\nassert main({argv!r}) == 0"
-        assert _loaded_after(code) == ({"cli", "csvio", *layers}, loads_random), name
+        assert _loaded_after(code) == ({"cli", "csvio", *layers}, loads_random, False), name
