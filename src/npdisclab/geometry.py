@@ -257,12 +257,14 @@ class EmbeddedDisc(GeneralCurve):
     """Diagonal embedding f(z) = (b_1 z, b_2 z^2, ...) truncated at order N.
 
     ``regime`` is "open" when the full amplitude mass is 1 (image closure
-    touches the sphere) and "compact" when it is r < 1.  ``gram`` may hold
-    an exact evaluator for g(t) = sum |b_n|^2 t^n, in which case inner
+    touches the sphere) and "compact" when it is r < 1; the caller states
+    it, as :meth:`from_kernel_handle` does from
+    :meth:`~npdisclab.kernels.KernelHandle.is_compact_regime`.  ``gram`` may
+    hold an exact evaluator for g(t) = sum |b_n|^2 t^n, in which case inner
     products bypass the truncated coordinates entirely.
     """
 
-    def __init__(self, amplitudes, regime: str | None = None, *,
+    def __init__(self, amplitudes, regime: str, *,
                  gram=None, boundary_c1: bool = False):
         b = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
         if b.size == 0 or b[0] == 0.0:
@@ -270,8 +272,6 @@ class EmbeddedDisc(GeneralCurve):
         mass = float(np.sum(np.abs(b) ** 2))
         if mass > 1.0 + 1e-9:
             raise ValueError(f"amplitude mass {mass:.6g} exceeds 1")
-        if regime is None:
-            regime = "open" if mass > 1.0 - 1e-6 else "compact"
         if regime not in ("open", "compact"):
             raise ValueError(f"unknown regime {regime!r}")
         self.amplitudes = b
@@ -364,19 +364,15 @@ def crossing_map(r: float) -> CrossingCurve:
     return CrossingCurve(r)
 
 
-def boundary_pairing(curve: GeneralCurve, t: float) -> complex:
-    """<f(z), f'(z) z> at the boundary point z = e^{it}."""
-    z = complex(np.exp(1j * t))
-    return complex(np.dot(curve.eval(z).coords, np.conj(curve.deriv(z) * z)))
-
-
 def transversality_pairing(curve: GeneralCurve, t: float) -> float:
-    """Re <f(e^{it}), f'(e^{it}) e^{it}>; positive for C^1 proper embeddings.
+    """Re <f(z), f'(z) z> at z = e^{it}; positive for C^1 proper embeddings.
 
     Raises :class:`BoundaryDivergenceError` (via the curve) when the
     derivative series diverges at the boundary, the tangential signature.
     """
-    value = boundary_pairing(curve, t)
+    z = complex(np.exp(1j * t))
+    tangent = curve.deriv(z) * z  # first: a divergent derivative decides before eval
+    value = complex(np.dot(curve.eval(z).coords, np.conj(tangent)))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise BoundaryDivergenceError("pairing is non-finite at this boundary point")
     return value.real

@@ -139,13 +139,17 @@ def _hs_generating(s: float, t) -> np.ndarray:
     length falls below 1e-17 of its running total.  For |t| < 1 the error
     is then at most 1e-14 * A_s(|t|), an absolute bound scaled by the sum
     of the term magnitudes: close to the circle it is set by cancellation
-    between terms, not by truncation.  For |t| = 1 the sum is only taken
-    when s < -1 (absolutely summable; A_s(1) = inf for s >= -1), and it is
-    truncated silently after ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).
+    between terms, not by truncation.  On the circle |t| = 1 the sum is
+    only taken when s < -1 (absolutely summable), and it is truncated
+    silently after ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).  For s >= -1,
+    A_s(1) = inf and every other point within 1e-12 of the circle raises
+    KernelDomainError: there the series does not converge absolutely.
     """
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     if np.any(np.abs(t) > 1.0 + 1e-12):
         raise KernelDomainError("generating function evaluated outside the closed disc")
+    if s >= -1.0 and np.any((np.abs(t) > 1.0 - 1e-12) & (t != 1.0)):
+        raise KernelDomainError(f"hs:{s:g} series is not absolutely summable on the unit circle")
     total = np.where((t == 1.0) & (s >= -1.0), complex(math.inf), 0j)
     live = np.flatnonzero(np.isfinite(total))
     chunk, n0 = _HS_CHUNK_MIN, 0
@@ -305,21 +309,6 @@ def _load_custom(path: str, n_terms: int) -> KernelHandle:
 
 
 # -- operations --------------------------------------------------------------
-
-
-def kernel_eval(k: KernelHandle, z: complex, w: complex) -> complex:
-    """Truncated K(z, w) = sum a_n (z conj(w))^n.
-
-    Boundary arguments are admitted only in the compact regime, where the
-    weights are summable and K extends continuously to the closed disc.
-    """
-    z, w = complex(z), complex(w)
-    limit = 1.0 if k.is_compact_regime() else 0.999
-    if abs(z) > limit + 1e-12 or abs(w) > limit + 1e-12:
-        raise KernelDomainError(
-            f"|z|, |w| must be <= {limit} for family {k.family_tag!r}"
-        )
-    return k.kernel_value(z * np.conj(w))
 
 
 def monomial_multiplier_norm(k: KernelHandle, n: int) -> float:

@@ -19,8 +19,8 @@ exact gap algebra for radial points.  Pairwise and stacked work runs in the
 row blocks of :func:`~npdisclab.geometry.row_blocks`, so temporaries stay
 within ``BLOCK_ENTRIES`` entries whatever the node count.  The Gram matrix
 takes the owner once per row block of its upper triangle and evaluates the
-kernel on the block in one ``kernel_from_defect`` call: closed forms (hardy,
-Drury-Arveson on ball points, and geometric), the truncated series by
+caller's handle on the block in one ``kernel_from_defect`` call: closed
+forms (hardy, Drury-Arveson on ball points, and geometric), the series by
 Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
@@ -34,7 +34,6 @@ eigenvalue over all of them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
@@ -43,7 +42,7 @@ import numpy as np
 
 from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar, row_blocks
 
-if TYPE_CHECKING:  # kernels is imported where a kernel is used
+if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
     from .kernels import KernelHandle
 
 #: relative eigenvalue tolerance separating the three verdict zones
@@ -59,21 +58,6 @@ _CORNER_CAP = 512
 
 #: extractor target samples: uniform complex draws per sample
 _N_RANDOM_TARGETS = 256
-
-
-@functools.cache
-def _drury_arveson():
-    """Drury-Arveson 1/(1 - <x, y>), the hardy closed form read from the point
-    table: the default kernel, module attribute DRURY_ARVESON, built on first use."""
-    from .kernels import hardy
-
-    return hardy(1)
-
-
-def __getattr__(name: str):
-    if name == "DRURY_ARVESON":
-        return _drury_arveson()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class PickProblemError(ValueError):
@@ -94,14 +78,14 @@ class PickProblem:
     """Interpolation nodes, targets and a kernel handle.
 
     ``kernel`` is a :class:`~npdisclab.kernels.KernelHandle`, evaluated at
-    1 - <z_i, z_j>; the default (None) is ``DRURY_ARVESON``, which gives
+    1 - <z_i, z_j>; ``kernels.hardy`` gives the Drury-Arveson kernel
     K = 1/(1 - <x, y>) on ball points.
     """
 
-    def __init__(self, nodes, targets, kernel=None):
+    def __init__(self, nodes, targets, kernel: KernelHandle):
         self.nodes = [_as_ball_point(z) for z in nodes]
         self.targets = np.atleast_1d(np.asarray(targets, dtype=complex))
-        self.kernel = _drury_arveson() if kernel is None else kernel
+        self.kernel = kernel
         if not self.nodes:
             raise PickProblemError("nodes is empty: a Pick problem needs at least one node")
         if len(self.nodes) != self.targets.size:
@@ -158,10 +142,6 @@ def kernel_gram(nodes, kernel: KernelHandle) -> np.ndarray:
     the real-path choice needs all of them first: the entries take the real
     path only if no pair has an imaginary part.
     """
-    from .kernels import KernelHandle
-
-    if not isinstance(kernel, KernelHandle):
-        raise PickProblemError(f"unknown kernel specification {kernel!r}")
     pts = [_as_ball_point(z) for z in nodes]
     n = len(pts)
     table = PointTable(pts)
@@ -251,11 +231,6 @@ def psd_check(m: np.ndarray) -> PsdVerdict:
     else:
         verdict = "positive-semidefinite"
     return PsdVerdict(min_eig, scale, verdict)
-
-
-def solvable(p: PickProblem) -> bool:
-    """Whether the Pick matrix is not indefinite (problem admits a solution)."""
-    return psd_check(pick_matrix(p)).verdict != "indefinite"
 
 
 # -- interpolating-subsequence extraction ------------------------------------

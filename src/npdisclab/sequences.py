@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import pseudo_dist_scalar, radial_log_gap_dist, row_blocks
-from .series import settled
 
 #: minimum pairwise distance for the separation verdict
 SEPARATION_THRESHOLD = 1e-3
@@ -67,11 +66,6 @@ class DiscSequence:
     @property
     def n(self) -> int:
         return self.points.size
-
-    def log_pair_dist(self, i: int, j: int) -> float:
-        """log d(v_i, v_j), accurate arbitrarily close to the boundary."""
-        d = self.pair_dist(i, j)
-        return math.log(d) if d > 0.0 else -math.inf
 
     def pair_dist(self, i, j):
         """d(v_i, v_j) over broadcast indices: exact log-gaps if radial, else the points."""
@@ -143,6 +137,8 @@ class BlaschkeSum(NamedTuple):
 
 def blaschke_sum(s: DiscSequence) -> BlaschkeSum:
     """sum (1 - |v_n|) over the truncated list."""
+    from .series import settled  # here only, so the other sequence recipes skip series
+
     total = float(s.gaps.sum())
     return BlaschkeSum(total, settled(total, float(s.gaps[: s.n // 2].sum())))
 
@@ -169,9 +165,9 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     the plain value would underflow.  The truncated product over-estimates
     the full one; callers see the truncation level through ``s.n``.
 
-    This is the scalar per-point reference, one ``log_pair_dist`` call per
-    factor; :func:`garnett_targets` computes every delta in one sweep over
-    distance row blocks and is tested against it.
+    This is the scalar per-point reference, one :meth:`DiscSequence.pair_dist`
+    call per factor; :func:`garnett_targets` computes every delta in one
+    sweep over distance row blocks and is tested against it.
     """
     if not 0 <= n < s.n:
         raise IndexError(f"index {n} outside sequence of length {s.n}")
@@ -179,7 +175,8 @@ def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
     for i in range(s.n):
         if i == n:
             continue
-        log_total += s.log_pair_dist(i, n)
+        d = s.pair_dist(i, n)
+        log_total += math.log(d) if d > 0.0 else -math.inf
     return _delta_record(log_total)
 
 

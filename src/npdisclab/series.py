@@ -63,11 +63,6 @@ class CoefficientSequence:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def is_valid_embedding(self) -> bool:
-        v = self.values
-        return bool(v[0] > 0.0 and np.all(v >= 0.0) and v.sum() <= 1.0 + 1e-12)
-
     def padded(self, n_terms: int) -> np.ndarray:
         """c_1..c_{n_terms} as an array, zero-padded or truncated."""
         out = np.zeros(n_terms)
@@ -137,14 +132,12 @@ def weights_from_moduli(
 ) -> KernelWeights:
     """Run the convolution recursion a_n = sum_{k<=n} c_k a_{n-k}.
 
-    Rejects moduli that are not a valid embedding.  Beyond
-    ``_LONG_ACCUM_N`` terms the accumulation runs in extended precision to
-    keep long convolutions from drifting.
+    The :class:`CoefficientSequence` constructor rejects moduli that are not
+    a valid embedding, unvalidated ones included.  Beyond ``_LONG_ACCUM_N``
+    terms the accumulation runs in extended precision to keep long
+    convolutions from drifting.
     """
-    if not isinstance(c, CoefficientSequence):
-        c = CoefficientSequence(c)
-    if not c.is_valid_embedding:
-        raise InvalidSequenceError("moduli do not describe a valid embedding")
+    c = CoefficientSequence(c.values if isinstance(c, CoefficientSequence) else c)
     n = _resolve_terms(c.n, n_terms)
     dtype = np.longdouble if n > _LONG_ACCUM_N else np.float64
     a = _renewal(c.padded(n).astype(dtype))
@@ -173,7 +166,7 @@ def moduli_from_weights(
     :func:`series_reciprocal` in O(N log N).  ``kernels`` checks either
     output against the weights by the residual a - delta_0 - (0, c) * a.
     Negative output entries are returned, not rejected -- their sign is the
-    content consumed by :func:`is_complete_np`.
+    content of the ``cnp`` column of :func:`~npdisclab.kernels.classify`.
     """
     if not isinstance(a, KernelWeights):
         a = KernelWeights(a)
@@ -268,12 +261,6 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int | None = None) ->
 CNP_TOL = 1e-10
 
 
-def is_complete_np(a: KernelWeights) -> bool:
-    """Whether every inverted modulus is >= -CNP_TOL (complete-Pick test)."""
-    c = moduli_from_weights(a)
-    return bool(np.all(c.values >= -CNP_TOL))
-
-
 #: relative change of a partial sum between its halves below which the
 #: sum is treated as converged (doubling test)
 DOUBLING_TOL = 0.01
@@ -299,26 +286,3 @@ def power_sum(coeffs: np.ndarray, t) -> np.ndarray:
         acc *= t
         acc += c
     return acc
-
-
-#: largest |z| accepted by the truncated generating-function evaluators
-EVAL_RADIUS = 0.999
-
-
-def evaluate_generating(seq, z: complex, n_terms: int | None = None) -> complex:
-    """Evaluate the truncated generating function at z, |z| <= 0.999.
-
-    For moduli the value is 1/(1 - sum c_n z^n); for weights it is
-    sum a_n z^n.  On a consistent pair the two agree up to the truncation
-    tail.
-    """
-    z = complex(z)
-    if abs(z) > EVAL_RADIUS:
-        raise ValueError(f"|z| = {abs(z):.6g} exceeds the evaluation radius 0.999")
-    if isinstance(seq, CoefficientSequence):
-        n = _resolve_terms(seq.n, n_terms)
-        return complex(1.0 / (1.0 - z * power_sum(seq.padded(n), z)))
-    if isinstance(seq, KernelWeights):
-        n = _resolve_terms(seq.n, n_terms, extendable=False)
-        return complex(power_sum(seq.padded(n), z))
-    raise TypeError(f"expected CoefficientSequence or KernelWeights, got {type(seq)!r}")

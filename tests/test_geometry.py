@@ -154,12 +154,16 @@ class TestEmbeddedDisc:
         assert e.regime == "open"
         with pytest.raises(BoundaryDivergenceError):
             e.deriv(1.0)
+        # off the real axis z conj(z) rounds off 1, where A_s refuses the circle;
+        # the divergent derivative is reported first
+        with pytest.raises(BoundaryDivergenceError):
+            transversality_pairing(e, 1.0)
 
     def test_amplitude_mass_validated(self):
         with pytest.raises(ValueError):
-            EmbeddedDisc([1.0, 0.5])
+            EmbeddedDisc([1.0, 0.5], "open")
         with pytest.raises(ValueError):
-            EmbeddedDisc([0.0, 1.0])
+            EmbeddedDisc([0.0, 1.0], "open")
 
 
 class TestCrossing:

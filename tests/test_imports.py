@@ -88,10 +88,10 @@ RECIPE_IMPORTS = {
     "classify": ({"kernels", "series"}, False),
     "compare": ({"kernels", "series"}, False),
     "pick-check": ({"geometry", "kernels", "pick", "series"}, False),
-    "interp-extract": ({"geometry", "pick", "sequences", "series"}, True),
+    "interp-extract": ({"geometry", "pick", "sequences"}, True),
     "crossing": ({"geometry", "pick"}, False),
     "distortion": ({"geometry"}, True),
-    "carleson": ({"geometry", "sequences", "series"}, False),
+    "carleson": ({"geometry", "sequences"}, False),
     "separation": ({"geometry", "sequences", "series"}, False),
     "tangential-embed": ({"geometry", "tangential"}, False),
     "tangency-report": ({"geometry", "tangential"}, False),

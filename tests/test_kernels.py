@@ -10,7 +10,6 @@ from npdisclab.kernels import (
     are_comparable,
     classify,
     continuity_bound,
-    kernel_eval,
     monomial_multiplier_norm,
 )
 from npdisclab.series import (
@@ -155,23 +154,18 @@ class TestVerifiedModuli:
 class TestKernelEval:
     def test_szego_at_half(self):
         k = kernels.hardy(128)
-        assert kernel_eval(k, 0.5, 0.5) == pytest.approx(4.0 / 3.0, abs=1e-14)
+        assert k.kernel_value(0.5 * np.conj(0.5)) == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_unit_at_zero_argument(self):
         k = kernels.hardy(128)
-        assert kernel_eval(k, 0.5, 0.0) == pytest.approx(1.0)
+        assert k.kernel_value(0.5 * np.conj(0.0)) == pytest.approx(1.0)
 
     def test_hs_minus_two_on_boundary(self):
         # sum (n+1)^-2 = pi^2/6, truncation tail below 1/N
         n = 4096
         k = kernels.hs(-2.0, n)
-        val = kernel_eval(k, 1.0, 1.0)
+        val = k.kernel_value(1.0 * np.conj(1.0))
         assert abs(val - math.pi**2 / 6.0) <= 1.0 / n
-
-    def test_open_regime_refuses_boundary(self):
-        k = kernels.hardy(128)
-        with pytest.raises(KernelDomainError):
-            kernel_eval(k, 1.0, 1.0)
 
     def test_agrees_with_moduli_form(self):
         k = kernels.geometric(0.5, 256)
@@ -219,6 +213,17 @@ class TestPowerWeightGenerating:
         want = np.array([[k.generating_value(complex(v)) for v in row] for row in t])
         assert got.shape == t.shape
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("s", [-0.5, 0.5])
+    def test_refuses_the_circle_away_from_one(self, s):
+        # the series does not converge absolutely there, so no truncation of
+        # it is a value
+        k = kernels.hs(s, 64)
+        with pytest.raises(KernelDomainError, match="unit circle"):
+            k.generating_value(np.exp(0.7j))
+        with pytest.raises(KernelDomainError, match="unit circle"):
+            k.generating_value(np.array([0.5, np.exp(-2.0j)]))
+        assert k.generating_value(1.0) == 1.0  # A_s(1) = inf
 
 
 class TestMonomialNorms:
@@ -311,7 +316,7 @@ class TestClassify:
             gram = np.empty((m, m), dtype=complex)
             for i in range(m):
                 for j in range(i, m):
-                    gram[i, j] = kernel_eval(k, pts[i], pts[j])
+                    gram[i, j] = k.kernel_value(pts[i] * np.conj(pts[j]))
                     gram[j, i] = np.conj(gram[i, j])
             eig = np.linalg.eigvalsh(gram)
             assert eig.min() >= -1e-10 * np.trace(gram).real

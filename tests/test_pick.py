@@ -15,7 +15,6 @@ from npdisclab.pick import (
     kernel_gram,
     pick_matrix,
     psd_check,
-    solvable,
 )
 
 def gaussian_points(n):
@@ -49,11 +48,11 @@ class TestPickMatrix:
 
     def test_rejects_coincident_nodes(self):
         with pytest.raises(PickProblemError):
-            PickProblem([0.5, 0.5], [0.0, 0.1])
+            PickProblem([0.5, 0.5], [0.0, 0.1], kernels.hardy(1))
 
     def test_rejects_large_targets(self):
         with pytest.raises(PickProblemError):
-            PickProblem([0.0, 0.5], [0.0, 1.0])
+            PickProblem([0.0, 0.5], [0.0, 1.0], kernels.hardy(1))
 
     def test_gram_is_pick_matrix_with_zero_targets(self):
         rng = np.random.default_rng(np.random.Philox(41))
@@ -72,40 +71,36 @@ class TestCoincidence:
     ])
     def test_reports_first_coinciding_pair(self, nodes, pair):
         with pytest.raises(PickProblemError, match=f"nodes {pair[0]} and {pair[1]} coincide"):
-            PickProblem(nodes, np.zeros(len(nodes)))
+            PickProblem(nodes, np.zeros(len(nodes)), kernels.hardy(1))
 
     def test_first_pair_across_row_blocks(self, monkeypatch):
         # one row per block: the blocks still report the lexicographic first
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
         with pytest.raises(PickProblemError, match="nodes 0 and 3 coincide"):
-            PickProblem([0.3, 0.6, 0.6, 0.3], np.zeros(4))
+            PickProblem([0.3, 0.6, 0.6, 0.3], np.zeros(4), kernels.hardy(1))
         monkeypatch.undo()
         nodes = list(np.linspace(-0.9, 0.9, 300))
         nodes[290], nodes[299] = nodes[150], nodes[10]  # (10, 299) precedes (150, 290)
         assert len(list(row_blocks(300, 300))) > 1
         with pytest.raises(PickProblemError, match="nodes 10 and 299 coincide"):
-            PickProblem(nodes, np.zeros(300))
+            PickProblem(nodes, np.zeros(300), kernels.hardy(1))
 
     def test_equal_coordinates_with_different_gaps_are_distinct(self):
         p = BallPoint([0.5], gap=0.5)
         q = BallPoint([0.5], gap=0.5 + 2.0**-40)
-        assert PickProblem([p, q, BallPoint([0.5])], [0.0, 0.1, 0.2]).size == 3
+        assert PickProblem([p, q, BallPoint([0.5])], [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
         with pytest.raises(PickProblemError, match="nodes 0 and 2 coincide"):
-            PickProblem([p, q, BallPoint([0.5], gap=0.5)], [0.0, 0.1, 0.2])
+            PickProblem([p, q, BallPoint([0.5], gap=0.5)], [0.0, 0.1, 0.2], kernels.hardy(1))
 
     def test_different_dimensions_are_distinct(self):
         nodes = [BallPoint([0.5]), BallPoint([0.5, 0.0]), BallPoint([0.5, 0.0, 0.0])]
-        assert PickProblem(nodes, [0.0, 0.1, 0.2]).size == 3
+        assert PickProblem(nodes, [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
         with pytest.raises(PickProblemError, match="nodes 1 and 3 coincide"):
-            PickProblem(nodes + [BallPoint([0.5, 0.0])], [0.0, 0.1, 0.2, 0.3])
+            PickProblem(nodes + [BallPoint([0.5, 0.0])], [0.0, 0.1, 0.2, 0.3], kernels.hardy(1))
 
     def test_signed_zero_coordinates_coincide(self):
         with pytest.raises(PickProblemError, match="nodes 0 and 1 coincide"):
-            PickProblem([complex(0.5, 0.0), complex(0.5, -0.0)], [0.0, 0.1])
-
-    def test_unknown_kernel_specification(self):
-        with pytest.raises(PickProblemError, match="unknown kernel"):
-            pick_matrix(PickProblem([0.1, 0.5], [0.0, 0.1], kernel="szego"))
+            PickProblem([complex(0.5, 0.0), complex(0.5, -0.0)], [0.0, 0.1], kernels.hardy(1))
 
 
 class TestGramOracle:
@@ -153,7 +148,7 @@ class TestGramOracle:
         # g_i + g_j - g_i g_j keep the kernel finite
         gaps = [1e-20, 3e-20]
         pts = [BallPoint.radial(g) for g in gaps] + [BallPoint([0.3j])]
-        for kernel in (pick.DRURY_ARVESON, kernels.hardy(64)):
+        for kernel in (kernels.hardy(1), kernels.hardy(64)):
             gram = kernel_gram(pts, kernel)
             for i, gi in enumerate(gaps):
                 for j, gj in enumerate(gaps):
@@ -244,7 +239,7 @@ class TestCallCounts:
                             lambda self, rows, cols: calls.append(1) or owner(self, rows, cols))
         monkeypatch.setattr(pick, "_target_sample",
                             lambda *a: samples.append(1) or target_sample(*a))
-        for kernel in (pick.DRURY_ARVESON, kernels.hs(-0.5, 256)):
+        for kernel in (kernels.hardy(1), kernels.hs(-0.5, 256)):
             calls.clear()
             kernel_gram(gaussian_points(20), kernel)
             assert len(calls) == 1
@@ -342,14 +337,14 @@ class TestPsdCheck:
         x, big_c = 1e-3, 2.0
         z1, z2 = 1.0 - x, -1.0 + s * x
         nodes = [curve.eval(z1), curve.eval(z2)]
-        p = PickProblem(nodes, [z1 / big_c, z2 / big_c])
+        p = PickProblem(nodes, [z1 / big_c, z2 / big_c], kernels.hardy(1))
         assert psd_check(pick_matrix(p)).verdict == "indefinite"
-        assert not solvable(p)
 
 
 class TestSolvable:
     def test_single_node_always_solvable(self):
-        assert solvable(PickProblem([0.3 + 0.1j], [0.7], kernels.hardy(64)))
+        p = PickProblem([0.3 + 0.1j], [0.7], kernels.hardy(64))
+        assert psd_check(pick_matrix(p)).verdict != "indefinite"
 
     def test_two_node_matches_distance_comparison(self):
         # classical two-point criterion: solvable iff d(w1, w2) <= d(z1, z2)
@@ -364,7 +359,7 @@ class TestSolvable:
             if dz < 1e-3 or abs(dw - dz) < 1e-6:
                 continue  # skip near-degenerate and tolerance-edge cases
             p = PickProblem(z, w, k)
-            assert solvable(p) == (dw <= dz)
+            assert (psd_check(pick_matrix(p)).verdict != "indefinite") == (dw <= dz)
             checked += 1
         assert checked >= 100
 

@@ -16,8 +16,11 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from npdisclab.geometry import BallPoint, PointTable, one_minus_inner  # noqa: E402
-from npdisclab.kernels import parse_family  # noqa: E402
-from npdisclab.pick import DRURY_ARVESON, kernel_gram  # noqa: E402
+from npdisclab.kernels import hardy, parse_family  # noqa: E402
+from npdisclab.pick import kernel_gram  # noqa: E402
+
+#: the hardy closed form read on ball points: 1/(1 - <x, y>)
+DRURY_ARVESON = hardy(1)
 
 ORACLE = settings(derandomize=True, max_examples=300, deadline=None)
 

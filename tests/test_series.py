@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from npdisclab import kernels
+from npdisclab.kernels import classify
 from npdisclab.series import (
     _LONG_ACCUM_N,
     CoefficientSequence,
     InvalidSequenceError,
     KernelWeights,
     _renewal,
-    evaluate_generating,
     fft_convolve,
-    is_complete_np,
     moduli_from_weights,
     weights_by_reciprocal,
     weights_from_moduli,
@@ -45,7 +45,6 @@ class TestValidation:
     def test_unvalidated_construction_keeps_negatives(self):
         c = CoefficientSequence([0.5, -0.25], validate=False)
         assert c.values[1] == -0.25
-        assert not c.is_valid_embedding
 
     def test_weights_require_unit_head(self):
         with pytest.raises(InvalidSequenceError):
@@ -146,46 +145,42 @@ class TestInversion:
         c = moduli_from_weights(a)
         # c_2 = a_2 - c_1 a_1 = 3 - 4 = -1
         assert c.values[1] == pytest.approx(-1.0, abs=1e-14)
-        assert not is_complete_np(a)
+        assert not classify(kernels.from_weights(a)).cnp
 
 
 class TestCompleteNP:
     def test_dirichlet_is_complete_pick(self):
         a = KernelWeights(1.0 / (np.arange(257) + 1.0))
-        assert is_complete_np(a)
+        assert classify(kernels.from_weights(a)).cnp
 
     def test_hardy_is_complete_pick(self):
-        assert is_complete_np(KernelWeights(np.ones(65)))
+        assert classify(kernels.from_weights(KernelWeights(np.ones(65)))).cnp
 
 
 class TestGenerating:
+    """1/(1 - g) from the moduli and the weights' power sum, through a handle."""
+
     def test_hardy_geometric_series(self):
-        assert evaluate_generating(CoefficientSequence([1.0]), 0.5) == pytest.approx(2.0)
+        k = kernels.from_moduli(CoefficientSequence([1.0]))
+        assert 1.0 / (1.0 - k.generating_value(0.5)) == pytest.approx(2.0)
 
     def test_geometric_closed_form(self):
         # 1/(1-g) = (2-z)/(2-2z) -> 3/2 at z = 1/2
-        val = evaluate_generating(geometric_moduli(128), 0.5)
-        assert val == pytest.approx(1.5, abs=1e-15)
+        k = kernels.from_moduli(geometric_moduli(128))
+        assert 1.0 / (1.0 - k.generating_value(0.5)) == pytest.approx(1.5, abs=1e-15)
 
     def test_dirichlet_log_identity(self):
         # sum z^n/(n+1) = -log(1-z)/z
         a = KernelWeights(1.0 / (np.arange(129) + 1.0))
-        assert evaluate_generating(a, 0.5) == pytest.approx(2.0 * np.log(2.0), abs=1e-14)
-
-    def test_refuses_large_argument(self):
-        with pytest.raises(ValueError):
-            evaluate_generating(geometric_moduli(8), 1.0)
-        with pytest.raises(ValueError):
-            evaluate_generating(geometric_moduli(8), 0.9995)
+        val = kernels.from_weights(a).kernel_value(0.5)
+        assert val == pytest.approx(2.0 * np.log(2.0), abs=1e-14)
 
     def test_pair_consistency(self):
         rng = np.random.default_rng(np.random.Philox(3))
-        c = random_valid_moduli(rng, 96)
-        a = weights_from_moduli(c, 96)
+        k = kernels.from_moduli(random_valid_moduli(rng, 96), 96)
         for z in (0.3, -0.45, 0.2 + 0.4j):
-            lhs = evaluate_generating(c, z, 96)
-            rhs = evaluate_generating(a, z, 96)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+            lhs = 1.0 / (1.0 - k.generating_value(z))
+            assert lhs == pytest.approx(k.kernel_value(z), rel=1e-10)
 
 
 class TestProperties:
