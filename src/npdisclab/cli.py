@@ -30,13 +30,12 @@ OPENBLAS_THREAD_TIMEOUT = "22"
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
 
-import numpy as np
-
 from . import __version__
-from .csvio import write_rows
 
-# each recipe imports the library layers it uses when it runs, so a run
-# loads only its own; numpy.random is loaded only by the recipes that draw
+# numpy and csvio load in run() once the parameters parse, and each recipe
+# imports the library layers it uses when it runs, so the catalog, --help and
+# command-line errors answer before numpy loads and a run loads only its own
+# layers; numpy.random is loaded only by the recipes that draw
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2
@@ -64,6 +63,14 @@ class ExperimentConfig(NamedTuple):
 
 def _parse_complex(text: str) -> complex:
     return complex(text.replace(" ", ""))
+
+
+def _parse_count(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ParameterError("must be at least 1")
+    return value
 
 
 def _parse_list(parser):
@@ -167,6 +174,8 @@ def _run_crossing(p):
 
 
 def _run_distortion(p):
+    import numpy as np
+
     from .geometry import crossing_map, crossing_scalar, distortion_profile, hs_embedding
 
     tag = p["map"]
@@ -217,6 +226,8 @@ def _run_separation(p):
 
 
 def _run_tangential_embed(p):
+    import numpy as np
+
     from .tangential import ConformalChain, assemble_embedding
 
     emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
@@ -304,7 +315,7 @@ RECIPES = {
             (
                 Param("map", str, "crossing:0.5", "curve tag: crossing:<r> | hs:<s>"),
                 Param("xs", _parse_list(float), [], "pinch parameters, ';'-separated"),
-                Param("pairs", int, 100, "random pair count when xs is empty"),
+                Param("pairs", _parse_count, 100, "random pair count when xs is empty"),
                 Param("N", int, 512, "embedding truncation for hs maps"),
             ),
             _run_distortion,
@@ -422,6 +433,8 @@ def _resolve_params(recipe: Recipe, raw: dict, seed: int) -> dict:
             )
         try:
             resolved[key] = known[key].parse(value)
+        except ParameterError as exc:
+            raise ParameterError(f"bad value for {key!r}: {value!r} ({exc})") from None
         except (ValueError, TypeError) as exc:
             raise ParameterError(f"bad value for {key!r}: {value!r}") from exc
     for param in recipe.params:
@@ -460,6 +473,11 @@ def run(config: ExperimentConfig) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
+    # loading the writer (and numpy with it) before the recipe computes keeps
+    # its import off the recipe's peak memory; a name read here at call time
+    # is the one a tracer may have wrapped
+    from .csvio import write_rows
+
     try:
         result = recipe.run(params)
     except (ParameterError, ValueError, KeyError, OSError) as exc:

@@ -274,8 +274,8 @@ def parse_family(tag: str, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     """Build a handle from a CLI-style tag.
 
     Accepted forms: ``hardy``, ``hs:<s>``, ``geom:<q>``,
-    ``custom:<path-to-csv>`` where the CSV holds ``n,value`` rows (first
-    index 0 means weights, first index 1 means moduli).
+    ``custom:<path-to-csv>`` where the CSV holds ``n,value`` rows
+    (consecutive indices from 0 are weights, from 1 moduli).
     """
     if tag == "hardy":
         return hardy(n_terms)
@@ -292,18 +292,40 @@ def parse_family(tag: str, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
 
 
 def _load_custom(path: str, n_terms: int) -> KernelHandle:
+    """Read ``n,value`` rows: indices 0, 1, 2, ... give weights a_n, and
+    indices 1, 2, 3, ... give moduli c_n.  Blank lines, ``#`` comments and a
+    header row starting with ``n`` before the data are skipped.  Any other
+    row that is not an integer and a float, or whose index breaks the run,
+    raises ValueError naming the path, the line and the row.
+    """
     import csv
 
-    indices, values = [], []
+    first, values = None, []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#") or row[0] == "n":
+        reader = csv.reader(fh)
+
+        def bad(row, reason):
+            return ValueError(f"custom CSV {path!r} line {reader.line_num} "
+                              f"({','.join(row)!r}): {reason}")
+
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#") or (not values and row[0] == "n"):
                 continue
-            indices.append(int(row[0]))
-            values.append(float(row[1]))
-    if not indices:
+            try:
+                n_text, value_text = row
+                n, value = int(n_text), float(value_text)
+            except ValueError:
+                raise bad(row, "expected an integer n and a number") from None
+            if first is None:
+                if n not in (0, 1):
+                    raise bad(row, f"the first index must be 0 (weights) or 1 (moduli), got {n}")
+                first = n
+            if n != first + len(values):
+                raise bad(row, f"index {n} out of sequence, expected {first + len(values)}")
+            values.append(value)
+    if not values:
         raise ValueError(f"no sequence rows found in {path}")
-    if indices[0] == 0:
+    if first == 0:
         return from_weights(KernelWeights(values))
     return from_moduli(CoefficientSequence(values), n_terms)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from npdisclab import cli, csvio
+from npdisclab import csvio
 from npdisclab.cli import (
     EXIT_BAD_PARAMETER,
     EXIT_NOT_CERTIFIED,
@@ -143,6 +143,21 @@ class TestExitCodes:
         assert main(["classify", f"family=custom:{path}"]) == EXIT_BAD_PARAMETER
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    @pytest.mark.parametrize("rows, names", [
+        ("n,value\n1,0.5\n3,0.25\n", "line 3 ('3,0.25'): index 3 out of sequence, expected 2"),
+        ("n,value\n1,0.5\n2,x\n", "line 3 ('2,x'): expected an integer n and a number"),
+    ], ids=["gap", "bad-value"])
+    def test_malformed_custom_csv_names_path_and_row(self, rows, names, tmp_path, capsys):
+        # the gap used to load as c_2 = 0.25 and the bad value to print
+        # float()'s text; tests/test_kernels.py covers every refused row
+        path = tmp_path / "family.csv"
+        path.write_text(rows, encoding="utf-8")
+        assert main(["classify", f"family=custom:{path}", "N=8"]) == EXIT_BAD_PARAMETER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: custom CSV {str(path)!r} {names}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["_bogus=banana", "_seed=5", "_help=yes"])
     def test_underscore_key_is_unknown_parameter(self, key, capsys):
@@ -394,6 +409,38 @@ class TestExitCodes:
         assert proc.returncode == EXIT_UNWRITABLE, proc.stderr
         assert proc.stderr.splitlines() == ["error: output pipe closed"]
 
+    @pytest.mark.parametrize("args, code, names", [
+        ([], 0, None),
+        (["--help"], 0, None),
+        (["classify", "--help"], 0, None),
+        (["nope"], EXIT_UNKNOWN_RECIPE, "unknown recipe 'nope'"),
+        (["classify", "N=abc"], EXIT_BAD_PARAMETER, "'N'"),
+        (["classify", "Q=1"], EXIT_BAD_PARAMETER, "'Q'"),
+        (["classify", "N=1", "N=2"], EXIT_BAD_PARAMETER, "'N' given twice"),
+        (["compare"], EXIT_BAD_PARAMETER, "'family'"),
+        (["classify", "--seed", "-1"], EXIT_BAD_PARAMETER, "bad seed"),
+        (["classify", "--out"], EXIT_BAD_PARAMETER, "--out"),
+        (["distortion", "pairs=0"], EXIT_BAD_PARAMETER, "'pairs': '0' (must be at least 1)"),
+        (["distortion", "pairs=-1"], EXIT_BAD_PARAMETER, "'pairs': '-1' (must be at least 1)"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_answered_before_numpy_loads(self, args, code, names):
+        # the catalog, --help and every command-line error are decided from
+        # argv alone, so the process exits without loading numpy
+        script = ("import atexit, runpy, sys; "
+                  "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+                  "runpy.run_module('npdisclab', run_name='__main__')")
+        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                              text=True, timeout=240)
+        *err, numpy_loaded = proc.stderr.splitlines()
+        assert numpy_loaded == "False"
+        assert proc.returncode == code, proc.stderr
+        errors = [line for line in err if line.startswith("error:")]
+        if names is None:
+            assert errors == [] and proc.stdout
+        else:
+            assert proc.stdout == ""
+            assert len(errors) == 1 and names in errors[0]
+
     @pytest.mark.parametrize("args", [[], ["crossing"]], ids=["catalog", "recipe"])
     def test_closed_stdout(self, args):
         # started with file descriptor 1 closed, Python's sys.stdout is None
@@ -541,7 +588,6 @@ class TestBenchmarkHook:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(csvio, "write_rows", spy)
-        monkeypatch.setattr(cli, "write_rows", spy)
         out = tmp_path / "s.csv"
         assert main([*argv, "--reproducible", "--out", str(out)]) == 0
         [(args, kwargs)] = calls

@@ -111,8 +111,10 @@ def _loaded_after(code):
     return set(mods), loaded_random, loaded_dataclasses
 
 
-def test_cli_import_loads_only_csvio():
-    assert _loaded_after("import npdisclab.cli") == ({"cli", "csvio"}, False, False)
+def test_cli_import_loads_no_layer_and_no_numpy():
+    # the catalog, --help and command-line errors answer from this import alone
+    assert _loaded_after("import npdisclab.cli") == ({"cli"}, False, False)
+    assert _run_child("import sys, npdisclab.cli\nprint('numpy' in sys.modules)") == "False\n"
 
 
 def test_each_recipe_loads_only_its_layers():

@@ -87,6 +87,51 @@ class TestFamilies:
             kernels.parse_family("nope", 16)
 
 
+class TestCustomCsv:
+    @pytest.mark.parametrize("rows, want", [
+        ("n,value\n1,0.5\n2,0.25\n", [0.5, 0.25]),
+        ("# moduli\n\n1,0.5\n2,0.25\n", [0.5, 0.25]),
+    ], ids=["header", "comment-and-blank"])
+    def test_indices_from_one_are_moduli(self, rows, want, tmp_path):
+        path = tmp_path / "moduli.csv"
+        path.write_text(rows, encoding="utf-8")
+        k = kernels.parse_family(f"custom:{path}", 8)
+        assert list(k.moduli.values[:3]) == [*want, 0.0]
+
+    def test_indices_from_zero_are_weights(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("n,value\n0,1\n1,0.5\n2,0.25\n", encoding="utf-8")
+        k = kernels.parse_family(f"custom:{path}", 8)
+        assert list(k.weights.values) == [1.0, 0.5, 0.25]
+
+    @pytest.mark.parametrize("rows, line", [
+        ("n,value\n1,0.5\n3,0.25\n", 3),  # used to load as c_2 = 0.25
+        ("n,value\n0,1\n2,0.25\n", 3),
+        ("1,0.5\n1,0.25\n", 2),
+        ("n,value\n2,0.5\n3,0.25\n", 2),  # used to load as c_1, c_2
+        ("n,value\n-1,0.5\n", 2),
+        ("n,value\n1,0.5\nn,value\n", 3),
+        ("n,value\n1.5,0.5\n", 2),
+        ("n,value\n1,half\n", 2),
+        ("n,value\n1,0.5,7\n", 2),
+        ("n,value\n1\n", 2),
+    ], ids=["gap", "weights-gap", "duplicate", "from-2", "negative", "late-header",
+            "fractional-index", "bad-value", "three-cells", "one-cell"])
+    def test_malformed_rows_are_refused_by_line(self, rows, line, tmp_path):
+        path = tmp_path / "family.csv"
+        path.write_text(rows, encoding="utf-8")
+        row = rows.splitlines()[line - 1]
+        with pytest.raises(ValueError) as info:
+            kernels.parse_family(f"custom:{path}", 8)
+        assert str(info.value).startswith(f"custom CSV {str(path)!r} line {line} ({row!r}): ")
+
+    def test_no_rows_is_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("n,value\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no sequence rows"):
+            kernels.parse_family(f"custom:{path}", 8)
+
+
 class TestVerifiedModuli:
     """The residual check of inverted moduli against independent oracles."""
 
