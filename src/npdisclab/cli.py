@@ -58,7 +58,7 @@ class ExperimentConfig(NamedTuple):
     out: str | None
     seed: int
     reproducible: bool
-    help: bool = False
+    help: bool
 
 
 def _parse_complex(text: str) -> complex:
@@ -117,7 +117,7 @@ def _run_classify(p):
 
     handle = kernels.parse_family(p["family"], p["N"])
     rep = kernels.classify(handle)
-    return rep._fields, [rep.as_row()]
+    return rep._fields, [list(rep)]
 
 
 def _run_compare(p):
@@ -381,7 +381,7 @@ def recipe_help(recipe: Recipe) -> str:
     return "\n".join(lines)
 
 
-def _parse_argv(argv) -> ExperimentConfig | None:
+def _parse_argv(argv) -> ExperimentConfig:
     recipe_name = argv[0]
     rest = argv[1:]
     params, out, seed, reproducible, show_help = {}, None, None, False, False

@@ -261,11 +261,12 @@ class EmbeddedDisc(GeneralCurve):
     it, as :meth:`from_kernel_handle` does from
     :meth:`~npdisclab.kernels.KernelHandle.is_compact_regime`.  ``gram`` may
     hold an exact evaluator for g(t) = sum |b_n|^2 t^n, in which case inner
-    products bypass the truncated coordinates entirely.
+    products bypass the truncated coordinates entirely.  ``boundary_c1``
+    says whether the derivative extends to the circle (sum n |b_n|^2 < inf).
     """
 
     def __init__(self, amplitudes, regime: str, *,
-                 gram=None, boundary_c1: bool = False):
+                 gram=None, boundary_c1: bool):
         b = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
         if b.size == 0 or b[0] == 0.0:
             raise ValueError("first amplitude must be nonzero")
@@ -454,7 +455,7 @@ def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
     return DistortionProfile(np.column_stack([d_src, d_img]), ratios.min(), ratios.max())
 
 
-def hs_embedding(s: float, n_terms: int = 2048) -> EmbeddedDisc:
+def hs_embedding(s: float, n_terms: int) -> EmbeddedDisc:
     """Embedded disc of the power-weight family, amplitudes by inversion."""
     from . import kernels
 

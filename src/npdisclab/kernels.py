@@ -20,7 +20,6 @@ import numpy as np
 from .series import (
     CNP_TOL,
     CoefficientSequence,
-    DEFAULT_TERMS,
     InvalidSequenceError,
     KernelWeights,
     _FFT_N,
@@ -172,7 +171,7 @@ def _hs_generating(s: float, t) -> np.ndarray:
 # -- family constructors ----------------------------------------------------
 
 
-def hardy(n_terms: int = DEFAULT_TERMS) -> KernelHandle:
+def hardy(n_terms: int) -> KernelHandle:
     """Szego kernel: c = (1, 0, 0, ...), a_n = 1."""
     if n_terms < 1:
         raise ValueError(f"hardy needs at least one term, got N={n_terms}")
@@ -185,7 +184,7 @@ def hardy(n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     )
 
 
-def hs(s: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
+def hs(s: float, n_terms: int) -> KernelHandle:
     """Power-weight family a_n = (n+1)^s; moduli derived by inversion.
 
     Weights that overflow are rejected by :class:`KernelWeights`.
@@ -195,7 +194,7 @@ def hs(s: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     return KernelHandle(a, _verified_moduli(a), f"hs:{s:g}", s=float(s))
 
 
-def geometric(q: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
+def geometric(q: float, n_terms: int) -> KernelHandle:
     """Geometric moduli c_n = q^n; requires 0 < q <= 1/2 so mass stays <= 1.
 
     The weights need no recursion: 1/(1 - qz/(1 - qz)) = 1 + qz/(1 - 2qz),
@@ -211,15 +210,15 @@ def geometric(q: float, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
     return KernelHandle(a, c, f"geom:{q:g}", q=float(q))
 
 
-def from_moduli(c: CoefficientSequence, n_terms: int | None = None,
-                family_tag: str = "custom") -> KernelHandle:
-    n = n_terms if n_terms is not None else max(c.n, DEFAULT_TERMS)
-    cp = CoefficientSequence(c.padded(n), validate=False)
-    return KernelHandle(weights_from_moduli(c, n), cp, family_tag)
+def from_moduli(c: CoefficientSequence, n_terms: int) -> KernelHandle:
+    """Custom handle of the moduli c_1..c_{n_terms}, zero-padded or truncated."""
+    cp = CoefficientSequence(c.padded(n_terms), validate=False)
+    return KernelHandle(weights_from_moduli(c, n_terms), cp, "custom")
 
 
-def from_weights(a: KernelWeights, family_tag: str = "custom") -> KernelHandle:
-    return KernelHandle(a, _verified_moduli(a), family_tag)
+def from_weights(a: KernelWeights) -> KernelHandle:
+    """Custom handle of the weights a_0..a_N and their inverted moduli."""
+    return KernelHandle(a, _verified_moduli(a), "custom")
 
 
 def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
@@ -270,7 +269,7 @@ def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
     return c
 
 
-def parse_family(tag: str, n_terms: int = DEFAULT_TERMS) -> KernelHandle:
+def parse_family(tag: str, n_terms: int) -> KernelHandle:
     """Build a handle from a CLI-style tag.
 
     Accepted forms: ``hardy``, ``hs:<s>``, ``geom:<q>``,
@@ -395,9 +394,6 @@ class ClassificationReport(NamedTuple):
     cnp: bool                      # all moduli >= -CNP_TOL
     compact_regime: bool           # sum c_n < 1 (via convergence of sum a_n)
     moduli_mass: float             # truncated sum of c_n
-
-    def as_row(self) -> list:
-        return list(self)
 
 
 def classify(k: KernelHandle) -> ClassificationReport:

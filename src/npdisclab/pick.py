@@ -322,7 +322,7 @@ def extract_interpolating_subsequence(
     r: float,
     k_max: int,
     *,
-    seed: int = 0,
+    seed: int,
 ) -> ExtractionResult:
     """Greedy extraction of a subsequence whose Pick matrices stay definite.
 

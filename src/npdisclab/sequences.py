@@ -32,20 +32,17 @@ DYADIC_MAX_POINTS = 2**17
 class DiscSequence:
     """Finite list of distinct points in the open disc.
 
-    ``gaps`` holds 1 - |v_n| exactly where the generator knows it;
+    ``gaps`` holds 1 - |v_n| exactly, as the caller knows it;
     ``log_gaps`` extends this below the underflow threshold.  ``angles``
     holds exact arguments for the membership tests of Carleson boxes.
     """
 
-    def __init__(self, points, label: str = "custom", *,
-                 gaps=None, log_gaps=None, angles=None):
+    def __init__(self, points, label: str, *, gaps, log_gaps=None, angles):
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         if pts.size == 0:
             raise ValueError("sequence must contain at least one point")
         self.points = pts
         self.label = label
-        if gaps is None:
-            gaps = 1.0 - np.abs(pts)
         self.gaps = np.asarray(gaps, dtype=float)
         if np.any(self.gaps < 0.0) or (log_gaps is None and np.any(self.gaps == 0.0)):
             raise ValueError("all points must lie in the open disc")
@@ -54,8 +51,6 @@ class DiscSequence:
             if log_gaps is not None
             else np.log(self.gaps)
         )
-        if angles is None:
-            angles = np.mod(np.angle(pts), 2.0 * math.pi)
         self.angles = np.asarray(angles, dtype=float)
         #: all points on [0, 1): distances then come from the exact log-gaps
         self.is_radial_positive = bool(

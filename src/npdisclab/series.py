@@ -20,9 +20,6 @@ import numpy as np
 #: relative tolerance for round-trip identities
 REL_TOL = 1e-12
 
-#: default truncation length when the caller does not pass one
-DEFAULT_TERMS = 256
-
 # above this length the recursion accumulates in extended precision
 _LONG_ACCUM_N = 1000
 # above this length inversion switches to the FFT/Newton reciprocal
@@ -113,34 +110,20 @@ class KernelWeights:
         return f"KernelWeights(n={self.n}, head={self.values[:3]})"
 
 
-def _resolve_terms(seq_len: int, n_terms: int | None, *, extendable: bool = True) -> int:
-    """Pick the working truncation order.
+def weights_from_moduli(c: CoefficientSequence, n_terms: int) -> KernelWeights:
+    """Run the convolution recursion a_n = sum_{k<=n} c_k a_{n-k} up to a_{n_terms}.
 
-    Moduli are implicitly zero beyond their stored length, so they may be
-    extended up to the default order.  Weights carry no such convention and
-    default to exactly what is stored.
-    """
-    if n_terms is None:
-        return max(seq_len, DEFAULT_TERMS) if extendable else seq_len
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
-    return n_terms
-
-
-def weights_from_moduli(
-    c: CoefficientSequence, n_terms: int | None = None
-) -> KernelWeights:
-    """Run the convolution recursion a_n = sum_{k<=n} c_k a_{n-k}.
-
-    The :class:`CoefficientSequence` constructor rejects moduli that are not
-    a valid embedding, unvalidated ones included.  Beyond ``_LONG_ACCUM_N``
+    Moduli are zero beyond their stored length.  The
+    :class:`CoefficientSequence` constructor rejects moduli that are not a
+    valid embedding, unvalidated ones included.  Beyond ``_LONG_ACCUM_N``
     terms the accumulation runs in extended precision to keep long
     convolutions from drifting.
     """
     c = CoefficientSequence(c.values if isinstance(c, CoefficientSequence) else c)
-    n = _resolve_terms(c.n, n_terms)
-    dtype = np.longdouble if n > _LONG_ACCUM_N else np.float64
-    a = _renewal(c.padded(n).astype(dtype))
+    if n_terms < 1:
+        raise ValueError("n_terms must be at least 1")
+    dtype = np.longdouble if n_terms > _LONG_ACCUM_N else np.float64
+    a = _renewal(c.padded(n_terms).astype(dtype))
     return KernelWeights(np.asarray(a, dtype=float))
 
 
@@ -156,10 +139,8 @@ def _renewal(cv: np.ndarray) -> np.ndarray:
     return rev[::-1].copy()
 
 
-def moduli_from_weights(
-    a: KernelWeights, n_terms: int | None = None
-) -> CoefficientSequence:
-    """Invert the recursion: Taylor coefficients of 1 - 1/(sum a_n z^n).
+def moduli_from_weights(a: KernelWeights) -> CoefficientSequence:
+    """Invert the recursion: Taylor coefficients of 1 - 1/(sum a_n z^n), c_1..c_N.
 
     Up to ``_FFT_N`` terms the recursion is solved term by term (extended
     precision above ``_LONG_ACCUM_N``); above, by the FFT/Newton
@@ -170,8 +151,7 @@ def moduli_from_weights(
     """
     if not isinstance(a, KernelWeights):
         a = KernelWeights(a)
-    n = _resolve_terms(a.n, n_terms, extendable=False)
-    av = a.padded(n)
+    n, av = a.n, a.values
     if n > _FFT_N:
         recip = series_reciprocal(av, n)
         return CoefficientSequence(-recip[1:], validate=False)
@@ -244,17 +224,18 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
     return r
 
 
-def weights_by_reciprocal(c: CoefficientSequence, n_terms: int | None = None) -> np.ndarray:
-    """Weights via direct reciprocal expansion of 1 - g(z).
+def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:
+    """Weights a_0..a_{n_terms} via direct reciprocal expansion of 1 - g(z).
 
     Independent of :func:`weights_from_moduli`; the two must agree to
     ``REL_TOL`` on valid input.
     """
     if not isinstance(c, CoefficientSequence):
         c = CoefficientSequence(c)
-    n = _resolve_terms(c.n, n_terms)
-    d = np.concatenate(([1.0], -c.padded(n)))
-    return series_reciprocal(d, n)
+    if n_terms < 1:
+        raise ValueError("n_terms must be at least 1")
+    d = np.concatenate(([1.0], -c.padded(n_terms)))
+    return series_reciprocal(d, n_terms)
 
 
 #: inverted moduli down to -CNP_TOL still count as nonnegative

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import BallPoint, GeneralCurve
 
-STAGES = ("half_plane", "quadrant", "half_disc", "strip", "full", "clipped")
+STAGES = ("half_disc", "full", "clipped")
 
 _POLE_TOL = 1e-8
 
@@ -64,7 +64,7 @@ def _upper_log(w: np.ndarray) -> np.ndarray:
 class ConformalChain:
     """The staged conformal composition with clip parameter r in (2/3, 1)."""
 
-    def __init__(self, clip: float = 0.75):
+    def __init__(self, clip: float):
         if not 2.0 / 3.0 < clip < 1.0:
             raise ValueError("clip parameter must lie in (2/3, 1)")
         self.clip = clip
@@ -75,9 +75,8 @@ class ConformalChain:
     def eval(self, z, stage: str = "clipped") -> np.ndarray:
         """Evaluate the composition through the requested stage.
 
-        Stage names: half_plane (first Mobius), quadrant (square root),
-        half_disc (the map g), strip (logarithm), full (the map f),
-        clipped (f composed with rho).
+        Stage names: half_disc (the map g), full (the map f), clipped (f
+        composed with rho).
         """
         if stage not in STAGES:
             raise ValueError(f"unknown stage {stage!r}; stages: {STAGES}")
@@ -89,39 +88,21 @@ class ConformalChain:
         elif stage == "full":
             out = self._f(z)
         else:
-            # the raw first stages break down at both +-i: the pole of the
-            # Mobius map and the square-root branch point
-            self._guard(z, allow_minus_i=stage not in ("half_plane", "quadrant"))
-            out = self._partial(z, stage)
+            out = self._g(z)
         return out[0] if scalar else out
 
-    def _guard(self, z: np.ndarray, allow_minus_i: bool = True) -> None:
+    def _g(self, z: np.ndarray) -> np.ndarray:
+        """g on the closed disc: Mobius map, square root, Mobius map."""
         if np.any(np.abs(z - 1j) < _POLE_TOL):
             raise ChainDomainError(
                 "evaluation within 1e-8 of the chain's pole at +i"
             )
-        if not allow_minus_i and np.any(np.abs(z + 1j) < _POLE_TOL):
-            raise ChainDomainError(
-                "evaluation within 1e-8 of the branch point at -i"
-            )
-
-    def _partial(self, z: np.ndarray, stage: str) -> np.ndarray:
-        w = (z + 1j) / (1j * z + 1.0)
-        if stage == "half_plane":
-            return w
-        w = _upper_sqrt(w)
-        if stage == "quadrant":
-            return w
-        w = (w - 1.0) / (w + 1.0)
-        if stage == "half_disc":
-            return w
-        w = _upper_log(w)
-        return w
+        w = _upper_sqrt((z + 1j) / (1j * z + 1.0))
+        return (w - 1.0) / (w + 1.0)
 
     def _f(self, z: np.ndarray) -> np.ndarray:
         """f on the closed disc; the boundary singularity z = 1 maps to 1."""
-        self._guard(z)
-        g = self._partial(z, "half_disc")
+        g = self._g(z)
         out = np.empty_like(g)
         sing = g == 0.0
         out[sing] = 1.0
@@ -237,7 +218,7 @@ class TangentialEmbedding(GeneralCurve):
         return float(np.max(np.abs(np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0)))
 
 
-def assemble_embedding(chain: ConformalChain, m: int = 4096) -> TangentialEmbedding:
+def assemble_embedding(chain: ConformalChain, m: int) -> TangentialEmbedding:
     """Build F = (f_1, f_2) on an m-point grid."""
     return TangentialEmbedding(chain, m)
 
@@ -257,7 +238,7 @@ class TangencyReport(NamedTuple):
     ratio2_increasing: bool
 
 
-def tangency_report(emb: TangentialEmbedding, j_min: int = 4, j_max: int = 14) -> TangencyReport:
+def tangency_report(emb: TangentialEmbedding, j_min: int, j_max: int) -> TangencyReport:
     """Evaluate the two tangency ratios along the dyadic approach to 1.
 
     F(1) = (1, 0), so ratio2 reduces to Re(1 - f_1(x))/(1 - x) and only the

@@ -161,9 +161,9 @@ class TestEmbeddedDisc:
 
     def test_amplitude_mass_validated(self):
         with pytest.raises(ValueError):
-            EmbeddedDisc([1.0, 0.5], "open")
+            EmbeddedDisc([1.0, 0.5], "open", boundary_c1=False)
         with pytest.raises(ValueError):
-            EmbeddedDisc([0.0, 1.0], "open")
+            EmbeddedDisc([0.0, 1.0], "open", boundary_c1=False)
 
 
 class TestCrossing:

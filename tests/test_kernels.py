@@ -38,7 +38,7 @@ class TestFamilies:
 
     def test_geometric_requires_admissible_ratio(self):
         with pytest.raises(ValueError):
-            kernels.geometric(0.6)
+            kernels.geometric(0.6, 8)
         k = kernels.geometric(0.5, 64)
         assert np.all(k.weights.values[1:] == 0.5)
 
@@ -178,7 +178,7 @@ class TestVerifiedModuli:
             k.weights, CoefficientSequence(direct, validate=False), k.family_tag, s=0.5
         )
         # every CSV cell agrees but the last digits of moduli_mass
-        got, ref = classify(k).as_row(), classify(oracle).as_row()
+        got, ref = list(classify(k)), list(classify(oracle))
         assert list(map(format_cell, got[:-1])) == list(map(format_cell, ref[:-1]))
         assert got[-1] == pytest.approx(ref[-1], rel=1e-12)
 

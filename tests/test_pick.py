@@ -199,7 +199,7 @@ class TestCallCounts:
         for bound in (geometry.BLOCK_ENTRIES, 2**40):
             monkeypatch.setattr(geometry, "BLOCK_ENTRIES", bound)
             log.clear()
-            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
+            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12, seed=0)
             assert len(res.indices) == 12
             starts = [i for i, entry in enumerate(log) if entry[0] == "sample"]
             kinds = []
@@ -226,7 +226,7 @@ class TestCallCounts:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(ExtractionExhaustedError,
                            match="stage 1 block lost definiteness during sampling"):
-            extract_interpolating_subsequence(gaussian_points(14), 0.5, 4)
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, 4, seed=0)
 
     def test_one_minus_inner_calls(self, monkeypatch):
         # kernel_gram takes one call per row block of the triangle, so every
@@ -249,7 +249,7 @@ class TestCallCounts:
         for k_max in (4, 12):
             calls.clear()
             samples.clear()
-            extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max)
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max, seed=0)
             stages = k_max - 1
             verified = len(samples) - stages  # one sample per delta estimate
             assert len(calls) <= 3 * stages + verified
@@ -376,12 +376,12 @@ class TestSolvable:
 
 class TestExtractor:
     def test_kmax_one_returns_first_index(self):
-        res = extract_interpolating_subsequence(gaussian_points(5), 0.5, 1)
+        res = extract_interpolating_subsequence(gaussian_points(5), 0.5, 1, seed=0)
         assert res.indices == [0]
         assert res.rows[0].rule == "initial"
 
     def test_gaussian_sequence_keeps_tail(self):
-        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
+        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10, seed=0)
         assert len(res.indices) == 10
         # once acceptance starts the sequence is kept consecutively
         diffs = np.diff(res.indices)
@@ -389,7 +389,7 @@ class TestExtractor:
 
     def test_quadratic_sequence_skips(self):
         pts = quadratic_points(100000)
-        res = extract_interpolating_subsequence(pts, 0.5, 4)
+        res = extract_interpolating_subsequence(pts, 0.5, 4, seed=0)
         assert len(res.indices) == 4
         assert max(np.diff(res.indices)) > 1  # strictly sparser than the input
         # the consecutive-index two-point block loses definiteness for large
@@ -402,7 +402,7 @@ class TestExtractor:
         assert np.linalg.eigvalsh(b).min() < 0.0
 
     def test_soundness_on_random_targets(self):
-        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
+        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10, seed=0)
         pts = gaussian_points(12)
         rng = np.random.default_rng(np.random.Philox(45))
         from npdisclab.pick import _log_kernel, _normalized_pick
@@ -419,23 +419,23 @@ class TestExtractor:
     def test_exhaustion_diagnostic(self):
         pts = quadratic_points(6)  # far too short to reach stage 6
         with pytest.raises(ExtractionExhaustedError):
-            extract_interpolating_subsequence(pts, 0.5, 6)
+            extract_interpolating_subsequence(pts, 0.5, 6, seed=0)
 
     def test_point_on_sphere_without_gap_is_an_error(self):
         # the gap of 1 - e^{-28^2} underflows, leaving the point [1.0]; the
         # log-kernel must refuse it rather than carry log(0) = -inf along
         pts = gaussian_points(3) + [BallPoint([1.0])]
         with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
-            extract_interpolating_subsequence(pts, 0.5, 3)
+            extract_interpolating_subsequence(pts, 0.5, 3, seed=0)
 
     def test_rejects_the_empty_point_list(self):
         # used to raise IndexError on pts[-1]
         with pytest.raises(ValueError, match="point list is empty"):
-            extract_interpolating_subsequence([], 0.5, 3)
+            extract_interpolating_subsequence([], 0.5, 3, seed=0)
 
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):
-            extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2)
+            extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2, seed=0)
 
 
 class TestCrossingDeterminant:

@@ -66,19 +66,19 @@ class TestBlaschkeSum:
 
     def test_non_blaschke_sequence_flagged(self):
         idx = np.arange(2, 4002, dtype=float)
-        s = DiscSequence(1.0 - 1.0 / idx, "harmonic", gaps=1.0 / idx)
+        s = DiscSequence(1.0 - 1.0 / idx, "harmonic", gaps=1.0 / idx, angles=np.zeros(idx.size))
         assert not blaschke_sum(s).converged
 
 
 class TestSeparationDelta:
     def test_two_point_hand_value(self):
         # |b_{-1/2}(1/2)| = |(-0.5-0.5)/(1+0.25)| = 0.8
-        s = DiscSequence([0.5, -0.5], "pair")
+        s = DiscSequence([0.5, -0.5], "pair", gaps=[0.5, 0.5], angles=[0.0, math.pi])
         assert separation_delta(s, 0).value == pytest.approx(0.8, abs=1e-15)
         assert separation_delta(s, 1).value == pytest.approx(0.8, abs=1e-15)
 
     def test_singleton_empty_product(self):
-        s = DiscSequence([0.3], "one")
+        s = DiscSequence([0.3], "one", gaps=[0.7], angles=[0.0])
         d = separation_delta(s, 0)
         assert d.value == 1.0
         assert not d.underflowed
@@ -139,7 +139,7 @@ class TestCarleson:
         )
 
     def test_empty_box(self):
-        s = DiscSequence([0.5], "one")
+        s = DiscSequence([0.5], "one", gaps=[0.5], angles=[0.0])
         assert carleson_ratio(s, 2) == 0.0
 
     def test_gaussian_ratios_bounded(self):
@@ -150,14 +150,15 @@ class TestCarleson:
 
 class TestGarnett:
     def test_unit_delta(self):
-        s = DiscSequence([0.3], "one")
+        s = DiscSequence([0.3], "one", gaps=[0.7], angles=[0.0])
         assert garnett_targets(s)[0].budget == 1.0
 
     def test_hand_value_at_inverse_e(self):
         # delta = 1/e: budget = e^-1 (1 + 1)^-2 = 1/(4e)
         budget = math.exp(-1.0) * (1.0 + 1.0) ** -2
         # d(0, 1/e) = 1/e is the single factor of both points' products
-        got = garnett_targets(DiscSequence([0.0, 1.0 / math.e], "pair"))
+        got = garnett_targets(DiscSequence([0.0, 1.0 / math.e], "pair",
+                                         gaps=[1.0, 1.0 - 1.0 / math.e], angles=[0.0, 0.0]))
         assert [t.budget for t in got] == pytest.approx([budget, budget], rel=1e-12)
 
     def test_quadratic_budgets_vanish(self):

@@ -35,9 +35,7 @@ class TestChain:
 
     def test_pole_guard(self, chain):
         with pytest.raises(ChainDomainError):
-            chain.eval(1j, "half_plane")
-        with pytest.raises(ChainDomainError):
-            chain.eval(-1j + 1e-10, "quadrant")
+            chain.eval(1j, "half_disc")
 
     def test_half_disc_derivative_magnitude(self, chain):
         # |g'(1)| = 1/4, estimated from inside along the real axis
