@@ -8,12 +8,16 @@ for a fixed configuration and seed; ``--reproducible`` suppresses the
 timestamp comment so two runs are byte-identical.  Randomness goes through
 a counter-based generator keyed by the recorded seed.
 
-Exit codes: 0 success, 2 unknown recipe, 3 malformed parameter, a seed
-outside 0..2**64-1, unreadable input file or a size whose arrays do not fit
-in memory, 4 unwritable output path, closed stdout or closed output pipe,
-5 computation did not certify (the interpolating-subsequence extractor ran
-out of points or lost definiteness).  Every failure prints one ``error:``
-line on stderr.
+Exit codes: 0 success, 2 unknown recipe, 3 an input outside its domain
+(a :class:`~npdisclab.DomainError`: a malformed parameter, a size outside
+1..2**40, a seed outside 0..2**64-1, a value outside a library domain), an
+unreadable input file or a size whose arrays do not fit in memory,
+4 unwritable output path, closed stdout or closed output pipe, 5 a
+computation that did not certify (a :class:`~npdisclab.NotCertifiedError`:
+the interpolating-subsequence extractor ran out of points or lost
+definiteness).  Every such failure prints one ``error:`` line on stderr.
+Any other exception is a bug in npdisclab: it is not caught, so it ends
+the run with its traceback and exit code 1.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ OPENBLAS_THREAD_TIMEOUT = "22"
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
 
-from . import __version__
+from . import DomainError, NotCertifiedError, __version__
 
 # numpy and csvio load in run() once the parameters parse, and each recipe
 # imports the library layers it uses when it runs, so the catalog, --help and
@@ -43,13 +47,8 @@ EXIT_BAD_PARAMETER = 3
 EXIT_UNWRITABLE = 4
 EXIT_NOT_CERTIFIED = 5
 
-
-class ParameterError(Exception):
-    pass
-
-
-class NotCertifiedError(Exception):
-    """A computation ran but could not certify its result (exit code 5)."""
+#: largest size parameter (N, n, m, pairs): 2^40 float64 values fill 8 TiB
+MAX_SIZE = 2**40
 
 
 class ExperimentConfig(NamedTuple):
@@ -66,10 +65,12 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_count(text: str) -> int:
-    """An integer of at least 1."""
+    """An integer in 1..MAX_SIZE."""
     value = int(text)
     if value < 1:
-        raise ParameterError("must be at least 1")
+        raise DomainError("must be at least 1")
+    if value > MAX_SIZE:
+        raise DomainError("must be at most 2**40")
     return value
 
 
@@ -146,19 +147,14 @@ def _run_pick_check(p):
 
 def _run_interp_extract(p):
     from .geometry import BallPoint
-    from .pick import ExtractionExhaustedError, extract_interpolating_subsequence
+    from .pick import extract_interpolating_subsequence
     from .sequences import named_sequence
 
     seq = named_sequence(p["tag"], p["n"])
     # each point keeps its angle; an underflowed gap is left out
     points = [BallPoint([pt], gap=g if g > 0.0 else None)
               for g, pt in zip(seq.gaps, seq.points)]
-    try:
-        res = extract_interpolating_subsequence(
-            points, p["r"], p["kmax"], seed=p["_seed"]
-        )
-    except ExtractionExhaustedError as exc:
-        raise NotCertifiedError(str(exc)) from exc
+    res = extract_interpolating_subsequence(points, p["r"], p["kmax"], seed=p["_seed"])
     cols = ["k", "index", "point_norm", "min_eigenvalue", "rule"]
     return cols, [[r.k, r.index, r.point_norm, r.min_eigenvalue, r.rule]
                   for r in res.rows]
@@ -181,17 +177,18 @@ def _run_distortion(p):
     tag = p["map"]
     name, colon, number = tag.partition(":")
     if not colon or name not in ("crossing", "hs"):
-        raise ParameterError(f"unknown map tag {tag!r} (crossing:<r> or hs:<s>)")
+        raise DomainError(f"unknown map tag {tag!r} (crossing:<r> or hs:<s>)")
     try:
         number = float(number)
     except ValueError:
-        raise ParameterError(f"bad map tag {tag!r} (expected {name}:<number>)") from None
+        raise DomainError(f"bad map tag {tag!r} (expected {name}:<number>)") from None
     curve = crossing_map(number) if name == "crossing" else hs_embedding(number, p["N"])
     if p["xs"]:
         if name != "crossing":
-            raise ParameterError("pinch pairs need a crossing map")
+            raise DomainError("pinch pairs need a crossing map")
         xs = np.array(p["xs"])
-        pairs = np.column_stack([1.0 - xs, -1.0 + crossing_scalar(curve) * xs])
+        with np.errstate(over="ignore"):  # an overflowed point is outside, refused below
+            pairs = np.column_stack([1.0 - xs, -1.0 + crossing_scalar(curve) * xs])
     else:
         rng = np.random.default_rng(np.random.Philox(p["_seed"]))
         draws = rng.uniform(-1.0, 1.0, (p["pairs"], 4))  # one (a, b, c, d) row per pair
@@ -204,7 +201,7 @@ def _run_carleson(p):
     from .sequences import CARLESON_P_MAX, carleson_ratio, named_sequence
 
     if not 1 <= p["p_max"] <= CARLESON_P_MAX:
-        raise ParameterError(f"p_max must lie in 1..{CARLESON_P_MAX}, got {p['p_max']}")
+        raise DomainError(f"p_max must lie in 1..{CARLESON_P_MAX}, got {p['p_max']}")
     seq = named_sequence(p["tag"], p["n"])
     rows = [[q, carleson_ratio(seq, q)] for q in range(1, p["p_max"] + 1)]
     return ["p", "carleson_ratio"], rows
@@ -215,7 +212,7 @@ def _run_separation(p):
 
     seq = named_sequence(p["tag"], p["n"])
     if seq.n < 2:
-        raise ValueError("separation needs at least two points")
+        raise DomainError("separation needs at least two points")
     budgets = garnett_targets(seq)  # deltas and nearest distances in one sweep
     bl = blaschke_sum(seq)
     rows = [[i + 1, b.delta.value, b.nearest, b.budget] for i, b in enumerate(budgets)]
@@ -263,7 +260,7 @@ RECIPES = {
             "isomorphism-classification row for one kernel family",
             (
                 Param("family", str, "hardy", "kernel tag: hardy | hs:<s> | geom:<q> | custom:<csv>"),
-                Param("N", int, 256, "truncation length"),
+                Param("N", _parse_count, 256, "truncation length"),
             ),
             _run_classify,
         ),
@@ -273,7 +270,7 @@ RECIPES = {
             (
                 Param("family", str, None, "first kernel tag"),
                 Param("family2", str, None, "second kernel tag"),
-                Param("N", int, 256, "truncation length"),
+                Param("N", _parse_count, 256, "truncation length"),
             ),
             _run_compare,
         ),
@@ -284,7 +281,7 @@ RECIPES = {
                 Param("family", str, "hardy", "kernel tag"),
                 Param("nodes", _parse_list(_parse_complex), None, "nodes, ';'-separated complex"),
                 Param("targets", _parse_list(_parse_complex), None, "targets, ';'-separated complex"),
-                Param("N", int, 256, "truncation length"),
+                Param("N", _parse_count, 256, "truncation length"),
             ),
             _run_pick_check,
         ),
@@ -293,7 +290,7 @@ RECIPES = {
             "greedy interpolating-subsequence extraction audit trail",
             (
                 Param("tag", str, "wn_gaussian", "named sequence tag"),
-                Param("n", int, 12, "sequence length"),
+                Param("n", _parse_count, 12, "sequence length"),
                 Param("r", float, 0.5, "target polydisc radius"),
                 Param("kmax", int, 10, "subsequence length to extract"),
             ),
@@ -316,7 +313,7 @@ RECIPES = {
                 Param("map", str, "crossing:0.5", "curve tag: crossing:<r> | hs:<s>"),
                 Param("xs", _parse_list(float), [], "pinch parameters, ';'-separated"),
                 Param("pairs", _parse_count, 100, "random pair count when xs is empty"),
-                Param("N", int, 512, "embedding truncation for hs maps"),
+                Param("N", _parse_count, 512, "embedding truncation for hs maps"),
             ),
             _run_distortion,
         ),
@@ -325,7 +322,7 @@ RECIPES = {
             "dyadic box-mass ratios of a disc sequence",
             (
                 Param("tag", str, "dyadic_separated", "named sequence tag"),
-                Param("n", int, 20, "sequence size parameter"),
+                Param("n", _parse_count, 20, "sequence size parameter"),
                 Param("p_max", int, 10, "largest box exponent"),
             ),
             _run_carleson,
@@ -335,7 +332,7 @@ RECIPES = {
             "per-point separation products, gaps and interpolation budgets",
             (
                 Param("tag", str, "vn_quadratic", "named sequence tag"),
-                Param("n", int, 40, "sequence length"),
+                Param("n", _parse_count, 40, "sequence length"),
             ),
             _run_separation,
         ),
@@ -344,7 +341,7 @@ RECIPES = {
             "boundary data and sphere defect of the tangential embedding",
             (
                 Param("r", float, 0.75, "clip parameter in (2/3, 1)"),
-                Param("m", int, 4096, "grid size (power of two)"),
+                Param("m", _parse_count, 4096, "grid size (power of two)"),
             ),
             _run_tangential_embed,
         ),
@@ -353,7 +350,7 @@ RECIPES = {
             "boundary-approach ratios of the tangential embedding",
             (
                 Param("r", float, 0.75, "clip parameter in (2/3, 1)"),
-                Param("m", int, 2**18, "grid size (power of two)"),
+                Param("m", _parse_count, 2**18, "grid size (power of two)"),
                 Param("jmin", int, 4, "smallest dyadic exponent"),
                 Param("jmax", int, 14, "largest dyadic exponent"),
             ),
@@ -394,30 +391,30 @@ def _parse_argv(argv) -> ExperimentConfig:
             reproducible = True
         elif token == "--out":
             if out is not None:
-                raise ParameterError("option '--out' given twice")
+                raise DomainError("option '--out' given twice")
             i += 1
             if i >= len(rest):
-                raise ParameterError("--out needs a path")
+                raise DomainError("--out needs a path")
             out = rest[i]
         elif token == "--seed":
             if seed is not None:
-                raise ParameterError("option '--seed' given twice")
+                raise DomainError("option '--seed' given twice")
             i += 1
             if i >= len(rest):
-                raise ParameterError("--seed needs an integer")
+                raise DomainError("--seed needs an integer")
             try:
                 seed = int(rest[i])
             except ValueError as exc:
-                raise ParameterError(f"bad seed {rest[i]!r}") from exc
+                raise DomainError(f"bad seed {rest[i]!r}") from exc
             if not 0 <= seed < 2**64:
-                raise ParameterError(f"bad seed {rest[i]!r}: must lie in 0..2**64-1")
+                raise DomainError(f"bad seed {rest[i]!r}: must lie in 0..2**64-1")
         elif "=" in token:
             key, _, value = token.partition("=")
             if key in params:
-                raise ParameterError(f"parameter {key!r} given twice")
+                raise DomainError(f"parameter {key!r} given twice")
             params[key] = value
         else:
-            raise ParameterError(f"unrecognized argument {token!r}")
+            raise DomainError(f"unrecognized argument {token!r}")
         i += 1
     seed = 0 if seed is None else seed
     return ExperimentConfig(recipe_name, params, out, seed, reproducible, show_help)
@@ -428,19 +425,19 @@ def _resolve_params(recipe: Recipe, raw: dict, seed: int) -> dict:
     resolved = {}
     for key, value in raw.items():
         if key not in known:
-            raise ParameterError(
+            raise DomainError(
                 f"unknown parameter {key!r} for recipe {recipe.name!r}"
             )
         try:
             resolved[key] = known[key].parse(value)
-        except ParameterError as exc:
-            raise ParameterError(f"bad value for {key!r}: {value!r} ({exc})") from None
+        except DomainError as exc:
+            raise DomainError(f"bad value for {key!r}: {value!r} ({exc})") from None
         except (ValueError, TypeError) as exc:
-            raise ParameterError(f"bad value for {key!r}: {value!r}") from exc
+            raise DomainError(f"bad value for {key!r}: {value!r}") from exc
     for param in recipe.params:
         if param.name not in resolved:
             if param.default is None:
-                raise ParameterError(
+                raise DomainError(
                     f"recipe {recipe.name!r} requires parameter {param.name!r}"
                 )
             resolved[param.name] = param.default
@@ -470,17 +467,13 @@ def run(config: ExperimentConfig) -> int:
     recipe = RECIPES[config.recipe]
     try:
         params = _resolve_params(recipe, config.parameters, config.seed)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMETER
-    # loading the writer (and numpy with it) before the recipe computes keeps
-    # its import off the recipe's peak memory; a name read here at call time
-    # is the one a tracer may have wrapped
-    from .csvio import write_rows
+        # loading the writer (and numpy with it) before the recipe computes
+        # keeps its import off the recipe's peak memory; a name read here at
+        # call time is the one a tracer may have wrapped
+        from .csvio import write_rows
 
-    try:
         result = recipe.run(params)
-    except (ParameterError, ValueError, KeyError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         # OSError: a custom: family CSV that is missing or unreadable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
@@ -509,7 +502,7 @@ def main(argv=None) -> int:
         return _to_stdout(lambda out: print(list_recipes(), file=out))
     try:
         config = _parse_argv(argv)
-    except ParameterError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMETER
     if config.recipe not in RECIPES:

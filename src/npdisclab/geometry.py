@@ -32,6 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DomainError
+
 #: interior points must keep this much distance from the sphere unless a gap
 #: is carried exactly
 _INTERIOR_EPS = 1e-15
@@ -48,14 +50,6 @@ def row_blocks(n_rows: int, row_len: int):
     step = max(1, BLOCK_ENTRIES // max(row_len, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
-
-
-class BoundaryPointError(ValueError):
-    """A boundary point was passed where an interior point is required."""
-
-
-class BoundaryDivergenceError(ArithmeticError):
-    """A boundary derivative was requested where the series diverges."""
 
 
 class BallPoint:
@@ -77,14 +71,15 @@ class BallPoint:
         elif one_minus_sq is not None:
             self.one_minus_sq = float(one_minus_sq)
         else:
-            sq = float(np.sum(np.abs(self.coords) ** 2))
+            with np.errstate(over="ignore"):  # an infinite norm is exterior anyway
+                sq = float(np.sum(np.abs(self.coords) ** 2))
             self.one_minus_sq = 1.0 - sq
 
     @classmethod
     def radial(cls, gap: float) -> "BallPoint":
         """The real point 1 - gap on the first axis, with the gap kept exact."""
         if not 0.0 < gap <= 1.0:
-            raise ValueError("radial gap must lie in (0, 1]")
+            raise DomainError("radial gap must lie in (0, 1]")
         return cls([1.0 - gap], gap=gap)
 
     @property
@@ -160,7 +155,7 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     real pairs (no Gram defect) take :func:`radial_gap_dist` on their gaps.
     """
     if not (p.is_interior and q.is_interior):
-        raise BoundaryPointError("distance formula degenerates at the boundary")
+        raise DomainError("distance formula degenerates at the boundary")
     if p.is_radial_real and q.is_radial_real:
         return radial_gap_dist(p.gap, q.gap)
     a, b = PointTable([p, q]).coords
@@ -219,7 +214,7 @@ def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
     ip_zw = complex(np.dot(zc, np.conj(wc)))
     denom = 1.0 - ip_zw
     if abs(denom) < 1e-15:
-        raise BoundaryPointError("<z, w> too close to 1; points must be interior")
+        raise DomainError("<z, w> too close to 1; points must be interior")
     proj = (ip_zw / wn_sq) * wc
     perp = zc - proj
     scale = math.sqrt(max(1.0 - wn_sq, 0.0))
@@ -269,12 +264,12 @@ class EmbeddedDisc(GeneralCurve):
                  gram=None, boundary_c1: bool):
         b = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
         if b.size == 0 or b[0] == 0.0:
-            raise ValueError("first amplitude must be nonzero")
+            raise DomainError("first amplitude must be nonzero")
         mass = float(np.sum(np.abs(b) ** 2))
         if mass > 1.0 + 1e-9:
-            raise ValueError(f"amplitude mass {mass:.6g} exceeds 1")
+            raise DomainError(f"amplitude mass {mass:.6g} exceeds 1")
         if regime not in ("open", "compact"):
-            raise ValueError(f"unknown regime {regime!r}")
+            raise DomainError(f"unknown regime {regime!r}")
         self.amplitudes = b
         self.regime = regime
         self.gram = gram
@@ -286,7 +281,7 @@ class EmbeddedDisc(GeneralCurve):
         """Amplitudes b_n = sqrt(c_n) of a complete-Pick handle."""
         cv = handle.moduli.values
         if np.any(cv < -1e-12):
-            raise ValueError(
+            raise DomainError(
                 f"family {handle.family_tag!r} has negative moduli; no embedding"
             )
         b = np.sqrt(np.clip(cv, 0.0, None))
@@ -314,7 +309,7 @@ class EmbeddedDisc(GeneralCurve):
     def eval(self, z: complex) -> BallPoint:
         z = complex(z)
         if abs(z) > 1.0 + 1e-12:
-            raise ValueError("embedding evaluated outside the closed disc")
+            raise DomainError("embedding evaluated outside the closed disc")
         coords = self.amplitudes * z ** np.arange(1, self.n + 1)
         one_minus = 1.0 - self.inner(z, z).real
         return BallPoint(coords, one_minus_sq=one_minus)
@@ -322,7 +317,7 @@ class EmbeddedDisc(GeneralCurve):
     def deriv(self, z: complex) -> np.ndarray:
         z = complex(z)
         if abs(z) > 1.0 - 1e-12 and self.regime == "open" and not self.boundary_c1:
-            raise BoundaryDivergenceError(
+            raise DomainError(
                 "derivative series diverges on the boundary for this embedding"
             )
         n = np.arange(1, self.n + 1)
@@ -338,7 +333,7 @@ class CrossingCurve(GeneralCurve):
 
     def __init__(self, r: float):
         if not 0.0 < r < 1.0:
-            raise ValueError("automorphism parameter must lie in (0, 1)")
+            raise DomainError("automorphism parameter must lie in (0, 1)")
         self.r = r
         self.label = f"crossing(r={r:g})"
 
@@ -368,14 +363,14 @@ def crossing_map(r: float) -> CrossingCurve:
 def transversality_pairing(curve: GeneralCurve, t: float) -> float:
     """Re <f(z), f'(z) z> at z = e^{it}; positive for C^1 proper embeddings.
 
-    Raises :class:`BoundaryDivergenceError` (via the curve) when the
+    Raises :class:`~npdisclab.DomainError` (via the curve) when the
     derivative series diverges at the boundary, the tangential signature.
     """
     z = complex(np.exp(1j * t))
     tangent = curve.deriv(z) * z  # first: a divergent derivative decides before eval
     value = complex(np.dot(curve.eval(z).coords, np.conj(tangent)))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise BoundaryDivergenceError("pairing is non-finite at this boundary point")
+        raise DomainError("pairing is non-finite at this boundary point")
     return value.real
 
 
@@ -388,7 +383,7 @@ def crossing_scalar(curve: GeneralCurve) -> float:
     pair_pos = complex(np.dot(curve.deriv(1.0), np.conj(curve.eval(1.0).coords))).real
     pair_neg = complex(np.dot(curve.deriv(-1.0), np.conj(curve.eval(-1.0).coords))).real
     if pair_neg >= 0.0:
-        raise ValueError("curve does not cross: <f'(-1), f(-1)> is not negative")
+        raise DomainError("curve does not cross: <f'(-1), f(-1)> is not negative")
     return pair_pos / (-pair_neg)
 
 
@@ -402,7 +397,7 @@ def tangential_ratio(curve: GeneralCurve, x, t=0.0):
     both are reported.
     """
     if not np.all((0.0 < x) & (x < 1.0)):
-        raise ValueError("x must lie strictly between 0 and 1")
+        raise DomainError("x must lie strictly between 0 and 1")
     e = np.exp(1j * t)
     xe = x * e
     ip_bb = curve.inner(e, e)
@@ -442,16 +437,16 @@ def image_distance(curve: GeneralCurve, lam, mu):
 def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
     """d(lambda, mu) against d(f(lambda), f(mu)) for each disc pair.
 
-    Raises ValueError unless every source point lies in the open unit disc.
+    Raises DomainError unless every source point lies in the open unit disc.
     """
     pts = np.asarray(pairs, dtype=complex).reshape(-1, 2)
     outside = pts[~(np.abs(pts) < 1.0)]  # row-major: pair order
     if outside.size:
-        raise ValueError(f"source point {complex(outside[0])!r} lies outside the open unit disc")
+        raise DomainError(f"source point {complex(outside[0])!r} lies outside the open unit disc")
     d_src, d_img = pseudo_dist_scalar(*pts.T), image_distance(curve, *pts.T)
     ratios = d_img[d_src > 0.0] / d_src[d_src > 0.0]
     if not ratios.size:
-        raise ValueError("no pair with distinct source points")
+        raise DomainError("no pair with distinct source points")
     return DistortionProfile(np.column_stack([d_src, d_img]), ratios.min(), ratios.max())
 
 

@@ -17,10 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DomainError
 from .series import (
     CNP_TOL,
     CoefficientSequence,
-    InvalidSequenceError,
     KernelWeights,
     _FFT_N,
     fft_convolve,
@@ -42,10 +42,6 @@ _HS_CHUNK_MAX = 65536
 _HS_BLOCK = 32768
 #: :func:`_hs_generating` stops after about this many terms
 _HS_TERM_CAP = 5e7
-
-
-class KernelDomainError(ValueError):
-    """Evaluation requested outside the kernel's admissible region."""
 
 
 class KernelHandle:
@@ -142,13 +138,13 @@ def _hs_generating(s: float, t) -> np.ndarray:
     only taken when s < -1 (absolutely summable), and it is truncated
     silently after ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).  For s >= -1,
     A_s(1) = inf and every other point within 1e-12 of the circle raises
-    KernelDomainError: there the series does not converge absolutely.
+    DomainError: there the series does not converge absolutely.
     """
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise KernelDomainError("generating function evaluated outside the closed disc")
+        raise DomainError("generating function evaluated outside the closed disc")
     if s >= -1.0 and np.any((np.abs(t) > 1.0 - 1e-12) & (t != 1.0)):
-        raise KernelDomainError(f"hs:{s:g} series is not absolutely summable on the unit circle")
+        raise DomainError(f"hs:{s:g} series is not absolutely summable on the unit circle")
     total = np.where((t == 1.0) & (s >= -1.0), complex(math.inf), 0j)
     live = np.flatnonzero(np.isfinite(total))
     chunk, n0 = _HS_CHUNK_MIN, 0
@@ -174,7 +170,7 @@ def _hs_generating(s: float, t) -> np.ndarray:
 def hardy(n_terms: int) -> KernelHandle:
     """Szego kernel: c = (1, 0, 0, ...), a_n = 1."""
     if n_terms < 1:
-        raise ValueError(f"hardy needs at least one term, got N={n_terms}")
+        raise DomainError(f"hardy needs at least one term, got N={n_terms}")
     c = np.zeros(n_terms)
     c[0] = 1.0
     return KernelHandle(
@@ -204,7 +200,7 @@ def geometric(q: float, n_terms: int) -> KernelHandle:
     rejects.
     """
     if not 0.0 < q <= 0.5:
-        raise ValueError("geometric ratio must lie in (0, 1/2]")
+        raise DomainError("geometric ratio must lie in (0, 1/2]")
     c = CoefficientSequence(q ** np.arange(1, n_terms + 1))
     a = KernelWeights(np.concatenate(([1.0], 0.5 * (2.0 * q) ** np.arange(1, n_terms + 1))))
     return KernelHandle(a, c, f"geom:{q:g}", q=float(q))
@@ -228,7 +224,7 @@ def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
     where :func:`moduli_from_weights` runs the FFT/Newton reciprocal, it is
     one :func:`fft_convolve` call; up to ``_FFT_N``, where the inversion is
     the O(N^2) recursion anyway, the sums are direct.  Each check raises
-    InvalidSequenceError:
+    DomainError:
 
     - consistency: |r_n| <= 1e-10 max(|a_n|, 1) for every n;
     - certification, Newton path only: the exact moduli c* satisfy
@@ -257,13 +253,13 @@ def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
         r[0] -= 1.0
         err = np.abs(r)
         if not np.all(err <= 1e-10 * np.maximum(np.abs(av), 1.0)):
-            raise InvalidSequenceError(
+            raise DomainError(
                 f"weights and moduli are inconsistent (max defect {err.max():.3g})"
             )
         if newton:
             bound = float(err.max()) * (1.0 + float(np.abs(c.values).sum()))
             if not bound <= CNP_TOL:
-                raise InvalidSequenceError(
+                raise DomainError(
                     f"inverted moduli are not certified to {CNP_TOL:g} (error bound {bound:.3g})"
                 )
     return c
@@ -283,49 +279,56 @@ def parse_family(tag: str, n_terms: int) -> KernelHandle:
         try:
             number = float(number)
         except ValueError:
-            raise ValueError(f"bad kernel tag {tag!r} (expected {name}:<number>)") from None
+            raise DomainError(f"bad kernel tag {tag!r} (expected {name}:<number>)") from None
         return hs(number, n_terms) if name == "hs" else geometric(number, n_terms)
     if tag.startswith("custom:"):
         return _load_custom(tag[7:], n_terms)
-    raise ValueError(f"unknown kernel family tag {tag!r}")
+    raise DomainError(f"unknown kernel family tag {tag!r}")
 
 
 def _load_custom(path: str, n_terms: int) -> KernelHandle:
-    """Read ``n,value`` rows: indices 0, 1, 2, ... give weights a_n, and
-    indices 1, 2, 3, ... give moduli c_n.  Blank lines, ``#`` comments and a
-    header row starting with ``n`` before the data are skipped.  Any other
-    row that is not an integer and a float, or whose index breaks the run,
-    raises ValueError naming the path, the line and the row.
+    """Read ``n,value`` rows: indices 0, 1, 2, ... give weights a_n, cut to
+    a_0..a_N, and indices 1, 2, 3, ... give moduli c_n.  Blank lines, ``#``
+    comments and a header row starting with ``n`` before the data are
+    skipped.  Any other row that is not an integer and a float, or whose
+    index breaks the run, raises DomainError naming the path, the line and
+    the row; text that is not UTF-8, or a row the csv module refuses, raises
+    DomainError naming the path.
     """
     import csv
 
-    first, values = None, []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DomainError(f"custom CSV {path!r}: {exc}") from None
 
-        def bad(row, reason):
-            return ValueError(f"custom CSV {path!r} line {reader.line_num} "
-                              f"({','.join(row)!r}): {reason}")
+    def at(line, row):
+        return f"custom CSV {path!r} line {line} ({','.join(row)!r})"
 
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#") or (not values and row[0] == "n"):
-                continue
-            try:
-                n_text, value_text = row
-                n, value = int(n_text), float(value_text)
-            except ValueError:
-                raise bad(row, "expected an integer n and a number") from None
-            if first is None:
-                if n not in (0, 1):
-                    raise bad(row, f"the first index must be 0 (weights) or 1 (moduli), got {n}")
-                first = n
-            if n != first + len(values):
-                raise bad(row, f"index {n} out of sequence, expected {first + len(values)}")
-            values.append(value)
+    first, values = None, []
+    for line, row in rows:
+        if not row or row[0].lstrip().startswith("#") or (not values and row[0] == "n"):
+            continue
+        try:
+            n_text, value_text = row
+            n, value = int(n_text), float(value_text)
+        except ValueError:
+            raise DomainError(f"{at(line, row)}: expected an integer n and a number") from None
+        if first is None:
+            if n not in (0, 1):
+                raise DomainError(f"{at(line, row)}: the first index must be 0 (weights) "
+                                  f"or 1 (moduli), got {n}")
+            first = n
+        if n != first + len(values):
+            raise DomainError(f"{at(line, row)}: index {n} out of sequence, "
+                              f"expected {first + len(values)}")
+        values.append(value)
     if not values:
-        raise ValueError(f"no sequence rows found in {path}")
+        raise DomainError(f"no sequence rows found in {path}")
     if first == 0:
-        return from_weights(KernelWeights(values))
+        return from_weights(KernelWeights(KernelWeights(values).padded(n_terms)))
     return from_moduli(CoefficientSequence(values), n_terms)
 
 
@@ -335,7 +338,7 @@ def _load_custom(path: str, n_terms: int) -> KernelHandle:
 def monomial_multiplier_norm(k: KernelHandle, n: int) -> float:
     """Multiplier (= Hilbert-space) norm of z^n, which is 1/sqrt(a_n)."""
     if not 0 <= n <= k.n:
-        raise ValueError(f"monomial order {n} outside truncation {k.n}")
+        raise DomainError(f"monomial order {n} outside truncation {k.n}")
     return 1.0 / math.sqrt(k.weights.values[n])
 
 
@@ -356,7 +359,7 @@ class ComparabilityReport(NamedTuple):
 def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
     n = min(a.n, a2.n)
     if n < 2:
-        raise ValueError(f"comparing weights needs N >= 2, got N={n}")
+        raise DomainError(f"comparing weights needs N >= 2, got N={n}")
     r = a.padded(n) / a2.padded(n)
     tail = r[-max(n // 4, 2):]
     drift = float((tail.max() - tail.min()) / tail.max())
@@ -387,6 +390,7 @@ class ClassificationReport(NamedTuple):
     mu: float                      # sum n c_n, inf when the doubling test fails
     efp_limit_estimate: float      # mean of the last n/8 weights
     efp_agreement: float           # |estimate - 1/mu|, nan unless 0 < mu < inf
+                                   # (inf if 1/mu overflows: geom:5e-324 at N = 1)
     iso_to_hinf: bool              # mu finite <=> weights bounded below
     ratio_sup: float               # sup a_n / a_{n-1}
     ratio_bounded: bool            # heuristic: tail sup not escaping
@@ -442,7 +446,7 @@ def continuity_bound(k: KernelHandle, h_norm: float) -> float:
     summable Taylor coefficients bounded by this value.
     """
     if not k.is_compact_regime():
-        raise KernelDomainError(
+        raise DomainError(
             "coefficient-sum bound is +inf outside the compact regime"
         )
     r_sq = k.moduli_mass()

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import DomainError, NotCertifiedError
 from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar, row_blocks
 
 if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
@@ -58,14 +59,6 @@ _CORNER_CAP = 512
 
 #: extractor target samples: uniform complex draws per sample
 _N_RANDOM_TARGETS = 256
-
-
-class PickProblemError(ValueError):
-    """Ill-posed interpolation data."""
-
-
-class ExtractionExhaustedError(RuntimeError):
-    """The point list ended before the requested subsequence was complete."""
 
 
 def _as_ball_point(node) -> BallPoint:
@@ -87,19 +80,19 @@ class PickProblem:
         self.targets = np.atleast_1d(np.asarray(targets, dtype=complex))
         self.kernel = kernel
         if not self.nodes:
-            raise PickProblemError("nodes is empty: a Pick problem needs at least one node")
+            raise DomainError("nodes is empty: a Pick problem needs at least one node")
         if len(self.nodes) != self.targets.size:
-            raise PickProblemError("node and target counts differ")
+            raise DomainError("node and target counts differ")
         if len(self.nodes) > 2000:
-            raise PickProblemError("problem size capped at 2000 nodes")
+            raise DomainError("problem size capped at 2000 nodes")
         if not np.all(np.abs(self.targets) < 1.0):  # also refuses nan
-            raise PickProblemError("all targets must lie in the open disc")
+            raise DomainError("all targets must lie in the open disc")
         for p in self.nodes:
             if not p.is_interior:
-                raise PickProblemError("all nodes must be interior points")
+                raise DomainError("all nodes must be interior points")
         pair = _first_coincident_pair(self.nodes)
         if pair is not None:
-            raise PickProblemError(
+            raise DomainError(
                 f"nodes {pair[0]} and {pair[1]} coincide; interpolation is ill-posed"
             )
 
@@ -200,7 +193,7 @@ def psd_check(m: np.ndarray) -> PsdVerdict:
     -PSD_TOL * scale, the boundary band in between; scale is the largest
     entry magnitude so kernel matrices with enormous boundary entries are
     judged relatively.  An empty matrix, or one with a nan or infinite
-    entry, raises ValueError: it has no spectrum to judge.
+    entry, raises DomainError: it has no spectrum to judge.
 
     Finiteness, scale and asymmetry are read one row block at a time, so
     ``eigvalsh``'s own copy is the only other n x n array.  Block rows are
@@ -210,19 +203,19 @@ def psd_check(m: np.ndarray) -> PsdVerdict:
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
+        raise DomainError("expected a square matrix")
     if m.size == 0:
-        raise ValueError("matrix is empty: an empty matrix has no spectrum to judge")
+        raise DomainError("matrix is empty: an empty matrix has no spectrum to judge")
     scale = asym = 0.0
     for rows in row_blocks(*m.shape):
         block = m[rows]
         if not np.all(np.isfinite(block)):
-            raise ValueError("matrix has non-finite entries")
+            raise DomainError("matrix has non-finite entries")
         scale = max(scale, float(np.abs(block).max()))
         end = rows.stop
         asym = max(asym, float(np.abs(block[:, :end] - m[:end, rows].conj().T).max()))
     if asym > 1e-13 * max(scale, 1e-300):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
+        raise DomainError(f"matrix is not Hermitian (asymmetry {asym:.3g})")
     min_eig = float(np.linalg.eigvalsh(m).min())
     if min_eig > PSD_TOL * scale:
         verdict = "positive-definite"
@@ -258,7 +251,7 @@ def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
     """
     mag = np.abs(table.one_minus_inner(rows, cols))
     if not np.all(mag > 0.0):
-        raise ValueError(
+        raise DomainError(
             "1 - <z_i, z_j> rounds to 0: a point without an exact gap lies on "
             "the sphere to double precision"
         )
@@ -340,13 +333,13 @@ def extract_interpolating_subsequence(
     """
     pts = [_as_ball_point(z) for z in points]
     if not 0.0 < r < 1.0:
-        raise ValueError("target radius r must lie in (0, 1)")
+        raise DomainError("target radius r must lie in (0, 1)")
     if not 1 <= k_max <= 50:
-        raise ValueError("k_max must lie in 1..50")
+        raise DomainError("k_max must lie in 1..50")
     if not pts:
-        raise ValueError("point list is empty: extraction needs points approaching the boundary")
+        raise DomainError("point list is empty: extraction needs points approaching the boundary")
     if pts[-1].norm <= 0.9:
-        raise ValueError("point list must approach the boundary (final norm > 0.9)")
+        raise DomainError("point list must approach the boundary (final norm > 0.9)")
 
     rng = np.random.default_rng(np.random.Philox(seed))
     table = PointTable(pts)
@@ -367,7 +360,7 @@ def extract_interpolating_subsequence(
             try:
                 chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
             except np.linalg.LinAlgError:
-                raise ExtractionExhaustedError(
+                raise NotCertifiedError(
                     f"stage {k - 1} block lost definiteness during sampling"
                 ) from None
             log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2).real)
@@ -379,7 +372,7 @@ def extract_interpolating_subsequence(
         # vectorized dominance scan over all remaining candidates
         cands = np.arange(selected[-1] + 1, len(pts))
         if cands.size == 0:
-            raise ExtractionExhaustedError(
+            raise NotCertifiedError(
                 f"point list exhausted at stage {k}: no candidates remain"
             )
         log_kzz = _log_kernel(table, cands, cands)
@@ -416,7 +409,7 @@ def extract_interpolating_subsequence(
                 accepted = cand
                 break
         if accepted is None:
-            raise ExtractionExhaustedError(
+            raise NotCertifiedError(
                 f"point list exhausted at stage {k}: no candidate after index "
                 f"{selected[-1]} passed dominance; the norms may approach the "
                 f"boundary too slowly for this truncation"
@@ -454,19 +447,19 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
     Nodes f(1-x) and f(-1+sx) on the two-ball kernel, targets (1-x)/C and
     (-1+sx)/C.  A valid norm-C inverse multiplier would force det >= 0 and
     lhs <= rhs; both fail for every C > 1 once x is small.  Raises
-    ValueError unless C is finite and lhs and rhs stay finite, and when x
+    DomainError unless C is finite and lhs and rhs stay finite, and when x
     is so small that a pinch point rounds onto the unit circle.
     """
     if not 0.0 < x < 0.1:
-        raise ValueError("x must lie in (0, 0.1)")
+        raise DomainError("x must lie in (0, 0.1)")
     if not 1.0 < big_c < math.inf:
-        raise ValueError("candidate multiplier norm must be finite and exceed 1")
+        raise DomainError("candidate multiplier norm must be finite and exceed 1")
     curve = crossing_map(r)
     s = crossing_scalar(curve)
     z1, z2 = 1.0 - x, -1.0 + s * x
     for name, z in (("1 - x", z1), ("-1 + s x", z2)):
         if abs(z) == 1.0:
-            raise ValueError(f"x={x!r} is too small: the pinch point {name} rounds to {z!r}, "
+            raise DomainError(f"x={x!r} is too small: the pinch point {name} rounds to {z!r}, "
                              "on the unit circle")
     # real for real arguments
     om1, om2, om12 = 1.0 - curve.inner(np.array([z1, z2, z1]), np.array([z1, z2, z2])).real
@@ -480,6 +473,6 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
     except OverflowError:
         lhs = rhs = math.inf
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise ValueError(f"C={big_c!r} is too large: lhs and rhs overflow")
+        raise DomainError(f"C={big_c!r} is too large: lhs and rhs overflow")
     kernel_ratio = om1 * om2 / om12**2
     return CrossingObstruction(det, lhs, rhs, kernel_ratio, s)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DomainError
 from .geometry import pseudo_dist_scalar, radial_log_gap_dist, row_blocks
 
 #: minimum pairwise distance for the separation verdict
@@ -40,12 +41,12 @@ class DiscSequence:
     def __init__(self, points, label: str, *, gaps, log_gaps=None, angles):
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         if pts.size == 0:
-            raise ValueError("sequence must contain at least one point")
+            raise DomainError("sequence must contain at least one point")
         self.points = pts
         self.label = label
         self.gaps = np.asarray(gaps, dtype=float)
         if np.any(self.gaps < 0.0) or (log_gaps is None and np.any(self.gaps == 0.0)):
-            raise ValueError("all points must lie in the open disc")
+            raise DomainError("all points must lie in the open disc")
         self.log_gaps = (
             np.asarray(log_gaps, dtype=float)
             if log_gaps is not None
@@ -78,12 +79,12 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
     vn_quadratic: v_n = 1 - 1/n^2 for n >= 2 (n points).
     wn_gaussian:  w_n = 1 - e^{-n^2} for n >= 1 (n points).
     dyadic_separated: generations 1..n, generation m holding
-        floor(2^{m/2}) points (1 - 2^-m) e^{ik 2^-m}; ValueError beyond
+        floor(2^{m/2}) points (1 - 2^-m) e^{ik 2^-m}; DomainError beyond
         ``DYADIC_MAX_POINTS`` points in all.
     xn_alternating: x_n = (-1)^n (1 - 1/n^2) for n >= 2.
     """
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if tag == "vn_quadratic":
         idx = np.arange(2, n + 2, dtype=float)
         gaps = 1.0 / idx**2
@@ -107,7 +108,7 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
         for m in range(1, n + 1):
             counts.append(int(math.floor(2.0 ** (m / 2.0))))
             if sum(counts) > DYADIC_MAX_POINTS:
-                raise ValueError(
+                raise DomainError(
                     f"dyadic_separated n={n} passes {DYADIC_MAX_POINTS} points "
                     f"at generation {m}"
                 )
@@ -120,7 +121,7 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
                 gaps.append(radius_gap)
                 angles.append(theta)
         return DiscSequence(pts, tag, gaps=gaps, angles=angles)
-    raise ValueError(f"unknown sequence tag {tag!r}; known: {NAMED_TAGS}")
+    raise DomainError(f"unknown sequence tag {tag!r}; known: {NAMED_TAGS}")
 
 
 class BlaschkeSum(NamedTuple):
@@ -206,7 +207,7 @@ def _pair_sweep(s: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
 def nearest_distances(s: DiscSequence) -> np.ndarray:
     """Distance from each point to its nearest other point of the list."""
     if s.n < 2:
-        raise ValueError("separation needs at least two points")
+        raise DomainError("separation needs at least two points")
     return _pair_sweep(s)[0]
 
 
@@ -229,7 +230,7 @@ def carleson_ratio(s: DiscSequence, p: int) -> float:
     family is implemented.
     """
     if not 1 <= p <= CARLESON_P_MAX:
-        raise ValueError(f"p must lie in 1..{CARLESON_P_MAX}")
+        raise DomainError(f"p must lie in 1..{CARLESON_P_MAX}")
     side = 2.0**-p
     mask = (s.gaps <= side) & (s.angles >= 0.0) & (s.angles < side)
     return float(2.0**p * s.gaps[mask].sum())

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DomainError
+
 #: relative tolerance for round-trip identities
 REL_TOL = 1e-12
 
@@ -24,10 +26,6 @@ REL_TOL = 1e-12
 _LONG_ACCUM_N = 1000
 # above this length inversion switches to the FFT/Newton reciprocal
 _FFT_N = 8192
-
-
-class InvalidSequenceError(ValueError):
-    """A moduli or weight sequence violates its constraints."""
 
 
 class CoefficientSequence:
@@ -44,14 +42,14 @@ class CoefficientSequence:
     def __init__(self, values, *, validate: bool = True):
         v = np.atleast_1d(np.asarray(values, dtype=float)).copy()
         if v.ndim != 1 or v.size == 0:
-            raise InvalidSequenceError("moduli must form a nonempty 1-d sequence")
+            raise DomainError("moduli must form a nonempty 1-d sequence")
         if validate:
             if v[0] <= 0.0:
-                raise InvalidSequenceError("c_1 must be strictly positive")
+                raise DomainError("c_1 must be strictly positive")
             if np.any(v < 0.0):
-                raise InvalidSequenceError("moduli must be nonnegative")
+                raise DomainError("moduli must be nonnegative")
             if float(v.sum()) > 1.0 + 1e-12:
-                raise InvalidSequenceError(
+                raise DomainError(
                     f"moduli must sum to at most 1, got {v.sum():.17g}"
                 )
         self.values = v
@@ -85,13 +83,13 @@ class KernelWeights:
     def __init__(self, values):
         v = np.atleast_1d(np.asarray(values, dtype=float)).copy()
         if v.ndim != 1 or v.size < 2:
-            raise InvalidSequenceError("weights must contain a_0 and at least a_1")
+            raise DomainError("weights must contain a_0 and at least a_1")
         if v[0] != 1.0:
-            raise InvalidSequenceError(f"a_0 must equal 1, got {v[0]!r}")
+            raise DomainError(f"a_0 must equal 1, got {v[0]!r}")
         if not np.all(np.isfinite(v)):
-            raise InvalidSequenceError("all weights must be finite")
+            raise DomainError("all weights must be finite")
         if np.any(v <= 0.0):
-            raise InvalidSequenceError("all weights must be strictly positive")
+            raise DomainError("all weights must be strictly positive")
         self.values = v
 
     @property
@@ -101,7 +99,7 @@ class KernelWeights:
 
     def padded(self, n_terms: int) -> np.ndarray:
         if self.n < n_terms:
-            raise InvalidSequenceError(
+            raise DomainError(
                 f"weights known to order {self.n}, need {n_terms}"
             )
         return self.values[: n_terms + 1]
@@ -121,7 +119,7 @@ def weights_from_moduli(c: CoefficientSequence, n_terms: int) -> KernelWeights:
     """
     c = CoefficientSequence(c.values if isinstance(c, CoefficientSequence) else c)
     if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
+        raise DomainError("n_terms must be at least 1")
     dtype = np.longdouble if n_terms > _LONG_ACCUM_N else np.float64
     a = _renewal(c.padded(n_terms).astype(dtype))
     return KernelWeights(np.asarray(a, dtype=float))
@@ -203,7 +201,7 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
     """
     d = np.asarray(d, dtype=float)
     if d[0] == 0.0:
-        raise InvalidSequenceError("series with zero constant term has no reciprocal")
+        raise DomainError("series with zero constant term has no reciprocal")
 
     def conv(x, y, length):
         if length > 512:
@@ -233,7 +231,7 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:
     if not isinstance(c, CoefficientSequence):
         c = CoefficientSequence(c)
     if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
+        raise DomainError("n_terms must be at least 1")
     d = np.concatenate(([1.0], -c.padded(n_terms)))
     return series_reciprocal(d, n_terms)
 

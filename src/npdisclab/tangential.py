@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DomainError
 from .geometry import BallPoint, GeneralCurve
 
 STAGES = ("half_disc", "full", "clipped")
@@ -35,10 +36,6 @@ _FIT_J = range(6, 15)
 
 #: dyadic exponents j with x = 1 - 2^-j in (0, 1): 2^-54 is lost in 1 - 2^-54
 _J_RANGE = range(1, 54)
-
-
-class ChainDomainError(ValueError):
-    """Evaluation at or too close to a pole or branch point of the chain."""
 
 
 def _upper_sqrt(w: np.ndarray) -> np.ndarray:
@@ -66,7 +63,7 @@ class ConformalChain:
 
     def __init__(self, clip: float):
         if not 2.0 / 3.0 < clip < 1.0:
-            raise ValueError("clip parameter must lie in (2/3, 1)")
+            raise DomainError("clip parameter must lie in (2/3, 1)")
         self.clip = clip
 
     def rho(self, z):
@@ -79,7 +76,7 @@ class ConformalChain:
         composed with rho).
         """
         if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}; stages: {STAGES}")
+            raise DomainError(f"unknown stage {stage!r}; stages: {STAGES}")
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
@@ -94,7 +91,7 @@ class ConformalChain:
     def _g(self, z: np.ndarray) -> np.ndarray:
         """g on the closed disc: Mobius map, square root, Mobius map."""
         if np.any(np.abs(z - 1j) < _POLE_TOL):
-            raise ChainDomainError(
+            raise DomainError(
                 "evaluation within 1e-8 of the chain's pole at +i"
             )
         w = _upper_sqrt((z + 1j) / (1j * z + 1.0))
@@ -114,7 +111,7 @@ class ConformalChain:
 
 def _require_grid(m: int, minimum: int = 256) -> None:
     if m < minimum or m & (m - 1) != 0:
-        raise ValueError(f"grid size must be a power of two >= {minimum}, got {m}")
+        raise DomainError(f"grid size must be a power of two >= {minimum}, got {m}")
 
 
 def _conjugate_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
@@ -245,16 +242,16 @@ def tangency_report(emb: TangentialEmbedding, j_min: int, j_max: int) -> Tangenc
     closed-form coordinate enters it; ratio1 needs f_2 through the Fourier
     representation, which must resolve the smallest 1 - x in the sweep
     (grid size around 2^{j_max + 4} is comfortable).  The c1 fit takes the
-    j in 6..14; a sweep holding fewer than two of them raises ValueError,
+    j in 6..14; a sweep holding fewer than two of them raises DomainError,
     as does one reaching outside 1 <= j <= 53, where x = 1 - 2^-j lies in (0, 1).
     """
     if j_min < _J_RANGE.start or j_max >= _J_RANGE.stop:
-        raise ValueError(
+        raise DomainError(
             f"jmin={j_min}, jmax={j_max} reach outside {_J_RANGE.start}..{_J_RANGE.stop - 1}, "
             f"the exponents j with x = 1 - 2^-j in (0, 1)"
         )
     if len(range(max(j_min, _FIT_J.start), min(j_max + 1, _FIT_J.stop))) < 2:
-        raise ValueError(
+        raise DomainError(
             f"jmin={j_min}, jmax={j_max} leave fewer than two exponents in the "
             f"c1 fit window {_FIT_J.start}..{_FIT_J.stop - 1}"
         )

@@ -236,6 +236,8 @@ class TestExitCodes:
         ["classify", "N=0"],
         ["compare", "family=hardy", "family2=hs:-0.5", "N=0"],
         ["pick-check", "nodes=0;0.5", "targets=0;0.25", "N=0"],
+        # |z|^2 overflows: numpy's overflow warning used to print two more lines
+        ["pick-check", "nodes=1e200;0.5", "targets=0.5;0"],
     ], ids=lambda args: " ".join(args))
     def test_unusable_input_is_one_error_line(self, args):
         # a fresh process, so a traceback or numpy warning would show on stderr
@@ -422,6 +424,11 @@ class TestExitCodes:
         (["classify", "--out"], EXIT_BAD_PARAMETER, "--out"),
         (["distortion", "pairs=0"], EXIT_BAD_PARAMETER, "'pairs': '0' (must be at least 1)"),
         (["distortion", "pairs=-1"], EXIT_BAD_PARAMETER, "'pairs': '-1' (must be at least 1)"),
+        (["classify", "N=0"], EXIT_BAD_PARAMETER, "'N': '0' (must be at least 1)"),
+        (["separation", "n=0"], EXIT_BAD_PARAMETER, "'n': '0' (must be at least 1)"),
+        (["tangential-embed", "m=0"], EXIT_BAD_PARAMETER, "'m': '0' (must be at least 1)"),
+        (["classify", "N=2199023255552"], EXIT_BAD_PARAMETER,
+         "'N': '2199023255552' (must be at most 2**40)"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_answered_before_numpy_loads(self, args, code, names):
         # the catalog, --help and every command-line error are decided from

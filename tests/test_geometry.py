@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from npdisclab import DomainError
 from npdisclab import geometry as geo
 from npdisclab.geometry import (
     BallPoint,
-    BoundaryDivergenceError,
-    BoundaryPointError,
     EmbeddedDisc,
     crossing_map,
     crossing_scalar,
@@ -48,7 +47,7 @@ class TestDistance:
             assert pseudo_dist(p, p) == 0.0
 
     def test_rejects_boundary(self):
-        with pytest.raises(BoundaryPointError):
+        with pytest.raises(DomainError, match="degenerates at the boundary"):
             pseudo_dist(BallPoint([1.0]), BallPoint([0.5]))
 
     def test_quadratic_sequence_closed_form(self):
@@ -152,11 +151,11 @@ class TestEmbeddedDisc:
     def test_open_embedding_boundary_derivative_refused(self):
         e = hs_embedding(-0.5, 256)
         assert e.regime == "open"
-        with pytest.raises(BoundaryDivergenceError):
+        with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             e.deriv(1.0)
         # off the real axis z conj(z) rounds off 1, where A_s refuses the circle;
         # the divergent derivative is reported first
-        with pytest.raises(BoundaryDivergenceError):
+        with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             transversality_pairing(e, 1.0)
 
     def test_amplitude_mass_validated(self):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from npdisclab import kernels, series
+from npdisclab import DomainError, kernels, series
 from npdisclab.csvio import format_cell
 from npdisclab.kernels import (
-    KernelDomainError,
     are_comparable,
     classify,
     continuity_bound,
@@ -15,7 +14,6 @@ from npdisclab.kernels import (
 from npdisclab.series import (
     CNP_TOL,
     CoefficientSequence,
-    InvalidSequenceError,
     KernelWeights,
     _renewal,
     moduli_from_weights,
@@ -76,7 +74,7 @@ class TestFamilies:
     def test_drifting_inversion_is_rejected(self):
         # (n+1)^40 overflows the Newton reciprocal to nan, which fails every
         # comparison with the tolerance
-        with pytest.raises(InvalidSequenceError, match=r"inconsistent \(max defect nan\)"):
+        with pytest.raises(DomainError, match=r"inconsistent \(max defect nan\)"):
             kernels.hs(40.0, 16384)
 
     def test_parse_family_tags(self):
@@ -101,8 +99,34 @@ class TestCustomCsv:
     def test_indices_from_zero_are_weights(self, tmp_path):
         path = tmp_path / "weights.csv"
         path.write_text("n,value\n0,1\n1,0.5\n2,0.25\n", encoding="utf-8")
-        k = kernels.parse_family(f"custom:{path}", 8)
+        k = kernels.parse_family(f"custom:{path}", 2)
         assert list(k.weights.values) == [1.0, 0.5, 0.25]
+
+    def test_weights_are_cut_to_n(self, tmp_path):
+        # N used to be ignored for weights: the handle kept one term per row
+        path = tmp_path / "weights.csv"
+        path.write_text("n,value\n0,1\n1,0.5\n2,0.25\n3,0.125\n", encoding="utf-8")
+        k = kernels.parse_family(f"custom:{path}", 2)
+        assert list(k.weights.values) == [1.0, 0.5, 0.25]
+        assert k.n == 2
+
+    def test_weights_shorter_than_n_are_refused(self, tmp_path):
+        path = tmp_path / "weights.csv"
+        path.write_text("0,1\n1,0.5\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="weights known to order 1, need 8"):
+            kernels.parse_family(f"custom:{path}", 8)
+
+    @pytest.mark.parametrize("text, names", [
+        (b"1,0.5\n\xff,2\n", "'utf-8' codec can't decode"),
+        (b"1," + b"5" * 200000 + b"\n", "field larger than field limit"),
+    ], ids=["not-utf-8", "oversized-field"])
+    def test_unreadable_text_is_refused(self, text, names, tmp_path):
+        # a UnicodeDecodeError used to pass for a domain error, and the csv
+        # module's own error escaped with a traceback
+        path = tmp_path / "family.csv"
+        path.write_bytes(text)
+        with pytest.raises(DomainError, match=f"custom CSV {str(path)!r}: {names}"):
+            kernels.parse_family(f"custom:{path}", 8)
 
     @pytest.mark.parametrize("rows, line", [
         ("n,value\n1,0.5\n3,0.25\n", 3),  # used to load as c_2 = 0.25
@@ -145,7 +169,7 @@ class TestVerifiedModuli:
             return c
 
         monkeypatch.setattr(kernels, "moduli_from_weights", perturbed)
-        with pytest.raises(InvalidSequenceError, match="inconsistent"):
+        with pytest.raises(DomainError, match="inconsistent"):
             kernels.hs(-0.5, n)
 
     def test_hs_one_newton_moduli_against_exact(self):
@@ -157,7 +181,7 @@ class TestVerifiedModuli:
         assert np.max(np.abs(c - exact)) <= CNP_TOL  # 4.7e-11 measured
         # the residual cannot show it: ||r|| (1 + ||c||_1) is 1.3e-7, and
         # the drift is enough to move mu off 0 and fail the doubling test
-        with pytest.raises(InvalidSequenceError, match="not certified"):
+        with pytest.raises(DomainError, match="not certified"):
             kernels.hs(1.0, n)
 
     def test_hs_two_integer_moduli_pass(self):
@@ -192,7 +216,7 @@ class TestVerifiedModuli:
         kernels.hs(-0.5, 65536)
         kernels.geometric(0.5, 65536)
         # (2q)^n / 2 underflows past n = 1073 and is refused at once
-        with pytest.raises(InvalidSequenceError, match="strictly positive"):
+        with pytest.raises(DomainError, match="strictly positive"):
             kernels.geometric(0.25, 65536)
 
 
@@ -264,9 +288,9 @@ class TestPowerWeightGenerating:
         # the series does not converge absolutely there, so no truncation of
         # it is a value
         k = kernels.hs(s, 64)
-        with pytest.raises(KernelDomainError, match="unit circle"):
+        with pytest.raises(DomainError, match="unit circle"):
             k.generating_value(np.exp(0.7j))
-        with pytest.raises(KernelDomainError, match="unit circle"):
+        with pytest.raises(DomainError, match="unit circle"):
             k.generating_value(np.array([0.5, np.exp(-2.0j)]))
         assert k.generating_value(1.0) == 1.0  # A_s(1) = inf
 
@@ -385,7 +409,7 @@ class TestContinuityBound:
         assert continuity_bound(Stub(), 1.0) == pytest.approx(2.0)
 
     def test_rejects_open_regime(self):
-        with pytest.raises(KernelDomainError):
+        with pytest.raises(DomainError, match="outside the compact regime"):
             continuity_bound(kernels.hardy(128), 1.0)
 
     def test_hs_minus_two_matches_mass(self):

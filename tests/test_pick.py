@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from npdisclab import geometry, kernels, pick
+from npdisclab import DomainError, NotCertifiedError, geometry, kernels, pick
 from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar, row_blocks
 from npdisclab.pick import (
     CrossingObstruction,
-    ExtractionExhaustedError,
     PickProblem,
-    PickProblemError,
     crossing_determinant,
     extract_interpolating_subsequence,
     kernel_gram,
@@ -47,11 +45,11 @@ class TestPickMatrix:
         assert det == pytest.approx(0.0, abs=1e-13)
 
     def test_rejects_coincident_nodes(self):
-        with pytest.raises(PickProblemError):
+        with pytest.raises(DomainError, match="nodes 0 and 1 coincide"):
             PickProblem([0.5, 0.5], [0.0, 0.1], kernels.hardy(1))
 
     def test_rejects_large_targets(self):
-        with pytest.raises(PickProblemError):
+        with pytest.raises(DomainError, match="all targets must lie in the open disc"):
             PickProblem([0.0, 0.5], [0.0, 1.0], kernels.hardy(1))
 
     def test_gram_is_pick_matrix_with_zero_targets(self):
@@ -70,36 +68,36 @@ class TestCoincidence:
         ([0.2, 0.7, 0.2, 0.7, 0.7], (0, 2)),
     ])
     def test_reports_first_coinciding_pair(self, nodes, pair):
-        with pytest.raises(PickProblemError, match=f"nodes {pair[0]} and {pair[1]} coincide"):
+        with pytest.raises(DomainError, match=f"nodes {pair[0]} and {pair[1]} coincide"):
             PickProblem(nodes, np.zeros(len(nodes)), kernels.hardy(1))
 
     def test_first_pair_across_row_blocks(self, monkeypatch):
         # one row per block: the blocks still report the lexicographic first
         monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
-        with pytest.raises(PickProblemError, match="nodes 0 and 3 coincide"):
+        with pytest.raises(DomainError, match="nodes 0 and 3 coincide"):
             PickProblem([0.3, 0.6, 0.6, 0.3], np.zeros(4), kernels.hardy(1))
         monkeypatch.undo()
         nodes = list(np.linspace(-0.9, 0.9, 300))
         nodes[290], nodes[299] = nodes[150], nodes[10]  # (10, 299) precedes (150, 290)
         assert len(list(row_blocks(300, 300))) > 1
-        with pytest.raises(PickProblemError, match="nodes 10 and 299 coincide"):
+        with pytest.raises(DomainError, match="nodes 10 and 299 coincide"):
             PickProblem(nodes, np.zeros(300), kernels.hardy(1))
 
     def test_equal_coordinates_with_different_gaps_are_distinct(self):
         p = BallPoint([0.5], gap=0.5)
         q = BallPoint([0.5], gap=0.5 + 2.0**-40)
         assert PickProblem([p, q, BallPoint([0.5])], [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
-        with pytest.raises(PickProblemError, match="nodes 0 and 2 coincide"):
+        with pytest.raises(DomainError, match="nodes 0 and 2 coincide"):
             PickProblem([p, q, BallPoint([0.5], gap=0.5)], [0.0, 0.1, 0.2], kernels.hardy(1))
 
     def test_different_dimensions_are_distinct(self):
         nodes = [BallPoint([0.5]), BallPoint([0.5, 0.0]), BallPoint([0.5, 0.0, 0.0])]
         assert PickProblem(nodes, [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
-        with pytest.raises(PickProblemError, match="nodes 1 and 3 coincide"):
+        with pytest.raises(DomainError, match="nodes 1 and 3 coincide"):
             PickProblem(nodes + [BallPoint([0.5, 0.0])], [0.0, 0.1, 0.2, 0.3], kernels.hardy(1))
 
     def test_signed_zero_coordinates_coincide(self):
-        with pytest.raises(PickProblemError, match="nodes 0 and 1 coincide"):
+        with pytest.raises(DomainError, match="nodes 0 and 1 coincide"):
             PickProblem([complex(0.5, 0.0), complex(0.5, -0.0)], [0.0, 0.1], kernels.hardy(1))
 
 
@@ -224,7 +222,7 @@ class TestCallCounts:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(ExtractionExhaustedError,
+        with pytest.raises(NotCertifiedError,
                            match="stage 1 block lost definiteness during sampling"):
             extract_interpolating_subsequence(gaussian_points(14), 0.5, 4, seed=0)
 
@@ -418,7 +416,7 @@ class TestExtractor:
 
     def test_exhaustion_diagnostic(self):
         pts = quadratic_points(6)  # far too short to reach stage 6
-        with pytest.raises(ExtractionExhaustedError):
+        with pytest.raises(NotCertifiedError, match="point list exhausted at stage"):
             extract_interpolating_subsequence(pts, 0.5, 6, seed=0)
 
     def test_point_on_sphere_without_gap_is_an_error(self):

@@ -9,6 +9,11 @@ The same holds for parameter defaults.  A default that every call in src
 overrides is a second owner of a value its callers fix, and one that no
 call overrides is a parameter nobody sets; either goes, or ``KEPT_DEFAULTS``
 says why it stays.
+
+And every ``raise`` belongs to the failure contract: it names
+``DomainError`` or ``NotCertifiedError`` (the only exception classes src
+defines), or it is a bare re-raise, or ``INTERNAL_RAISES`` says why only a
+bug can reach it.
 """
 
 import ast
@@ -170,3 +175,49 @@ def test_every_default_is_relied_on_and_overridden():
     flagged = _one_sided_defaults()
     assert sorted(flagged - set(KEPT_DEFAULTS)) == []
     assert sorted(set(KEPT_DEFAULTS) - flagged) == []
+
+
+#: the exception classes of the failure contract, defined in npdisclab/__init__.py
+CONTRACT = {"DomainError", "NotCertifiedError"}
+
+#: raises of other classes, by (module, class), each with the reason only a
+#: bug in npdisclab can reach them
+INTERNAL_RAISES = {
+    ("csvio", "ValueError"): "write_rows and read_rows check tables the recipes build",
+    ("geometry", "NotImplementedError"): "GeneralCurve.eval is abstract; every curve overrides it",
+    ("sequences", "IndexError"): "separation_delta takes an index, as indexing a list does",
+}
+
+
+def _raises_outside_the_contract():
+    """(module, class) of each raise in src that names no contract class; a
+    bare re-raise names none, and a raise of anything but a class by name
+    gives its source text."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = (exc.attr if isinstance(exc, ast.Attribute)
+                        else exc.id if isinstance(exc, ast.Name) else ast.unparse(exc))
+                if name not in CONTRACT:
+                    found.add((path.stem, name))
+    return found
+
+
+def _exception_classes():
+    """(module, class) of each class in src whose base is named like an exception."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(b).endswith(("Error", "Exception")) for b in node.bases):
+                yield path.stem, node.name
+
+
+def test_every_raise_is_in_the_contract():
+    # a stale INTERNAL_RAISES entry, whose raises are gone or joined the
+    # contract, leaves the map
+    raised = _raises_outside_the_contract()
+    assert sorted(raised - set(INTERNAL_RAISES)) == []
+    assert sorted(set(INTERNAL_RAISES) - raised) == []
+    assert sorted(_exception_classes()) == [("__init__", c) for c in sorted(CONTRACT)]

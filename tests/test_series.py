@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from npdisclab import kernels
+from npdisclab import DomainError, kernels
 from npdisclab.kernels import classify
 from npdisclab.series import (
     _LONG_ACCUM_N,
     CoefficientSequence,
-    InvalidSequenceError,
     KernelWeights,
     _renewal,
     fft_convolve,
@@ -29,17 +28,17 @@ def random_valid_moduli(rng, n):
 
 class TestValidation:
     def test_rejects_nonpositive_c1(self):
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="c_1 must be strictly positive"):
             CoefficientSequence([0.0, 0.5])
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="c_1 must be strictly positive"):
             CoefficientSequence([-0.1, 0.5])
 
     def test_rejects_negative_entry(self):
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="moduli must be nonnegative"):
             CoefficientSequence([0.5, -0.01])
 
     def test_rejects_mass_above_one(self):
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="moduli must sum to at most 1"):
             CoefficientSequence([0.7, 0.7])
 
     def test_unvalidated_construction_keeps_negatives(self):
@@ -47,20 +46,20 @@ class TestValidation:
         assert c.values[1] == -0.25
 
     def test_weights_require_unit_head(self):
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="a_0 must equal 1"):
             KernelWeights([0.5, 0.5])
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="all weights must be strictly positive"):
             KernelWeights([1.0, 0.0])
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_weights_must_be_finite(self, bad):
         # nan passes every ordering test, so only an explicit check catches it
-        with pytest.raises(InvalidSequenceError, match="finite"):
+        with pytest.raises(DomainError, match="finite"):
             KernelWeights([1.0, 0.5, bad])
 
     def test_recursion_rejects_invalid_moduli(self):
         bad = CoefficientSequence([0.5, -0.25], validate=False)
-        with pytest.raises(InvalidSequenceError):
+        with pytest.raises(DomainError, match="moduli must be nonnegative"):
             weights_from_moduli(bad, 8)
 
 
