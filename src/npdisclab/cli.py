@@ -10,7 +10,8 @@ a counter-based generator keyed by the recorded seed.
 
 Exit codes: 0 success, 2 unknown recipe, 3 an input outside its domain
 (a :class:`~npdisclab.DomainError`: a malformed parameter, a size outside
-1..2**40, a seed outside 0..2**64-1, a value outside a library domain), an
+1..2**40, a text parameter holding ',', '#', CR or LF, a seed outside
+0..2**64-1, a value outside a library domain), an
 unreadable input file or a size whose arrays do not fit in memory,
 4 unwritable output path, closed stdout or closed output pipe, 5 a
 computation that did not certify (a :class:`~npdisclab.NotCertifiedError`:
@@ -72,6 +73,13 @@ def _parse_count(text: str) -> int:
     if value > MAX_SIZE:
         raise DomainError("must be at most 2**40")
     return value
+
+
+def _parse_text(text: str) -> str:
+    """Text that a CSV cell and a ``# param`` line hold as given."""
+    if any(c in text for c in ",#\r\n"):
+        raise DomainError("must not hold ',', '#', CR or LF")
+    return text
 
 
 def _parse_list(parser):
@@ -172,7 +180,7 @@ def _run_crossing(p):
 def _run_distortion(p):
     import numpy as np
 
-    from .geometry import crossing_map, crossing_scalar, distortion_profile, hs_embedding
+    from .geometry import CrossingCurve, crossing_scalar, distortion_profile, hs_embedding
 
     tag = p["map"]
     name, colon, number = tag.partition(":")
@@ -182,7 +190,7 @@ def _run_distortion(p):
         number = float(number)
     except ValueError:
         raise DomainError(f"bad map tag {tag!r} (expected {name}:<number>)") from None
-    curve = crossing_map(number) if name == "crossing" else hs_embedding(number, p["N"])
+    curve = CrossingCurve(number) if name == "crossing" else hs_embedding(number, p["N"])
     if p["xs"]:
         if name != "crossing":
             raise DomainError("pinch pairs need a crossing map")
@@ -259,7 +267,7 @@ RECIPES = {
             "classify",
             "isomorphism-classification row for one kernel family",
             (
-                Param("family", str, "hardy", "kernel tag: hardy | hs:<s> | geom:<q> | custom:<csv>"),
+                Param("family", _parse_text, "hardy", "kernel tag: hardy | hs:<s> | geom:<q> | custom:<csv>"),
                 Param("N", _parse_count, 256, "truncation length"),
             ),
             _run_classify,
@@ -268,8 +276,8 @@ RECIPES = {
             "compare",
             "weight-ratio comparability verdict for two families",
             (
-                Param("family", str, None, "first kernel tag"),
-                Param("family2", str, None, "second kernel tag"),
+                Param("family", _parse_text, None, "first kernel tag"),
+                Param("family2", _parse_text, None, "second kernel tag"),
                 Param("N", _parse_count, 256, "truncation length"),
             ),
             _run_compare,
@@ -278,7 +286,7 @@ RECIPES = {
             "pick-check",
             "positivity verdict of the interpolation matrix for nodes/targets",
             (
-                Param("family", str, "hardy", "kernel tag"),
+                Param("family", _parse_text, "hardy", "kernel tag"),
                 Param("nodes", _parse_list(_parse_complex), None, "nodes, ';'-separated complex"),
                 Param("targets", _parse_list(_parse_complex), None, "targets, ';'-separated complex"),
                 Param("N", _parse_count, 256, "truncation length"),
@@ -289,7 +297,7 @@ RECIPES = {
             "interp-extract",
             "greedy interpolating-subsequence extraction audit trail",
             (
-                Param("tag", str, "wn_gaussian", "named sequence tag"),
+                Param("tag", _parse_text, "wn_gaussian", "named sequence tag"),
                 Param("n", _parse_count, 12, "sequence length"),
                 Param("r", float, 0.5, "target polydisc radius"),
                 Param("kmax", int, 10, "subsequence length to extract"),
@@ -310,7 +318,7 @@ RECIPES = {
             "distortion",
             "pseudohyperbolic distances before/after a disc-to-ball map",
             (
-                Param("map", str, "crossing:0.5", "curve tag: crossing:<r> | hs:<s>"),
+                Param("map", _parse_text, "crossing:0.5", "curve tag: crossing:<r> | hs:<s>"),
                 Param("xs", _parse_list(float), [], "pinch parameters, ';'-separated"),
                 Param("pairs", _parse_count, 100, "random pair count when xs is empty"),
                 Param("N", _parse_count, 512, "embedding truncation for hs maps"),
@@ -321,7 +329,7 @@ RECIPES = {
             "carleson",
             "dyadic box-mass ratios of a disc sequence",
             (
-                Param("tag", str, "dyadic_separated", "named sequence tag"),
+                Param("tag", _parse_text, "dyadic_separated", "named sequence tag"),
                 Param("n", _parse_count, 20, "sequence size parameter"),
                 Param("p_max", int, 10, "largest box exponent"),
             ),
@@ -331,7 +339,7 @@ RECIPES = {
             "separation",
             "per-point separation products, gaps and interpolation budgets",
             (
-                Param("tag", str, "vn_quadratic", "named sequence tag"),
+                Param("tag", _parse_text, "vn_quadratic", "named sequence tag"),
                 Param("n", _parse_count, 40, "sequence length"),
             ),
             _run_separation,

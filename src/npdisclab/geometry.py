@@ -230,8 +230,6 @@ class GeneralCurve:
     exists; the numeric derivative is then a cross-check.
     """
 
-    label = "curve"
-
     def eval(self, z: complex) -> BallPoint:
         raise NotImplementedError
 
@@ -249,50 +247,24 @@ class GeneralCurve:
 
 
 class EmbeddedDisc(GeneralCurve):
-    """Diagonal embedding f(z) = (b_1 z, b_2 z^2, ...) truncated at order N.
+    """The kernel's own embedding f(z) = (b_1 z, b_2 z^2, ...), b_n = sqrt(c_n).
 
-    ``regime`` is "open" when the full amplitude mass is 1 (image closure
-    touches the sphere) and "compact" when it is r < 1; the caller states
-    it, as :meth:`from_kernel_handle` does from
-    :meth:`~npdisclab.kernels.KernelHandle.is_compact_regime`.  ``gram`` may
-    hold an exact evaluator for g(t) = sum |b_n|^2 t^n, in which case inner
-    products bypass the truncated coordinates entirely.  ``boundary_c1``
-    says whether the derivative extends to the circle (sum n |b_n|^2 < inf).
+    A view of its :class:`~npdisclab.kernels.KernelHandle`: the coordinates
+    are the truncated moduli's square roots, and inner products are the
+    handle's generating function, <f(z1), f(z2)> = g(z1 conj(z2)), so they
+    keep the full tail wherever the family has a closed form.  The regime
+    and the renewal mean are read from the handle when a derivative is
+    asked for on the circle.
     """
 
-    def __init__(self, amplitudes, regime: str, *,
-                 gram=None, boundary_c1: bool):
-        b = np.atleast_1d(np.asarray(amplitudes, dtype=complex))
-        if b.size == 0 or b[0] == 0.0:
-            raise DomainError("first amplitude must be nonzero")
-        mass = float(np.sum(np.abs(b) ** 2))
-        if mass > 1.0 + 1e-9:
-            raise DomainError(f"amplitude mass {mass:.6g} exceeds 1")
-        if regime not in ("open", "compact"):
-            raise DomainError(f"unknown regime {regime!r}")
-        self.amplitudes = b
-        self.regime = regime
-        self.gram = gram
-        self.boundary_c1 = boundary_c1
-        self.label = f"embedded-disc(n={b.size})"
-
-    @classmethod
-    def from_kernel_handle(cls, handle) -> "EmbeddedDisc":
-        """Amplitudes b_n = sqrt(c_n) of a complete-Pick handle."""
+    def __init__(self, handle):
         cv = handle.moduli.values
         if np.any(cv < -1e-12):
             raise DomainError(
                 f"family {handle.family_tag!r} has negative moduli; no embedding"
             )
-        b = np.sqrt(np.clip(cv, 0.0, None))
-        compact = handle.is_compact_regime()
-        return cls(
-            b,
-            "compact" if compact else "open",
-            gram=handle.generating_value,
-            # the boundary derivative exists iff sum n c_n converges
-            boundary_c1=math.isfinite(handle.renewal_mean()),
-        )
+        self.handle = handle
+        self.amplitudes = np.sqrt(np.clip(cv, 0.0, None))
 
     @property
     def n(self) -> int:
@@ -300,23 +272,25 @@ class EmbeddedDisc(GeneralCurve):
 
     def inner(self, z1, z2):
         """<f(z1), f(z2)> = g(z1 conj(z2))."""
-        t = np.multiply(z1, np.conj(z2))
-        if self.gram is not None:
-            return self.gram(t)
-        from .series import power_sum  # here only, so crossing and tangential runs skip series
-        return (t * power_sum(np.abs(self.amplitudes) ** 2, t))[()]
+        return self.handle.generating_value(np.multiply(z1, np.conj(z2)))
 
     def eval(self, z: complex) -> BallPoint:
+        """f(z) with ||f(z)||^2 = g(|z|^2).  Within 1e-12 of the circle
+        |z|^2 is taken as exactly 1: in floating point it often misses 1
+        there, and for s >= -1 the hs sum refuses every circle point but 1."""
         z = complex(z)
         if abs(z) > 1.0 + 1e-12:
             raise DomainError("embedding evaluated outside the closed disc")
+        t = 1.0 if abs(z) > 1.0 - 1e-12 else abs(z) ** 2
         coords = self.amplitudes * z ** np.arange(1, self.n + 1)
-        one_minus = 1.0 - self.inner(z, z).real
-        return BallPoint(coords, one_minus_sq=one_minus)
+        return BallPoint(coords, one_minus_sq=1.0 - self.handle.generating_value(t).real)
 
     def deriv(self, z: complex) -> np.ndarray:
+        """f'(z) of the truncated coordinates; refused on the circle unless the
+        handle is in the compact regime or its renewal mean mu = sum n c_n is finite."""
         z = complex(z)
-        if abs(z) > 1.0 - 1e-12 and self.regime == "open" and not self.boundary_c1:
+        if (abs(z) > 1.0 - 1e-12 and not self.handle.is_compact_regime()
+                and not math.isfinite(self.handle.renewal_mean())):
             raise DomainError(
                 "derivative series diverges on the boundary for this embedding"
             )
@@ -335,7 +309,6 @@ class CrossingCurve(GeneralCurve):
         if not 0.0 < r < 1.0:
             raise DomainError("automorphism parameter must lie in (0, 1)")
         self.r = r
-        self.label = f"crossing(r={r:g})"
 
     def b(self, z):
         """The disc automorphism (z - r)/(1 - r z)."""
@@ -355,9 +328,13 @@ class CrossingCurve(GeneralCurve):
         return (z1 * z1 * w2 * w2 + self.b(z1) ** 2 * np.conj(self.b(z2)) ** 2) / 2.0
 
 
-def crossing_map(r: float) -> CrossingCurve:
-    """The crossing curve for the automorphism parameter r in (0, 1)."""
-    return CrossingCurve(r)
+def _pairing(curve: GeneralCurve, z) -> float:
+    """p(z) = Re <f(z), z f'(z)> at a point z of the circle."""
+    tangent = curve.deriv(z) * z  # first: a divergent derivative decides before eval
+    value = complex(np.dot(curve.eval(z).coords, np.conj(tangent)))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise DomainError("pairing is non-finite at this boundary point")
+    return value.real
 
 
 def transversality_pairing(curve: GeneralCurve, t: float) -> float:
@@ -366,25 +343,21 @@ def transversality_pairing(curve: GeneralCurve, t: float) -> float:
     Raises :class:`~npdisclab.DomainError` (via the curve) when the
     derivative series diverges at the boundary, the tangential signature.
     """
-    z = complex(np.exp(1j * t))
-    tangent = curve.deriv(z) * z  # first: a divergent derivative decides before eval
-    value = complex(np.dot(curve.eval(z).coords, np.conj(tangent)))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise DomainError("pairing is non-finite at this boundary point")
-    return value.real
+    return _pairing(curve, complex(np.exp(1j * t)))
 
 
 def crossing_scalar(curve: GeneralCurve) -> float:
-    """Positive scalar s with <f'(1), f(1)> = -s <f'(-1), f(-1)>.
+    """Positive scalar s with <f'(1), f(1)> = -s <f'(-1), f(-1)>, that is
+    s = p(1)/p(-1) for the boundary pairing p.
 
     Computed from the two boundary pairings rather than hard-coded, so the
-    construction stays parametric in the automorphism parameter.
+    construction stays parametric in the automorphism parameter.  The factor
+    z = -1 in p(-1) is an exact negation.
     """
-    pair_pos = complex(np.dot(curve.deriv(1.0), np.conj(curve.eval(1.0).coords))).real
-    pair_neg = complex(np.dot(curve.deriv(-1.0), np.conj(curve.eval(-1.0).coords))).real
-    if pair_neg >= 0.0:
+    p_neg = _pairing(curve, -1.0)
+    if p_neg <= 0.0:
         raise DomainError("curve does not cross: <f'(-1), f(-1)> is not negative")
-    return pair_pos / (-pair_neg)
+    return _pairing(curve, 1.0) / p_neg
 
 
 def tangential_ratio(curve: GeneralCurve, x, t=0.0):
@@ -454,9 +427,4 @@ def hs_embedding(s: float, n_terms: int) -> EmbeddedDisc:
     """Embedded disc of the power-weight family, amplitudes by inversion."""
     from . import kernels
 
-    return EmbeddedDisc.from_kernel_handle(kernels.hs(s, n_terms))
-
-
-def hardy_embedding() -> EmbeddedDisc:
-    """The coordinate embedding z -> (z): the identity curve into the ball."""
-    return EmbeddedDisc([1.0], "open", boundary_c1=True)
+    return EmbeddedDisc(kernels.hs(s, n_terms))

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import DomainError, NotCertifiedError
-from .geometry import BallPoint, PointTable, crossing_map, crossing_scalar, row_blocks
+from .geometry import BallPoint, CrossingCurve, PointTable, crossing_scalar, row_blocks
 
 if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
     from .kernels import KernelHandle
@@ -454,7 +454,7 @@ def crossing_determinant(r: float, big_c: float, x: float) -> CrossingObstructio
         raise DomainError("x must lie in (0, 0.1)")
     if not 1.0 < big_c < math.inf:
         raise DomainError("candidate multiplier norm must be finite and exceed 1")
-    curve = crossing_map(r)
+    curve = CrossingCurve(r)
     s = crossing_scalar(curve)
     z1, z2 = 1.0 - x, -1.0 + s * x
     for name, z in (("1 - x", z1), ("-1 + s x", z2)):

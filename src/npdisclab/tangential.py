@@ -23,8 +23,6 @@ import numpy as np
 from . import DomainError
 from .geometry import BallPoint, GeneralCurve
 
-STAGES = ("half_disc", "full", "clipped")
-
 _POLE_TOL = 1e-8
 
 #: midpoints this close to the singular angle are left out of the midpoint
@@ -69,24 +67,11 @@ class ConformalChain:
     def rho(self, z):
         return self.clip * np.asarray(z, dtype=complex) + (1.0 - self.clip)
 
-    def eval(self, z, stage: str = "clipped") -> np.ndarray:
-        """Evaluate the composition through the requested stage.
-
-        Stage names: half_disc (the map g), full (the map f), clipped (f
-        composed with rho).
-        """
-        if stage not in STAGES:
-            raise DomainError(f"unknown stage {stage!r}; stages: {STAGES}")
+    def eval(self, z) -> np.ndarray:
+        """The clipped chain f(rho(z)) on a scalar or an array."""
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        if stage == "clipped":
-            out = self._f(self.rho(z))
-        elif stage == "full":
-            out = self._f(z)
-        else:
-            out = self._g(z)
-        return out[0] if scalar else out
+        out = self._f(self.rho(np.atleast_1d(z)))
+        return out[0] if z.ndim == 0 else out
 
     def _g(self, z: np.ndarray) -> np.ndarray:
         """g on the closed disc: Mobius map, square root, Mobius map."""
@@ -150,7 +135,7 @@ class TangentialEmbedding(GeneralCurve):
         self.chain = chain
         self.m = m
         self.angles = 2.0 * math.pi * np.arange(m) / m
-        self.f1_boundary = chain.eval(np.exp(1j * self.angles), "clipped")
+        self.f1_boundary = chain.eval(np.exp(1j * self.angles))
         # u_1 = log sqrt(1 - |f_1|^2); at the singular angle its true value
         # is -inf, so the sample there is the model u = A - log log (1/|t|)
         # fitted on the two neighbours and evaluated at half the grid spacing
@@ -167,7 +152,6 @@ class TangentialEmbedding(GeneralCurve):
         coeffs[0] = spec[0].real
         self._h_coeffs = coeffs
         self.f2_boundary = np.exp(u1 + 1j * self.u1_tilde)
-        self.label = f"tangential(m={m}, r={chain.clip:g})"
 
     def h(self, z: complex) -> complex:
         """Truncated analytic completion of u_1 at |z| <= 1."""
@@ -178,7 +162,7 @@ class TangentialEmbedding(GeneralCurve):
         return np.exp(self.h(z))
 
     def f1(self, z: complex) -> complex:
-        return complex(self.chain.eval(complex(z), "clipped"))
+        return complex(self.chain.eval(complex(z)))
 
     def eval(self, z: complex) -> BallPoint:
         z = complex(z)
@@ -210,7 +194,7 @@ class TangentialEmbedding(GeneralCurve):
         """
         mids = self.angles + math.pi / self.m
         keep = (mids > _MIDPOINT_EXCLUDE) & (mids < 2.0 * math.pi - _MIDPOINT_EXCLUDE)
-        f1 = self.chain.eval(np.exp(1j * mids[keep]), "clipped")
+        f1 = self.chain.eval(np.exp(1j * mids[keep]))
         f2 = np.exp(self._h_at_midpoints()[keep])
         return float(np.max(np.abs(np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0)))
 

@@ -15,8 +15,8 @@ import pytest
 from npdisclab import kernels
 from npdisclab.geometry import (
     BallPoint,
+    CrossingCurve,
     PointTable,
-    crossing_map,
     crossing_scalar,
     distortion_profile,
     hs_embedding,
@@ -152,7 +152,7 @@ def test_criterion_07_crossing_obstruction():
 
 
 def test_criterion_08_crossing_distortion():
-    curve = crossing_map(0.5)
+    curve = CrossingCurve(0.5)
     s = crossing_scalar(curve)
     img, src = [], []
     for x in (1e-2, 1e-3, 1e-4):
@@ -167,10 +167,10 @@ def test_criterion_08_crossing_distortion():
 
 def test_criterion_09_transversality_pairing():
     for r in (0.3, 0.5, 0.7):
-        curve = crossing_map(r)
+        curve = CrossingCurve(r)
         pair = complex(np.dot(curve.deriv(1.0), np.conj(curve.eval(1.0).coords))).real
         assert abs(pair - 2.0 / (1.0 - r)) < 1e-10
-    curve = crossing_map(0.5)
+    curve = CrossingCurve(0.5)
     for t in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         assert transversality_pairing(curve, t) > 0.0
     print("\nACCEPTANCE 9 PASS: <f'(1), f(1)> = 2/(1-r) to 1e-10; pairing positive at 64 angles")
@@ -239,17 +239,17 @@ def test_criterion_14_schwarz_pick_contraction(fine_embedding):
     def disc_point(radius=0.9):
         return radius * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
 
-    curves = [
-        crossing_map(0.5),
-        hs_embedding(-0.5, 512),
-        hs_embedding(-2.0, 512),
-    ]
+    curves = {
+        "crossing:0.5": CrossingCurve(0.5),
+        "hs:-0.5": hs_embedding(-0.5, 512),
+        "hs:-2": hs_embedding(-2.0, 512),
+    }
     checked = 0
-    for curve in curves:
+    for name, curve in curves.items():
         for _ in range(250):
             lam, mu = disc_point(), disc_point()
             prof = distortion_profile(curve, [(lam, mu)])
-            assert prof.ratio_max <= 1.0 + 1e-10, curve.label
+            assert prof.ratio_max <= 1.0 + 1e-10, name
             checked += 1
     # the assembled tangential map, pulled back to a safely resolved radius
     for _ in range(250):

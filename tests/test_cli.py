@@ -93,6 +93,18 @@ def run_cli(args):
     )
 
 
+def run_cli_reporting_numpy(args):
+    """(process, whether numpy was loaded at exit) of a fresh CLI run."""
+    script = ("import atexit, runpy, sys; "
+              "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+              "runpy.run_module('npdisclab', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, timeout=240)
+    *err, numpy_loaded = proc.stderr.splitlines()
+    proc.stderr = "".join(line + "\n" for line in err)
+    return proc, numpy_loaded == "True"
+
+
 class TestCatalog:
     def test_no_arguments_prints_catalog(self):
         proc = run_cli([])
@@ -257,6 +269,7 @@ class TestExitCodes:
         (["classify", "family=geom:x"], "kernel tag 'geom:x'"),
         (["distortion", "map=hs:"], "map tag 'hs:'"),
         (["distortion", "map=crossing:"], "map tag 'crossing:'"),
+        (["distortion", "map=hs:1.5"], "family 'hs:1.5' has negative moduli; no embedding"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_error_line_names_the_parameter(self, args, names):
         # empty or degenerate inputs used to reach a numpy reduction, an
@@ -429,24 +442,38 @@ class TestExitCodes:
         (["tangential-embed", "m=0"], EXIT_BAD_PARAMETER, "'m': '0' (must be at least 1)"),
         (["classify", "N=2199023255552"], EXIT_BAD_PARAMETER,
          "'N': '2199023255552' (must be at most 2**40)"),
+        (["compare", "family=hardy", "family2=hs:-0.5,1"], EXIT_BAD_PARAMETER, "'family2'"),
+        (["distortion", "map=crossing:0.5#"], EXIT_BAD_PARAMETER, "'map'"),
+        (["separation", "tag=vn_quadratic\r"], EXIT_BAD_PARAMETER, "'tag'"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
     def test_answered_before_numpy_loads(self, args, code, names):
         # the catalog, --help and every command-line error are decided from
         # argv alone, so the process exits without loading numpy
-        script = ("import atexit, runpy, sys; "
-                  "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
-                  "runpy.run_module('npdisclab', run_name='__main__')")
-        proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
-                              text=True, timeout=240)
-        *err, numpy_loaded = proc.stderr.splitlines()
-        assert numpy_loaded == "False"
+        proc, numpy_loaded = run_cli_reporting_numpy(args)
+        assert not numpy_loaded
         assert proc.returncode == code, proc.stderr
-        errors = [line for line in err if line.startswith("error:")]
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
         if names is None:
             assert errors == [] and proc.stdout
         else:
             assert proc.stdout == ""
             assert len(errors) == 1 and names in errors[0]
+
+    @pytest.mark.parametrize("args, name", [
+        (["compare", "family=custom:{dir}/a,b.csv", "family2=hardy", "N=4"], "a,b.csv"),
+        (["classify", "family=custom:{dir}/x\ny.csv", "N=4"], "x\ny.csv"),
+    ], ids=["comma", "newline"])
+    def test_text_that_breaks_the_csv_is_refused(self, args, name, tmp_path):
+        # the file exists and parses, so only its name's text is refused; written,
+        # the comma would split a cell and the newline the '# param family' line
+        (tmp_path / name).write_text("1,0.5\n", encoding="utf-8")
+        proc, numpy_loaded = run_cli_reporting_numpy([a.format(dir=tmp_path) for a in args])
+        assert not numpy_loaded
+        assert proc.returncode == EXIT_BAD_PARAMETER
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bad value for 'family': ")
+        assert proc.stderr.endswith(" (must not hold ',', '#', CR or LF)\n")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("args", [[], ["crossing"]], ids=["catalog", "recipe"])
     def test_closed_stdout(self, args):

@@ -1,17 +1,17 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from npdisclab import DomainError
+from npdisclab import DomainError, kernels
 from npdisclab import geometry as geo
 from npdisclab.geometry import (
     BallPoint,
+    CrossingCurve,
     EmbeddedDisc,
-    crossing_map,
     crossing_scalar,
     distortion_profile,
-    hardy_embedding,
     hs_embedding,
     image_distance,
     mobius_auto,
@@ -23,6 +23,12 @@ from npdisclab.geometry import (
     transversality_pairing,
 )
 from npdisclab.tangential import ConformalChain, assemble_embedding
+
+
+def identity_embedding():
+    # hardy(2), not hardy(1): at N = 1 the doubling test reads mu = inf, so
+    # the boundary derivative would be refused
+    return EmbeddedDisc(kernels.hardy(2))
 
 
 def random_ball_point(rng, dim, rmax=0.9):
@@ -125,17 +131,15 @@ class TestEmbeddedDisc:
         assert np.allclose(deriv[1:], 0.0)
 
     def test_hardy_embedding_is_identity(self):
-        e = hardy_embedding()
+        e = identity_embedding()
         point = e.eval(0.5)
         assert point.coords[0] == 0.5
         assert point.norm == pytest.approx(0.5)
 
     def test_compact_embedding_boundary_norm(self):
-        from npdisclab import kernels
-
         k = kernels.hs(-2.0, 2048)
-        e = EmbeddedDisc.from_kernel_handle(k)
-        assert e.regime == "compact"
+        e = EmbeddedDisc(k)
+        assert k.is_compact_regime()
         point = e.eval(1.0)
         # the exact generating value includes the full tail; the truncated
         # moduli mass sits just below it
@@ -144,39 +148,52 @@ class TestEmbeddedDisc:
         assert point.norm < 1.0
 
     def test_eval_outside_closed_disc_refused(self):
-        e = hardy_embedding()
+        e = identity_embedding()
         with pytest.raises(ValueError, match="outside the closed disc"):
             e.eval(1.5)
 
     def test_open_embedding_boundary_derivative_refused(self):
         e = hs_embedding(-0.5, 256)
-        assert e.regime == "open"
+        assert not e.handle.is_compact_regime()
         with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             e.deriv(1.0)
-        # off the real axis z conj(z) rounds off 1, where A_s refuses the circle;
-        # the divergent derivative is reported first
+        # off the real axis too, the divergent derivative is what is reported
         with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             transversality_pairing(e, 1.0)
 
-    def test_amplitude_mass_validated(self):
-        with pytest.raises(ValueError):
-            EmbeddedDisc([1.0, 0.5], "open", boundary_c1=False)
-        with pytest.raises(ValueError):
-            EmbeddedDisc([0.0, 1.0], "open", boundary_c1=False)
+    def test_eval_on_the_circle_takes_t_one(self, monkeypatch):
+        # |e^{0.001ki}|^2 rounds off 1.0 at 90 of these angles, and
+        # z conj(z) keeps an imaginary residue at many more
+        zs = [cmath.exp(0.001j * k) for k in range(6283)]
+        e = hs_embedding(-0.5, 256)
+        assert all(e.eval(z).norm == 1.0 for z in zs)
+        e = hs_embedding(-2.0, 256)
+        generating, seen = e.handle.generating_value, {}
+
+        def once_per_t(t):  # A_-2(1) sums 5e7 terms; each distinct t is summed once
+            if t not in seen:
+                seen[t] = generating(t)
+            return seen[t]
+
+        monkeypatch.setattr(e.handle, "generating_value", once_per_t)
+        at_one = e.eval(1.0).norm
+        assert at_one < 1.0
+        assert all(abs(e.eval(z).norm - at_one) <= 1e-12 for z in zs)
+        assert list(seen) == [1.0]
 
 
 class TestCrossing:
     def test_pairing_values(self):
         # hand-differentiated: <f'(1), f(1)> = 2/(1-r), <f'(-1), f(-1)> = -2/(1+r)
         for r in (0.3, 0.5, 0.7):
-            c = crossing_map(r)
+            c = CrossingCurve(r)
             pos = complex(np.dot(c.deriv(1.0), np.conj(c.eval(1.0).coords))).real
             neg = complex(np.dot(c.deriv(-1.0), np.conj(c.eval(-1.0).coords))).real
             assert pos == pytest.approx(2.0 / (1.0 - r), abs=1e-10)
             assert neg == pytest.approx(-2.0 / (1.0 + r), abs=1e-10)
 
     def test_transversality_pairing_on_circle(self):
-        c = crossing_map(0.5)
+        c = CrossingCurve(0.5)
         assert transversality_pairing(c, 0.0) == pytest.approx(4.0, abs=1e-10)
         # at z = -1 the pairing <f(z), f'(z) z> is +2/(1+r), still transversal
         assert transversality_pairing(c, math.pi) == pytest.approx(4.0 / 3.0, abs=1e-10)
@@ -185,17 +202,17 @@ class TestCrossing:
 
     def test_scalar_parameter(self):
         for r in (0.3, 0.5, 0.7):
-            assert crossing_scalar(crossing_map(r)) == pytest.approx(
+            assert crossing_scalar(CrossingCurve(r)) == pytest.approx(
                 (1.0 + r) / (1.0 - r), abs=1e-10
             )
 
     def test_hardy_boundary_pairing_is_one(self):
-        curve = hardy_embedding()
+        curve = identity_embedding()
         for t in (0.0, 1.0, 2.5):
             assert transversality_pairing(curve, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_difference_matches_closed_form(self):
-        c = crossing_map(0.4)
+        c = CrossingCurve(0.4)
         z = 0.3 + 0.2j
         # the base-class central differences against the closed-form override
         numeric = geo.GeneralCurve.deriv(c, z)
@@ -204,7 +221,7 @@ class TestCrossing:
 
 class TestTangentialRatios:
     def test_hardy_ratio1_is_one(self):
-        curve = hardy_embedding()
+        curve = identity_embedding()
         for x in (0.3, 0.9, 0.99):
             r1, r2 = tangential_ratio(curve, x)
             assert r1 == pytest.approx(1.0, abs=1e-12)
@@ -225,7 +242,7 @@ class TestTangentialRatios:
 
 class TestDistortion:
     def test_identity_profile(self):
-        ident = hardy_embedding()
+        ident = identity_embedding()
         rng = np.random.default_rng(np.random.Philox(36))
         raw = rng.uniform(-1, 1, (20, 2)) + 1j * rng.uniform(-1, 1, (20, 2))
         pairs = [(z1, z2) for z1, z2 in 0.8 * raw / math.sqrt(2.0)]
@@ -234,7 +251,7 @@ class TestDistortion:
         assert prof.ratio_max == pytest.approx(1.0, abs=1e-12)
 
     def test_crossing_pinch(self):
-        c = crossing_map(0.5)
+        c = CrossingCurve(0.5)
         s = crossing_scalar(c)
         pairs = [(1.0 - x, -1.0 + s * x) for x in (1e-2, 1e-3, 1e-4)]
         prof = distortion_profile(c, pairs)
@@ -246,31 +263,31 @@ class TestDistortion:
 
     def test_schwarz_pick_contraction(self):
         rng = np.random.default_rng(np.random.Philox(37))
-        curves = [
-            crossing_map(0.5),
-            hs_embedding(-0.5, 512),
-            hs_embedding(-2.0, 512),
-        ]
-        for curve in curves:
+        curves = {
+            "crossing:0.5": CrossingCurve(0.5),
+            "hs:-0.5": hs_embedding(-0.5, 512),
+            "hs:-2": hs_embedding(-2.0, 512),
+        }
+        for name, curve in curves.items():
             for _ in range(300):
                 lam = 0.9 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
                 mu = 0.9 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / math.sqrt(2)
                 if abs(lam - mu) < 1e-9:
                     continue
                 prof = distortion_profile(curve, [(lam, mu)])
-                assert prof.ratio_max <= 1.0 + 1e-10, curve.label
+                assert prof.ratio_max <= 1.0 + 1e-10, name
 
     def test_first_outside_point_is_named(self):
         pairs = [(0.5, 0.25j), (0.3, 1.5 + 0j), (2.0, 0.1)]
         with pytest.raises(ValueError) as exc:
-            distortion_profile(crossing_map(0.5), pairs)
+            distortion_profile(CrossingCurve(0.5), pairs)
         assert str(exc.value) == "source point (1.5+0j) lies outside the open unit disc"
 
 
 CURVES = {
-    "crossing": lambda: crossing_map(0.5),
+    "crossing": lambda: CrossingCurve(0.5),
     "hs": lambda: hs_embedding(-0.5, 256),
-    "hardy": hardy_embedding,
+    "hardy": identity_embedding,
     "tangential": lambda: assemble_embedding(ConformalChain(0.75), 256),
 }
 
@@ -307,7 +324,7 @@ class TestScalarSchwarzPickBound:
     def test_boundary_pairing_lower_bound(self):
         # for g(z) = <f(z), f(1)>: (1-|g(z)|)/(1-|z|) >= (1-|g(0)|)/(1+|g(0)|)
         rng = np.random.default_rng(np.random.Philox(38))
-        curves = [crossing_map(0.5), hs_embedding(-0.5, 512)]
+        curves = [CrossingCurve(0.5), hs_embedding(-0.5, 512)]
         for curve in curves:
             g0 = abs(curve.inner(0.0, 1.0))
             bound = (1.0 - g0) / (1.0 + g0)

@@ -328,9 +328,9 @@ class TestPsdCheck:
         assert abs(v.min_eigenvalue - lam_min) <= 1e-12 * v.matrix_scale
 
     def test_crossing_pinch_matrix_indefinite(self):
-        from npdisclab.geometry import crossing_map, crossing_scalar
+        from npdisclab.geometry import CrossingCurve, crossing_scalar
 
-        curve = crossing_map(0.5)
+        curve = CrossingCurve(0.5)
         s = crossing_scalar(curve)
         x, big_c = 1e-3, 2.0
         z1, z2 = 1.0 - x, -1.0 + s * x

@@ -38,7 +38,6 @@ KEPT = {
     "midpoint_sphere_defect": _DIAG,
     "continuity_bound": _PAPER,
     "monomial_multiplier_norm": _PAPER,
-    "hardy_embedding": _SMALL,
     "harmonic_conjugate": _SMALL,
     "read_rows": "the CSV round-trip reader that the checks use",
 }

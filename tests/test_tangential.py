@@ -28,31 +28,36 @@ def fine_embedding(chain):
     return assemble_embedding(chain, 2**18)
 
 
+def _g(chain, z):
+    """The half-disc stage g of the chain at one point."""
+    return chain._g(np.array([z], dtype=complex))[0]
+
+
 class TestChain:
     def test_half_disc_fixed_values(self, chain):
-        assert chain.eval(1.0, "half_disc") == pytest.approx(0.0, abs=1e-12)
-        assert chain.eval(-1j, "half_disc") == pytest.approx(-1.0, abs=1e-12)
+        assert _g(chain, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert _g(chain, -1j) == pytest.approx(-1.0, abs=1e-12)
 
     def test_pole_guard(self, chain):
         with pytest.raises(DomainError, match="pole at \\+i"):
-            chain.eval(1j, "half_disc")
+            _g(chain, 1j)
 
     def test_half_disc_derivative_magnitude(self, chain):
         # |g'(1)| = 1/4, estimated from inside along the real axis
         h = 1e-7
-        d = (chain.eval(1.0, "half_disc") - chain.eval(1.0 - h, "half_disc")) / h
+        d = (_g(chain, 1.0) - _g(chain, 1.0 - h)) / h
         assert abs(d) == pytest.approx(0.25, abs=1e-5)
 
     def test_image_in_half_disc(self, chain):
         rng = np.random.default_rng(np.random.Philox(51))
         z = 0.99 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
-        g = chain.eval(z, "half_disc")
+        g = chain._g(z)
         assert np.all(np.abs(g) < 1.0 + 1e-12)
         assert np.all(g.imag > -1e-12)
 
     def test_full_map_boundary_singularity(self, chain):
-        assert chain.eval(1.0, "full") == 1.0
-        assert chain.eval(1.0, "clipped") == 1.0
+        assert chain._f(np.array([1.0 + 0j]))[0] == 1.0
+        assert chain.eval(1.0) == 1.0
 
 
 class TestBoundarySampling:
@@ -95,9 +100,9 @@ class TestBoundarySampling:
         sizes, rffts = [], []
         chain_eval, rfft = ConformalChain.eval, np.fft.rfft
 
-        def eval_spy(self, z, stage="clipped"):
+        def eval_spy(self, z):
             sizes.append(np.size(z))
-            return chain_eval(self, z, stage)
+            return chain_eval(self, z)
 
         def rfft_spy(*args, **kwargs):
             rffts.append(np.size(args[0]))
