@@ -252,9 +252,9 @@ class EmbeddedDisc(GeneralCurve):
     A view of its :class:`~npdisclab.kernels.KernelHandle`: the coordinates
     are the truncated moduli's square roots, and inner products are the
     handle's generating function, <f(z1), f(z2)> = g(z1 conj(z2)), so they
-    keep the full tail wherever the family has a closed form.  The regime
-    and the renewal mean are read from the handle when a derivative is
-    asked for on the circle.
+    keep the full tail wherever the family has a closed form.  The renewal
+    mean is read from the handle when a derivative is asked for on the
+    circle.
     """
 
     def __init__(self, handle):
@@ -262,6 +262,12 @@ class EmbeddedDisc(GeneralCurve):
         if np.any(cv < -1e-12):
             raise DomainError(
                 f"family {handle.family_tag!r} has negative moduli; no embedding"
+            )
+        mass = cv.sum()
+        if mass > 1.0 + 1e-12:
+            raise DomainError(
+                f"family {handle.family_tag!r} has moduli summing to {mass:.17g}, "
+                f"above 1; no embedding"
             )
         self.handle = handle
         self.amplitudes = np.sqrt(np.clip(cv, 0.0, None))
@@ -287,10 +293,9 @@ class EmbeddedDisc(GeneralCurve):
 
     def deriv(self, z: complex) -> np.ndarray:
         """f'(z) of the truncated coordinates; refused on the circle unless the
-        handle is in the compact regime or its renewal mean mu = sum n c_n is finite."""
+        renewal mean mu = sum n c_n, which is <f(z), z f'(z)> there, is finite."""
         z = complex(z)
-        if (abs(z) > 1.0 - 1e-12 and not self.handle.is_compact_regime()
-                and not math.isfinite(self.handle.renewal_mean())):
+        if abs(z) > 1.0 - 1e-12 and not math.isfinite(self.handle.renewal_mean()):
             raise DomainError(
                 "derivative series diverges on the boundary for this embedding"
             )

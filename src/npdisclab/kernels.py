@@ -22,11 +22,10 @@ from .series import (
     CNP_TOL,
     CoefficientSequence,
     KernelWeights,
-    _FFT_N,
     fft_convolve,
-    moduli_from_weights,
     power_sum,
     settled,
+    verified_moduli,
     weights_from_moduli,
 )
 
@@ -53,7 +52,7 @@ class KernelHandle:
     and geometric weights are closed forms and :func:`from_moduli` weights
     come from the renewal recursion itself; moduli inverted from weights
     (:func:`hs`, :func:`from_weights`) are checked against those weights by
-    their residual in :func:`_verified_moduli`.
+    their residual in :func:`~npdisclab.series.verified_moduli`.
     """
 
     def __init__(self, weights: KernelWeights, moduli: CoefficientSequence,
@@ -187,7 +186,7 @@ def hs(s: float, n_terms: int) -> KernelHandle:
     """
     with np.errstate(over="ignore"):
         a = KernelWeights((np.arange(n_terms + 1) + 1.0) ** float(s))
-    return KernelHandle(a, _verified_moduli(a), f"hs:{s:g}", s=float(s))
+    return KernelHandle(a, verified_moduli(a), f"hs:{s:g}", s=float(s))
 
 
 def geometric(q: float, n_terms: int) -> KernelHandle:
@@ -214,55 +213,7 @@ def from_moduli(c: CoefficientSequence, n_terms: int) -> KernelHandle:
 
 def from_weights(a: KernelWeights) -> KernelHandle:
     """Custom handle of the weights a_0..a_N and their inverted moduli."""
-    return KernelHandle(a, _verified_moduli(a), "custom")
-
-
-def _verified_moduli(a: KernelWeights) -> CoefficientSequence:
-    """Invert ``a`` and check the moduli by the residual of the renewal identity.
-
-    The residual is r = a - delta_0 - (0, c) * a.  Above ``_FFT_N`` terms,
-    where :func:`moduli_from_weights` runs the FFT/Newton reciprocal, it is
-    one :func:`fft_convolve` call; up to ``_FFT_N``, where the inversion is
-    the O(N^2) recursion anyway, the sums are direct.  Each check raises
-    DomainError:
-
-    - consistency: |r_n| <= 1e-10 max(|a_n|, 1) for every n;
-    - certification, Newton path only: the exact moduli c* satisfy
-      c - c* = -r * (1 - C*), so each modulus lies within
-      ||r||_inf (1 + ||c||_1) of its exact value (to first order); that
-      bound must not exceed ``CNP_TOL``, the margin at which
-      :func:`classify` reads the moduli's sign.  The direct path solves the
-      recursion itself, and there the bound is pessimistic: 1.6e-10 at
-      hs:1.8, N = 128.
-
-    The FFT residual carries its own rounding, about
-    3 log2(L) u ||a||_2 ||(0, c)||_2 for three real transforms of length L
-    and unit roundoff u (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 24).  That is the residual's noise floor, not a gate:
-    at hs:1, N = 1024 it is 1.56 times the tolerance at n = 0.  At hs:2,
-    N = 128 the FFT residual of the exact integer moduli is 4.5e-10
-    relative, while direct sums give 0.  Inversion and check run with
-    overflow and invalid-value warnings off; a NaN or inf fails them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = moduli_from_weights(a)
-        av = a.values
-        newton = a.n > _FFT_N
-        conv = fft_convolve if newton else np.convolve
-        r = av - conv(np.concatenate(([0.0], c.values)), av)[: av.size]
-        r[0] -= 1.0
-        err = np.abs(r)
-        if not np.all(err <= 1e-10 * np.maximum(np.abs(av), 1.0)):
-            raise DomainError(
-                f"weights and moduli are inconsistent (max defect {err.max():.3g})"
-            )
-        if newton:
-            bound = float(err.max()) * (1.0 + float(np.abs(c.values).sum()))
-            if not bound <= CNP_TOL:
-                raise DomainError(
-                    f"inverted moduli are not certified to {CNP_TOL:g} (error bound {bound:.3g})"
-                )
-    return c
+    return KernelHandle(a, verified_moduli(a), "custom")
 
 
 def parse_family(tag: str, n_terms: int) -> KernelHandle:

@@ -7,10 +7,12 @@ renewal-type recursion
 
     a_0 = 1,    a_n = sum_{k=1}^{n} c_k a_{n-k}.
 
-Both conversion directions are implemented.  ``weights_by_reciprocal`` is a
-second, independent route (Newton iteration for the series reciprocal) kept
-deliberately separate from the recursion so the two can cross-check each
-other.
+Both conversion directions are implemented, and the direct recursions run
+in extended precision (``np.longdouble``) at every length.
+:func:`verified_moduli` checks an inversion by the residual of the renewal
+identity.  ``weights_by_reciprocal`` is a second, independent route (Newton
+iteration for the series reciprocal) kept deliberately separate from the
+recursion so the two can cross-check each other.
 """
 
 from __future__ import annotations
@@ -19,11 +21,6 @@ import numpy as np
 
 from . import DomainError
 
-#: relative tolerance for round-trip identities
-REL_TOL = 1e-12
-
-# above this length the recursion accumulates in extended precision
-_LONG_ACCUM_N = 1000
 # above this length inversion switches to the FFT/Newton reciprocal
 _FFT_N = 8192
 
@@ -113,39 +110,34 @@ def weights_from_moduli(c: CoefficientSequence, n_terms: int) -> KernelWeights:
 
     Moduli are zero beyond their stored length.  The
     :class:`CoefficientSequence` constructor rejects moduli that are not a
-    valid embedding, unvalidated ones included.  Beyond ``_LONG_ACCUM_N``
-    terms the accumulation runs in extended precision to keep long
-    convolutions from drifting.
+    valid embedding, unvalidated ones included.  The accumulation runs in
+    extended precision.
     """
     c = CoefficientSequence(c.values if isinstance(c, CoefficientSequence) else c)
     if n_terms < 1:
         raise DomainError("n_terms must be at least 1")
-    dtype = np.longdouble if n_terms > _LONG_ACCUM_N else np.float64
-    a = _renewal(c.padded(n_terms).astype(dtype))
+    a = _renewal(c.padded(n_terms).astype(np.longdouble))
     return KernelWeights(np.asarray(a, dtype=float))
 
 
 def _renewal(cv: np.ndarray) -> np.ndarray:
     """a_0..a_N from any real c_1..c_N by the recursion, in ``cv.dtype``."""
-    n = cv.size
-    # rev[n - m] = a_m, so each step dots two stride-1 slices; a reversed
-    # view of a would send every dot down BLAS's slow strided route
-    rev = np.empty(n + 1, dtype=cv.dtype)
-    rev[n] = 1.0
-    for m in range(1, n + 1):
-        rev[n - m] = np.dot(cv[:m], rev[n - m + 1 :])
-    return rev[::-1].copy()
+    a = np.empty(cv.size + 1, dtype=cv.dtype)
+    a[0] = 1.0
+    for m in range(1, cv.size + 1):
+        a[m] = np.dot(cv[:m], a[m - 1 :: -1])
+    return a
 
 
 def moduli_from_weights(a: KernelWeights) -> CoefficientSequence:
     """Invert the recursion: Taylor coefficients of 1 - 1/(sum a_n z^n), c_1..c_N.
 
-    Up to ``_FFT_N`` terms the recursion is solved term by term (extended
-    precision above ``_LONG_ACCUM_N``); above, by the FFT/Newton
-    :func:`series_reciprocal` in O(N log N).  ``kernels`` checks either
-    output against the weights by the residual a - delta_0 - (0, c) * a.
-    Negative output entries are returned, not rejected -- their sign is the
-    content of the ``cnp`` column of :func:`~npdisclab.kernels.classify`.
+    Up to ``_FFT_N`` terms the recursion is solved term by term in extended
+    precision; above, by the FFT/Newton :func:`series_reciprocal` in
+    O(N log N).  :func:`verified_moduli` checks either output against the
+    weights.  Negative output entries are returned, not rejected -- their
+    sign is the content of the ``cnp`` column of
+    :func:`~npdisclab.kernels.classify`.
     """
     if not isinstance(a, KernelWeights):
         a = KernelWeights(a)
@@ -153,12 +145,59 @@ def moduli_from_weights(a: KernelWeights) -> CoefficientSequence:
     if n > _FFT_N:
         recip = series_reciprocal(av, n)
         return CoefficientSequence(-recip[1:], validate=False)
-    dtype = np.longdouble if n > _LONG_ACCUM_N else np.float64
-    aw = av.astype(dtype)
-    cv = np.empty(n, dtype=dtype)
+    aw = av.astype(np.longdouble)
+    cv = np.empty(n, dtype=np.longdouble)
     for m in range(1, n + 1):
         cv[m - 1] = aw[m] - np.dot(cv[: m - 1], aw[m - 1 : 0 : -1])
     return CoefficientSequence(np.asarray(cv, dtype=float), validate=False)
+
+
+def verified_moduli(a: KernelWeights) -> CoefficientSequence:
+    """Invert ``a`` and check the moduli by the residual of the renewal identity.
+
+    The residual is r = a - delta_0 - (0, c) * a.  Above ``_FFT_N`` terms,
+    where :func:`moduli_from_weights` runs the FFT/Newton reciprocal, it is
+    one :func:`fft_convolve` call; up to ``_FFT_N``, where the inversion is
+    the O(N^2) recursion anyway, the sums are direct.  Each check raises
+    DomainError:
+
+    - consistency: |r_n| <= 1e-10 max(|a_n|, 1) for every n;
+    - certification, Newton path only: the exact moduli c* satisfy
+      c - c* = -r * (1 - C*), so each modulus lies within
+      ||r||_inf (1 + ||c||_1) of its exact value (to first order); that
+      bound must not exceed ``CNP_TOL``, the margin at which
+      :func:`~npdisclab.kernels.classify` reads the moduli's sign.  The
+      direct path solves the recursion itself, and there the bound is
+      pessimistic: 1.6e-10 at hs:1.8, N = 128.
+
+    The FFT residual carries its own rounding, about
+    3 log2(L) u ||a||_2 ||(0, c)||_2 for three real transforms of length L
+    and unit roundoff u (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 24).  That is the residual's noise floor, not a gate:
+    at hs:1, N = 1024 it is 1.56 times the tolerance at n = 0.  At hs:2,
+    N = 128 the FFT residual of the exact integer moduli is 4.5e-10
+    relative, while direct sums give 0.  Inversion and check run with
+    overflow and invalid-value warnings off; a NaN or inf fails them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = moduli_from_weights(a)
+        av = a.values
+        newton = a.n > _FFT_N
+        conv = fft_convolve if newton else np.convolve
+        r = av - conv(np.concatenate(([0.0], c.values)), av)[: av.size]
+        r[0] -= 1.0
+        err = np.abs(r)
+        if not np.all(err <= 1e-10 * np.maximum(np.abs(av), 1.0)):
+            raise DomainError(
+                f"weights and moduli are inconsistent (max defect {err.max():.3g})"
+            )
+        if newton:
+            bound = float(err.max()) * (1.0 + float(np.abs(c.values).sum()))
+            if not bound <= CNP_TOL:
+                raise DomainError(
+                    f"inverted moduli are not certified to {CNP_TOL:g} (error bound {bound:.3g})"
+                )
+    return c
 
 
 def _fast_fft_len(n: int) -> int:
@@ -226,7 +265,7 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:
     """Weights a_0..a_{n_terms} via direct reciprocal expansion of 1 - g(z).
 
     Independent of :func:`weights_from_moduli`; the two must agree to
-    ``REL_TOL`` on valid input.
+    1e-12 relative on valid input.
     """
     if not isinstance(c, CoefficientSequence):
         c = CoefficientSequence(c)

@@ -250,6 +250,8 @@ class TestExitCodes:
         ["pick-check", "nodes=0;0.5", "targets=0;0.25", "N=0"],
         # |z|^2 overflows: numpy's overflow warning used to print two more lines
         ["pick-check", "nodes=1e200;0.5", "targets=0.5;0"],
+        # no c_2 to be negative at N = 1, but c_1 = 2^1.5 > 1 is no embedding
+        ["distortion", "map=hs:1.5", "N=1"],
     ], ids=lambda args: " ".join(args))
     def test_unusable_input_is_one_error_line(self, args):
         # a fresh process, so a traceback or numpy warning would show on stderr

@@ -161,6 +161,17 @@ class TestEmbeddedDisc:
         with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             transversality_pairing(e, 1.0)
 
+    def test_boundary_derivative_needs_finite_mu(self):
+        # hs:-1.8 is compact, but mu = sum n c_n = inf: its truncated pairing
+        # grows with N (2.58 at N = 256, 5.68 at N = 4096), so it is refused
+        e = hs_embedding(-1.8, 256)
+        assert e.handle.is_compact_regime()
+        with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
+            transversality_pairing(e, 0.5)
+        # on the circle <f(z), z f'(z)> = sum n c_n = mu
+        e = hs_embedding(-3.0, 256)
+        assert transversality_pairing(e, 0.5) == pytest.approx(e.handle.renewal_mean(), abs=1e-12)
+
     def test_eval_on_the_circle_takes_t_one(self, monkeypatch):
         # |e^{0.001ki}|^2 rounds off 1.0 at 90 of these angles, and
         # z conj(z) keeps an imaginary residue at many more

@@ -47,7 +47,7 @@ class TestFamilies:
     ], ids=["hardy", "geom:0.5", "from_moduli"])
     def test_unchecked_families_are_consistent(self, make):
         # these handles skip the consistency check; the float64 recursion on
-        # their moduli must reproduce their weights past _LONG_ACCUM_N
+        # their moduli must reproduce their weights at 4096 terms
         k = make(4096)
         a = k.weights.values
         assert np.all(np.abs(_renewal(k.moduli.values) - a) <= 1e-10 * np.maximum(np.abs(a), 1.0))
@@ -161,14 +161,14 @@ class TestVerifiedModuli:
 
     @pytest.mark.parametrize("n", [256, 16384], ids=["direct", "newton"])
     def test_perturbed_modulus_is_inconsistent(self, n, monkeypatch):
-        invert = kernels.moduli_from_weights
+        invert = series.moduli_from_weights
 
         def perturbed(a):
             c = invert(a)
             c.values[n // 2] += 1e-8
             return c
 
-        monkeypatch.setattr(kernels, "moduli_from_weights", perturbed)
+        monkeypatch.setattr(series, "moduli_from_weights", perturbed)
         with pytest.raises(DomainError, match="inconsistent"):
             kernels.hs(-0.5, n)
 

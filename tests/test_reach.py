@@ -1,9 +1,10 @@
 """Every public library name is reached from the library, or kept for a reason.
 
-A public function, class or method that no code in ``src/npdisclab`` names
-(as a name or an attribute; docstrings and comments do not count) is either
-a second owner of a fact computed elsewhere, which should go, or kept on
-purpose, in which case ``KEPT`` says why.
+A public function, class, method or module-level UPPER_CASE constant that
+no code in ``src/npdisclab`` names (as a name that is read or an attribute;
+docstrings, comments and the constant's own assignment do not count) is
+either a second owner of a fact computed elsewhere, which should go, or kept
+on purpose, in which case ``KEPT`` says why.
 
 The same holds for parameter defaults.  A default that every call in src
 overrides is a second owner of a value its callers fix, and one that no
@@ -51,7 +52,8 @@ KEPT_DEFAULTS = {
 
 
 def _public_definitions(tree):
-    """(module-level functions and classes, methods of those classes), public ones."""
+    """(module-level functions, classes and UPPER_CASE constants, methods of
+    those classes), public ones."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name
@@ -59,6 +61,11 @@ def _public_definitions(tree):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
                         yield sub.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if (isinstance(target, ast.Name) and target.id.isupper()
+                        and not target.id.startswith("_")):
+                    yield target.id
 
 
 def _scan():
@@ -67,7 +74,7 @@ def _scan():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined.update(_public_definitions(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)

@@ -4,7 +4,6 @@ import pytest
 from npdisclab import DomainError, kernels
 from npdisclab.kernels import classify
 from npdisclab.series import (
-    _LONG_ACCUM_N,
     CoefficientSequence,
     KernelWeights,
     _renewal,
@@ -96,20 +95,9 @@ class TestRecursionOracle:
             a.append(mpmath.fdot(c[:m], a[::-1]))  # c_1 a_{m-1} + ... + c_m a_0
         return a
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_matches_reversed_view_loop(self, dtype):
-        # the loop _renewal replaced, dotting against a reversed view of a:
-        # the arithmetic is the same, so the bits must be
-        cv = np.random.default_rng(np.random.Philox(5)).random(1000).astype(dtype) / 1000
-        a = np.empty(cv.size + 1, dtype=dtype)
-        a[0] = 1.0
-        for m in range(1, cv.size + 1):
-            a[m] = np.dot(cv[:m], a[m - 1 :: -1])
-        assert np.array_equal(_renewal(cv), a)
-
     @pytest.mark.parametrize("n, dtype, bound", [
         (512, np.float64, 1e-13),
-        (_LONG_ACCUM_N + 24, np.longdouble, 1e-15),
+        (1024, np.longdouble, 1e-15),
     ], ids=["float64", "longdouble"])
     @pytest.mark.parametrize("family", ["geom:0.5", "hs:-0.5"])
     def test_matches_fifty_digit_recursion(self, n, dtype, bound, family):
@@ -124,6 +112,27 @@ class TestRecursionOracle:
             ref = self._mp_renewal(mpmath, cv)
             # str() round-trips float64 and longdouble alike
             err = max(abs(mpmath.mpf(str(g)) - r) / abs(r) for g, r in zip(got, ref))
+        assert err <= bound
+
+
+class TestInversionOracle:
+    """``moduli_from_weights`` against the same weights inverted at 40 digits."""
+
+    @pytest.mark.parametrize("s, n, bound", [
+        (-0.5, 128, 1e-14),
+        (-0.5, 512, 1e-14),
+        (0.5, 256, 1e-9),
+    ], ids=["hs:-0.5-N128", "hs:-0.5-N512", "hs:0.5-N256"])
+    def test_matches_forty_digit_inversion(self, s, n, bound):
+        mpmath = pytest.importorskip("mpmath")
+        av = (np.arange(n + 1) + 1.0) ** s
+        got = moduli_from_weights(KernelWeights(av)).values
+        with mpmath.workdps(40):
+            a = [mpmath.mpf(float(x)) for x in av]
+            c = []
+            for m in range(1, n + 1):  # c_m = a_m - (c_1 a_{m-1} + ... + c_{m-1} a_1)
+                c.append(a[m] - mpmath.fdot(c, a[m - 1 : 0 : -1]))
+            err = max(abs(mpmath.mpf(float(g)) - r) / abs(r) for g, r in zip(got, c))
         assert err <= bound
 
 
@@ -221,7 +230,7 @@ class TestProperties:
             assert np.max(np.abs(av - oracle) / np.abs(av)) < 1e-12
 
     def test_long_accumulation_path(self):
-        # n > 1000 exercises the extended-precision branch
+        # a long geometric run: exact halves forward, and back to the moduli
         c = geometric_moduli(1200)
         a = weights_from_moduli(c, 1200)
         assert np.all(a.values[1:] == 0.5)
