@@ -135,10 +135,7 @@ def _run_compare(p):
     a = kernels.parse_family(p["family"], p["N"]).weights
     b = kernels.parse_family(p["family2"], p["N"]).weights
     rep = kernels.are_comparable(a, b)
-    cols = ["family", "family2", "comparable", "ratio_min", "ratio_max",
-            "tail_drift", "verdict"]
-    return cols, [[p["family"], p["family2"], rep.comparable, rep.ratio_min,
-                   rep.ratio_max, rep.tail_drift, rep.verdict]]
+    return ["family", "family2", *rep._fields], [[p["family"], p["family2"], *rep]]
 
 
 def _run_pick_check(p):
@@ -216,6 +213,7 @@ def _run_carleson(p):
 
 
 def _run_separation(p):
+    from .csvio import format_cell
     from .sequences import blaschke_sum, garnett_targets, named_sequence
 
     seq = named_sequence(p["tag"], p["n"])
@@ -225,7 +223,7 @@ def _run_separation(p):
     bl = blaschke_sum(seq)
     rows = [[i + 1, b.delta.value, b.nearest, b.budget] for i, b in enumerate(budgets)]
     cols = ["n", "delta_n", "gap_n", "budget_n"]
-    comments = [f"blaschke_sum = {bl.total!r} (converged = {bl.converged})",
+    comments = [f"blaschke_sum = {bl.total!r} (converged = {format_cell(bl.converged)})",
                 f"inf_gap = {min(b.nearest for b in budgets)!r}"]
     return cols, rows, comments
 

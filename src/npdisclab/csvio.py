@@ -2,9 +2,10 @@
 
 Comments are '#'-prefixed lines before the header row.  Floats are written
 with shortest round-trip decimals so a re-read reproduces the exact binary
-values; booleans (numpy's included) become true/false, integers (numpy's
-included) their decimal digits, infinities inf/-inf, and text is written
-verbatim, even where it would parse as a number.
+values; booleans (numpy's included) become true/false, None (an undecided
+verdict) inconclusive, integers (numpy's included) their decimal digits,
+infinities inf/-inf, and text is written verbatim, even where it would
+parse as a number.
 
 :func:`write_rows` checks and converts a table one block of
 :data:`BLOCK_ROWS` rows at a time, and formats :data:`KERNEL_VALUES` cells
@@ -56,6 +57,8 @@ def format_cell(value) -> str:
         return value
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
+    if value is None:
+        return "inconclusive"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     try:

@@ -6,8 +6,8 @@ On top of the handle sit the classification quantities: the renewal mean
 mu = sum n c_n, the tail limit of a_n (which equals 1/mu by the
 Erdos-Feller-Pollard theorem), the quotient-boundedness witness
 sup a_n/a_{n-1}, the strict-cyclicity supremum, the complete-Pick flag and
-the compact-image flag.  All finite-truncation verdicts are heuristics and
-are labelled as such.
+the compact-image flag.  Every limit among them is read from the whole
+doubling sequence by :func:`~npdisclab.series.doubling_limit`.
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ from .series import (
     CNP_TOL,
     CoefficientSequence,
     KernelWeights,
+    doubling_limit,
+    doubling_points,
     fft_convolve,
     power_sum,
-    settled,
     verified_moduli,
     weights_from_moduli,
 )
-
-#: relative drift of the weight ratio over the last quarter below which two
-#: sequences are reported comparable
-COMPARABLE_DRIFT = 0.05
-
 
 #: first and largest chunk of terms summed by :func:`_hs_generating`
 _HS_CHUNK_MIN = 256
@@ -69,16 +65,14 @@ class KernelHandle:
 
     # -- regime ------------------------------------------------------------
 
-    def is_compact_regime(self) -> bool:
-        """Doubling test for convergence of sum a_n (finite iff sum c_n < 1)."""
-        av = self.weights.values
-        return settled(float(av.sum()), float(av[: av.size // 2].sum()))
+    def is_compact_regime(self) -> bool | None:
+        """Whether sum a_n converges (iff sum c_n < 1); None when undecided."""
+        return doubling_limit(doubling_points(self.weights.values, np.add)).converged
 
     def renewal_mean(self) -> float:
-        """mu = sum n c_n, or inf when the doubling test finds it diverging or drifting."""
+        """mu = sum n c_n as its doubling limit: inf when diverging, nan when undecided."""
         ncn = self.moduli.values * np.arange(1, self.moduli.n + 1)
-        full = float(ncn.sum())
-        return full if settled(full, float(ncn[: ncn.size // 2].sum())) else math.inf
+        return doubling_limit(doubling_points(ncn, np.add)).value
 
     def moduli_mass(self) -> float:
         """Truncated sum of the moduli (r^2 in the compact regime)."""
@@ -294,17 +288,25 @@ def monomial_multiplier_norm(k: KernelHandle, n: int) -> float:
 
 
 class ComparabilityReport(NamedTuple):
-    """Observed ratio range of two weight sequences plus a trend verdict.
+    """Observed ratio range of two weight sequences, the spread of its last
+    quarter (reported only) and the limit verdict of the ratio."""
 
-    Finite data cannot decide an asymptotic property; ``verdict`` is a
-    heuristic reading of the tail drift and is labelled as such.
-    """
-
-    comparable: bool
+    comparable: bool | None
     ratio_min: float
     ratio_max: float
     tail_drift: float
     verdict: str  # "comparable" | "diverging" | "inconclusive"
+
+
+def _log_limit(r: np.ndarray):
+    """Doubling limit of log r, which converges iff r tends to a positive finite limit.
+
+    Each log carries r's relative rounding as absolute error: a few ulps, and up
+    to N more for weights from a recursion or an inversion.  So power laws give
+    q = 1 within rounding, and moduli (0.7, 0.3), whose float sum is
+    1 - 5.6e-17, drift by rounding only."""
+    logs = np.log(doubling_points(r))
+    return doubling_limit(logs, np.finfo(float).eps * (4.0 + 4.0 * np.abs(logs).max() + r.size))
 
 
 def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
@@ -313,41 +315,31 @@ def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:
         raise DomainError(f"comparing weights needs N >= 2, got N={n}")
     r = a.padded(n) / a2.padded(n)
     tail = r[-max(n // 4, 2):]
-    drift = float((tail.max() - tail.min()) / tail.max())
-    monotone_escape = bool(
-        (np.all(np.diff(tail) >= 0) and tail[-1] > 2.0 * r[: n // 2].min())
-        or (np.all(np.diff(tail) <= 0) and tail[-1] < 0.5 * r[: n // 2].max())
-    )
-    if drift < COMPARABLE_DRIFT:
-        verdict = "comparable"
-    elif monotone_escape or drift > 0.5:
-        verdict = "diverging"
-    else:
-        verdict = "inconclusive"
+    lim = _log_limit(r)
     return ComparabilityReport(
-        comparable=verdict == "comparable",
+        comparable=lim.converged,
         ratio_min=float(r.min()),
         ratio_max=float(r.max()),
-        tail_drift=drift,
-        verdict=verdict,
+        tail_drift=float((tail.max() - tail.min()) / tail.max()),
+        verdict={True: "comparable", False: "diverging", None: "inconclusive"}[lim.converged],
     )
 
 
 class ClassificationReport(NamedTuple):
-    """Classification quantities for one kernel handle at truncation n."""
+    """Classification quantities for one kernel handle at truncation n; each limit
+    is a :func:`~npdisclab.series.doubling_limit`, None or nan when undecided."""
 
     family: str
     n: int
-    mu: float                      # sum n c_n, inf when the doubling test fails
+    mu: float                      # sum n c_n: its limit, inf if diverging
     efp_limit_estimate: float      # mean of the last n/8 weights
-    efp_agreement: float           # |estimate - 1/mu|, nan unless 0 < mu < inf
-                                   # (inf if 1/mu overflows: geom:5e-324 at N = 1)
-    iso_to_hinf: bool              # mu finite <=> weights bounded below
+    efp_agreement: float           # |estimate - 1/mu|, nan unless iso_to_hinf and 0 < mu < inf
+    iso_to_hinf: bool | None       # a_n tends to a positive limit (log a_n converges)
     ratio_sup: float               # sup a_n / a_{n-1}
-    ratio_bounded: bool            # heuristic: tail sup not escaping
-    strictly_cyclic_sup: float     # sup_n sum_k a_k a_{n-k} / a_n, inf if escaping
+    ratio_bounded: bool | None     # running sup of a_n / a_{n-1} converges
+    strictly_cyclic_sup: float     # sup_n sum_k a_k a_{n-k} / a_n: its limit, inf if diverging
     cnp: bool                      # all moduli >= -CNP_TOL
-    compact_regime: bool           # sum c_n < 1 (via convergence of sum a_n)
+    compact_regime: bool | None    # sum c_n < 1 (via convergence of sum a_n)
     moduli_mass: float             # truncated sum of c_n
 
 
@@ -355,37 +347,29 @@ def classify(k: KernelHandle) -> ClassificationReport:
     n = k.n
     av = k.weights.values
     mu = k.renewal_mean()
+    iso = _log_limit(av).converged
 
     tail = av[-max(n // 8, 1):]
     efp = float(tail.mean())
-    # 1/mu is the Erdos-Feller-Pollard limit only for a positive finite mean
-    agreement = abs(efp - 1.0 / mu) if math.isfinite(mu) and mu > 0.0 else math.nan
+    # 1/mu is the Erdos-Feller-Pollard limit only when the weights have a positive limit
+    agreement = abs(efp - 1.0 / mu) if iso and math.isfinite(mu) and mu > 0.0 else math.nan
 
     ratios = av[1:] / av[:-1]
-    ratio_sup = float(ratios.max())
-    sup_head = float(ratios[: max(n // 2, 1)].max())
-    sup_tail = float(ratios[n // 2:].max()) if n >= 2 else ratio_sup
-    ratio_bounded = sup_tail <= sup_head * (1.0 + COMPARABLE_DRIFT) or sup_tail <= 1.0 + 1e-12
-
     # strict-cyclicity quotients via one self-convolution
-    self_conv = fft_convolve(av, av)[: n + 1]
-    quot = self_conv / av
-    sc_full = float(quot.max())
-    strictly_cyclic = sc_full if settled(sc_full, float(quot[: n // 2 + 1].max())) else math.inf
+    quot = fft_convolve(av, av)[: n + 1] / av
 
-    compact = k.is_compact_regime()
     return ClassificationReport(
         family=k.family_tag,
         n=n,
         mu=mu,
         efp_limit_estimate=efp,
         efp_agreement=agreement,
-        iso_to_hinf=bool(math.isfinite(mu)),
-        ratio_sup=ratio_sup,
-        ratio_bounded=bool(ratio_bounded),
-        strictly_cyclic_sup=strictly_cyclic,
+        iso_to_hinf=iso,
+        ratio_sup=float(ratios.max()),
+        ratio_bounded=doubling_limit(doubling_points(ratios, np.maximum)).converged,
+        strictly_cyclic_sup=doubling_limit(doubling_points(quot, np.maximum)).value,
         cnp=bool(np.all(k.moduli.values >= -CNP_TOL)),
-        compact_regime=compact,
+        compact_regime=k.is_compact_regime(),
         moduli_mass=k.moduli_mass(),
     )
 

@@ -125,18 +125,18 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
 
 
 class BlaschkeSum(NamedTuple):
-    """Partial Blaschke mass with a tail-doubling convergence verdict."""
+    """Partial Blaschke mass with the doubling-limit verdict of its partial sums."""
 
     total: float
-    converged: bool
+    converged: bool | None
 
 
 def blaschke_sum(s: DiscSequence) -> BlaschkeSum:
     """sum (1 - |v_n|) over the truncated list."""
-    from .series import settled  # here only, so the other sequence recipes skip series
+    from .series import doubling_limit, doubling_points  # here only: others skip series
 
-    total = float(s.gaps.sum())
-    return BlaschkeSum(total, settled(total, float(s.gaps[: s.n // 2].sum())))
+    verdict = doubling_limit(doubling_points(s.gaps, np.add))
+    return BlaschkeSum(float(s.gaps.sum()), verdict.converged)
 
 
 class SeparationDelta(NamedTuple):

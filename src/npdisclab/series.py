@@ -12,10 +12,14 @@ in extended precision (``np.longdouble``) at every length.
 :func:`verified_moduli` checks an inversion by the residual of the renewal
 identity.  ``weights_by_reciprocal`` is a second, independent route (Newton
 iteration for the series reciprocal) kept deliberately separate from the
-recursion so the two can cross-check each other.
+recursion so the two can cross-check each other.  :func:`doubling_limit`
+reads every limit verdict of the package from a sequence's doublings.
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -279,18 +283,54 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:
 CNP_TOL = 1e-10
 
 
-#: relative change of a partial sum between its halves below which the
-#: sum is treated as converged (doubling test)
-DOUBLING_TOL = 0.01
+#: a ratio of successive doubling increments at or below this reads as converging
+Q_CONVERGED = 0.99
+#: complete doublings a limit verdict needs
+MIN_DOUBLINGS = 4
 
 
-def settled(full: float, half: float) -> bool:
-    """Doubling test: ``full`` differs from its leading half by at most DOUBLING_TOL.
+class DoublingLimit(NamedTuple):
+    """A :func:`doubling_limit` verdict: ``converged`` is True, False (diverging) or
+    None (inconclusive, never truthy); ``value`` the limit, +-inf or nan."""
 
-    The change is taken in absolute value, so a sum drifting downwards
-    through negative tail terms does not pass as converged.
+    value: float
+    tail: float  # error estimate of a converged value
+    converged: bool | None
+
+
+def doubling_points(x, reduce=None) -> np.ndarray:
+    """``x`` at the complete doublings n = 1, 2, 4, ..., 2^K <= x.size: the running
+    ``reduce`` (``np.add``, ``np.maximum``) of its first n entries, or x[n - 1]."""
+    ends = 1 << np.arange(np.size(x).bit_length())
+    if reduce is None:
+        return np.asarray(x)[ends - 1]
+    return reduce.accumulate(reduce.reduceat(x[: ends[-1]], np.r_[0, ends[:-1]]))
+
+
+def doubling_limit(values, err=0.0) -> DoublingLimit:
+    """Limit of a sequence from its values S at n = 1, 2, 4, ..., 2^K.
+
+    The ratios q = |d_(k+1)| / |d_k| of its last five increments decide (four at
+    K = ``MIN_DOUBLINGS``; below, nothing is decided).  An increment within the
+    rounding of two values, each within ``err``, is zero, as is a ratio after it.
+    Converged: every q <= ``Q_CONVERGED``, and q not rising toward 1 (the last q
+    at most (1 - max q)/10 above the least).  The limit is S + d q/(1 - q) from
+    the last d and q, with tail |d q/(1 - q)| (C. Brezinski and M. Redivo Zaglia,
+    *Extrapolation Methods*, 1991).  Diverging: every q >= 1 within rounding, and
+    no d zero.  Log and log-log growth read diverging and inconclusive.
     """
-    return bool(abs(full - half) <= DOUBLING_TOL * max(abs(full), 1e-300))
+    v = np.asarray(values, dtype=float)
+    if v.size > MIN_DOUBLINGS:
+        d = np.abs(np.diff(v)[-5:])
+        d[d <= 2.0 * err] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(d[1:] == 0.0, 0.0, d[1:] / d[:-1])
+        if q.max() <= Q_CONVERGED and q[-1] - q.min() <= (1.0 - q.max()) / 10:
+            step = float((v[-1] - v[-2]) * q[-1] / (1.0 - q[-1]))
+            return DoublingLimit(float(v[-1]) + step, abs(step), True)
+        if np.all(d[:-1] > 0.0) and np.all(d[1:] + 4.0 * err >= d[:-1]):
+            return DoublingLimit(math.copysign(math.inf, v[-1] - v[-2]), math.nan, False)
+    return DoublingLimit(math.nan, math.nan, None)
 
 
 def power_sum(coeffs: np.ndarray, t) -> np.ndarray:

@@ -368,6 +368,20 @@ class TestExitCodes:
         assert row["mu"] == 0.0
         assert math.isnan(row["efp_agreement"])
 
+    @pytest.mark.parametrize("family, n", [("hardy", 1), ("geom:0.5", 1), ("geom:0.5", 2)])
+    def test_below_four_doublings_no_verdict(self, tmp_path, family, n):
+        # mu is 1 (hardy) and 2 (geom:0.5), but one or two terms hold no
+        # limit: every verdict cell is inconclusive and every limit nan
+        out = tmp_path / "short.csv"
+        assert main(["classify", f"family={family}", f"N={n}", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            doc = read_rows(fh)
+        row = dict(zip(doc.columns, doc.rows[0]))
+        for name in ("iso_to_hinf", "ratio_bounded", "compact_regime"):
+            assert row[name] == "inconclusive", name
+        for name in ("mu", "efp_agreement", "strictly_cyclic_sup"):
+            assert math.isnan(row[name]), name
+
     def test_pinch_point_on_the_circle_is_bad_parameter(self, capsys):
         # 1 - 2e-17 rounds to 1.0: the pinch point sits on the circle and
         # the determinant's kernel entries would divide by zero

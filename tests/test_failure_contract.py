@@ -34,9 +34,11 @@ SIZE_EDGES = ("0", "-1", str(MAX_SIZE + 1), str(2**63), str(10**30), "1.5", "abc
 FLOAT_EDGES = ("nan", "inf", "-inf", "1e-300", "5e-324", "1e300", "-1e300", "0", "-0.0",
                "1", "x")
 
-#: the only (recipe, column) cells documented as nan or as infinite;
-#: efp_agreement is |estimate - 1/mu|, inf once 1/mu overflows (geom:5e-324, N=1)
-NAN_CELLS = {("classify", "efp_agreement")}
+#: the only (recipe, column) cells documented as nan or as infinite: a limit
+#: is nan when its doubling verdict is inconclusive (N < 16, say), and
+#: efp_agreement is |estimate - 1/mu|, inf once 1/mu overflows
+NAN_CELLS = {("classify", "mu"), ("classify", "strictly_cyclic_sup"),
+             ("classify", "efp_agreement")}
 INF_CELLS = {("classify", "mu"), ("classify", "strictly_cyclic_sup"),
              ("classify", "efp_agreement")}
 

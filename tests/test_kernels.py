@@ -16,6 +16,8 @@ from npdisclab.series import (
     CoefficientSequence,
     KernelWeights,
     _renewal,
+    doubling_limit,
+    doubling_points,
     moduli_from_weights,
     weights_from_moduli,
 )
@@ -201,8 +203,12 @@ class TestVerifiedModuli:
         oracle = kernels.KernelHandle(
             k.weights, CoefficientSequence(direct, validate=False), k.family_tag, s=0.5
         )
-        # every CSV cell agrees but the last digits of moduli_mass
+        # every CSV cell agrees but mu and the last digits of moduli_mass.
+        # mu (truth 0) is extrapolated as S + d q/(1 - q) from partial sums
+        # S = 7.5e-3: 3.1e-6 with a tail of 7.5e-3, which cancellation
+        # leaves 6e-10 apart between the two inversions
         got, ref = list(classify(k)), list(classify(oracle))
+        assert got.pop(2) == pytest.approx(ref.pop(2), abs=1e-8)
         assert list(map(format_cell, got[:-1])) == list(map(format_cell, ref[:-1]))
         assert got[-1] == pytest.approx(ref[-1], rel=1e-12)
 
@@ -371,10 +377,27 @@ class TestClassify:
     @pytest.mark.parametrize("n", [128, 1024])
     def test_drifting_mu_is_not_reported(self, n):
         # hs:0.2 inverts to moduli with a negative tail, so the partial sums
-        # of n c_n fall with N (0.426 at 128, 0.281 at 1024): no finite mu
-        rep = classify(kernels.hs(0.2, n))
-        assert math.isinf(rep.mu)
-        assert not rep.iso_to_hinf
+        # of n c_n fall with N (0.426 at 128, 0.281 at 1024).  Their limit is
+        # mu = g'(1) = lim A'/A^2 = 0, since A ~ Gamma(1.2) (1 - z)^-1.2
+        k = kernels.hs(0.2, n)
+        rep = classify(k)
+        lim = doubling_limit(doubling_points(k.moduli.values * np.arange(1, n + 1), np.add))
+        assert lim.converged is True
+        assert rep.mu == lim.value
+        assert abs(rep.mu - 0.0) <= lim.tail
+        # the weights grow, so the algebra is not H^infty
+        assert rep.iso_to_hinf is False
+        assert math.isnan(rep.efp_agreement)
+
+    @pytest.mark.parametrize("family, n", [("hs:-3", 65536), ("hs:-2.5", 65536),
+                                           ("geom:0.25", 512)])
+    def test_compact_regime_is_not_hinf(self, family, n):
+        # sum c_n < 1: a_n -> 0 and every function of the space is continuous
+        # on the closed disc, so the algebra is not H^infty although mu is finite
+        rep = classify(kernels.parse_family(family, n))
+        assert rep.compact_regime is True
+        assert math.isfinite(rep.mu)
+        assert rep.iso_to_hinf is False
         assert math.isnan(rep.efp_agreement)
 
     def test_gram_matrix_psd_on_random_nodes(self):
@@ -416,3 +439,71 @@ class TestContinuityBound:
         k = kernels.hs(-2.0, 2048)
         expected = 1.0 / math.sqrt(1.0 - k.moduli.values.sum())
         assert continuity_bound(k, 1.0) == pytest.approx(expected)
+
+
+class TestLimitOracle:
+    """Every limit verdict at N = 65 536 against the hs closed forms.
+
+    a_n = (n+1)^s: sum a_n = zeta(-s) is finite iff s < -1, the strict-cyclicity
+    sup is finite iff s < -1, and mu = (zeta(-s-1) - zeta(-s))/zeta(-s)^2 iff
+    s < -2 (the weights tend to 0, so 1/mu = lim a_n = 0 otherwise).  No weight
+    sequence tending to 0 gives H^infty.  A wrong verdict fails; an
+    inconclusive one passes.
+    """
+
+    N = 65536
+    S = (-0.005, -0.01, -0.05, -0.5, -1.0, -1.05, -1.2, -1.5, -2.0, -2.5, -3.0)
+
+    @pytest.mark.parametrize("s", S)
+    def test_classify_against_zeta(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        k = kernels.hs(s, self.N)
+        rep = classify(k)
+        mass = doubling_limit(doubling_points(k.weights.values, np.add))
+        assert rep.compact_regime is mass.converged
+        if mass.converged is not None:
+            assert mass.converged == (s < -1.0)
+        if mass.converged:
+            assert abs(mass.value - float(mpmath.zeta(-s))) <= mass.tail
+        if not math.isnan(rep.mu):
+            assert math.isfinite(rep.mu) == (s < -2.0)
+        if math.isfinite(rep.mu):
+            ncn = doubling_points(k.moduli.values * np.arange(1, self.N + 1), np.add)
+            z0, z1 = mpmath.zeta(-s), mpmath.zeta(-s - 1.0)
+            assert abs(rep.mu - float((z1 - z0) / z0**2)) <= doubling_limit(ncn).tail
+        if not math.isnan(rep.strictly_cyclic_sup):
+            assert math.isfinite(rep.strictly_cyclic_sup) == (s < -1.0)
+        assert rep.iso_to_hinf is not True
+
+    @pytest.mark.parametrize("t", [-0.499, -0.45, -0.35])
+    def test_power_laws_are_not_comparable(self, t):
+        rep = are_comparable(kernels.hs(-0.5, self.N).weights, kernels.hs(t, self.N).weights)
+        assert rep.comparable is not True
+
+    def test_rescaled_hardy_is_comparable(self):
+        base = kernels.hardy(self.N).weights
+        scaled = base.values.copy()
+        scaled[1:] *= 3.0
+        assert are_comparable(base, KernelWeights(scaled)).comparable is not False
+
+    def test_slow_rise_to_one_is_inconclusive(self):
+        # the running sup of the hs:-1 quotients (truth inf) rises with q
+        # 0.9989 ... 0.9998: a rule without a margin below 1 extrapolates 7529
+        assert math.isnan(classify(kernels.hs(-1.0, self.N)).strictly_cyclic_sup)
+
+    def test_ratio_of_one_to_rounding_diverges(self):
+        # the increments of log r are all (1/2) ln 2 to rounding, so q = 1
+        # within rounding; the cell is a bool cell and must stay one
+        rep = are_comparable(kernels.hardy(128).weights, kernels.hs(-0.5, 128).weights)
+        assert rep.comparable is False
+        assert rep.verdict == "diverging"
+
+    def test_increments_that_vanish_converge_to_the_plain_sum(self):
+        assert classify(kernels.geometric(0.5, 256)).mu == pytest.approx(2.0, abs=1e-12)
+        assert classify(kernels.hs(1.0, 128)).mu == 0.0
+
+    def test_incomplete_doubling_is_not_read(self):
+        # a_0..a_128 is 129 entries: a one-term segment [128, 256) after the
+        # seven complete ones would read as q = 1/64 and call hardy compact
+        assert doubling_points(np.ones(129), np.add).tolist() == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert classify(kernels.hardy(128)).compact_regime is False

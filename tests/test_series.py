@@ -7,6 +7,8 @@ from npdisclab.series import (
     CoefficientSequence,
     KernelWeights,
     _renewal,
+    doubling_limit,
+    doubling_points,
     fft_convolve,
     moduli_from_weights,
     weights_by_reciprocal,
@@ -261,3 +263,36 @@ class TestFftConvolve:
 
         x, y = self._pair(n)
         assert np.array_equal(fft_convolve(x, y), fftconvolve(x, y))
+
+
+class TestDoublingLimit:
+    """The one owner of limit verdicts, on sequences with known limits."""
+
+    N = 2.0 ** np.arange(17)
+
+    def test_geometric_tail_is_extrapolated_exactly(self):
+        lim = doubling_limit(3.0 - 2.0 / self.N)
+        assert lim.converged is True
+        assert lim.value == 3.0
+        assert lim.tail == 2.0**-15
+
+    def test_slow_growth_is_never_converged(self):
+        assert doubling_limit(self.N).converged is False
+        assert doubling_limit(np.log(self.N)).converged is False  # q = 1 exactly
+        assert doubling_limit(np.log(np.log(self.N + 1) + 1)).converged is None
+
+    def test_four_doublings_decide(self):
+        assert doubling_limit([1.0, 1.5, 1.5, 1.5]).converged is None
+        lim = doubling_limit([1.0, 1.5, 1.5, 1.5, 1.5])
+        assert lim.converged is True and lim.value == 1.5 and lim.tail == 0.0
+
+    def test_rounding_sized_increments_are_zero(self):
+        values = 1.0 + 1e-15 * self.N[:8]
+        assert doubling_limit(values).converged is False
+        assert doubling_limit(values, err=1e-13).converged is True
+
+    def test_points_read_complete_doublings_only(self):
+        x = np.arange(1.0, 11.0)  # 10 entries: doublings 1, 2, 4, 8
+        assert doubling_points(x).tolist() == [1.0, 2.0, 4.0, 8.0]
+        assert doubling_points(x, np.add).tolist() == [1.0, 3.0, 10.0, 36.0]
+        assert doubling_points(x[::-1], np.maximum).tolist() == [10.0] * 4
