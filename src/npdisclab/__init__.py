@@ -13,6 +13,19 @@ bug in npdisclab.
 
 __version__ = "0.1.0"
 
+#: most entries one row block of a temporary holds (a block always takes at
+#: least one row): pairwise layers, the hs generating sum and the CSV byte
+#: matrices work block by block, so their temporaries stay at this size
+BLOCK_ENTRIES = 2**14
+
+
+def row_blocks(n_rows: int, row_len: int):
+    """Consecutive row slices covering ``range(n_rows)``, each of at most
+    ``BLOCK_ENTRIES`` entries for rows of ``row_len`` entries, at least one row."""
+    step = max(1, BLOCK_ENTRIES // max(row_len, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
 
 class DomainError(ValueError):
     """An input outside its documented domain (CLI exit code 3)."""

@@ -177,7 +177,7 @@ def _run_crossing(p):
 def _run_distortion(p):
     import numpy as np
 
-    from .geometry import CrossingCurve, crossing_scalar, distortion_profile, hs_embedding
+    from .geometry import CrossingCurve, EmbeddedDisc, crossing_scalar, distortion_profile
 
     tag = p["map"]
     name, colon, number = tag.partition(":")
@@ -187,7 +187,12 @@ def _run_distortion(p):
         number = float(number)
     except ValueError:
         raise DomainError(f"bad map tag {tag!r} (expected {name}:<number>)") from None
-    curve = CrossingCurve(number) if name == "crossing" else hs_embedding(number, p["N"])
+    if name == "crossing":
+        curve = CrossingCurve(number)
+    else:
+        from .kernels import hs
+
+        curve = EmbeddedDisc(hs(number, p["N"]))
     if p["xs"]:
         if name != "crossing":
             raise DomainError("pinch pairs need a crossing map")
@@ -231,9 +236,9 @@ def _run_separation(p):
 def _run_tangential_embed(p):
     import numpy as np
 
-    from .tangential import ConformalChain, assemble_embedding
+    from .tangential import ConformalChain, TangentialEmbedding
 
-    emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
+    emb = TangentialEmbedding(ConformalChain(p["r"]), p["m"])
     f1, f2 = emb.f1_boundary, emb.f2_boundary
     # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
     rows = np.column_stack([
@@ -245,15 +250,16 @@ def _run_tangential_embed(p):
 
 
 def _run_tangency_report(p):
-    from .tangential import ConformalChain, assemble_embedding, tangency_report
+    from .csvio import format_cell
+    from .tangential import ConformalChain, TangentialEmbedding, tangency_report
 
-    emb = assemble_embedding(ConformalChain(p["r"]), p["m"])
+    emb = TangentialEmbedding(ConformalChain(p["r"]), p["m"])
     rep = tangency_report(emb, p["jmin"], p["jmax"])
     comments = [
         f"c1_fit = {rep.c1!r}",
         f"correlation = {rep.correlation!r}",
-        f"ratio1_decreasing = {rep.ratio1_decreasing}",
-        f"ratio2_increasing = {rep.ratio2_increasing}",
+        f"ratio1_decreasing = {format_cell(rep.ratio1_decreasing)}",
+        f"ratio2_increasing = {format_cell(rep.ratio2_increasing)}",
     ]
     return ["x", "ratio1", "ratio2"], [[x, r1, r2] for x, r1, r2 in rep.rows], comments
 

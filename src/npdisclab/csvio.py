@@ -7,12 +7,12 @@ verdict) inconclusive, integers (numpy's included) their decimal digits,
 infinities inf/-inf, and text is written verbatim, even where it would
 parse as a number.
 
-:func:`write_rows` checks and converts a table one block of
-:data:`BLOCK_ROWS` rows at a time, and formats :data:`KERNEL_VALUES` cells
-at a time as one byte matrix with a row per cell: the cell's text padded
-with NUL bytes, then its separator (a comma, or a newline after the last
-column).  The text written is the matrix with its NUL bytes dropped, so a
-text cell may not hold a NUL character.
+:func:`write_rows` checks, converts and formats a table one
+:func:`~npdisclab.row_blocks` slice of rows at a time, at most
+``npdisclab.BLOCK_ENTRIES`` cells, as one byte matrix with a row per cell:
+the cell's text padded with NUL bytes, then its separator (a comma, or a
+newline after the last column).  The text written is the matrix with its
+NUL bytes dropped, so a text cell may not hold a NUL character.
 
 Float cells (``float`` and ``np.float64`` cells of row lists, and every
 cell of a float array) go through one numpy kernel, :func:`float_fields`:
@@ -38,10 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: rows checked, and converted from arrays, per block by :func:`write_rows`
-BLOCK_ROWS = 4096
-#: cells per byte matrix and kernel call, which bounds their temporaries
-KERNEL_VALUES = 8192
+from . import row_blocks
+
 #: bytes per float cell; see :func:`_layout_tables`
 FLOAT_FIELD = 56
 
@@ -263,19 +261,17 @@ def write_rows(stream, comments, columns, rows) -> None:
     for line in comments:
         stream.write(f"# {line}\n")
     stream.write(",".join(columns) + "\n")
-    step = max(1, KERNEL_VALUES // len(columns))  # rows per byte matrix
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
+    for span in row_blocks(len(rows), len(columns)):
+        block = rows[span]
         if isinstance(block, np.ndarray) and block.ndim == 2 and block.dtype.kind == "f":
             widths = {block.shape[1]}
         else:
             block = block.tolist() if isinstance(block, np.ndarray) else block
             widths = set(map(len, block))
         if widths != {len(columns)}:
-            raise ValueError(f"rows {start}..{start + len(block) - 1} have "
+            raise ValueError(f"rows {span.start}..{span.stop - 1} have "
                              f"{sorted(widths)} cells for {len(columns)} columns")
-        for i in range(0, len(block), step):
-            stream.write(_block_text(block[i:i + step], len(columns)))
+        stream.write(_block_text(block, len(columns)))
 
 
 class CsvDocument(NamedTuple):

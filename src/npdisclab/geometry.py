@@ -13,11 +13,11 @@ every kernel entry and ball-point distance: it stacks the points'
 coordinates once and forms 1 - <z_i, z_j> over broadcast index arrays,
 through the exact gap algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both
 points are radial and real, so pairs far below double-precision resolution
-stay cancellation-free.  The Pick layer, :func:`one_minus_inner` and
+stay cancellation-free.  The Pick layer, :func:`pseudo_dist` and
 :func:`radial_gap_dist` read it; disc-sequence distances come from
 :func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist` instead.
 Pairwise consumers of both reduce over the row slices of
-:func:`row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
+:func:`~npdisclab.row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
 
 Every curve into the ball is a :class:`GeneralCurve` subclass:
 :class:`EmbeddedDisc`, :class:`CrossingCurve` and the tangential embedding.
@@ -37,20 +37,6 @@ from . import DomainError
 #: interior points must keep this much distance from the sphere unless a gap
 #: is carried exactly
 _INTERIOR_EPS = 1e-15
-
-#: most entries one row block of a pairwise or stacked layer holds (a block
-#: always takes at least one row); pairwise layers reduce block by block, so
-#: their temporaries stay at this size whatever the point count
-BLOCK_ENTRIES = 2**14
-
-
-def row_blocks(n_rows: int, row_len: int):
-    """Consecutive row slices covering ``range(n_rows)``, each of at most
-    ``BLOCK_ENTRIES`` entries for rows of ``row_len`` entries, at least one row."""
-    step = max(1, BLOCK_ENTRIES // max(row_len, 1))
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
-
 
 class BallPoint:
     """Point of a finite-dimensional slice of the ball, boundary flagged.
@@ -138,11 +124,6 @@ class PointTable:
         return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
-def one_minus_inner(p: BallPoint, q: BallPoint) -> complex:
-    """1 - <p, q>: the two-point call of :meth:`PointTable.one_minus_inner`."""
-    return complex(PointTable([p, q]).one_minus_inner(0, 1))
-
-
 def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     """Pseudohyperbolic distance between interior points, in [0, 1).
 
@@ -158,7 +139,8 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
         raise DomainError("distance formula degenerates at the boundary")
     if p.is_radial_real and q.is_radial_real:
         return radial_gap_dist(p.gap, q.gap)
-    a, b = PointTable([p, q]).coords
+    table = PointTable([p, q])
+    a, b = table.coords
     diff_sq = float(np.sum(np.abs(a - b) ** 2))
     # all three through the same dot-product path, so the defect is an
     # exact zero for identical coordinate arrays
@@ -166,7 +148,7 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     nw_sq = complex(np.dot(b, np.conj(b))).real
     ip = complex(np.dot(a, np.conj(b)))
     num = diff_sq - (nz_sq * nw_sq - abs(ip) ** 2)
-    dsq = num / abs(one_minus_inner(q, p)) ** 2
+    dsq = num / abs(complex(table.one_minus_inner(1, 0))) ** 2
     return math.sqrt(min(max(dsq, 0.0), 1.0))
 
 
@@ -182,8 +164,8 @@ def radial_gap_dist(gap_a: float, gap_b: float) -> float:
     Cancellation-free: the difference is formed from the gaps directly and
     1 - zw through the gap algebra of :class:`PointTable`.
     """
-    num = abs(gap_a - gap_b)
-    return num / one_minus_inner(BallPoint.radial(gap_a), BallPoint.radial(gap_b)).real
+    table = PointTable([BallPoint.radial(gap_a), BallPoint.radial(gap_b)])
+    return abs(gap_a - gap_b) / float(table.one_minus_inner(0, 1).real)
 
 
 def radial_log_gap_dist(log_gap_a, log_gap_b) -> float | np.ndarray:
@@ -224,14 +206,19 @@ def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
 class GeneralCurve:
     """Analytic curve into the ball; subclasses override :meth:`eval`.
 
-    The base :meth:`deriv` takes central differences with one Richardson
-    step (step 1e-6) and the base :meth:`inner` the inner product of the two
-    evaluated points.  Subclasses override both wherever a closed form
-    exists; the numeric derivative is then a cross-check.
+    The base :meth:`coords` reads the evaluated point's coordinates, the base
+    :meth:`deriv` takes central differences with one Richardson step (step
+    1e-6) and the base :meth:`inner` the inner product of the two evaluated
+    points.  Subclasses override them wherever a closed form exists; the
+    numeric derivative is then a cross-check.
     """
 
     def eval(self, z: complex) -> BallPoint:
         raise NotImplementedError
+
+    def coords(self, z: complex) -> np.ndarray:
+        """The coordinates of f(z)."""
+        return self.eval(z).coords
 
     def deriv(self, z: complex) -> np.ndarray:
         z, h = complex(z), 1e-6
@@ -280,16 +267,20 @@ class EmbeddedDisc(GeneralCurve):
         """<f(z1), f(z2)> = g(z1 conj(z2))."""
         return self.handle.generating_value(np.multiply(z1, np.conj(z2)))
 
+    def coords(self, z: complex) -> np.ndarray:
+        """The truncated coordinates b_n z^n, without the generating function."""
+        z = complex(z)
+        if abs(z) > 1.0 + 1e-12:
+            raise DomainError("embedding evaluated outside the closed disc")
+        return self.amplitudes * z ** np.arange(1, self.n + 1)
+
     def eval(self, z: complex) -> BallPoint:
         """f(z) with ||f(z)||^2 = g(|z|^2).  Within 1e-12 of the circle
         |z|^2 is taken as exactly 1: in floating point it often misses 1
         there, and for s >= -1 the hs sum refuses every circle point but 1."""
         z = complex(z)
-        if abs(z) > 1.0 + 1e-12:
-            raise DomainError("embedding evaluated outside the closed disc")
         t = 1.0 if abs(z) > 1.0 - 1e-12 else abs(z) ** 2
-        coords = self.amplitudes * z ** np.arange(1, self.n + 1)
-        return BallPoint(coords, one_minus_sq=1.0 - self.handle.generating_value(t).real)
+        return BallPoint(self.coords(z), one_minus_sq=1.0 - self.handle.generating_value(t).real)
 
     def deriv(self, z: complex) -> np.ndarray:
         """f'(z) of the truncated coordinates; refused on the circle unless the
@@ -335,8 +326,8 @@ class CrossingCurve(GeneralCurve):
 
 def _pairing(curve: GeneralCurve, z) -> float:
     """p(z) = Re <f(z), z f'(z)> at a point z of the circle."""
-    tangent = curve.deriv(z) * z  # first: a divergent derivative decides before eval
-    value = complex(np.dot(curve.eval(z).coords, np.conj(tangent)))
+    tangent = curve.deriv(z) * z  # first: a divergent derivative decides before coords
+    value = complex(np.dot(curve.coords(z), np.conj(tangent)))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DomainError("pairing is non-finite at this boundary point")
     return value.real
@@ -426,10 +417,3 @@ def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
     if not ratios.size:
         raise DomainError("no pair with distinct source points")
     return DistortionProfile(np.column_stack([d_src, d_img]), ratios.min(), ratios.max())
-
-
-def hs_embedding(s: float, n_terms: int) -> EmbeddedDisc:
-    """Embedded disc of the power-weight family, amplitudes by inversion."""
-    from . import kernels
-
-    return EmbeddedDisc(kernels.hs(s, n_terms))

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError
+from . import DomainError, row_blocks
 from .series import (
     CNP_TOL,
     CoefficientSequence,
@@ -33,8 +33,6 @@ from .series import (
 #: first and largest chunk of terms summed by :func:`_hs_generating`
 _HS_CHUNK_MIN = 256
 _HS_CHUNK_MAX = 65536
-#: most terms :func:`_hs_generating` holds in one temporary array
-_HS_BLOCK = 32768
 #: :func:`_hs_generating` stops after about this many terms
 _HS_TERM_CAP = 5e7
 
@@ -121,17 +119,18 @@ class KernelHandle:
 def _hs_generating(s: float, t) -> np.ndarray:
     """A_s(t) = sum (n+1)^s t^n by partial sums over doubling chunks, |t| <= 1.
 
-    Over a 1-d array of t (a scalar is one element), ``_HS_BLOCK`` terms
-    at a time.  Chunks start at ``_HS_CHUNK_MIN`` terms and double up to
-    ``_HS_CHUNK_MAX``; each sum stops once its last term times the chunk
-    length falls below 1e-17 of its running total.  For |t| < 1 the error
-    is then at most 1e-14 * A_s(|t|), an absolute bound scaled by the sum
-    of the term magnitudes: close to the circle it is set by cancellation
-    between terms, not by truncation.  On the circle |t| = 1 the sum is
-    only taken when s < -1 (absolutely summable), and it is truncated
-    silently after ``_HS_TERM_CAP`` terms (ROADMAP 1(c)).  For s >= -1,
-    A_s(1) = inf and every other point within 1e-12 of the circle raises
-    DomainError: there the series does not converge absolutely.
+    Over a 1-d array of t (a scalar is one element), one
+    :func:`~npdisclab.row_blocks` slice of t at a time.  Chunks start at
+    ``_HS_CHUNK_MIN`` terms and double up to ``_HS_CHUNK_MAX``; each sum
+    stops once its last term times the chunk length falls below 1e-17 of
+    its running total.  For |t| < 1 the error is then at most
+    1e-14 * A_s(|t|), an absolute bound scaled by the sum of the term
+    magnitudes: close to the circle it is set by cancellation between
+    terms, not by truncation.  On the circle |t| = 1 the sum is only taken
+    when s < -1 (absolutely summable), and it is truncated silently after
+    ``_HS_TERM_CAP`` terms (ROADMAP item 4).  For s >= -1, A_s(1) = inf and
+    every other point within 1e-12 of the circle raises DomainError: there
+    the series does not converge absolutely.
     """
     t = np.atleast_1d(np.asarray(t, dtype=complex))
     if np.any(np.abs(t) > 1.0 + 1e-12):
@@ -144,9 +143,9 @@ def _hs_generating(s: float, t) -> np.ndarray:
     while live.size and n0 <= _HS_TERM_CAP:
         n = np.arange(n0, n0 + chunk)
         a = (n + 1.0) ** s
-        rows, going = max(_HS_BLOCK // chunk, 1), []
-        for start in range(0, live.size, rows):
-            idx = live[start:start + rows]
+        going = []
+        for rows in row_blocks(live.size, chunk):
+            idx = live[rows]
             terms = a * t[idx, None] ** n
             total[idx] += terms.sum(axis=1)
             going.append(np.abs(terms[:, -1]) * chunk
@@ -332,7 +331,7 @@ class ClassificationReport(NamedTuple):
     family: str
     n: int
     mu: float                      # sum n c_n: its limit, inf if diverging
-    efp_limit_estimate: float      # mean of the last n/8 weights
+    efp_limit_estimate: float      # lim a_n: exp of the limit of log a_n, 0 if it diverges down
     efp_agreement: float           # |estimate - 1/mu|, nan unless iso_to_hinf and 0 < mu < inf
     iso_to_hinf: bool | None       # a_n tends to a positive limit (log a_n converges)
     ratio_sup: float               # sup a_n / a_{n-1}
@@ -347,10 +346,10 @@ def classify(k: KernelHandle) -> ClassificationReport:
     n = k.n
     av = k.weights.values
     mu = k.renewal_mean()
-    iso = _log_limit(av).converged
-
-    tail = av[-max(n // 8, 1):]
-    efp = float(tail.mean())
+    log_lim = _log_limit(av)
+    iso = log_lim.converged
+    with np.errstate(over="ignore"):  # a limit past log(DBL_MAX) is inf
+        efp = float(np.exp(log_lim.value))
     # 1/mu is the Erdos-Feller-Pollard limit only when the weights have a positive limit
     agreement = abs(efp - 1.0 / mu) if iso and math.isfinite(mu) and mu > 0.0 else math.nan
 

@@ -16,7 +16,7 @@ positive-definiteness checks over a target sample.
 Everything works on arrays, and every 1 - <z_i, z_j> comes from one owner,
 :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps the
 exact gap algebra for radial points.  Pairwise and stacked work runs in the
-row blocks of :func:`~npdisclab.geometry.row_blocks`, so temporaries stay
+row blocks of :func:`~npdisclab.row_blocks`, so temporaries stay
 within ``BLOCK_ENTRIES`` entries whatever the node count.  The Gram matrix
 takes the owner once per row block of its upper triangle and evaluates the
 caller's handle on the block in one ``kernel_from_defect`` call: closed
@@ -40,8 +40,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import DomainError, NotCertifiedError
-from .geometry import BallPoint, CrossingCurve, PointTable, crossing_scalar, row_blocks
+from . import DomainError, NotCertifiedError, row_blocks
+from .geometry import BallPoint, CrossingCurve, PointTable, crossing_scalar
 
 if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
     from .kernels import KernelHandle

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError
-from .geometry import pseudo_dist_scalar, radial_log_gap_dist, row_blocks
+from . import DomainError, row_blocks
+from .geometry import pseudo_dist_scalar, radial_log_gap_dist
 
 #: minimum pairwise distance for the separation verdict
 SEPARATION_THRESHOLD = 1e-3
@@ -204,16 +204,11 @@ def _pair_sweep(s: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
     return nearest, stack[0]
 
 
-def nearest_distances(s: DiscSequence) -> np.ndarray:
-    """Distance from each point to its nearest other point of the list."""
-    if s.n < 2:
-        raise DomainError("separation needs at least two points")
-    return _pair_sweep(s)[0]
-
-
 def is_separated(s: DiscSequence) -> tuple[bool, float]:
     """Minimum pairwise distance and its verdict against the threshold."""
-    inf_gap = float(nearest_distances(s).min())
+    if s.n < 2:
+        raise DomainError("separation needs at least two points")
+    inf_gap = float(_pair_sweep(s)[0].min())
     return inf_gap > SEPARATION_THRESHOLD, inf_gap
 
 

@@ -199,11 +199,6 @@ class TangentialEmbedding(GeneralCurve):
         return float(np.max(np.abs(np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0)))
 
 
-def assemble_embedding(chain: ConformalChain, m: int) -> TangentialEmbedding:
-    """Build F = (f_1, f_2) on an m-point grid."""
-    return TangentialEmbedding(chain, m)
-
-
 class TangencyReport(NamedTuple):
     """Both boundary-approach ratios along x = 1 - 2^-j plus the model fit.
 

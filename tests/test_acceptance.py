@@ -16,10 +16,10 @@ from npdisclab import kernels
 from npdisclab.geometry import (
     BallPoint,
     CrossingCurve,
+    EmbeddedDisc,
     PointTable,
     crossing_scalar,
     distortion_profile,
-    hs_embedding,
     image_distance,
     mobius_auto,
     pseudo_dist,
@@ -43,7 +43,7 @@ from npdisclab.series import (
 )
 from npdisclab.tangential import (
     ConformalChain,
-    assemble_embedding,
+    TangentialEmbedding,
     harmonic_conjugate,
     tangency_report,
 )
@@ -70,7 +70,7 @@ def weight_batch(moduli_batch):
 
 @pytest.fixture(scope="module")
 def fine_embedding():
-    return assemble_embedding(ConformalChain(0.75), 2**18)
+    return TangentialEmbedding(ConformalChain(0.75), 2**18)
 
 
 def test_criterion_01_recursion_matches_reciprocal(moduli_batch, weight_batch):
@@ -203,7 +203,7 @@ def test_criterion_11_carleson_unbounded():
 
 
 def test_criterion_12_tangential_embedding(fine_embedding):
-    grid = assemble_embedding(ConformalChain(0.75), 4096)
+    grid = TangentialEmbedding(ConformalChain(0.75), 4096)
     defect = grid.sphere_defect()
     assert np.max(np.abs(defect[1:])) < 1e-8
     rep = tangency_report(fine_embedding, 4, 14)
@@ -222,7 +222,7 @@ def test_criterion_12_tangential_embedding(fine_embedding):
 
 def test_criterion_13_power_weight_tangency_exponents():
     for s in (-0.25, -0.5, -0.75):
-        curve = hs_embedding(s, 512)
+        curve = EmbeddedDisc(kernels.hs(s, 512))
         xs, r1 = [], []
         for j in range(6, 17):
             x = 1.0 - 2.0**-j
@@ -241,8 +241,8 @@ def test_criterion_14_schwarz_pick_contraction(fine_embedding):
 
     curves = {
         "crossing:0.5": CrossingCurve(0.5),
-        "hs:-0.5": hs_embedding(-0.5, 512),
-        "hs:-2": hs_embedding(-2.0, 512),
+        "hs:-0.5": EmbeddedDisc(kernels.hs(-0.5, 512)),
+        "hs:-2": EmbeddedDisc(kernels.hs(-2.0, 512)),
     }
     checked = 0
     for name, curve in curves.items():

@@ -22,7 +22,7 @@ from npdisclab.cli import (
     main,
 )
 from npdisclab.csvio import format_cell, parse_cell, read_rows
-from npdisclab.tangential import ConformalChain, assemble_embedding
+from npdisclab.tangential import ConformalChain, TangentialEmbedding
 
 # small, fast parameterizations of every recipe for determinism checks
 RECIPE_ARGS = {
@@ -518,6 +518,13 @@ class TestDeterminism:
         got, want = out.read_bytes(), (GOLDEN / f"{name}.csv").read_bytes()
         assert got == want, first_moved_cell(got, want)
 
+    def test_golden_comments_spell_bools_as_cells(self):
+        # every bool the CLI writes reads true, false or inconclusive, comment lines included
+        for path in sorted(GOLDEN.glob("*.csv")):
+            for line in path.read_text().splitlines():
+                if line.startswith("#"):
+                    assert "True" not in line and "False" not in line, (path.name, line)
+
     def test_first_moved_cell_names_row_column_and_ulps(self):
         want = b"# recipe = x\nd_source,d_image\n0.5,0.25\n0.75,1.0\n"
         got = b"# recipe = x\nd_source,d_image\n0.5,0.25\n0.75,1.0000000000000004\n"
@@ -612,7 +619,7 @@ class TestTangentialAtWorkloadSize:
         m = 65536
         out = tmp_path / "t.csv"
         assert main(["tangential-embed", f"m={m}", "--reproducible", "--out", str(out)]) == 0
-        emb = assemble_embedding(ConformalChain(0.75), m)
+        emb = TangentialEmbedding(ConformalChain(0.75), m)
         defect = emb.sphere_defect()
         lines = [",".join(format_cell(v) for v in (
             emb.angles[i], emb.u1[i], emb.u1_tilde[i],

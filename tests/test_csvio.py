@@ -1,9 +1,11 @@
 """The block-columnar CSV writer against the row-by-row text it replaces.
 
-``write_rows`` formats each block of ``BLOCK_ROWS`` rows column by column;
-the reference below is the row writer it must match byte for byte.  Row
-counts straddle the block edges, and tables are built by cycling a few
-drawn rows, so a 3B + 7-row table costs little to draw.
+``write_rows`` formats each block of B = max(1, BLOCK_ENTRIES // ncols) rows
+as one byte matrix; the reference below is the row writer it must match byte
+for byte.  The drawn tables are written with ``BLOCK_ENTRIES`` set so that
+B = 4096 whatever their width; their row counts straddle the block edges,
+and they are built by cycling a few drawn rows, so a 3B + 7-row table costs
+little to draw.
 """
 
 import io
@@ -15,11 +17,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import npdisclab  # noqa: E402
 from npdisclab import csvio  # noqa: E402
-from npdisclab.csvio import BLOCK_ROWS, format_cell, write_rows  # noqa: E402
+from npdisclab.csvio import format_cell, write_rows  # noqa: E402
 
-B = BLOCK_ROWS
-ROW_COUNTS = [0, 1, B - 1, B, B + 1, 3 * B + 7]
+
+def B(ncols):
+    """Rows per block of a table with ``ncols`` columns."""
+    return max(1, npdisclab.BLOCK_ENTRIES // ncols)
+
+
+#: rows per block of the drawn tables
+DRAWN_B = 4096
+ROW_COUNTS = [0, 1, DRAWN_B - 1, DRAWN_B, DRAWN_B + 1, 3 * DRAWN_B + 7]
 
 EXAMPLES = settings(derandomize=True, max_examples=15, deadline=None)
 
@@ -55,6 +65,13 @@ def written(comments, columns, rows):
     return buf.getvalue()
 
 
+def written_drawn(comments, columns, rows):
+    """``written`` with blocks of ``DRAWN_B`` rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npdisclab, "BLOCK_ENTRIES", DRAWN_B * len(columns))
+        return written(comments, columns, rows)
+
+
 @st.composite
 def tables(draw, n_rows):
     """(columns, rows): a few drawn rows cycled to ``n_rows``, one cell swapped."""
@@ -86,7 +103,7 @@ def float_arrays(draw, n_rows):
 def test_lists_match_row_writer(n_rows, data):
     columns, rows = data.draw(tables(n_rows))
     notes = data.draw(comments)
-    assert written(notes, columns, rows) == reference(notes, columns, rows)
+    assert written_drawn(notes, columns, rows) == reference(notes, columns, rows)
 
 
 @pytest.mark.parametrize("n_rows", ROW_COUNTS)
@@ -94,13 +111,13 @@ def test_lists_match_row_writer(n_rows, data):
 @given(data=st.data())
 def test_float_arrays_match_row_writer(n_rows, data):
     columns, rows = data.draw(float_arrays(n_rows))
-    assert written(["x"], columns, rows) == reference(["x"], columns, rows)
+    assert written_drawn(["x"], columns, rows) == reference(["x"], columns, rows)
 
 
 @pytest.mark.parametrize("rows", [
     [[1.0, 2.0], [3.0]],
     [[1.0, 2.0, 3.0]],
-    [[1.0, 2.0]] * B + [[1.0]],
+    [[1.0, 2.0]] * B(2) + [[1.0]],
     np.zeros((3, 3)),
 ], ids=["short-row", "wide-rows", "short-row-in-second-block", "wide-array"])
 def test_ragged_rows_raise(rows):
@@ -167,10 +184,25 @@ def test_kernel_is_repr_on_random_uniform_values():
 
 def test_array_and_its_rows_write_the_same_text():
     # float cells of row lists and of a 2-D array take the same kernel, across block edges
-    bits = np.random.default_rng(3).integers(0, 2**64, (2 * B + 3, 3), dtype=np.uint64)
+    bits = np.random.default_rng(3).integers(0, 2**64, (2 * B(3) + 3, 3), dtype=np.uint64)
     table = bits.view(np.float64)
     columns = ["a", "b", "c"]
     assert written([], columns, table) == written([], columns, table.tolist())
+
+
+@pytest.mark.parametrize("table", [
+    np.random.default_rng(5).standard_normal((37, 3)),
+    [[i, 0.1 * i, f"t{i}", i % 2 == 0, None] for i in range(23)],
+], ids=["float-array", "mixed-list"])
+def test_block_bound_sets_block_rows(monkeypatch, table):
+    # a block holds at most BLOCK_ENTRIES cells, at least one row; the text is the same
+    columns = [f"c{j}" for j in range(len(table[0]))]
+    want = written(["x"], columns, table)
+    sizes, original = [], csvio._block_text
+    monkeypatch.setattr(csvio, "_block_text", lambda b, w: sizes.append(len(b)) or original(b, w))
+    monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", 8)
+    assert written(["x"], columns, table) == want
+    assert max(sizes) == max(1, 8 // len(columns)) and sum(sizes) == len(table)
 
 
 def test_float_cells_of_mixed_columns_take_the_kernel(monkeypatch):

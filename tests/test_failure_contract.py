@@ -35,12 +35,13 @@ FLOAT_EDGES = ("nan", "inf", "-inf", "1e-300", "5e-324", "1e300", "-1e300", "0",
                "1", "x")
 
 #: the only (recipe, column) cells documented as nan or as infinite: a limit
-#: is nan when its doubling verdict is inconclusive (N < 16, say), and
-#: efp_agreement is |estimate - 1/mu|, inf once 1/mu overflows
+#: is nan when its doubling verdict is inconclusive (N < 16, say), inf when it
+#: diverges up (efp_limit_estimate for growing weights), and efp_agreement is
+#: |estimate - 1/mu|, inf once 1/mu overflows
 NAN_CELLS = {("classify", "mu"), ("classify", "strictly_cyclic_sup"),
-             ("classify", "efp_agreement")}
+             ("classify", "efp_agreement"), ("classify", "efp_limit_estimate")}
 INF_CELLS = {("classify", "mu"), ("classify", "strictly_cyclic_sup"),
-             ("classify", "efp_agreement")}
+             ("classify", "efp_agreement"), ("classify", "efp_limit_estimate")}
 
 #: letters of the tags drawn as free text; without "t" and "u" no draw spells
 #: custom:, so none reads a file from the working directory

@@ -12,7 +12,6 @@ from npdisclab.geometry import (
     EmbeddedDisc,
     crossing_scalar,
     distortion_profile,
-    hs_embedding,
     image_distance,
     mobius_auto,
     pseudo_dist,
@@ -22,7 +21,7 @@ from npdisclab.geometry import (
     tangential_ratio,
     transversality_pairing,
 )
-from npdisclab.tangential import ConformalChain, assemble_embedding
+from npdisclab.tangential import ConformalChain, TangentialEmbedding
 
 
 def identity_embedding():
@@ -124,7 +123,7 @@ class TestMobius:
 
 class TestEmbeddedDisc:
     def test_eval_at_zero(self):
-        e = hs_embedding(-0.5, 128)
+        e = EmbeddedDisc(kernels.hs(-0.5, 128))
         point, deriv = e.eval(0.0), e.deriv(0.0)
         assert np.allclose(point.coords, 0.0)
         assert deriv[0] == e.amplitudes[0]
@@ -153,7 +152,7 @@ class TestEmbeddedDisc:
             e.eval(1.5)
 
     def test_open_embedding_boundary_derivative_refused(self):
-        e = hs_embedding(-0.5, 256)
+        e = EmbeddedDisc(kernels.hs(-0.5, 256))
         assert not e.handle.is_compact_regime()
         with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             e.deriv(1.0)
@@ -164,24 +163,35 @@ class TestEmbeddedDisc:
     def test_boundary_derivative_needs_finite_mu(self):
         # hs:-1.8 is compact, but mu = sum n c_n = inf: its truncated pairing
         # grows with N (2.58 at N = 256, 5.68 at N = 4096), so it is refused
-        e = hs_embedding(-1.8, 256)
+        e = EmbeddedDisc(kernels.hs(-1.8, 256))
         assert e.handle.is_compact_regime()
         with pytest.raises(DomainError, match="derivative series diverges on the boundary"):
             transversality_pairing(e, 0.5)
         # on the circle <f(z), z f'(z)> is the truncated sum n c_n; mu is its
         # limit, extrapolated to 0.30664 (truth 0.30650), so it is not compared
-        e = hs_embedding(-3.0, 256)
+        e = EmbeddedDisc(kernels.hs(-3.0, 256))
         truncated = float(np.sum(e.handle.moduli.values * np.arange(1, 257)))
         assert math.isfinite(e.handle.renewal_mean())
         assert transversality_pairing(e, 0.5) == pytest.approx(truncated, abs=1e-12)
+
+    def test_pairing_reads_no_generating_function(self, monkeypatch):
+        # the pairing takes the truncated coordinates; g(1), which eval would
+        # sum for ||f(z)||^2, never enters it
+        e = EmbeddedDisc(kernels.hs(-3.0, 256))
+
+        def refuse(t):
+            raise AssertionError("generating_value called")
+
+        monkeypatch.setattr(e.handle, "generating_value", refuse)
+        assert transversality_pairing(e, 0.5) == 0.3038314508922756
 
     def test_eval_on_the_circle_takes_t_one(self, monkeypatch):
         # |e^{0.001ki}|^2 rounds off 1.0 at 90 of these angles, and
         # z conj(z) keeps an imaginary residue at many more
         zs = [cmath.exp(0.001j * k) for k in range(6283)]
-        e = hs_embedding(-0.5, 256)
+        e = EmbeddedDisc(kernels.hs(-0.5, 256))
         assert all(e.eval(z).norm == 1.0 for z in zs)
-        e = hs_embedding(-2.0, 256)
+        e = EmbeddedDisc(kernels.hs(-2.0, 256))
         generating, seen = e.handle.generating_value, {}
 
         def once_per_t(t):  # A_-2(1) sums 5e7 terms; each distinct t is summed once
@@ -242,14 +252,14 @@ class TestTangentialRatios:
             assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_hs_ratio1_decay_exponent(self):
-        curve = hs_embedding(-0.5, 512)
+        curve = EmbeddedDisc(kernels.hs(-0.5, 512))
         xs = [1.0 - 2.0**-j for j in range(4, 9)]
         vals = [tangential_ratio(curve, x)[0] for x in xs]
         slope = np.polyfit(np.log([1 - x for x in xs]), np.log(vals), 1)[0]
         assert slope == pytest.approx(0.25, abs=0.08)
 
     def test_hs_ratio2_grows_unbounded(self):
-        curve = hs_embedding(-0.5, 512)
+        curve = EmbeddedDisc(kernels.hs(-0.5, 512))
         r2 = [tangential_ratio(curve, 1.0 - 2.0**-j)[1] for j in range(3, 8)]
         assert all(b > a for a, b in zip(r2, r2[1:]))
 
@@ -279,8 +289,8 @@ class TestDistortion:
         rng = np.random.default_rng(np.random.Philox(37))
         curves = {
             "crossing:0.5": CrossingCurve(0.5),
-            "hs:-0.5": hs_embedding(-0.5, 512),
-            "hs:-2": hs_embedding(-2.0, 512),
+            "hs:-0.5": EmbeddedDisc(kernels.hs(-0.5, 512)),
+            "hs:-2": EmbeddedDisc(kernels.hs(-2.0, 512)),
         }
         for name, curve in curves.items():
             for _ in range(300):
@@ -300,9 +310,9 @@ class TestDistortion:
 
 CURVES = {
     "crossing": lambda: CrossingCurve(0.5),
-    "hs": lambda: hs_embedding(-0.5, 256),
+    "hs": lambda: EmbeddedDisc(kernels.hs(-0.5, 256)),
     "hardy": identity_embedding,
-    "tangential": lambda: assemble_embedding(ConformalChain(0.75), 256),
+    "tangential": lambda: TangentialEmbedding(ConformalChain(0.75), 256),
 }
 
 
@@ -338,7 +348,7 @@ class TestScalarSchwarzPickBound:
     def test_boundary_pairing_lower_bound(self):
         # for g(z) = <f(z), f(1)>: (1-|g(z)|)/(1-|z|) >= (1-|g(0)|)/(1+|g(0)|)
         rng = np.random.default_rng(np.random.Philox(38))
-        curves = [CrossingCurve(0.5), hs_embedding(-0.5, 512)]
+        curves = [CrossingCurve(0.5), EmbeddedDisc(kernels.hs(-0.5, 512))]
         for curve in curves:
             g0 = abs(curve.inner(0.0, 1.0))
             bound = (1.0 - g0) / (1.0 + g0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import npdisclab
 from npdisclab import DomainError, kernels, series
 from npdisclab.csvio import format_cell
 from npdisclab.kernels import (
@@ -277,17 +278,23 @@ class TestPowerWeightGenerating:
                 assert abs(got - want) <= 1e-14 * scale, f"theta={theta}"
 
     @pytest.mark.parametrize("s", [-2.0, -0.5, 0.5])
-    def test_array_equals_scalar_calls(self, s):
+    def test_array_equals_scalar_calls(self, s, monkeypatch):
         # each element runs its own stop rule inside the shared chunk loop;
-        # t = 1 is A_s = inf (g = 1) for s >= -1 and is left out below that
+        # t = 1 is A_s = inf (g = 1) for s >= -1 and is left out below that.
+        # At the block bound 8 every chunk takes one row of t per block
         radius = np.array([0.0, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.0 if s >= -1.0 else 0.8])
         angle = np.array([0.0, 0.7, -2.5, 3.1, 1.2, -0.4, 2.0, 0.0])
         t = (radius * np.exp(1j * angle)).reshape(2, 4)
         k = kernels.hs(s, 64)
-        got = k.generating_value(t)
-        want = np.array([[k.generating_value(complex(v)) for v in row] for row in t])
-        assert got.shape == t.shape
-        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        bits = []
+        for bound in (8, 2**14):
+            monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", bound)
+            got = k.generating_value(t)
+            want = np.array([[k.generating_value(complex(v)) for v in row] for row in t])
+            assert got.shape == t.shape
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+            bits.append(got.view(np.uint64).tobytes())
+        assert bits[0] == bits[1]
 
     @pytest.mark.parametrize("s", [-0.5, 0.5])
     def test_refuses_the_circle_away_from_one(self, s):
@@ -348,6 +355,16 @@ class TestClassify:
         assert rep.efp_limit_estimate == pytest.approx(0.5, abs=1e-12)
         assert rep.iso_to_hinf
         assert not rep.compact_regime
+
+    @pytest.mark.parametrize("family, n, want", [
+        ("hs:-0.5", 128, 0.0), ("hs:-3", 65536, 0.0), ("geom:0.5", 256, 0.5),
+        ("hardy", 1, math.nan),
+    ])
+    def test_efp_limit_is_the_owners_limit(self, family, n, want):
+        # lim a_n is exp of the doubling limit of log a_n that iso_to_hinf reads:
+        # 0 when a_n -> 0, nan when undecided (N = 1), never a mean of the tail
+        rep = classify(kernels.parse_family(family, n))
+        assert format_cell(rep.efp_limit_estimate) == format_cell(want)
 
     def test_hs_open_scale_not_iso(self):
         for s in (-0.25, -0.5, -1.0):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from npdisclab import DomainError, NotCertifiedError, geometry, kernels, pick
-from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar, row_blocks
+import npdisclab
+from npdisclab import DomainError, NotCertifiedError, kernels, pick, row_blocks
+from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar
 from npdisclab.pick import (
     CrossingObstruction,
     PickProblem,
@@ -73,7 +74,7 @@ class TestCoincidence:
 
     def test_first_pair_across_row_blocks(self, monkeypatch):
         # one row per block: the blocks still report the lexicographic first
-        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", 1)
         with pytest.raises(DomainError, match="nodes 0 and 3 coincide"):
             PickProblem([0.3, 0.6, 0.6, 0.3], np.zeros(4), kernels.hardy(1))
         monkeypatch.undo()
@@ -170,7 +171,7 @@ class TestCallCounts:
             z = 0.9 * np.sqrt(rng.uniform(size=size)) * np.exp(2j * np.pi * rng.uniform(size=size))
             kernel_gram(z, kernels.hs(-0.5, 256))
             assert len(calls) == len(list(row_blocks(size, size))) == blocks
-            assert max(calls) <= geometry.BLOCK_ENTRIES
+            assert max(calls) <= npdisclab.BLOCK_ENTRIES
             kernel_gram(z, kernels.hardy(256))  # closed form on every entry
             kernel_gram(z, kernels.geometric(0.5, 256))
             assert len(calls) == blocks
@@ -194,8 +195,8 @@ class TestCallCounts:
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: log.append(("cholesky", *a.shape[:2])) or cholesky(a))
         monkeypatch.setattr(pick, "_target_sample", sample)
-        for bound in (geometry.BLOCK_ENTRIES, 2**40):
-            monkeypatch.setattr(geometry, "BLOCK_ENTRIES", bound)
+        for bound in (npdisclab.BLOCK_ENTRIES, 2**40):
+            monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", bound)
             log.clear()
             res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12, seed=0)
             assert len(res.indices) == 12
@@ -262,7 +263,7 @@ class TestPsdCheck:
     def test_row_blocks_see_every_pair(self, monkeypatch):
         # one row per block: an asymmetry or a non-finite entry in the last
         # row is still found, and an infinite pair raises no RuntimeWarning
-        monkeypatch.setattr(geometry, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", 1)
         m = np.eye(6, dtype=complex)
         m[5, 0] = 1e-3
         with pytest.raises(ValueError, match="not Hermitian"):

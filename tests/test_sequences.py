@@ -10,7 +10,6 @@ from npdisclab.sequences import (
     garnett_targets,
     is_separated,
     named_sequence,
-    nearest_distances,
     separation_delta,
 )
 
@@ -176,7 +175,7 @@ class TestArraySeparation:
     def test_matches_scalar_reference(self, tag, n):
         s = named_sequence(tag, n)
         budgets = garnett_targets(s)
-        gaps = nearest_distances(s)
+        gaps = np.array([b.nearest for b in budgets])
         for i, b in enumerate(budgets):
             ref = separation_delta(s, i)
             err = abs(b.delta.log_value - ref.log_value)
@@ -208,7 +207,7 @@ class TestDistanceMatrix:
         # bound, and no scalar pairs
         from npdisclab import sequences
         from npdisclab.cli import main
-        from npdisclab.geometry import row_blocks
+        from npdisclab import row_blocks
 
         owner, calls = sequences.radial_log_gap_dist, []
         monkeypatch.setattr(sequences, "radial_log_gap_dist",
@@ -223,7 +222,7 @@ class TestDistanceMatrix:
         # the radius each point's nearest neighbour is adjacent to it
         mpmath = pytest.importorskip("mpmath")
         s = named_sequence("vn_quadratic", 400)
-        gaps = nearest_distances(s)
+        gaps = [b.nearest for b in garnett_targets(s)]
         with mpmath.workdps(40):
             g = [mpmath.mpf(float(x)) for x in s.gaps]
             d = [abs(a - b) / (a + b - a * b) for a, b in zip(g, g[1:])]

@@ -6,7 +6,7 @@ import pytest
 from npdisclab import DomainError
 from npdisclab.tangential import (
     ConformalChain,
-    assemble_embedding,
+    TangentialEmbedding,
     harmonic_conjugate,
     tangency_report,
 )
@@ -19,13 +19,13 @@ def chain():
 
 @pytest.fixture(scope="module")
 def embedding(chain):
-    return assemble_embedding(chain, 4096)
+    return TangentialEmbedding(chain, 4096)
 
 
 @pytest.fixture(scope="module")
 def fine_embedding(chain):
     # the tangency sweep to j = 14 needs the grid to resolve 2^-14
-    return assemble_embedding(chain, 2**18)
+    return TangentialEmbedding(chain, 2**18)
 
 
 def _g(chain, z):
@@ -62,7 +62,7 @@ class TestChain:
 
 class TestBoundarySampling:
     def test_samples_nonpositive(self, chain):
-        u1 = assemble_embedding(chain, 1024).u1
+        u1 = TangentialEmbedding(chain, 1024).u1
         assert u1.shape == (1024,)
         assert np.all(u1 <= 1e-12)
         assert np.all(np.isfinite(u1))
@@ -70,7 +70,7 @@ class TestBoundarySampling:
     def test_integral_stable_under_doubling(self, chain):
         vals = []
         for m in (2048, 4096):
-            u1 = assemble_embedding(chain, m).u1
+            u1 = TangentialEmbedding(chain, m).u1
             vals.append(np.mean(np.abs(u1)) * 2.0 * math.pi)
         assert abs(vals[1] - vals[0]) < 0.02 * abs(vals[0])
 
@@ -80,8 +80,8 @@ class TestBoundarySampling:
         # smoothness (h^4 scaling holds only where u_1 is smooth)
         from scipy.interpolate import CubicSpline
 
-        coarse = assemble_embedding(chain, 2048)
-        fine = assemble_embedding(chain, 4096)
+        coarse = TangentialEmbedding(chain, 2048)
+        fine = TangentialEmbedding(chain, 4096)
         knots = np.concatenate((coarse.angles, [2.0 * math.pi]))
         vals = np.concatenate((coarse.u1, [coarse.u1[0]]))
         spline = CubicSpline(knots, vals, bc_type="periodic")
@@ -91,9 +91,9 @@ class TestBoundarySampling:
 
     def test_grid_validation(self, chain):
         with pytest.raises(ValueError):
-            assemble_embedding(chain, 100)
+            TangentialEmbedding(chain, 100)
         with pytest.raises(ValueError):
-            assemble_embedding(chain, 3000)
+            TangentialEmbedding(chain, 3000)
 
     def test_one_chain_evaluation_and_one_spectrum(self, chain, monkeypatch):
         m = 4096
@@ -110,7 +110,7 @@ class TestBoundarySampling:
 
         monkeypatch.setattr(ConformalChain, "eval", eval_spy)
         monkeypatch.setattr(np.fft, "rfft", rfft_spy)
-        assemble_embedding(chain, m)
+        TangentialEmbedding(chain, m)
         assert sizes.count(m) == 1
         assert rffts == [m]
 
@@ -148,8 +148,8 @@ class TestEmbedding:
         assert np.max(np.abs(defect[1:])) < 1e-8  # singular sample excluded
 
     def test_midpoint_defect_improves_with_grid(self, chain):
-        coarse = assemble_embedding(chain, 2048)
-        fine = assemble_embedding(chain, 8192)
+        coarse = TangentialEmbedding(chain, 2048)
+        fine = TangentialEmbedding(chain, 8192)
         assert fine.midpoint_sphere_defect() < coarse.midpoint_sphere_defect()
 
     def test_midpoint_values_match_h(self, embedding):
