@@ -40,7 +40,8 @@ from . import DomainError, NotCertifiedError, __version__
 # numpy and csvio load in run() once the parameters parse, and each recipe
 # imports the library layers it uses when it runs, so the catalog, --help and
 # command-line errors answer before numpy loads and a run loads only its own
-# layers; numpy.random is loaded only by the recipes that draw
+# layers; the recipes that draw numbers load philox, and no recipe loads
+# numpy.random
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2
@@ -200,8 +201,10 @@ def _run_distortion(p):
         with np.errstate(over="ignore"):  # an overflowed point is outside, refused below
             pairs = np.column_stack([1.0 - xs, -1.0 + crossing_scalar(curve) * xs])
     else:
-        rng = np.random.default_rng(np.random.Philox(p["_seed"]))
-        draws = rng.uniform(-1.0, 1.0, (p["pairs"], 4))  # one (a, b, c, d) row per pair
+        from .philox import Philox
+
+        # one (a, b, c, d) row per pair
+        draws = Philox(p["_seed"]).uniform(-1.0, 1.0, (p["pairs"], 4))
         pairs = 0.9 * (draws[:, 0::2] + 1j * draws[:, 1::2]) / math.sqrt(2.0)
     prof = distortion_profile(curve, pairs)
     return ["d_source", "d_image"], prof.rows

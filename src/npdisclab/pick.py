@@ -269,8 +269,8 @@ def _target_sample(k: int, r: float, rng) -> tuple[np.ndarray, np.ndarray]:
     if 2**k <= _CORNER_CAP:
         corners = np.array(list(itertools.product((r, -r), repeat=k)))
     else:
-        corners = r * rng.choice((-1.0, 1.0), size=(_CORNER_CAP, k))
-    u = rng.uniform(size=(_N_RANDOM_TARGETS, 2, k))
+        corners = r * rng.signs((_CORNER_CAP, k))
+    u = rng.uniform(0.0, 1.0, (_N_RANDOM_TARGETS, 2, k))
     draws = r * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     return corners, draws
 
@@ -341,7 +341,9 @@ def extract_interpolating_subsequence(
     if pts[-1].norm <= 0.9:
         raise DomainError("point list must approach the boundary (final norm > 0.9)")
 
-    rng = np.random.default_rng(np.random.Philox(seed))
+    from .philox import Philox  # only the extractor draws numbers
+
+    rng = Philox(seed)
     table = PointTable(pts)
     log_one_minus_rsq = math.log1p(-r * r)
     log_one_plus_rsq = math.log1p(r * r)

@@ -320,16 +320,17 @@ class TestExitCodes:
             "error: dyadic_separated n=400 passes 131072 points at generation 31\n"
         )
 
-    def test_out_of_memory_is_bad_parameter(self):
-        # a 2^28-point grid asks for a 2 GiB index array at once; the child
-        # alone runs under a 1.5 GiB address-space limit
+    @staticmethod
+    def _assert_out_of_memory(argv):
+        """``argv`` exits 3 with one out-of-memory line when the child alone
+        runs under a 1.5 GiB address-space limit."""
         limit = 3 * 2**29
 
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "npdisclab", "tangential-embed", "m=268435456"],
+            [sys.executable, "-m", "npdisclab", *argv],
             capture_output=True, text=True, timeout=240, preexec_fn=cap_memory,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
         )
@@ -337,6 +338,14 @@ class TestExitCodes:
         assert proc.stdout == ""
         err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: out of memory:")
+
+    def test_out_of_memory_is_bad_parameter(self):
+        # a 2^28-point grid asks for a 2 GiB index array at once
+        self._assert_out_of_memory(["tangential-embed", "m=268435456"])
+
+    def test_random_pairs_out_of_memory_is_bad_parameter(self):
+        # 2^27 pairs ask for a 4 GiB draw, allocated before any block is computed
+        self._assert_out_of_memory(["distortion", "map=crossing:0.5", "pairs=134217728"])
 
     def test_separation_runs_in_bounded_memory(self):
         # 3489 points: the whole distance matrix and its temporaries took

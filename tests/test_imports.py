@@ -81,20 +81,21 @@ def test_recipes_run_without_scipy():
         assert out == normal[name][1], name
 
 
-#: library modules each RECIPE_ARGS run loads besides cli and csvio, and
-#: whether it loads numpy.random (only the recipes that draw numbers); no run
-#: loads dataclasses, since every record is a NamedTuple
+#: library modules each RECIPE_ARGS run loads besides cli and csvio; only the
+#: recipes that draw numbers load philox, and no run loads numpy.random (philox
+#: draws numpy's Philox stream without it) or dataclasses (every record is a
+#: NamedTuple)
 RECIPE_IMPORTS = {
-    "classify": ({"kernels", "series"}, False),
-    "compare": ({"kernels", "series"}, False),
-    "pick-check": ({"geometry", "kernels", "pick", "series"}, False),
-    "interp-extract": ({"geometry", "pick", "sequences"}, True),
-    "crossing": ({"geometry", "pick"}, False),
-    "distortion": ({"geometry"}, True),
-    "carleson": ({"geometry", "sequences"}, False),
-    "separation": ({"geometry", "sequences", "series"}, False),
-    "tangential-embed": ({"geometry", "tangential"}, False),
-    "tangency-report": ({"geometry", "tangential"}, False),
+    "classify": {"kernels", "series"},
+    "compare": {"kernels", "series"},
+    "pick-check": {"geometry", "kernels", "pick", "series"},
+    "interp-extract": {"geometry", "philox", "pick", "sequences"},
+    "crossing": {"geometry", "pick"},
+    "distortion": {"geometry", "philox"},
+    "carleson": {"geometry", "sequences"},
+    "separation": {"geometry", "sequences", "series"},
+    "tangential-embed": {"geometry", "tangential"},
+    "tangency-report": {"geometry", "tangential"},
 }
 
 
@@ -117,9 +118,18 @@ def test_cli_import_loads_no_layer_and_no_numpy():
     assert _run_child("import sys, npdisclab.cli\nprint('numpy' in sys.modules)") == "False\n"
 
 
+def _recipe_run(argv):
+    argv = [*argv, "--reproducible", "--out", "/dev/null"]
+    return f"from npdisclab.cli import main\nassert main({argv!r}) == 0"
+
+
 def test_each_recipe_loads_only_its_layers():
     assert set(RECIPE_IMPORTS) == set(RECIPE_ARGS)
-    for name, (layers, loads_random) in RECIPE_IMPORTS.items():
-        argv = [name, *RECIPE_ARGS[name], "--reproducible", "--out", "/dev/null"]
-        code = f"from npdisclab.cli import main\nassert main({argv!r}) == 0"
-        assert _loaded_after(code) == ({"cli", "csvio", *layers}, loads_random, False), name
+    for name, layers in RECIPE_IMPORTS.items():
+        loaded = _loaded_after(_recipe_run([name, *RECIPE_ARGS[name]]))
+        assert loaded == ({"cli", "csvio", *layers}, False, False), name
+
+
+def test_pinch_pair_distortion_draws_nothing():
+    loaded = _loaded_after(_recipe_run(["distortion", "map=crossing:0.5", "xs=0.05;0.2"]))
+    assert loaded == ({"cli", "csvio", "geometry"}, False, False)
