@@ -5,8 +5,8 @@ Grammar:  npdisclab <recipe> key=value ... [--out PATH] [--seed U64]
 
 With no arguments the recipe catalog is printed.  Output is deterministic
 for a fixed configuration and seed; ``--reproducible`` suppresses the
-timestamp comment so two runs are byte-identical.  Randomness goes through
-a counter-based generator keyed by the recorded seed.
+timestamp comment so two runs are byte-identical.  Sample points come
+from a Kronecker net offset by the recorded seed (:mod:`npdisclab.net`).
 
 Exit codes: 0 success, 2 unknown recipe, 3 an input outside its domain
 (a :class:`~npdisclab.DomainError`: a malformed parameter, a size outside
@@ -40,7 +40,7 @@ from . import DomainError, NotCertifiedError, __version__
 # numpy and csvio load in run() once the parameters parse, and each recipe
 # imports the library layers it uses when it runs, so the catalog, --help and
 # command-line errors answer before numpy loads and a run loads only its own
-# layers; the recipes that draw numbers load philox, and no recipe loads
+# layers; the recipes that draw sample points load net, and no recipe loads
 # numpy.random
 
 EXIT_OK = 0
@@ -201,10 +201,10 @@ def _run_distortion(p):
         with np.errstate(over="ignore"):  # an overflowed point is outside, refused below
             pairs = np.column_stack([1.0 - xs, -1.0 + crossing_scalar(curve) * xs])
     else:
-        from .philox import Philox
+        from .net import KroneckerNet
 
-        # one (a, b, c, d) row per pair
-        draws = Philox(p["_seed"]).uniform(-1.0, 1.0, (p["pairs"], 4))
+        # one (a, b, c, d) row per pair: the first points of the 4-dimensional net
+        draws = KroneckerNet(p["_seed"]).uniform(-1.0, 1.0, (p["pairs"], 4))
         pairs = 0.9 * (draws[:, 0::2] + 1j * draws[:, 1::2]) / math.sqrt(2.0)
     prof = distortion_profile(curve, pairs)
     return ["d_source", "d_image"], prof.rows

@@ -25,7 +25,7 @@ Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
 owner in one broadcast call per block and stacks each target sample into
-(S, k, k) chunks, real polydisc corners and complex random draws apart.  The
+(S, k, k) chunks, real polydisc corners and complex net points apart.  The
 delta estimate needs only log determinants, 2 sum log diag(L), from one
 batched Cholesky call per chunk; verifying a candidate makes one
 ``eigvalsh`` call per chunk, and the audit row records the smallest
@@ -34,7 +34,6 @@ eigenvalue over all of them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -53,11 +52,11 @@ PSD_TOL = 1e-10
 #: traced runs (always 0 now), so the name stays until that counter goes
 _pivoted_cholesky_floor = None
 
-#: extractor target samples: all polydisc corners up to this many, else a
-#: random draw of this many corners
+#: extractor target samples: the polydisc corners, one of each pair s, -s
+#: (same Pick block), up to 2^k = this many, else this many net corners
 _CORNER_CAP = 512
 
-#: extractor target samples: uniform complex draws per sample
+#: extractor target samples: complex net points per sample
 _N_RANDOM_TARGETS = 256
 
 
@@ -258,19 +257,19 @@ def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
     return -np.log(mag)
 
 
-def _target_sample(k: int, r: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Corner sign patterns of the r-polydisc plus uniform complex draws.
+def _target_sample(k: int, r: float, net) -> tuple[np.ndarray, np.ndarray]:
+    """Corner sign patterns of the r-polydisc plus complex targets from the net.
 
-    Returns the real corners and the complex draws as two (S, k) stacks, so
-    each keeps its own dtype through the eigenvalue checks.  The uniform
-    draws are laid out (S, 2, k) so that each row takes its k magnitudes and
-    then its k phases in stream order.
+    Returns the real corners and the complex targets as two (S, k) stacks,
+    so each keeps its own dtype through the eigenvalue checks.  Up to the
+    cap the corners are the 2^(k-1) patterns with first sign +r, bit k-1-j
+    of the row giving -r at j; a net point gives k magnitudes, then k phases.
     """
     if 2**k <= _CORNER_CAP:
-        corners = np.array(list(itertools.product((r, -r), repeat=k)))
+        corners = np.where(np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1) & 1, -r, r)
     else:
-        corners = r * rng.signs((_CORNER_CAP, k))
-    u = rng.uniform(0.0, 1.0, (_N_RANDOM_TARGETS, 2, k))
+        corners = r * net.signs((_CORNER_CAP, k))
+    u = net.uniform(0.0, 1.0, (_N_RANDOM_TARGETS, 2, k))
     draws = r * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     return corners, draws
 
@@ -322,10 +321,10 @@ def extract_interpolating_subsequence(
     At stage k the candidate z is accepted once the dominant determinant
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
     last-row expansion terms, where delta estimates the infimum of
-    det A_{k-1}(w) over the sampled targets (polydisc corners plus seeded
-    random draws).  Acceptance is then re-verified on a fresh sample of
-    targets w in the k-polydisc: the smallest eigenvalue (``eigvalsh``) of
-    every normalized A_k(w) must exceed ``PSD_TOL``.
+    det A_{k-1}(w) over the sampled targets (polydisc corners plus points of
+    the Kronecker net offset by ``seed``).  Acceptance is then re-verified on
+    the next sample of targets w in the k-polydisc: the smallest eigenvalue
+    (``eigvalsh``) of every normalized A_k(w) must exceed ``PSD_TOL``.
 
     The sampled delta may over-estimate the true infimum, so acceptance can
     fire earlier than the proof's asymptotic rule would; the verification
@@ -341,9 +340,9 @@ def extract_interpolating_subsequence(
     if pts[-1].norm <= 0.9:
         raise DomainError("point list must approach the boundary (final norm > 0.9)")
 
-    from .philox import Philox  # only the extractor draws numbers
+    from .net import KroneckerNet  # only the extractor draws numbers
 
-    rng = Philox(seed)
+    net = KroneckerNet(seed)
     table = PointTable(pts)
     log_one_minus_rsq = math.log1p(-r * r)
     log_one_plus_rsq = math.log1p(r * r)
@@ -358,7 +357,7 @@ def extract_interpolating_subsequence(
         # the sample, assembled in log space from the normalized blocks, one
         # batched Cholesky call per sample chunk
         log_delta = math.inf
-        for w in _sample_chunks(_target_sample(k - 1, r, rng), k - 1):
+        for w in _sample_chunks(_target_sample(k - 1, r, net), k - 1):
             try:
                 chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
             except np.linalg.LinAlgError:
@@ -404,7 +403,7 @@ def extract_interpolating_subsequence(
             trial_block = _log_kernel(table, trial[:, None], trial[None, :])
             min_eig_seen = min(
                 (float(np.linalg.eigvalsh(_normalized_pick(trial_block, w)).min())
-                 for w in _sample_chunks(_target_sample(k, r, rng), k)),
+                 for w in _sample_chunks(_target_sample(k, r, net), k)),
                 default=math.inf,
             )
             if min_eig_seen > PSD_TOL:

@@ -412,7 +412,7 @@ class TestExitCodes:
         ]
 
     def test_underflowed_gap_is_bad_parameter(self, capsys):
-        # ROADMAP 4b: wn_gaussian gaps underflow to 0 from n = 28, leaving
+        # ROADMAP item 13: wn_gaussian gaps underflow to 0 from n = 28, leaving
         # points at 1.0 without a gap; until log-gaps reach the extractor
         # this must stay one error line and no CSV of inf/nan
         assert main(["interp-extract", "tag=wn_gaussian", "n=30"]) == EXIT_BAD_PARAMETER
@@ -545,13 +545,33 @@ class TestDeterminism:
         )
 
     def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
-        # from stage 10 on 2^k exceeds the corner cap, so the corners are
-        # drawn by rng.choice, which the kmax = 5 golden never reaches
+        # from stage 10 on 2^k exceeds the corner cap, so the corner signs
+        # come from the net, which the kmax = 5 golden never reaches
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]
         assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0
         got, want = out.read_bytes(), (GOLDEN / "interp-extract-k18.csv").read_bytes()
         assert got == want, first_moved_cell(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 7, 1999, 2**64 - 1])
+    def test_extractor_selection_does_not_depend_on_the_seed(self, seed, tmp_path):
+        # the seed moves the net's target samples, not the points selected
+        out = tmp_path / "k18.csv"
+        args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", str(seed)]
+        assert main(["interp-extract", *args, "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            indices = [row[1] for row in read_rows(fh).rows]
+        assert indices == [*range(12), 13, 14, 15, 16, 18, 19]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_one_random_pair_has_distinct_points(self, seed, tmp_path):
+        # the net's point 0 at seed 0 is its centre, which maps to the pair
+        # (0, 0); the draws start at point 1
+        out = tmp_path / "d.csv"
+        assert main(["distortion", "pairs=1", "--seed", str(seed), "--out", str(out)]) == 0
+        with open(out, encoding="utf-8") as fh:
+            rows = read_rows(fh).rows
+        assert len(rows) == 1 and rows[0][0] > 0.0
 
     def test_interp_extract_keeps_each_angle(self, tmp_path):
         # xn_alternating puts every other point on the negative axis; moved

@@ -82,16 +82,16 @@ def test_recipes_run_without_scipy():
 
 
 #: library modules each RECIPE_ARGS run loads besides cli and csvio; only the
-#: recipes that draw numbers load philox, and no run loads numpy.random (philox
-#: draws numpy's Philox stream without it) or dataclasses (every record is a
+#: recipes that draw sample points load net, and no run loads numpy.random (the
+#: net is numpy uint64 arithmetic) or dataclasses (every record is a
 #: NamedTuple)
 RECIPE_IMPORTS = {
     "classify": {"kernels", "series"},
     "compare": {"kernels", "series"},
     "pick-check": {"geometry", "kernels", "pick", "series"},
-    "interp-extract": {"geometry", "philox", "pick", "sequences"},
+    "interp-extract": {"geometry", "net", "pick", "sequences"},
     "crossing": {"geometry", "pick"},
-    "distortion": {"geometry", "philox"},
+    "distortion": {"geometry", "net"},
     "carleson": {"geometry", "sequences"},
     "separation": {"geometry", "sequences", "series"},
     "tangential-embed": {"geometry", "tangential"},
