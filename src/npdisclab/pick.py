@@ -10,8 +10,9 @@ it from one spectral call at every size, the smallest ``eigvalsh``
 eigenvalue.  The extractor walks a boundary-bound point list and keeps a
 point once a single determinant term (1 - r^2) delta K(z, z) provably
 dominates the remaining expansion terms, the dominance being certified
-through Hadamard bounds; every acceptance is re-verified by explicit
-positive-definiteness checks over a target sample.
+through Hadamard bounds, and once a Rayleigh margin on the normalized Gram
+matrix proves every Pick matrix over the closed target polydisc positive
+definite.
 
 Everything works on arrays, and every 1 - <z_i, z_j> comes from one owner,
 :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps the
@@ -24,12 +25,12 @@ forms (hardy, Drury-Arveson on ball points, and geometric), the series by
 Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
-owner in one broadcast call per block and stacks each target sample into
-(S, k, k) chunks, real polydisc corners and complex net points apart.  The
-delta estimate needs only log determinants, 2 sum log diag(L), from one
-batched Cholesky call per chunk; verifying a candidate makes one
-``eigvalsh`` call per chunk, and the audit row records the smallest
-eigenvalue over all of them.
+owner in one broadcast call per block.  The delta estimate stacks its
+target sample into (S, k, k) chunks, real polydisc corners and complex net
+points apart, and needs only log determinants, 2 sum log diag(L), from one
+batched Cholesky call per chunk.  Certifying a candidate takes one owner
+call for its phase-correct Gram block and one k x k ``eigvalsh`` call, and
+the audit row records the certified margin.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ PSD_TOL = 1e-10
 #: traced runs (always 0 now), so the name stays until that counter goes
 _pivoted_cholesky_floor = None
 
-#: extractor target samples: the polydisc corners, one of each pair s, -s
-#: (same Pick block), up to 2^k = this many, else this many net corners
+#: the delta estimate's target sample: the polydisc corners, one of each
+#: pair s, -s (same Pick block), up to 2^k = this many, else this many net
+#: corners
 _CORNER_CAP = 512
 
-#: extractor target samples: complex net points per sample
+#: the delta estimate's target sample: complex net points per sample
 _N_RANDOM_TARGETS = 256
 
 
@@ -234,7 +236,9 @@ class ExtractionRow(NamedTuple):
     k: int                  # stage (1-based)
     index: int              # position in the input list
     point_norm: float
-    min_eigenvalue: float   # worst normalized eigenvalue over the sample
+    # certified lower bound on the smallest eigenvalue of every normalized
+    # A_k(w) with |w_i| <= r (the Rayleigh margin less its rounding bound)
+    min_eigenvalue: float
     rule: str               # "initial" | "dominance"
 
 
@@ -243,12 +247,12 @@ class ExtractionResult(NamedTuple):
     rows: list[ExtractionRow]
 
 
-def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
-    """log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| over broadcast index arrays.
+def _log_modulus(omt: np.ndarray) -> np.ndarray:
+    """-log |1 - <z_i, z_j>| of the owner's values ``omt``.
 
     Refuses the zeros np.log would turn into inf.
     """
-    mag = np.abs(table.one_minus_inner(rows, cols))
+    mag = np.abs(omt)
     if not np.all(mag > 0.0):
         raise DomainError(
             "1 - <z_i, z_j> rounds to 0: a point without an exact gap lies on "
@@ -257,11 +261,79 @@ def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
     return -np.log(mag)
 
 
+def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
+    """log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| over broadcast index arrays."""
+    return _log_modulus(table.one_minus_inner(rows, cols))
+
+
+def _correlation(log_block: np.ndarray) -> np.ndarray:
+    """K_ij / sqrt(K_ii K_jj) = exp(l_ij - (l_ii + l_jj)/2) from a log kernel block.
+
+    A real block -log |1 - <z_i, z_j>| gives the modulus; a complex block
+    -log(1 - <z_i, z_j>) gives the phase too.  The diagonal is exactly 1.
+    """
+    diag = np.diag(log_block)
+    return np.exp(log_block - 0.5 * (diag[:, None] + diag[None, :]))
+
+
+def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized Gram matrix G of the points ``idx``, phases included.
+
+    G_ij = exp(l_ij - (l_ii + l_jj)/2) conj(w_ij)/|w_ij| with
+    w_ij = 1 - <z_i, z_j> from one owner call and l = -log |w|; G stays
+    real where no w_ij has an imaginary part.  Returns G and l.
+    """
+    omt = table.one_minus_inner(idx[:, None], idx[None, :])
+    log_block = _log_modulus(omt)
+    gram = _correlation(log_block)
+    if omt.imag.any():
+        # conj(w)/|w| part by part: complex division by a subnormal |w| of
+        # a radial pair would overflow to nan
+        mag = np.abs(omt)
+        gram = gram * (omt.real / mag - 1j * (omt.imag / mag))
+    return gram, log_block
+
+
+def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray) -> float:
+    """Rounding bound on the computed margin lambda_min(G) - r^2 lambda_max(G).
+
+    With D = diag(w), |w_i| <= r, and E = diag(1 - |w_i|^2) <= I, the
+    normalized Pick matrix is E^{-1/2} (G - D G D*) E^{-1/2} and
+    G - D G D* >= (lambda_min(G) - r^2 lambda_max(G)) I, so a margin >= 0
+    bounds its smallest eigenvalue over the closed r-polydisc.
+
+    The owner's 1 - <z_i, z_j> is the data, with the 4 units u = eps/2 of
+    relative error the gap algebra leaves on radial real points (the
+    owner's error on points given by coordinates is not covered).  In units
+    of u, with l = -log |1 - <z_i, z_j>|:
+    - that error, |.| (2) and log (2|l_ij|) leave l_ij within 6 + 2|l_ij|;
+    - l_ij - (l_ii + l_jj)/2 adds two roundings, exp 2 and the unit phase
+      5, so an off-diagonal entry is within 19 + 3|l_ij| + 2(|l_ii| + |l_jj|),
+      rounded up here to eps (10 + 2|l_ij| + |l_ii| + |l_jj|), relative to
+      |G_ij|; the diagonal is exactly 1;
+    - that Hermitian error has 2-norm at most its largest absolute row sum;
+    - ``eigvalsh`` returns the exact eigenvalues of G + F with
+      ||F|| <= 2k^2 u ||G|| (Householder tridiagonalization then implicit
+      QL; Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3
+      and 19), and ||G|| is at most s, the largest absolute row sum of G;
+    - by Weyl the margin moves by at most (1 + r^2) <= 2 times the two
+      norms, plus eps s for its own rounding.
+    """
+    eps = np.finfo(float).eps
+    ell = np.abs(log_block)
+    diag = np.diag(ell)
+    err = eps * (10 + 2 * ell + diag[:, None] + diag[None, :]) * np.abs(gram)
+    np.fill_diagonal(err, 0)
+    k = gram.shape[0]
+    s = float(np.abs(gram).sum(axis=1).max())
+    return 2 * float(err.sum(axis=1).max()) + eps * (2 * k * k + 1) * s
+
+
 def _target_sample(k: int, r: float, net) -> tuple[np.ndarray, np.ndarray]:
-    """Corner sign patterns of the r-polydisc plus complex targets from the net.
+    """The delta estimate's targets: r-polydisc corners plus net points.
 
     Returns the real corners and the complex targets as two (S, k) stacks,
-    so each keeps its own dtype through the eigenvalue checks.  Up to the
+    so each keeps its own dtype through the Cholesky calls.  Up to the
     cap the corners are the 2^(k-1) patterns with first sign +r, bit k-1-j
     of the row giving -r at j; a net point gives k magnitudes, then k phases.
     """
@@ -281,17 +353,17 @@ def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
     result is (k, k) or (S, k, k), formed in place in one array beside the
     real (S, k, k) normalizer.  Congruence keeps definiteness while
     avoiding the e^{n^2} dynamic range of raw kernel entries near the
-    boundary.
+    boundary.  A complex ``log_block`` (see :func:`_correlation`) with
+    complex ``w`` gives the phase-correct matrix.
     """
-    diag = np.diag(log_block)
-    corr = np.exp(log_block - 0.5 * (diag[:, None] + diag[None, :]))
+    corr = _correlation(log_block)
     om = 1.0 - np.abs(w) ** 2
     b = w[..., :, None] * np.conj(w)[..., None, :]
     np.subtract(1.0, b, out=b)
     norm = om[..., :, None] * om[..., None, :]
     b /= np.sqrt(norm, out=norm)
     np.multiply(corr, b, out=b)
-    b[..., np.arange(diag.size), np.arange(diag.size)] = 1.0
+    b[..., np.arange(len(corr)), np.arange(len(corr))] = 1.0
     return b
 
 
@@ -322,13 +394,20 @@ def extract_interpolating_subsequence(
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
     last-row expansion terms, where delta estimates the infimum of
     det A_{k-1}(w) over the sampled targets (polydisc corners plus points of
-    the Kronecker net offset by ``seed``).  Acceptance is then re-verified on
-    the next sample of targets w in the k-polydisc: the smallest eigenvalue
-    (``eigvalsh``) of every normalized A_k(w) must exceed ``PSD_TOL``.
+    the Kronecker net offset by ``seed``, with modulus blocks).  A candidate
+    that passes dominance is accepted only when the Rayleigh margin
+    lambda_min(G) - r^2 lambda_max(G) of its trial block's phase-correct
+    normalized Gram matrix G, less :func:`_rayleigh_bound`, exceeds
+    ``PSD_TOL``; that proves every normalized A_k(w), |w_i| <= r, positive
+    definite with smallest eigenvalue at least the margin, which the audit
+    row records.  Candidates are tried in order, and one that is not
+    certified is skipped.
 
-    The sampled delta may over-estimate the true infimum, so acceptance can
-    fire earlier than the proof's asymptotic rule would; the verification
-    step and the per-row audit trail keep the output sound and traceable.
+    The sampled delta may over-estimate the true infimum, so dominance can
+    fire earlier than the proof's asymptotic rule would; the certificate
+    keeps the output sound, and the seed moves only delta's sample.
+    Raises NotCertifiedError when no candidate passes dominance, and a
+    distinct one when candidates pass it but none is certified.
     """
     pts = [_as_ball_point(z) for z in points]
     if not 0.0 < r < 1.0:
@@ -395,20 +474,25 @@ def extract_interpolating_subsequence(
         rhs_terms = log_one_plus_rsq + log_kc + log_minor
         rhs = _logsumexp(rhs_terms)
 
-        accepted = None
-        for pos in np.nonzero(lhs > rhs)[0]:
+        # dominance fired; certify each candidate in turn by the Rayleigh
+        # margin of its trial block, one eigvalsh call for both extremes
+        passed = np.nonzero(lhs > rhs)[0]
+        accepted, best = None, -math.inf
+        for pos in passed:
             cand = int(cands[pos])
-            # dominance fired; certify definiteness over a fresh k-target sample
-            trial = np.append(idx, cand)
-            trial_block = _log_kernel(table, trial[:, None], trial[None, :])
-            min_eig_seen = min(
-                (float(np.linalg.eigvalsh(_normalized_pick(trial_block, w)).min())
-                 for w in _sample_chunks(_target_sample(k, r, net), k)),
-                default=math.inf,
-            )
-            if min_eig_seen > PSD_TOL:
+            gram, log_block = _normalized_gram(table, np.append(idx, cand))
+            eig = np.linalg.eigvalsh(gram)
+            margin = float(eig[0] - r * r * eig[-1]) - _rayleigh_bound(gram, log_block)
+            if margin > PSD_TOL:
                 accepted = cand
                 break
+            best = max(best, margin)
+        if accepted is None and passed.size:
+            raise NotCertifiedError(
+                f"stage {k}: {passed.size} candidate(s) after index {selected[-1]} "
+                f"passed dominance but none was certified; the largest Rayleigh "
+                f"margin was {best:.6g}, not above {PSD_TOL:g}"
+            )
         if accepted is None:
             raise NotCertifiedError(
                 f"point list exhausted at stage {k}: no candidate after index "
@@ -416,9 +500,7 @@ def extract_interpolating_subsequence(
                 f"boundary too slowly for this truncation"
             )
         selected.append(accepted)
-        rows.append(
-            ExtractionRow(k, accepted, pts[accepted].norm, min_eig_seen, "dominance")
-        )
+        rows.append(ExtractionRow(k, accepted, pts[accepted].norm, margin, "dominance"))
     return ExtractionResult(selected, rows)
 
 

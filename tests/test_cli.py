@@ -411,6 +411,20 @@ class TestExitCodes:
             "too slowly for this truncation"
         ]
 
+    def test_uncertified_candidates_are_not_certified(self, monkeypatch, capsys):
+        # candidates that pass dominance but not the Rayleigh certificate end
+        # the run with their own line, naming the stage and the best margin
+        from npdisclab import pick
+
+        monkeypatch.setattr(pick, "_rayleigh_bound", lambda gram, log_block: 10.0)
+        assert main(["interp-extract", "tag=wn_gaussian", "n=8"]) == EXIT_NOT_CERTIFIED
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not certified: stage 2: ")
+        assert "passed dominance but none was certified" in err[0]
+        assert "largest Rayleigh margin was -9.25," in err[0]
+
     def test_underflowed_gap_is_bad_parameter(self, capsys):
         # ROADMAP item 13: wn_gaussian gaps underflow to 0 from n = 28, leaving
         # points at 1.0 without a gap; until log-gaps reach the extractor
@@ -555,13 +569,17 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", [0, 7, 1999, 2**64 - 1])
     def test_extractor_selection_does_not_depend_on_the_seed(self, seed, tmp_path):
-        # the seed moves the net's target samples, not the points selected
+        # the seed moves only the delta estimate's net sample, not the
+        # points selected, and no printed cell reads the sample: every row
+        # equals the seed-7 golden's
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", str(seed)]
         assert main(["interp-extract", *args, "--out", str(out)]) == 0
         with open(out, encoding="utf-8") as fh:
-            indices = [row[1] for row in read_rows(fh).rows]
-        assert indices == [*range(12), 13, 14, 15, 16, 18, 19]
+            rows = read_rows(fh).rows
+        with open(GOLDEN / "interp-extract-k18.csv", encoding="utf-8") as fh:
+            assert rows == read_rows(fh).rows
+        assert [row[1] for row in rows] == [*range(12), 13, 14, 15, 16, 18, 19]
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_one_random_pair_has_distinct_points(self, seed, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import npdisclab
 from npdisclab import DomainError, NotCertifiedError, kernels, pick, row_blocks
@@ -22,6 +23,20 @@ def gaussian_points(n):
 
 def quadratic_points(n):
     return [BallPoint.radial(1.0 / k**2) for k in range(2, n + 2)]
+
+
+def named_points(tag, n):
+    """The points ``interp-extract`` builds for a named sequence."""
+    from npdisclab.sequences import named_sequence
+
+    seq = named_sequence(tag, n)
+    return [BallPoint([pt], gap=g if g > 0.0 else None) for g, pt in zip(seq.gaps, seq.points)]
+
+
+def certified_margin(gram, log_block, r):
+    """lambda_min(G) - r^2 lambda_max(G) less the rounding bound, as the extractor prints it."""
+    eig = np.linalg.eigvalsh(gram)
+    return float(eig[0] - r * r * eig[-1]) - pick._rayleigh_bound(gram, log_block)
 
 
 class TestPickMatrix:
@@ -177,45 +192,51 @@ class TestCallCounts:
             assert len(calls) == blocks
 
     def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
-        # each delta estimate and each verified candidate draws one target
-        # sample; a delta estimate spends one batched Cholesky call on each
-        # chunk of the sample, a verification one eigvalsh call, and a chunk
-        # is a whole dtype group wherever its (S, k, k) stack fits the bound
+        # each stage draws one target sample for its delta estimate and
+        # spends one batched Cholesky call on each chunk of it, a chunk being
+        # a whole dtype group wherever its (S, k, k) stack fits the bound;
+        # then each candidate tried takes one k x k eigvalsh call on its
+        # Gram block, and no sample reaches eigvalsh
         log = []
         eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
-        target_sample = pick._target_sample
+        target_sample, normalized_gram = pick._target_sample, pick._normalized_gram
 
-        def sample(k, r, rng):
-            out = target_sample(k, r, rng)
+        def sample(k, r, net):
+            out = target_sample(k, r, net)
             log.append(("sample", k, [len(w) for w in out]))
             return out
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: log.append(("eigvalsh", *a.shape[:2])) or eigvalsh(a))
+                            lambda a: log.append(("eigvalsh", a.shape)) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: log.append(("cholesky", *a.shape[:2])) or cholesky(a))
+                            lambda a: log.append(("cholesky", a.shape)) or cholesky(a))
         monkeypatch.setattr(pick, "_target_sample", sample)
+        monkeypatch.setattr(pick, "_normalized_gram",
+                            lambda table, idx: log.append(("tried", idx.size))
+                            or normalized_gram(table, idx))
         for bound in (npdisclab.BLOCK_ENTRIES, 2**40):
             monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", bound)
             log.clear()
             res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12, seed=0)
             assert len(res.indices) == 12
             starts = [i for i, entry in enumerate(log) if entry[0] == "sample"]
-            kinds = []
-            for i, j in zip(starts, starts[1:] + [len(log)]):
+            assert len(starts) == 11  # one sample per stage
+            for stage, (i, j) in enumerate(zip(starts, starts[1:] + [len(log)]), start=2):
                 _, k, sizes = log[i]
+                assert k == stage - 1
                 calls = log[i + 1:j]
-                assert len({name for name, _, _ in calls}) == 1
-                kinds.append(calls[0][0])
-                assert len(calls) == sum(len(list(row_blocks(n, k * k))) for n in sizes)
-                assert all(dim == k and (count * k * k <= bound or count == 1)
-                           for _, count, dim in calls)
-                assert sum(count for _, count, _ in calls) == sum(sizes)
+                chol = [shape for name, shape in calls if name == "cholesky"]
+                assert calls[:len(chol)] == [("cholesky", shape) for shape in chol]
+                assert len(chol) == sum(len(list(row_blocks(n, k * k))) for n in sizes)
+                assert all(shape[1:] == (k, k) and (shape[0] * k * k <= bound or shape[0] == 1)
+                           for shape in chol)
+                assert sum(shape[0] for shape in chol) == sum(sizes)
                 if bound > 2**30:
-                    assert len(calls) == 2  # one call per dtype group
-            stages = 11
-            assert kinds.count("cholesky") == stages  # one sample per delta estimate
-            assert kinds.count("eigvalsh") >= stages
+                    assert len(chol) == 2  # one call per dtype group
+                # certification: (tried, eigvalsh) pairs on stage x stage blocks
+                certify = calls[len(chol):]
+                assert certify and certify == [("tried", stage), ("eigvalsh", (stage, stage))] * (
+                    len(certify) // 2)
 
     def test_lost_definiteness_in_delta_estimate(self, monkeypatch):
         # a Cholesky failure on the delta sample ends the run as exhausted
@@ -231,13 +252,12 @@ class TestCallCounts:
         # kernel_gram takes one call per row block of the triangle, so every
         # pair in one call below the block bound; an extractor stage takes
         # its selected block, candidate diagonal and candidate columns in
-        # three calls and one block per verified candidate, whatever k is
-        calls, samples = [], []
-        owner, target_sample = PointTable.one_minus_inner, pick._target_sample
+        # three calls and one block per candidate tried, whatever k is
+        calls, tried = [], []
+        owner, eigvalsh = PointTable.one_minus_inner, np.linalg.eigvalsh
         monkeypatch.setattr(PointTable, "one_minus_inner",
                             lambda self, rows, cols: calls.append(1) or owner(self, rows, cols))
-        monkeypatch.setattr(pick, "_target_sample",
-                            lambda *a: samples.append(1) or target_sample(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: tried.append(1) or eigvalsh(a))
         for kernel in (kernels.hardy(1), kernels.hs(-0.5, 256)):
             calls.clear()
             kernel_gram(gaussian_points(20), kernel)
@@ -247,11 +267,11 @@ class TestCallCounts:
             assert len(calls) == len(list(row_blocks(200, 200))) == 3
         for k_max in (4, 12):
             calls.clear()
-            samples.clear()
+            tried.clear()
             extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max, seed=0)
             stages = k_max - 1
-            verified = len(samples) - stages  # one sample per delta estimate
-            assert len(calls) <= 3 * stages + verified
+            assert len(tried) >= stages  # one eigvalsh call per candidate tried
+            assert len(calls) <= 3 * stages + len(tried)
 
 
 class TestPsdCheck:
@@ -435,6 +455,81 @@ class TestExtractor:
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):
             extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2, seed=0)
+
+
+class TestRayleighCertificate:
+    """The extractor's certificate: lambda_min(G) - r^2 lambda_max(G), less its
+    rounding bound, bounds every normalized Pick matrix over the r-polydisc."""
+
+    @staticmethod
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(1, 7))
+        r = draw(st.floats(0.05, 0.95))
+        radial = draw(st.booleans())
+        if radial:
+            # exact gaps, some far below machine epsilon
+            logs = draw(st.lists(st.floats(0.1, 300.0), min_size=k, max_size=k))
+            pts = [BallPoint.radial(math.exp(-t)) for t in logs]
+        else:
+            polar = draw(st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi)),
+                                  min_size=k, max_size=k))
+            pts = [BallPoint([rho * complex(math.cos(a), math.sin(a))]) for rho, a in polar]
+        # each target on the torus |w_i| = r (a corner), or inside, real or not
+        mags = draw(st.lists(st.one_of(st.just(r), st.floats(0.0, r)), min_size=k, max_size=k))
+        angles = draw(st.lists(st.one_of(st.sampled_from([0.0, math.pi]),
+                                         st.floats(0.0, 2 * math.pi)), min_size=k, max_size=k))
+        w = np.array(mags) * np.exp(1j * np.array(angles))
+        return pts, r, radial, w
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases())
+    def test_bound_holds_over_the_polydisc(self, case):
+        pts, r, radial, w = case
+        table, idx = PointTable(pts), np.arange(len(pts))
+        cert = certified_margin(*pick._normalized_gram(table, idx), r)
+        omt = table.one_minus_inner(idx[:, None], idx[None, :])
+        # the block the Pick matrix is built from carries the phase
+        block = pick._log_kernel(table, idx[:, None], idx[None, :]) if radial else -np.log(omt)
+        lam = np.linalg.eigvalsh(pick._normalized_pick(block, w))[0]
+        # P >= cert E^{-1} with E = diag(1 - |w_i|^2) <= I
+        assert lam >= min(cert, cert / (1.0 - np.abs(w) ** 2).min())
+
+    def test_printed_margin_against_mpmath(self):
+        # 50-digit margins of the wn_gaussian n=22 selection, whose gaps
+        # reach e^-400, from the exact gap algebra g_i + g_j - g_i g_j
+        mpmath = pytest.importorskip("mpmath")
+        from npdisclab.sequences import named_sequence
+
+        gaps = named_sequence("wn_gaussian", 22).gaps
+        res = extract_interpolating_subsequence(named_points("wn_gaussian", 22), 0.5, 18, seed=0)
+        with mpmath.workdps(50):
+            for k in (2, 10, 18):
+                g = [mpmath.mpf(float(gaps[i])) for i in res.indices[:k]]
+                omt = [[g[i] + g[j] - g[i] * g[j] for j in range(k)] for i in range(k)]
+                gram = mpmath.matrix([[mpmath.sqrt(omt[i][i] * omt[j][j]) / omt[i][j]
+                                       for j in range(k)] for i in range(k)])
+                eig = sorted(mpmath.eigsy(gram, eigvals_only=True))
+                exact = eig[0] - mpmath.mpf(0.5) ** 2 * eig[-1]
+                printed = res.rows[k - 1].min_eigenvalue
+                assert pick.PSD_TOL < printed <= exact
+                assert float(exact - printed) <= 1e-12
+
+    def test_complex_nodes_print_the_phase_correct_margin(self):
+        # dyadic_separated points off the real axis: from stage 4 the Gram
+        # block has a phase, and the entrywise modulus would print another
+        # margin, further off than the rounding bound
+        pts = named_points("dyadic_separated", 20)
+        res = extract_interpolating_subsequence(pts, 0.5, 5, seed=0)
+        table, phased = PointTable(pts), []
+        for row in res.rows[1:]:
+            gram, log_block = pick._normalized_gram(table, np.array(res.indices[:row.k]))
+            assert row.min_eigenvalue == certified_margin(gram, log_block, 0.5)
+            if np.iscomplexobj(gram):
+                modulus = certified_margin(pick._correlation(log_block), log_block, 0.5)
+                assert abs(modulus - row.min_eigenvalue) > pick._rayleigh_bound(gram, log_block)
+                phased.append(row.k)
+        assert phased == [4, 5]
 
 
 class TestCrossingDeterminant:
