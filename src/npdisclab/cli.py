@@ -160,7 +160,7 @@ def _run_interp_extract(p):
     # each point keeps its angle; an underflowed gap is left out
     points = [BallPoint([pt], gap=g if g > 0.0 else None)
               for g, pt in zip(seq.gaps, seq.points)]
-    res = extract_interpolating_subsequence(points, p["r"], p["kmax"], seed=p["_seed"])
+    res = extract_interpolating_subsequence(points, p["r"], p["kmax"])
     cols = ["k", "index", "point_norm", "min_eigenvalue", "rule"]
     return cols, [[r.k, r.index, r.point_norm, r.min_eigenvalue, r.rule]
                   for r in res.rows]

@@ -25,10 +25,9 @@ forms (hardy, Drury-Arveson on ball points, and geometric), the series by
 Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
-owner in one broadcast call per block.  The delta estimate stacks its
-target sample into (S, k, k) chunks, real polydisc corners and complex net
-points apart, and needs only log determinants, 2 sum log diag(L), from one
-batched Cholesky call per chunk.  Certifying a candidate takes one owner
+owner in one broadcast call per block.  The delta estimate stacks the
+real polydisc corners into (S, k, k) chunks and needs only log
+determinants, 2 sum log diag(L), from one batched Cholesky call per chunk.  Certifying a candidate takes one owner
 call for its phase-correct Gram block and one k x k ``eigvalsh`` call, and
 the audit row records the certified margin.
 """
@@ -53,13 +52,9 @@ PSD_TOL = 1e-10
 #: traced runs (always 0 now), so the name stays until that counter goes
 _pivoted_cholesky_floor = None
 
-#: the delta estimate's target sample: the polydisc corners, one of each
-#: pair s, -s (same Pick block), up to 2^k = this many, else this many net
-#: corners
+#: the delta estimate's targets: every r-polydisc corner class {s, -s} (one
+#: Pick block) while there are at most this many, else this many net corners
 _CORNER_CAP = 512
-
-#: the delta estimate's target sample: complex net points per sample
-_N_RANDOM_TARGETS = 256
 
 
 def _as_ball_point(node) -> BallPoint:
@@ -329,21 +324,19 @@ def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray) -> float:
     return 2 * float(err.sum(axis=1).max()) + eps * (2 * k * k + 1) * s
 
 
-def _target_sample(k: int, r: float, net) -> tuple[np.ndarray, np.ndarray]:
-    """The delta estimate's targets: r-polydisc corners plus net points.
+def _corners(k: int, r: float) -> np.ndarray:
+    """The delta estimate's targets: a real (S, k) stack of r-polydisc corners.
 
-    Returns the real corners and the complex targets as two (S, k) stacks,
-    so each keeps its own dtype through the Cholesky calls.  Up to the
-    cap the corners are the 2^(k-1) patterns with first sign +r, bit k-1-j
-    of the row giving -r at j; a net point gives k magnitudes, then k phases.
+    While 2^(k-1) <= ``_CORNER_CAP`` these are all the sign classes {s, -s},
+    the rows with first sign +r, bit k-1-j of the row giving -r at j; past
+    the cap, the first ``_CORNER_CAP`` sign points of the net at offset 0.
+    The stack depends on (k, r) alone.
     """
-    if 2**k <= _CORNER_CAP:
-        corners = np.where(np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1) & 1, -r, r)
-    else:
-        corners = r * net.signs((_CORNER_CAP, k))
-    u = net.uniform(0.0, 1.0, (_N_RANDOM_TARGETS, 2, k))
-    draws = r * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    return corners, draws
+    if 2 ** (k - 1) <= _CORNER_CAP:
+        return np.where(np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1) & 1, -r, r)
+    from .net import KroneckerNet  # only past the cap does the sample draw
+
+    return r * KroneckerNet(0).signs((_CORNER_CAP, k))
 
 
 def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -367,14 +360,6 @@ def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
     return b
 
 
-def _sample_chunks(sample: tuple[np.ndarray, np.ndarray], k: int):
-    """The (S, k) target stacks of a sample, each dtype group in chunks whose
-    (S, k, k) Pick stacks hold at most ``BLOCK_ENTRIES`` entries."""
-    for w in sample:
-        for rows in row_blocks(len(w), k * k):
-            yield w[rows]
-
-
 def _logsumexp(values: np.ndarray) -> np.ndarray:
     """log sum exp over the last axis."""
     mx = values.max(axis=-1)
@@ -385,17 +370,14 @@ def extract_interpolating_subsequence(
     points,
     r: float,
     k_max: int,
-    *,
-    seed: int,
 ) -> ExtractionResult:
     """Greedy extraction of a subsequence whose Pick matrices stay definite.
 
     At stage k the candidate z is accepted once the dominant determinant
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
     last-row expansion terms, where delta estimates the infimum of
-    det A_{k-1}(w) over the sampled targets (polydisc corners plus points of
-    the Kronecker net offset by ``seed``, with modulus blocks).  A candidate
-    that passes dominance is accepted only when the Rayleigh margin
+    det A_{k-1}(w) over the r-polydisc corners of :func:`_corners`.  A
+    candidate that passes dominance is accepted only when the Rayleigh margin
     lambda_min(G) - r^2 lambda_max(G) of its trial block's phase-correct
     normalized Gram matrix G, less :func:`_rayleigh_bound`, exceeds
     ``PSD_TOL``; that proves every normalized A_k(w), |w_i| <= r, positive
@@ -405,8 +387,8 @@ def extract_interpolating_subsequence(
 
     The sampled delta may over-estimate the true infimum, so dominance can
     fire earlier than the proof's asymptotic rule would; the certificate
-    keeps the output sound, and the seed moves only delta's sample.
-    Raises NotCertifiedError when no candidate passes dominance, and a
+    keeps the output sound.  The output depends on the points, r and k_max
+    alone.  Raises NotCertifiedError when no candidate passes dominance, and a
     distinct one when candidates pass it but none is certified.
     """
     pts = [_as_ball_point(z) for z in points]
@@ -419,9 +401,6 @@ def extract_interpolating_subsequence(
     if pts[-1].norm <= 0.9:
         raise DomainError("point list must approach the boundary (final norm > 0.9)")
 
-    from .net import KroneckerNet  # only the extractor draws numbers
-
-    net = KroneckerNet(seed)
     table = PointTable(pts)
     log_one_minus_rsq = math.log1p(-r * r)
     log_one_plus_rsq = math.log1p(r * r)
@@ -433,10 +412,12 @@ def extract_interpolating_subsequence(
         idx = np.array(selected)
         sel_block = _log_kernel(table, idx[:, None], idx[None, :])
         # delta estimate: smallest determinant of the previous stage over
-        # the sample, assembled in log space from the normalized blocks, one
-        # batched Cholesky call per sample chunk
+        # the corners, assembled in log space from the normalized blocks, one
+        # batched Cholesky call per chunk
+        corners = _corners(k - 1, r)
         log_delta = math.inf
-        for w in _sample_chunks(_target_sample(k - 1, r, net), k - 1):
+        for chunk in row_blocks(len(corners), (k - 1) ** 2):
+            w = corners[chunk]
             try:
                 chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
             except np.linalg.LinAlgError:

@@ -179,7 +179,7 @@ def test_criterion_09_transversality_pairing():
 def test_criterion_10_extractor_soundness():
     points = [BallPoint.radial(math.exp(-float(n * n))) for n in range(1, 13)]
     start = time.monotonic()
-    res = extract_interpolating_subsequence(points, 0.5, 10, seed=0)
+    res = extract_interpolating_subsequence(points, 0.5, 10)
     table, idx = PointTable(points), np.array(res.indices)
     blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
     rng = np.random.default_rng(np.random.Philox(110))

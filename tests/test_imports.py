@@ -81,15 +81,15 @@ def test_recipes_run_without_scipy():
         assert out == normal[name][1], name
 
 
-#: library modules each RECIPE_ARGS run loads besides cli and csvio; only the
-#: recipes that draw sample points load net, and no run loads numpy.random (the
-#: net is numpy uint64 arithmetic) or dataclasses (every record is a
-#: NamedTuple)
+#: library modules each RECIPE_ARGS run loads besides cli and csvio; only
+#: distortion's random pairs and extraction past the corner cap load net, and
+#: no run loads numpy.random (the net is numpy uint64 arithmetic) or
+#: dataclasses (every record is a NamedTuple)
 RECIPE_IMPORTS = {
     "classify": {"kernels", "series"},
     "compare": {"kernels", "series"},
     "pick-check": {"geometry", "kernels", "pick", "series"},
-    "interp-extract": {"geometry", "net", "pick", "sequences"},
+    "interp-extract": {"geometry", "pick", "sequences"},
     "crossing": {"geometry", "pick"},
     "distortion": {"geometry", "net"},
     "carleson": {"geometry", "sequences"},
@@ -133,3 +133,12 @@ def test_each_recipe_loads_only_its_layers():
 def test_pinch_pair_distortion_draws_nothing():
     loaded = _loaded_after(_recipe_run(["distortion", "map=crossing:0.5", "xs=0.05;0.2"]))
     assert loaded == ({"cli", "csvio", "geometry"}, False, False)
+
+
+def test_extraction_past_the_corner_cap_draws_from_the_net():
+    # stage 11 enumerates the 2^9 corner classes of its 10 targets; stage 12
+    # has 2^10 > _CORNER_CAP, so only kmax >= 12 draws corners from the net
+    argv = ["interp-extract", "tag=wn_gaussian", "n=14", "r=0.5"]
+    layers = {"cli", "csvio", "geometry", "pick", "sequences"}
+    assert _loaded_after(_recipe_run([*argv, "kmax=11"])) == (layers, False, False)
+    assert _loaded_after(_recipe_run([*argv, "kmax=12"])) == (layers | {"net"}, False, False)

@@ -192,47 +192,47 @@ class TestCallCounts:
             assert len(calls) == blocks
 
     def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
-        # each stage draws one target sample for its delta estimate and
-        # spends one batched Cholesky call on each chunk of it, a chunk being
-        # a whole dtype group wherever its (S, k, k) stack fits the bound;
-        # then each candidate tried takes one k x k eigvalsh call on its
-        # Gram block, and no sample reaches eigvalsh
+        # each stage takes one corner stack for its delta estimate and
+        # spends one batched Cholesky call on each chunk of it, the whole
+        # stack wherever its (S, k, k) Pick stack fits the bound; then each
+        # candidate tried takes one k x k eigvalsh call on its Gram block,
+        # and no corner reaches eigvalsh
         log = []
         eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
-        target_sample, normalized_gram = pick._target_sample, pick._normalized_gram
+        corners, normalized_gram = pick._corners, pick._normalized_gram
 
-        def sample(k, r, net):
-            out = target_sample(k, r, net)
-            log.append(("sample", k, [len(w) for w in out]))
+        def sample(k, r):
+            out = corners(k, r)
+            log.append(("sample", k, len(out)))
             return out
 
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: log.append(("eigvalsh", a.shape)) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: log.append(("cholesky", a.shape)) or cholesky(a))
-        monkeypatch.setattr(pick, "_target_sample", sample)
+                            lambda a: log.append(("cholesky", a.shape, a.dtype)) or cholesky(a))
+        monkeypatch.setattr(pick, "_corners", sample)
         monkeypatch.setattr(pick, "_normalized_gram",
                             lambda table, idx: log.append(("tried", idx.size))
                             or normalized_gram(table, idx))
         for bound in (npdisclab.BLOCK_ENTRIES, 2**40):
             monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", bound)
             log.clear()
-            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12, seed=0)
+            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
             assert len(res.indices) == 12
             starts = [i for i, entry in enumerate(log) if entry[0] == "sample"]
-            assert len(starts) == 11  # one sample per stage
+            assert len(starts) == 11  # one corner stack per stage
             for stage, (i, j) in enumerate(zip(starts, starts[1:] + [len(log)]), start=2):
-                _, k, sizes = log[i]
+                _, k, size = log[i]
                 assert k == stage - 1
                 calls = log[i + 1:j]
-                chol = [shape for name, shape in calls if name == "cholesky"]
-                assert calls[:len(chol)] == [("cholesky", shape) for shape in chol]
-                assert len(chol) == sum(len(list(row_blocks(n, k * k))) for n in sizes)
+                chol = [entry for entry in calls if entry[0] == "cholesky"]
+                assert calls[:len(chol)] == chol
+                assert len(chol) == len(list(row_blocks(size, k * k)))
                 assert all(shape[1:] == (k, k) and (shape[0] * k * k <= bound or shape[0] == 1)
-                           for shape in chol)
-                assert sum(shape[0] for shape in chol) == sum(sizes)
+                           and dtype == np.float64 for _, shape, dtype in chol)
+                assert sum(shape[0] for _, shape, _ in chol) == size
                 if bound > 2**30:
-                    assert len(chol) == 2  # one call per dtype group
+                    assert len(chol) == 1  # the whole real stack in one call
                 # certification: (tried, eigvalsh) pairs on stage x stage blocks
                 certify = calls[len(chol):]
                 assert certify and certify == [("tried", stage), ("eigvalsh", (stage, stage))] * (
@@ -246,7 +246,7 @@ class TestCallCounts:
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(NotCertifiedError,
                            match="stage 1 block lost definiteness during sampling"):
-            extract_interpolating_subsequence(gaussian_points(14), 0.5, 4, seed=0)
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, 4)
 
     def test_one_minus_inner_calls(self, monkeypatch):
         # kernel_gram takes one call per row block of the triangle, so every
@@ -268,7 +268,7 @@ class TestCallCounts:
         for k_max in (4, 12):
             calls.clear()
             tried.clear()
-            extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max, seed=0)
+            extract_interpolating_subsequence(gaussian_points(14), 0.5, k_max)
             stages = k_max - 1
             assert len(tried) >= stages  # one eigvalsh call per candidate tried
             assert len(calls) <= 3 * stages + len(tried)
@@ -395,12 +395,12 @@ class TestSolvable:
 
 class TestExtractor:
     def test_kmax_one_returns_first_index(self):
-        res = extract_interpolating_subsequence(gaussian_points(5), 0.5, 1, seed=0)
+        res = extract_interpolating_subsequence(gaussian_points(5), 0.5, 1)
         assert res.indices == [0]
         assert res.rows[0].rule == "initial"
 
     def test_gaussian_sequence_keeps_tail(self):
-        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10, seed=0)
+        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
         assert len(res.indices) == 10
         # once acceptance starts the sequence is kept consecutively
         diffs = np.diff(res.indices)
@@ -408,7 +408,7 @@ class TestExtractor:
 
     def test_quadratic_sequence_skips(self):
         pts = quadratic_points(100000)
-        res = extract_interpolating_subsequence(pts, 0.5, 4, seed=0)
+        res = extract_interpolating_subsequence(pts, 0.5, 4)
         assert len(res.indices) == 4
         assert max(np.diff(res.indices)) > 1  # strictly sparser than the input
         # the consecutive-index two-point block loses definiteness for large
@@ -421,7 +421,7 @@ class TestExtractor:
         assert np.linalg.eigvalsh(b).min() < 0.0
 
     def test_soundness_on_random_targets(self):
-        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10, seed=0)
+        res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
         pts = gaussian_points(12)
         rng = np.random.default_rng(np.random.Philox(45))
         from npdisclab.pick import _log_kernel, _normalized_pick
@@ -438,23 +438,43 @@ class TestExtractor:
     def test_exhaustion_diagnostic(self):
         pts = quadratic_points(6)  # far too short to reach stage 6
         with pytest.raises(NotCertifiedError, match="point list exhausted at stage"):
-            extract_interpolating_subsequence(pts, 0.5, 6, seed=0)
+            extract_interpolating_subsequence(pts, 0.5, 6)
 
     def test_point_on_sphere_without_gap_is_an_error(self):
         # the gap of 1 - e^{-28^2} underflows, leaving the point [1.0]; the
         # log-kernel must refuse it rather than carry log(0) = -inf along
         pts = gaussian_points(3) + [BallPoint([1.0])]
         with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
-            extract_interpolating_subsequence(pts, 0.5, 3, seed=0)
+            extract_interpolating_subsequence(pts, 0.5, 3)
 
     def test_rejects_the_empty_point_list(self):
         # used to raise IndexError on pts[-1]
         with pytest.raises(ValueError, match="point list is empty"):
-            extract_interpolating_subsequence([], 0.5, 3, seed=0)
+            extract_interpolating_subsequence([], 0.5, 3)
 
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):
-            extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2, seed=0)
+            extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2)
+
+
+class TestCorners:
+    """The delta estimate's targets depend on (k, r) alone."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_every_sign_class_up_to_the_cap(self, k):
+        c = pick._corners(k, 0.3)
+        assert c.shape == (2 ** (k - 1), k) and c.dtype == np.float64
+        assert np.all(np.abs(c) == 0.3)
+        # s and -s give one Pick block: each class appears once
+        assert len({tuple(row * np.sign(row[0])) for row in c}) == 2 ** (k - 1)
+
+    @pytest.mark.parametrize("k", [11, 18, 49])
+    def test_past_the_cap_the_net_at_offset_zero(self, k):
+        from npdisclab.net import KroneckerNet
+
+        c = pick._corners(k, 0.7)
+        assert np.array_equal(c, 0.7 * KroneckerNet(0).signs((pick._CORNER_CAP, k)))
+        assert np.array_equal(pick._corners(k, 0.7), c)  # no state carried between calls
 
 
 class TestRayleighCertificate:
@@ -502,7 +522,7 @@ class TestRayleighCertificate:
         from npdisclab.sequences import named_sequence
 
         gaps = named_sequence("wn_gaussian", 22).gaps
-        res = extract_interpolating_subsequence(named_points("wn_gaussian", 22), 0.5, 18, seed=0)
+        res = extract_interpolating_subsequence(named_points("wn_gaussian", 22), 0.5, 18)
         with mpmath.workdps(50):
             for k in (2, 10, 18):
                 g = [mpmath.mpf(float(gaps[i])) for i in res.indices[:k]]
@@ -520,7 +540,7 @@ class TestRayleighCertificate:
         # block has a phase, and the entrywise modulus would print another
         # margin, further off than the rounding bound
         pts = named_points("dyadic_separated", 20)
-        res = extract_interpolating_subsequence(pts, 0.5, 5, seed=0)
+        res = extract_interpolating_subsequence(pts, 0.5, 5)
         table, phased = PointTable(pts), []
         for row in res.rows[1:]:
             gram, log_block = pick._normalized_gram(table, np.array(res.indices[:row.k]))
