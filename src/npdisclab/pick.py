@@ -271,25 +271,31 @@ def _correlation(log_block: np.ndarray) -> np.ndarray:
     return np.exp(log_block - 0.5 * (diag[:, None] + diag[None, :]))
 
 
-def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ...]:
     """The normalized Gram matrix G of the points ``idx``, phases included.
 
     G_ij = exp(l_ij - (l_ii + l_jj)/2) conj(w_ij)/|w_ij| with
     w_ij = 1 - <z_i, z_j> from one owner call and l = -log |w|; G stays
-    real where no w_ij has an imaginary part.  Returns G and l.
+    real where no w_ij has an imaginary part.  Returns G, l and the
+    relative error c eps/|w_ij| of the pairs the owner forms from d
+    coordinates, c = d + 3, 0 on pairs of radial real points (see
+    :func:`_rayleigh_bound`).
     """
     omt = table.one_minus_inner(idx[:, None], idx[None, :])
     log_block = _log_modulus(omt)
     gram = _correlation(log_block)
+    mag = np.abs(omt)
     if omt.imag.any():
         # conj(w)/|w| part by part: complex division by a subnormal |w| of
         # a radial pair would overflow to nan
-        mag = np.abs(omt)
         gram = gram * (omt.real / mag - 1j * (omt.imag / mag))
-    return gram, log_block
+    gaps = table.gaps[idx]
+    coord_rel = np.divide((table.coords.shape[1] + 3) * np.finfo(float).eps, mag,
+                          out=np.zeros_like(mag), where=np.isnan(gaps[:, None] + gaps[None, :]))
+    return gram, log_block, coord_rel
 
 
-def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray) -> float:
+def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray, coord_rel: np.ndarray) -> float:
     """Rounding bound on the computed margin lambda_min(G) - r^2 lambda_max(G).
 
     With D = diag(w), |w_i| <= r, and E = diag(1 - |w_i|^2) <= I, the
@@ -297,27 +303,41 @@ def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray) -> float:
     G - D G D* >= (lambda_min(G) - r^2 lambda_max(G)) I, so a margin >= 0
     bounds its smallest eigenvalue over the closed r-polydisc.
 
-    The owner's 1 - <z_i, z_j> is the data, with the 4 units u = eps/2 of
-    relative error the gap algebra leaves on radial real points (the
-    owner's error on points given by coordinates is not covered).  In units
-    of u, with l = -log |1 - <z_i, z_j>|:
-    - that error, |.| (2) and log (2|l_ij|) leave l_ij within 6 + 2|l_ij|;
+    The data are the gaps of radial real points and the coordinates of the
+    others.  The owner's w_ij = 1 - <z_i, z_j> carries 4 units u = eps/2 of
+    relative error: the gap algebra's, or the last subtraction's.  A pair it
+    forms from d coordinates of points in the closed unit ball also carries
+    the error of the complex inner product, at most sqrt(2) gamma_{d+2}
+    <= 2(d + 2)u (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3), and u for the rounded coordinate 1 - g of a radial point:
+    (2d + 5)u absolute, counted as c eps with c = d + 3, so the relative
+    error is ``coord_rel`` delta_ij = c eps/|w_ij|.  Since
+    G_ij = sqrt(w_ii w_jj)/w_ij, that moves G_ij by at most
+    delta_ij + (delta_ii + delta_jj)/2 relative to first order, and by at
+    most twice it while every delta <= 1/4 (past that the bound is inf).
+    Computing G from the owner's values adds, in units of u, with
+    l = -log |w|:
+    - the 4, |.| (2) and log (2|l_ij|) leave l_ij within 6 + 2|l_ij|;
     - l_ij - (l_ii + l_jj)/2 adds two roundings, exp 2 and the unit phase
       5, so an off-diagonal entry is within 19 + 3|l_ij| + 2(|l_ii| + |l_jj|),
       rounded up here to eps (10 + 2|l_ij| + |l_ii| + |l_jj|), relative to
-      |G_ij|; the diagonal is exactly 1;
+      |G_ij|, to which the data's 2 delta_ij + delta_ii + delta_jj adds;
+      the diagonal is exactly 1;
     - that Hermitian error has 2-norm at most its largest absolute row sum;
     - ``eigvalsh`` returns the exact eigenvalues of G + F with
       ||F|| <= 2k^2 u ||G|| (Householder tridiagonalization then implicit
-      QL; Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3
-      and 19), and ||G|| is at most s, the largest absolute row sum of G;
+      QL; Higham, ch. 3 and 19), and ||G|| is at most s, the largest
+      absolute row sum of G;
     - by Weyl the margin moves by at most (1 + r^2) <= 2 times the two
       norms, plus eps s for its own rounding.
     """
+    if coord_rel.max() > 0.25:
+        return math.inf
     eps = np.finfo(float).eps
     ell = np.abs(log_block)
-    diag = np.diag(ell)
-    err = eps * (10 + 2 * ell + diag[:, None] + diag[None, :]) * np.abs(gram)
+    diag, dd = np.diag(ell), np.diag(coord_rel)
+    err = (eps * (10 + 2 * ell + diag[:, None] + diag[None, :])
+           + 2 * coord_rel + dd[:, None] + dd[None, :]) * np.abs(gram)
     np.fill_diagonal(err, 0)
     k = gram.shape[0]
     s = float(np.abs(gram).sum(axis=1).max())
@@ -461,9 +481,9 @@ def extract_interpolating_subsequence(
         accepted, best = None, -math.inf
         for pos in passed:
             cand = int(cands[pos])
-            gram, log_block = _normalized_gram(table, np.append(idx, cand))
+            gram, log_block, coord_rel = _normalized_gram(table, np.append(idx, cand))
             eig = np.linalg.eigvalsh(gram)
-            margin = float(eig[0] - r * r * eig[-1]) - _rayleigh_bound(gram, log_block)
+            margin = float(eig[0] - r * r * eig[-1]) - _rayleigh_bound(gram, log_block, coord_rel)
             if margin > PSD_TOL:
                 accepted = cand
                 break

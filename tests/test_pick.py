@@ -33,10 +33,10 @@ def named_points(tag, n):
     return [BallPoint([pt], gap=g if g > 0.0 else None) for g, pt in zip(seq.gaps, seq.points)]
 
 
-def certified_margin(gram, log_block, r):
+def certified_margin(gram, log_block, coord_rel, r):
     """lambda_min(G) - r^2 lambda_max(G) less the rounding bound, as the extractor prints it."""
     eig = np.linalg.eigvalsh(gram)
-    return float(eig[0] - r * r * eig[-1]) - pick._rayleigh_bound(gram, log_block)
+    return float(eig[0] - r * r * eig[-1]) - pick._rayleigh_bound(gram, log_block, coord_rel)
 
 
 class TestPickMatrix:
@@ -535,6 +535,35 @@ class TestRayleighCertificate:
                 assert pick.PSD_TOL < printed <= exact
                 assert float(exact - printed) <= 1e-12
 
+    @pytest.mark.parametrize("stage", [4, 5])
+    def test_bound_covers_the_owners_coordinate_rounding(self, stage):
+        # from stage 4 the dyadic_separated n=20 selection holds a point off
+        # the real axis, whose pairs the owner forms from coordinates with an
+        # absolute error up to c eps, c = d + 3 = 4; moving those entries by
+        # c eps moves the margin by less than the bound, and by more than
+        # the bound without its coordinate term
+        pts = named_points("dyadic_separated", 20)
+        res = extract_interpolating_subsequence(pts, 0.5, 5)
+        table, idx = PointTable(pts), np.array(res.indices[:stage])
+        gram, log_block, coord_rel = pick._normalized_gram(table, idx)
+        gaps = table.gaps[idx]
+        coord = np.isnan(gaps[:, None] + gaps[None, :])
+        omt = table.one_minus_inner(idx[:, None], idx[None, :]).astype(complex)
+
+        def margin(w):
+            eig = np.linalg.eigvalsh(pick._correlation(-np.log(w)))
+            return eig[0] - 0.25 * eig[-1]
+
+        rng = np.random.default_rng(np.random.Philox(38))
+        moved = 0.0
+        for _ in range(200):
+            shift = np.triu(np.exp(2j * np.pi * rng.uniform(size=omt.shape)), 1)
+            shift += np.conj(shift).T + np.diag(rng.choice([-1.0, 1.0], stage))
+            moved = max(moved, abs(margin(omt + 4 * np.finfo(float).eps * coord * shift)
+                                   - margin(omt)))
+        assert moved <= pick._rayleigh_bound(gram, log_block, coord_rel)
+        assert moved > pick._rayleigh_bound(gram, log_block, np.zeros_like(coord_rel))
+
     def test_complex_nodes_print_the_phase_correct_margin(self):
         # dyadic_separated points off the real axis: from stage 4 the Gram
         # block has a phase, and the entrywise modulus would print another
@@ -543,11 +572,12 @@ class TestRayleighCertificate:
         res = extract_interpolating_subsequence(pts, 0.5, 5)
         table, phased = PointTable(pts), []
         for row in res.rows[1:]:
-            gram, log_block = pick._normalized_gram(table, np.array(res.indices[:row.k]))
-            assert row.min_eigenvalue == certified_margin(gram, log_block, 0.5)
+            gram, log_block, coord_rel = pick._normalized_gram(table, np.array(res.indices[:row.k]))
+            assert row.min_eigenvalue == certified_margin(gram, log_block, coord_rel, 0.5)
             if np.iscomplexobj(gram):
-                modulus = certified_margin(pick._correlation(log_block), log_block, 0.5)
-                assert abs(modulus - row.min_eigenvalue) > pick._rayleigh_bound(gram, log_block)
+                modulus = certified_margin(pick._correlation(log_block), log_block, coord_rel, 0.5)
+                bound = pick._rayleigh_bound(gram, log_block, coord_rel)
+                assert abs(modulus - row.min_eigenvalue) > bound
                 phased.append(row.k)
         assert phased == [4, 5]
 
