@@ -5,8 +5,8 @@ Grammar:  npdisclab <recipe> key=value ... [--out PATH] [--seed U64]
 
 With no arguments the recipe catalog is printed.  Output is deterministic
 for a fixed configuration and seed; ``--reproducible`` suppresses the
-timestamp comment so two runs are byte-identical.  Sample points come
-from a Kronecker net offset by the recorded seed (:mod:`npdisclab.net`).
+timestamp comment so two runs are byte-identical.  The seed only offsets
+the Kronecker net (:mod:`npdisclab.net`) of ``distortion``'s random pairs.
 
 Exit codes: 0 success, 2 unknown recipe, 3 an input outside its domain
 (a :class:`~npdisclab.DomainError`: a malformed parameter, a size outside
@@ -40,8 +40,8 @@ from . import DomainError, NotCertifiedError, __version__
 # numpy and csvio load in run() once the parameters parse, and each recipe
 # imports the library layers it uses when it runs, so the catalog, --help and
 # command-line errors answer before numpy loads and a run loads only its own
-# layers; the recipes that draw sample points load net, and no recipe loads
-# numpy.random
+# layers; only distortion's random pairs and extraction past its corner cap
+# load net, and no recipe loads numpy.random
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2

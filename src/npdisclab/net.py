@@ -1,4 +1,4 @@
-"""A seeded Kronecker (R_d) net: the sample points of the recipes that draw.
+"""A seeded Kronecker (R_d) net: ``distortion``'s random pairs, extractor corners past the cap.
 
 Coordinate j of point p is w = ((offset + p) * A_j + 2**63) mod 2**64, with
 offset = seed * _OFFSET_MULT mod 2**64 and A_j = round(2**64 * phi_d**-j) made

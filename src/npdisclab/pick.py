@@ -27,9 +27,10 @@ The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
 owner in one broadcast call per block.  The delta estimate stacks the
 real polydisc corners into (S, k, k) chunks and needs only log
-determinants, 2 sum log diag(L), from one batched Cholesky call per chunk.  Certifying a candidate takes one owner
-call for its phase-correct Gram block and one k x k ``eigvalsh`` call, and
-the audit row records the certified margin.
+determinants, 2 sum log diag(L), from one batched Cholesky call per chunk.
+Certifying a candidate takes one owner call for its phase-correct Gram
+block and one k x k ``eigvalsh`` call, and the audit row records the
+certified margin.
 """
 
 from __future__ import annotations
@@ -276,10 +277,9 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
 
     G_ij = exp(l_ij - (l_ii + l_jj)/2) conj(w_ij)/|w_ij| with
     w_ij = 1 - <z_i, z_j> from one owner call and l = -log |w|; G stays
-    real where no w_ij has an imaginary part.  Returns G, l and the
-    relative error c eps/|w_ij| of the pairs the owner forms from d
-    coordinates, c = d + 3, 0 on pairs of radial real points (see
-    :func:`_rayleigh_bound`).
+    real where no w_ij has an imaginary part.  Returns G, l and
+    ``coord_rel``, c eps/|w_ij| on the pairs the owner forms from d
+    coordinates (c = d + 3; see :func:`_rayleigh_bound`) and 0 elsewhere.
     """
     omt = table.one_minus_inner(idx[:, None], idx[None, :])
     log_block = _log_modulus(omt)
@@ -305,24 +305,20 @@ def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray, coord_rel: np.ndarr
 
     The data are the gaps of radial real points and the coordinates of the
     others.  The owner's w_ij = 1 - <z_i, z_j> carries 4 units u = eps/2 of
-    relative error: the gap algebra's, or the last subtraction's.  A pair it
-    forms from d coordinates of points in the closed unit ball also carries
-    the error of the complex inner product, at most sqrt(2) gamma_{d+2}
-    <= 2(d + 2)u (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3), and u for the rounded coordinate 1 - g of a radial point:
-    (2d + 5)u absolute, counted as c eps with c = d + 3, so the relative
-    error is ``coord_rel`` delta_ij = c eps/|w_ij|.  Since
-    G_ij = sqrt(w_ii w_jj)/w_ij, that moves G_ij by at most
-    delta_ij + (delta_ii + delta_jj)/2 relative to first order, and by at
-    most twice it while every delta <= 1/4 (past that the bound is inf).
-    Computing G from the owner's values adds, in units of u, with
-    l = -log |w|:
+    relative error (the gap algebra's or the last subtraction's).  A pair of
+    d coordinates in the closed unit ball adds the complex inner product's
+    sqrt(2) gamma_{d+2} <= 2(d + 2)u and u for a radial point's rounded
+    1 - g (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    at most c eps, c = d + 3, so delta_ij = c eps/|w_ij| relative
+    (``coord_rel``).  As G_ij = sqrt(w_ii w_jj)/w_ij, that moves G_ij by at
+    most 2 delta_ij + delta_ii + delta_jj relative, twice the first-order
+    term, while every delta <= 1/4 (past that the bound is inf).  In units
+    of u, with l = -log |w|:
     - the 4, |.| (2) and log (2|l_ij|) leave l_ij within 6 + 2|l_ij|;
     - l_ij - (l_ii + l_jj)/2 adds two roundings, exp 2 and the unit phase
       5, so an off-diagonal entry is within 19 + 3|l_ij| + 2(|l_ii| + |l_jj|),
       rounded up here to eps (10 + 2|l_ij| + |l_ii| + |l_jj|), relative to
-      |G_ij|, to which the data's 2 delta_ij + delta_ii + delta_jj adds;
-      the diagonal is exactly 1;
+      |G_ij|, plus the data's share above; the diagonal is exactly 1;
     - that Hermitian error has 2-norm at most its largest absolute row sum;
     - ``eigvalsh`` returns the exact eigenvalues of G + F with
       ||F|| <= 2k^2 u ||G|| (Householder tridiagonalization then implicit
@@ -345,12 +341,11 @@ def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray, coord_rel: np.ndarr
 
 
 def _corners(k: int, r: float) -> np.ndarray:
-    """The delta estimate's targets: a real (S, k) stack of r-polydisc corners.
+    """The delta estimate's r-polydisc corners, a real (S, k) stack fixed by (k, r).
 
-    While 2^(k-1) <= ``_CORNER_CAP`` these are all the sign classes {s, -s},
-    the rows with first sign +r, bit k-1-j of the row giving -r at j; past
-    the cap, the first ``_CORNER_CAP`` sign points of the net at offset 0.
-    The stack depends on (k, r) alone.
+    While 2^(k-1) <= ``_CORNER_CAP``, each sign class {s, -s} once: row i has
+    -r where bit k-1-j of i is set; past the cap, the first ``_CORNER_CAP``
+    sign points of the net at offset 0.
     """
     if 2 ** (k - 1) <= _CORNER_CAP:
         return np.where(np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1) & 1, -r, r)
@@ -408,8 +403,8 @@ def extract_interpolating_subsequence(
     The sampled delta may over-estimate the true infimum, so dominance can
     fire earlier than the proof's asymptotic rule would; the certificate
     keeps the output sound.  The output depends on the points, r and k_max
-    alone.  Raises NotCertifiedError when no candidate passes dominance, and a
-    distinct one when candidates pass it but none is certified.
+    alone.  Raises NotCertifiedError when no candidate passes dominance,
+    and a distinct one when candidates pass it but none is certified.
     """
     pts = [_as_ball_point(z) for z in points]
     if not 0.0 < r < 1.0:

@@ -416,7 +416,7 @@ class TestExitCodes:
         # the run with their own line, naming the stage and the best margin
         from npdisclab import pick
 
-        monkeypatch.setattr(pick, "_rayleigh_bound", lambda gram, log_block: 10.0)
+        monkeypatch.setattr(pick, "_rayleigh_bound", lambda *block: 10.0)
         assert main(["interp-extract", "tag=wn_gaussian", "n=8"]) == EXIT_NOT_CERTIFIED
         out, err = capsys.readouterr()
         assert out == ""
@@ -559,8 +559,9 @@ class TestDeterminism:
         )
 
     def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
-        # from stage 10 on 2^k exceeds the corner cap, so the corner signs
-        # come from the net, which the kmax = 5 golden never reaches
+        # from stage 12 on, the 2^(k-1) corner classes of k >= 11 targets
+        # exceed the cap, so the corner signs come from the net at offset 0,
+        # which the kmax = 5 golden never reaches
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]
         assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0
@@ -569,9 +570,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", [0, 7, 1999, 2**64 - 1])
     def test_extractor_selection_does_not_depend_on_the_seed(self, seed, tmp_path):
-        # the seed moves only the delta estimate's net sample, not the
-        # points selected, and no printed cell reads the sample: every row
-        # equals the seed-7 golden's
+        # no extractor input reads the seed, so every row equals the seed-7
+        # golden's
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", str(seed)]
         assert main(["interp-extract", *args, "--out", str(out)]) == 0

@@ -564,6 +564,14 @@ class TestRayleighCertificate:
         assert moved <= pick._rayleigh_bound(gram, log_block, coord_rel)
         assert moved > pick._rayleigh_bound(gram, log_block, np.zeros_like(coord_rel))
 
+    def test_no_bound_past_a_quarter_of_relative_data_error(self):
+        # delta > 1/4 leaves the doubled first-order term unproved: a point
+        # given by coordinates within 4 eps of the sphere is never certified
+        z = 1.0 - 4 * np.finfo(float).eps
+        table = PointTable([BallPoint([0.5j]), BallPoint([z * np.exp(0.1j)])])
+        parts = pick._normalized_gram(table, np.arange(2))
+        assert parts[2].max() > 0.25 and pick._rayleigh_bound(*parts) == math.inf
+
     def test_complex_nodes_print_the_phase_correct_margin(self):
         # dyadic_separated points off the real axis: from stage 4 the Gram
         # block has a phase, and the entrywise modulus would print another
@@ -572,7 +580,8 @@ class TestRayleighCertificate:
         res = extract_interpolating_subsequence(pts, 0.5, 5)
         table, phased = PointTable(pts), []
         for row in res.rows[1:]:
-            gram, log_block, coord_rel = pick._normalized_gram(table, np.array(res.indices[:row.k]))
+            idx = np.array(res.indices[:row.k])
+            gram, log_block, coord_rel = pick._normalized_gram(table, idx)
             assert row.min_eigenvalue == certified_margin(gram, log_block, coord_rel, 0.5)
             if np.iscomplexobj(gram):
                 modulus = certified_margin(pick._correlation(log_block), log_block, coord_rel, 0.5)
