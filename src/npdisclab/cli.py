@@ -40,8 +40,8 @@ from . import DomainError, NotCertifiedError, __version__
 # numpy and csvio load in run() once the parameters parse, and each recipe
 # imports the library layers it uses when it runs, so the catalog, --help and
 # command-line errors answer before numpy loads and a run loads only its own
-# layers; only distortion's random pairs and extraction past its corner cap
-# load net, and no recipe loads numpy.random
+# layers; only distortion's random pairs load net, and no recipe loads
+# numpy.random
 
 EXIT_OK = 0
 EXIT_UNKNOWN_RECIPE = 2

@@ -13,15 +13,15 @@ every kernel entry and ball-point distance: it stacks the points'
 coordinates once and forms 1 - <z_i, z_j> over broadcast index arrays,
 through the exact gap algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both
 points are radial and real, so pairs far below double-precision resolution
-stay cancellation-free.  The Pick layer, :func:`pseudo_dist` and
-:func:`radial_gap_dist` read it; disc-sequence distances come from
-:func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist` instead.
-Pairwise consumers of both reduce over the row slices of
+stay cancellation-free.  The Pick layer reads it; disc-sequence distances
+come from :func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist`
+instead.  Pairwise consumers of both reduce over the row slices of
 :func:`~npdisclab.row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
 
-Every curve into the ball is a :class:`GeneralCurve` subclass:
-:class:`EmbeddedDisc`, :class:`CrossingCurve` and the tangential embedding.
-Curve inner products, disc and image distances and the tangency ratios
+The curves the boundary pairings, tangency ratios and distortion profiles
+take are :class:`GeneralCurve` subclasses with closed-form derivatives and
+inner products: :class:`EmbeddedDisc` and :class:`CrossingCurve`.  Curve
+inner products, disc and image distances and the tangency ratios
 broadcast over arrays; the distortion profile is one array pass.
 """
 
@@ -60,13 +60,6 @@ class BallPoint:
             with np.errstate(over="ignore"):  # an infinite norm is exterior anyway
                 sq = float(np.sum(np.abs(self.coords) ** 2))
             self.one_minus_sq = 1.0 - sq
-
-    @classmethod
-    def radial(cls, gap: float) -> "BallPoint":
-        """The real point 1 - gap on the first axis, with the gap kept exact."""
-        if not 0.0 < gap <= 1.0:
-            raise DomainError("radial gap must lie in (0, 1]")
-        return cls([1.0 - gap], gap=gap)
 
     @property
     def norm(self) -> float:
@@ -124,52 +117,14 @@ class PointTable:
         return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
-def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
-    """Pseudohyperbolic distance between interior points, in [0, 1).
-
-    Uses the rearrangement
-
-        d^2 = (||z - w||^2 - (||z||^2 ||w||^2 - |<z, w>|^2)) / |1 - <w, z>|^2,
-
-    which is free of the 1 - (nearly 1) cancellation: it is exactly zero at
-    coincident points and stays relatively accurate for close ones.  Radial
-    real pairs (no Gram defect) take :func:`radial_gap_dist` on their gaps.
-    """
-    if not (p.is_interior and q.is_interior):
-        raise DomainError("distance formula degenerates at the boundary")
-    if p.is_radial_real and q.is_radial_real:
-        return radial_gap_dist(p.gap, q.gap)
-    table = PointTable([p, q])
-    a, b = table.coords
-    diff_sq = float(np.sum(np.abs(a - b) ** 2))
-    # all three through the same dot-product path, so the defect is an
-    # exact zero for identical coordinate arrays
-    nz_sq = complex(np.dot(a, np.conj(a))).real
-    nw_sq = complex(np.dot(b, np.conj(b))).real
-    ip = complex(np.dot(a, np.conj(b)))
-    num = diff_sq - (nz_sq * nw_sq - abs(ip) ** 2)
-    dsq = num / abs(complex(table.one_minus_inner(1, 0))) ** 2
-    return math.sqrt(min(max(dsq, 0.0), 1.0))
-
-
 def pseudo_dist_scalar(z, w):
     """|z - w| / |1 - z conj(w)| for disc points, broadcast; 0 where they coincide."""
     num = np.abs(np.subtract(z, w))
     return num / np.where(num == 0.0, 1.0, np.abs(1.0 - np.multiply(z, np.conj(w))))
 
 
-def radial_gap_dist(gap_a: float, gap_b: float) -> float:
-    """Distance between the real points 1 - gap_a and 1 - gap_b.
-
-    Cancellation-free: the difference is formed from the gaps directly and
-    1 - zw through the gap algebra of :class:`PointTable`.
-    """
-    table = PointTable([BallPoint.radial(gap_a), BallPoint.radial(gap_b)])
-    return abs(gap_a - gap_b) / float(table.one_minus_inner(0, 1).real)
-
-
 def radial_log_gap_dist(log_gap_a, log_gap_b) -> float | np.ndarray:
-    """Same as :func:`radial_gap_dist` with gaps given by their logarithms.
+    """Distance between the real points 1 - e^log_gap_a and 1 - e^log_gap_b.
 
     Handles gaps far below the double-precision underflow threshold; only
     the gap ratio and the larger gap (0 below e^-700) enter the formula.
@@ -183,34 +138,12 @@ def radial_log_gap_dist(log_gap_a, log_gap_b) -> float | np.ndarray:
     return d if d.ndim else float(d)
 
 
-def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
-    """The ball automorphism phi_w applied to z.
-
-    phi_w swaps w and 0; its norm at z reproduces the pseudohyperbolic
-    distance: ||phi_w(z)|| = d(z, w).
-    """
-    wc, zc = PointTable([w, z]).coords
-    wn_sq = float(np.sum(np.abs(wc) ** 2))
-    if wn_sq == 0.0:
-        return BallPoint(-zc)
-    ip_zw = complex(np.dot(zc, np.conj(wc)))
-    denom = 1.0 - ip_zw
-    if abs(denom) < 1e-15:
-        raise DomainError("<z, w> too close to 1; points must be interior")
-    proj = (ip_zw / wn_sq) * wc
-    perp = zc - proj
-    scale = math.sqrt(max(1.0 - wn_sq, 0.0))
-    return BallPoint((wc - proj - scale * perp) / denom)
-
-
 class GeneralCurve:
     """Analytic curve into the ball; subclasses override :meth:`eval`.
 
-    The base :meth:`coords` reads the evaluated point's coordinates, the base
-    :meth:`deriv` takes central differences with one Richardson step (step
-    1e-6) and the base :meth:`inner` the inner product of the two evaluated
-    points.  Subclasses override them wherever a closed form exists; the
-    numeric derivative is then a cross-check.
+    The base :meth:`coords` reads the evaluated point's coordinates.
+    Subclasses also define a closed-form :meth:`deriv` and an array
+    :meth:`inner`, which the boundary pairings and image distances read.
     """
 
     def eval(self, z: complex) -> BallPoint:
@@ -219,18 +152,6 @@ class GeneralCurve:
     def coords(self, z: complex) -> np.ndarray:
         """The coordinates of f(z)."""
         return self.eval(z).coords
-
-    def deriv(self, z: complex) -> np.ndarray:
-        z, h = complex(z), 1e-6
-
-        def central(step):
-            return (self.eval(z + step).coords - self.eval(z - step).coords) / (2.0 * step)
-
-        return (4.0 * central(h / 2.0) - central(h)) / 3.0
-
-    def inner(self, z1, z2):
-        return np.vectorize(lambda a, b: np.dot(self.eval(a).coords, np.conj(self.eval(b).coords)),
-                            otypes=[complex])(z1, z2)[()]
 
 
 class EmbeddedDisc(GeneralCurve):
@@ -392,8 +313,9 @@ class DistortionProfile(NamedTuple):
 def image_distance(curve: GeneralCurve, lam, mu):
     """d(f(lambda), f(mu)) through the curve's inner products.
 
-    Same cancellation-free rearrangement as :func:`pseudo_dist`, expressed
-    in the three inner products <f(l), f(l)>, <f(m), f(m)>, <f(l), f(m)>.
+    The module's distance, rearranged free of the 1 - (nearly 1)
+    cancellation, in the three inner products <f(l), f(l)>, <f(m), f(m)>,
+    <f(l), f(m)>.
     """
     ipll = curve.inner(lam, lam).real
     ipmm = curve.inner(mu, mu).real

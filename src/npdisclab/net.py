@@ -1,4 +1,4 @@
-"""A seeded Kronecker (R_d) net: ``distortion``'s random pairs, extractor corners past the cap.
+"""A seeded Kronecker (R_d) net: the random pairs of ``distortion``.
 
 Coordinate j of point p is w = ((offset + p) * A_j + 2**63) mod 2**64, with
 offset = seed * _OFFSET_MULT mod 2**64 and A_j = round(2**64 * phi_d**-j) made
@@ -42,8 +42,9 @@ class KroneckerNet:
         self._offset = seed * _OFFSET_MULT % 2**64
         self._position = 1  # of the next point drawn
 
-    def _draw(self, size, value) -> np.ndarray:
-        """The next points, allocated as an array of ``size``, as ``value`` of their words."""
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """The next points as doubles in [low, high), allocated as an array of
+        ``size``: ``low + (high - low) * ((w >> 11) * 2**-53)`` of each word w."""
         out = np.empty(size)
         flat = out.reshape(out.shape[0], math.prod(out.shape[1:]))
         a = multipliers(flat.shape[1])
@@ -51,13 +52,6 @@ class KroneckerNet:
         self._position += flat.shape[0]
         for rows in npdisclab.row_blocks(*flat.shape):
             p = np.arange(rows.start, rows.stop, dtype=np.uint64) + start
-            flat[rows] = value(np.multiply.outer(p, a) + np.uint64(2**63))
+            w = np.multiply.outer(p, a) + np.uint64(2**63)
+            flat[rows] = low + (high - low) * ((w >> np.uint64(11)) * 2.0**-53)
         return out
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        """Doubles in [low, high): ``low + (high - low) * ((w >> 11) * 2**-53)``."""
-        return self._draw(size, lambda w: low + (high - low) * ((w >> np.uint64(11)) * 2.0**-53))
-
-    def signs(self, size) -> np.ndarray:
-        """±1.0: +1 where the word's top bit is set."""
-        return self._draw(size, lambda w: np.where(w >> np.uint64(63), 1.0, -1.0))

@@ -25,12 +25,12 @@ forms (hardy, Drury-Arveson on ball points, and geometric), the series by
 Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
-owner in one broadcast call per block.  The delta estimate stacks the
-real polydisc corners into (S, k, k) chunks and needs only log
-determinants, 2 sum log diag(L), from one batched Cholesky call per chunk.
-Certifying a candidate takes one owner call for its phase-correct Gram
-block and one k x k ``eigvalsh`` call, and the audit row records the
-certified margin.
+owner in one broadcast call per block.  The delta estimate stacks at
+most 512 distinct real polydisc corner classes into (S, k, k) chunks and
+needs only log determinants, 2 sum log diag(L), from one batched Cholesky
+call per chunk.  Certifying a candidate takes one owner call for its
+phase-correct Gram block and one k x k ``eigvalsh`` call, and the audit
+row records the certified margin.
 """
 
 from __future__ import annotations
@@ -54,8 +54,11 @@ PSD_TOL = 1e-10
 _pivoted_cholesky_floor = None
 
 #: the delta estimate's targets: every r-polydisc corner class {s, -s} (one
-#: Pick block) while there are at most this many, else this many net corners
+#: Pick block) while there are at most this many, else this many distinct ones
 _CORNER_CAP = 512
+
+#: spreads the corner rows over the sign classes: 2**64 / golden ratio, odd
+_CORNER_MULT = 0x9E3779B97F4A7C15
 
 
 def _as_ball_point(node) -> BallPoint:
@@ -343,15 +346,14 @@ def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray, coord_rel: np.ndarr
 def _corners(k: int, r: float) -> np.ndarray:
     """The delta estimate's r-polydisc corners, a real (S, k) stack fixed by (k, r).
 
-    While 2^(k-1) <= ``_CORNER_CAP``, each sign class {s, -s} once: row i has
-    -r where bit k-1-j of i is set; past the cap, the first ``_CORNER_CAP``
-    sign points of the net at offset 0.
+    Row i has -r where bit k-1-j of i * ``_CORNER_MULT`` mod 2^(k-1) is set,
+    for i below min(2^(k-1), ``_CORNER_CAP``).  The multiplier is odd, so
+    the rows are distinct sign classes {s, -s}, each with first sign +r:
+    every class while there are at most ``_CORNER_CAP``, else that many.
     """
-    if 2 ** (k - 1) <= _CORNER_CAP:
-        return np.where(np.arange(2 ** (k - 1))[:, None] >> np.arange(k - 1, -1, -1) & 1, -r, r)
-    from .net import KroneckerNet  # only past the cap does the sample draw
-
-    return r * KroneckerNet(0).signs((_CORNER_CAP, k))
+    rows = (np.arange(min(2 ** (k - 1), _CORNER_CAP), dtype=np.uint64) * np.uint64(_CORNER_MULT)
+            & np.uint64(2 ** (k - 1) - 1))
+    return np.where(rows[:, None] >> np.arange(k - 1, -1, -1, dtype=np.uint64) & np.uint64(1), -r, r)
 
 
 def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:

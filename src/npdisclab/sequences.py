@@ -153,29 +153,6 @@ def _delta_record(log_total: float) -> SeparationDelta:
     return SeparationDelta(value, log_total, underflowed)
 
 
-def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
-    """delta_n = prod_{i != n} |b_{v_i}(v_n)|, the Blaschke-factor product.
-
-    Each factor is the pseudohyperbolic distance d(v_i, v_n); the product is
-    accumulated in log space and floored (with a flag) at log = -700 where
-    the plain value would underflow.  The truncated product over-estimates
-    the full one; callers see the truncation level through ``s.n``.
-
-    This is the scalar per-point reference, one :meth:`DiscSequence.pair_dist`
-    call per factor; :func:`garnett_targets` computes every delta in one
-    sweep over distance row blocks and is tested against it.
-    """
-    if not 0 <= n < s.n:
-        raise IndexError(f"index {n} outside sequence of length {s.n}")
-    log_total = 0.0
-    for i in range(s.n):
-        if i == n:
-            continue
-        d = s.pair_dist(i, n)
-        log_total += math.log(d) if d > 0.0 else -math.inf
-    return _delta_record(log_total)
-
-
 def _pair_sweep(s: DiscSequence) -> tuple[np.ndarray, np.ndarray]:
     """Row minima of d(v_i, v_j) over j != i and column sums of log d(v_i, v_j).
 
@@ -245,9 +222,10 @@ def garnett_targets(s: DiscSequence) -> list[GarnettBudget]:
 
     Formed from the strong-separation products; points whose truncated
     delta underflowed are flagged through the attached delta record.  Each
-    log delta_n is the sum down column n of log d(v_i, v_n), added row by
-    row in the order :func:`separation_delta` uses; the same sweep gives
-    each point's nearest distance.
+    delta_n = prod_{i != n} d(v_i, v_n), the Blaschke-factor product, is
+    kept in log space: the sum down column n of log d(v_i, v_n), added row
+    by row; the same sweep gives each point's nearest distance.  The
+    truncated product over-estimates the full one.
     """
     nearest, log_delta = _pair_sweep(s)
     # an underflowed delta has value 0.0, so its budget is 0.0 as well

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError
-from .geometry import BallPoint, GeneralCurve
+from .geometry import BallPoint
 
 _POLE_TOL = 1e-8
 
@@ -119,7 +119,7 @@ def harmonic_conjugate(values) -> np.ndarray:
     return _conjugate_spectrum(np.fft.rfft(values), values.size)
 
 
-class TangentialEmbedding(GeneralCurve):
+class TangentialEmbedding:
     """The assembled proper map F = (f_1, f_2) of the disc into the two-ball.
 
     Boundary data lives on the construction grid as float arrays ``angles``,

@@ -21,10 +21,7 @@ from npdisclab.geometry import (
     crossing_scalar,
     distortion_profile,
     image_distance,
-    mobius_auto,
-    pseudo_dist,
     pseudo_dist_scalar,
-    radial_gap_dist,
     radial_log_gap_dist,
     tangential_ratio,
     transversality_pairing,
@@ -47,6 +44,8 @@ from npdisclab.tangential import (
     harmonic_conjugate,
     tangency_report,
 )
+
+from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_point
 
 
 def _random_moduli_batch(count, n, seed):
@@ -177,7 +176,7 @@ def test_criterion_09_transversality_pairing():
 
 
 def test_criterion_10_extractor_soundness():
-    points = [BallPoint.radial(math.exp(-float(n * n))) for n in range(1, 13)]
+    points = [radial_point(math.exp(-float(n * n))) for n in range(1, 13)]
     start = time.monotonic()
     res = extract_interpolating_subsequence(points, 0.5, 10)
     table, idx = PointTable(points), np.array(res.indices)

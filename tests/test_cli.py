@@ -560,7 +560,7 @@ class TestDeterminism:
 
     def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
         # from stage 12 on, the 2^(k-1) corner classes of k >= 11 targets
-        # exceed the cap, so the corner signs come from the net at offset 0,
+        # exceed the cap, so the delta estimate samples _CORNER_CAP of them,
         # which the kmax = 5 golden never reaches
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]

@@ -82,9 +82,9 @@ def test_recipes_run_without_scipy():
 
 
 #: library modules each RECIPE_ARGS run loads besides cli and csvio; only
-#: distortion's random pairs and extraction past the corner cap load net, and
-#: no run loads numpy.random (the net is numpy uint64 arithmetic) or
-#: dataclasses (every record is a NamedTuple)
+#: distortion's random pairs load net, and no run loads numpy.random (the
+#: net is numpy uint64 arithmetic) or dataclasses (every record is a
+#: NamedTuple)
 RECIPE_IMPORTS = {
     "classify": {"kernels", "series"},
     "compare": {"kernels", "series"},
@@ -135,10 +135,10 @@ def test_pinch_pair_distortion_draws_nothing():
     assert loaded == ({"cli", "csvio", "geometry"}, False, False)
 
 
-def test_extraction_past_the_corner_cap_draws_from_the_net():
+def test_extraction_past_the_corner_cap_loads_no_more_layers():
     # stage 11 enumerates the 2^9 corner classes of its 10 targets; stage 12
-    # has 2^10 > _CORNER_CAP, so only kmax >= 12 draws corners from the net
+    # has 2^10 > _CORNER_CAP classes and samples _CORNER_CAP of them
     argv = ["interp-extract", "tag=wn_gaussian", "n=14", "r=0.5"]
     layers = {"cli", "csvio", "geometry", "pick", "sequences"}
     assert _loaded_after(_recipe_run([*argv, "kmax=11"])) == (layers, False, False)
-    assert _loaded_after(_recipe_run([*argv, "kmax=12"])) == (layers | {"net"}, False, False)
+    assert _loaded_after(_recipe_run([*argv, "kmax=12"])) == (layers, False, False)

@@ -4,7 +4,7 @@ Coordinate j of point p of the d-dimensional net offset by ``seed`` is the
 word ((seed * 0x9E3779B97F4A7C15 + p) * A_j + 2**63) mod 2**64, with A_j =
 round(2**64 * phi_d**-j) made odd.  The closed form below is computed with
 Python ints, the multipliers against an mpmath root of x**(d+1) = x + 1.
-Draw scripts mix uniform and sign draws of varied sizes and dimensions; one
+Draw scripts mix uniform draws of varied ranges, sizes and dimensions; one
 position counter starts at 1 and advances by each draw's point count.
 """
 
@@ -25,7 +25,7 @@ OFFSET_MULT = 0x9E3779B97F4A7C15
 
 seeds = st.sampled_from([0, 7, 1999, 2**32 - 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 shapes = st.integers(0, 150).map(lambda n: (n,)) | st.tuples(st.integers(0, 40), st.integers(1, 9))
-scripts = st.lists(st.tuples(st.sampled_from(["u01", "u11", "sign"]), shapes), max_size=8)
+scripts = st.lists(st.tuples(st.sampled_from(["u01", "u11"]), shapes), max_size=8)
 
 
 def _word(seed, p, a):
@@ -40,21 +40,15 @@ def _closed_form(seed, script):
         a = [int(x) for x in multipliers(d)]
         words = [[_word(seed, p + i, aj) for aj in a] for i in range(count)]
         p += count
-        if kind == "sign":
-            values = [[1.0 if w >> 63 else -1.0 for w in row] for row in words]
-        else:
-            low = 0.0 if kind == "u01" else -1.0
-            values = [[low + (1.0 - low) * ((w >> 11) * 2**-53) for w in row] for row in words]
+        low = 0.0 if kind == "u01" else -1.0
+        values = [[low + (1.0 - low) * ((w >> 11) * 2**-53) for w in row] for row in words]
         yield np.array(values, dtype=float).reshape(shape)
 
 
 def _drawn(seed, script):
     net = KroneckerNet(seed)
     for kind, shape in script:
-        if kind == "sign":
-            yield net.signs(shape)
-        else:
-            yield net.uniform(0.0 if kind == "u01" else -1.0, 1.0, shape)
+        yield net.uniform(0.0 if kind == "u01" else -1.0, 1.0, shape)
 
 
 def _assert_closed_form(seed, script):
@@ -89,7 +83,7 @@ def test_draws_are_the_closed_form(seed, script):
 
 def test_largest_seed_wraps_the_offset():
     # the offset (2**64 - 1) * OFFSET_MULT mod 2**64 is 2**64 - OFFSET_MULT
-    _assert_closed_form(2**64 - 1, [("u01", (3, 4)), ("sign", (5,)), ("u11", (2, 2, 3))])
+    _assert_closed_form(2**64 - 1, [("u01", (3, 4)), ("u11", (5,)), ("u11", (2, 2, 3))])
     # the seed whose offset is 2**64 - 1 puts point 1 at offset + 1 = 0: the centre
     seed = -pow(OFFSET_MULT, -1, 2**64) % 2**64
     assert np.all(KroneckerNet(seed).uniform(0.0, 1.0, (1, 6)) == 0.5)
@@ -103,8 +97,6 @@ def test_value_ranges():
     net = KroneckerNet(7)
     u = net.uniform(-1.0, 1.0, (2000, 4))
     assert np.all((-1.0 <= u) & (u < 1.0))
-    s = net.signs((2000, 3))
-    assert set(np.unique(s)) == {-1.0, 1.0}
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
@@ -117,7 +109,7 @@ def test_one_dimensional_spread(seed):
 
 
 def test_words_form_in_bounded_row_blocks(monkeypatch):
-    script = [("u11", (300, 2, 5)), ("sign", (77, 9)), ("u01", (1000,))]
+    script = [("u11", (300, 2, 5)), ("u01", (77, 9)), ("u01", (1000,))]
     want = list(_drawn(7, script))
     blocks = []
     original = npdisclab.row_blocks
@@ -142,5 +134,3 @@ def test_output_is_allocated_before_any_word(monkeypatch):
     monkeypatch.setattr(npdisclab, "row_blocks", refuse)
     with pytest.raises(MemoryError):
         KroneckerNet(0).uniform(-1.0, 1.0, (2**40, 4))
-    with pytest.raises(MemoryError):
-        KroneckerNet(0).signs((2**40, 4))

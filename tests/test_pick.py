@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,15 @@ from npdisclab.pick import (
     psd_check,
 )
 
+from .oracles import radial_point
+
+
 def gaussian_points(n):
-    return [BallPoint.radial(math.exp(-float(k * k))) for k in range(1, n + 1)]
+    return [radial_point(math.exp(-float(k * k))) for k in range(1, n + 1)]
 
 
 def quadratic_points(n):
-    return [BallPoint.radial(1.0 / k**2) for k in range(2, n + 2)]
+    return [radial_point(1.0 / k**2) for k in range(2, n + 2)]
 
 
 def named_points(tag, n):
@@ -161,7 +165,7 @@ class TestGramOracle:
         # 1 - z w rounds to 0 for these radial points; only the exact gaps
         # g_i + g_j - g_i g_j keep the kernel finite
         gaps = [1e-20, 3e-20]
-        pts = [BallPoint.radial(g) for g in gaps] + [BallPoint([0.3j])]
+        pts = [radial_point(g) for g in gaps] + [BallPoint([0.3j])]
         for kernel in (kernels.hardy(1), kernels.hardy(64)):
             gram = kernel_gram(pts, kernel)
             for i, gi in enumerate(gaps):
@@ -460,20 +464,21 @@ class TestExtractor:
 class TestCorners:
     """The delta estimate's targets depend on (k, r) alone."""
 
-    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("k", range(1, 11))
     def test_every_sign_class_up_to_the_cap(self, k):
         c = pick._corners(k, 0.3)
         assert c.shape == (2 ** (k - 1), k) and c.dtype == np.float64
-        assert np.all(np.abs(c) == 0.3)
-        # s and -s give one Pick block: each class appears once
-        assert len({tuple(row * np.sign(row[0])) for row in c}) == 2 ** (k - 1)
+        # s and -s give one Pick block: each class appears once, first sign +r
+        classes = {tuple(row) for row in c}
+        every = {(0.3, *signs) for signs in itertools.product((0.3, -0.3), repeat=k - 1)}
+        assert len(classes) == len(c) and classes == every
 
     @pytest.mark.parametrize("k", [11, 18, 49])
-    def test_past_the_cap_the_net_at_offset_zero(self, k):
-        from npdisclab.net import KroneckerNet
-
+    def test_past_the_cap_distinct_sign_classes(self, k):
         c = pick._corners(k, 0.7)
-        assert np.array_equal(c, 0.7 * KroneckerNet(0).signs((pick._CORNER_CAP, k)))
+        assert c.shape == (pick._CORNER_CAP, k) and c.dtype == np.float64
+        assert np.all(np.abs(c) == 0.7) and np.all(c[:, 0] == 0.7)
+        assert len({tuple(row) for row in c}) == pick._CORNER_CAP
         assert np.array_equal(pick._corners(k, 0.7), c)  # no state carried between calls
 
 
@@ -490,7 +495,7 @@ class TestRayleighCertificate:
         if radial:
             # exact gaps, some far below machine epsilon
             logs = draw(st.lists(st.floats(0.1, 300.0), min_size=k, max_size=k))
-            pts = [BallPoint.radial(math.exp(-t)) for t in logs]
+            pts = [radial_point(math.exp(-t)) for t in logs]
         else:
             polar = draw(st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi)),
                                   min_size=k, max_size=k))

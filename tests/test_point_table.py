@@ -19,6 +19,8 @@ from npdisclab.geometry import BallPoint, PointTable  # noqa: E402
 from npdisclab.kernels import hardy, parse_family  # noqa: E402
 from npdisclab.pick import kernel_gram  # noqa: E402
 
+from .oracles import radial_point  # noqa: E402
+
 #: the hardy closed form read on ball points: 1/(1 - <x, y>)
 DRURY_ARVESON = hardy(1)
 
@@ -52,7 +54,7 @@ def _owner_entry(p: BallPoint, q: BallPoint) -> complex:
 @ORACLE
 @given(gaps, gaps)
 def test_radial_pairs_are_relatively_exact(ga, gb):
-    p, q = BallPoint.radial(ga), BallPoint.radial(gb)
+    p, q = radial_point(ga), radial_point(gb)
     got = _owner_entry(p, q)
     with mpmath.workdps(50):
         # the points are 1 - g exactly, so 1 - z w = 1 - (1 - g_a)(1 - g_b);
@@ -76,7 +78,7 @@ def test_general_pairs_are_absolutely_exact(a, b):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(gaps, min_size=1, max_size=6), st.lists(c2_points, max_size=6))
 def test_drury_arveson_gram_is_one_over_the_owner(radial, general):
-    pts = [BallPoint.radial(g) for g in radial] + [BallPoint(v) for v in general]
+    pts = [radial_point(g) for g in radial] + [BallPoint(v) for v in general]
     gram = kernel_gram(pts, DRURY_ARVESON)
     rows, cols = np.triu_indices(len(pts))
     want = 1.0 / PointTable(pts).one_minus_inner(rows, cols)

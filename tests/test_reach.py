@@ -11,6 +11,9 @@ overrides is a second owner of a value its callers fix, and one that no
 call overrides is a parameter nobody sets; either goes, or ``KEPT_DEFAULTS``
 says why it stays.
 
+Reference code that only the tests run lives in ``tests/oracles.py``, and
+no name it defines is defined in src again.
+
 And every ``raise`` belongs to the failure contract: it names
 ``DomainError`` or ``NotCertifiedError`` (the only exception classes src
 defines), or it is a bare re-raise, or ``INTERNAL_RAISES`` says why only a
@@ -29,11 +32,8 @@ _SMALL = "moving it into the tests would not reduce anything"
 
 #: public names nothing in src reaches, each with the reason it stays
 KEPT = {
-    "pseudo_dist": _ORACLE,
-    "mobius_auto": _ORACLE,
     "tangential_ratio": _ORACLE,
     "transversality_pairing": _ORACLE,
-    "separation_delta": "independent per-point reference that garnett_targets is tested against",
     "weights_by_reciprocal": "independent Newton route that the renewal recursion is tested against",
     "is_separated": _DIAG,
     "midpoint_sphere_defect": _DIAG,
@@ -91,6 +91,13 @@ def test_kept_names_exist_and_stay_unreached():
     defined, named = _scan()
     assert sorted(set(KEPT) - defined) == []
     assert sorted(set(KEPT) & named) == []
+
+
+def test_no_oracle_is_defined_in_src_again():
+    # the reference code the tests check src against has one home
+    oracles = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    defined, _ = _scan()
+    assert sorted(set(_public_definitions(oracles)) & defined) == []
 
 
 def _defaulted(fn, bound):
@@ -191,7 +198,6 @@ CONTRACT = {"DomainError", "NotCertifiedError"}
 INTERNAL_RAISES = {
     ("csvio", "ValueError"): "write_rows and read_rows check tables the recipes build",
     ("geometry", "NotImplementedError"): "GeneralCurve.eval is abstract; every curve overrides it",
-    ("sequences", "IndexError"): "separation_delta takes an index, as indexing a list does",
 }
 
 

@@ -10,8 +10,9 @@ from npdisclab.sequences import (
     garnett_targets,
     is_separated,
     named_sequence,
-    separation_delta,
 )
+
+from .oracles import separation_delta
 
 
 class TestNamedSequences:
