@@ -18,9 +18,10 @@ come from :func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist`
 instead.  Pairwise consumers of both reduce over the row slices of
 :func:`~npdisclab.row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
 
-The curves the boundary pairings, tangency ratios and distortion profiles
-take are :class:`GeneralCurve` subclasses with closed-form derivatives and
-inner products: :class:`EmbeddedDisc` and :class:`CrossingCurve`.  Curve
+The curves are :class:`EmbeddedDisc` and :class:`CrossingCurve`.  The
+curve functions read three closed-form methods of either: ``coords(z)``
+and ``deriv(z)`` at one point (the boundary pairings), and the array inner
+product ``inner(z1, z2)`` (tangency ratios and image distances).  Curve
 inner products, disc and image distances and the tangency ratios
 broadcast over arrays; the distortion profile is one array pass.
 """
@@ -138,23 +139,7 @@ def radial_log_gap_dist(log_gap_a, log_gap_b) -> float | np.ndarray:
     return d if d.ndim else float(d)
 
 
-class GeneralCurve:
-    """Analytic curve into the ball; subclasses override :meth:`eval`.
-
-    The base :meth:`coords` reads the evaluated point's coordinates.
-    Subclasses also define a closed-form :meth:`deriv` and an array
-    :meth:`inner`, which the boundary pairings and image distances read.
-    """
-
-    def eval(self, z: complex) -> BallPoint:
-        raise NotImplementedError
-
-    def coords(self, z: complex) -> np.ndarray:
-        """The coordinates of f(z)."""
-        return self.eval(z).coords
-
-
-class EmbeddedDisc(GeneralCurve):
+class EmbeddedDisc:
     """The kernel's own embedding f(z) = (b_1 z, b_2 z^2, ...), b_n = sqrt(c_n).
 
     A view of its :class:`~npdisclab.kernels.KernelHandle`: the coordinates
@@ -215,7 +200,7 @@ class EmbeddedDisc(GeneralCurve):
         return n * self.amplitudes * z ** (n - 1)
 
 
-class CrossingCurve(GeneralCurve):
+class CrossingCurve:
     """The rational curve (z^2, b(z)^2)/sqrt(2) with b a disc automorphism.
 
     Proper into the two-ball, injective except f(-1) = f(1): the image
@@ -231,9 +216,13 @@ class CrossingCurve(GeneralCurve):
         """The disc automorphism (z - r)/(1 - r z)."""
         return (z - self.r) / (1.0 - self.r * z)
 
-    def eval(self, z: complex) -> BallPoint:
+    def coords(self, z: complex) -> np.ndarray:
+        """The closed form (z^2, b(z)^2)/sqrt(2)."""
         z = complex(z)
-        return BallPoint(np.array([z * z, self.b(z) ** 2]) / math.sqrt(2.0))
+        return np.array([z * z, self.b(z) ** 2]) / math.sqrt(2.0)
+
+    def eval(self, z: complex) -> BallPoint:
+        return BallPoint(self.coords(z))
 
     def deriv(self, z: complex) -> np.ndarray:
         z, r = complex(z), self.r
@@ -245,7 +234,7 @@ class CrossingCurve(GeneralCurve):
         return (z1 * z1 * w2 * w2 + self.b(z1) ** 2 * np.conj(self.b(z2)) ** 2) / 2.0
 
 
-def _pairing(curve: GeneralCurve, z) -> float:
+def _pairing(curve, z) -> float:
     """p(z) = Re <f(z), z f'(z)> at a point z of the circle."""
     tangent = curve.deriv(z) * z  # first: a divergent derivative decides before coords
     value = complex(np.dot(curve.coords(z), np.conj(tangent)))
@@ -254,7 +243,7 @@ def _pairing(curve: GeneralCurve, z) -> float:
     return value.real
 
 
-def transversality_pairing(curve: GeneralCurve, t: float) -> float:
+def transversality_pairing(curve, t: float) -> float:
     """Re <f(z), f'(z) z> at z = e^{it}; positive for C^1 proper embeddings.
 
     Raises :class:`~npdisclab.DomainError` (via the curve) when the
@@ -263,7 +252,7 @@ def transversality_pairing(curve: GeneralCurve, t: float) -> float:
     return _pairing(curve, complex(np.exp(1j * t)))
 
 
-def crossing_scalar(curve: GeneralCurve) -> float:
+def crossing_scalar(curve) -> float:
     """Positive scalar s with <f'(1), f(1)> = -s <f'(-1), f(-1)>, that is
     s = p(1)/p(-1) for the boundary pairing p.
 
@@ -277,7 +266,7 @@ def crossing_scalar(curve: GeneralCurve) -> float:
     return _pairing(curve, 1.0) / p_neg
 
 
-def tangential_ratio(curve: GeneralCurve, x, t=0.0):
+def tangential_ratio(curve, x, t=0.0):
     """The two boundary-approach ratios along the ray x e^{it}, x in (0, 1).
 
     ratio1 = (1 - ||f(x e^{it})||) / ||f(e^{it}) - f(x e^{it})|| in (0, 1];
@@ -310,7 +299,7 @@ class DistortionProfile(NamedTuple):
     ratio_max: float
 
 
-def image_distance(curve: GeneralCurve, lam, mu):
+def image_distance(curve, lam, mu):
     """d(f(lambda), f(mu)) through the curve's inner products.
 
     The module's distance, rearranged free of the 1 - (nearly 1)
@@ -325,7 +314,7 @@ def image_distance(curve: GeneralCurve, lam, mu):
     return np.sqrt(np.clip(num / den, 0.0, 1.0))
 
 
-def distortion_profile(curve: GeneralCurve, pairs) -> DistortionProfile:
+def distortion_profile(curve, pairs) -> DistortionProfile:
     """d(lambda, mu) against d(f(lambda), f(mu)) for each disc pair.
 
     Raises DomainError unless every source point lies in the open unit disc.

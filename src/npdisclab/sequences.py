@@ -112,15 +112,9 @@ def named_sequence(tag: str, n: int) -> DiscSequence:
                     f"dyadic_separated n={n} passes {DYADIC_MAX_POINTS} points "
                     f"at generation {m}"
                 )
-        pts, gaps, angles = [], [], []
-        for m, count in enumerate(counts, start=1):
-            radius_gap = 2.0**-m
-            for k in range(count):
-                theta = k * radius_gap  # k 2^-m, exact in binary
-                pts.append((1.0 - radius_gap) * np.exp(1j * theta))
-                gaps.append(radius_gap)
-                angles.append(theta)
-        return DiscSequence(pts, tag, gaps=gaps, angles=angles)
+        gaps = np.repeat(np.ldexp(1.0, -np.arange(1, n + 1)), counts)
+        angles = np.concatenate([np.arange(count) for count in counts]) * gaps  # k 2^-m, exact
+        return DiscSequence((1.0 - gaps) * np.exp(1j * angles), tag, gaps=gaps, angles=angles)
     raise DomainError(f"unknown sequence tag {tag!r}; known: {NAMED_TAGS}")
 
 

@@ -226,6 +226,13 @@ def fft_convolve(x, y) -> np.ndarray:
     pocketfft returns the same bits as that function whenever both inputs
     hold two or more entries, while power-of-two padding moves the last few
     ulps.
+
+    Operand order is part of the output bits.  numpy's complex ``a * b``
+    can differ from ``b * a`` in the last bit (on an AVX-512 CPU, about a
+    third of random products do), and for ``a * <temporary>`` numpy's
+    temporary elision computes ``<temporary> * a``.  A rewrite that reuses
+    a spectrum keeps rfft(x) * rfft(y) in this order, for instance with
+    ``np.multiply(fx, fy, out=fy)``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -11,6 +11,9 @@ identity |f_1|^2 + |f_2|^2 = 1 on the circle: its boundary modulus is
 exp(u_1) with u_1 = log sqrt(1 - |f_1|^2), its phase the discrete harmonic
 conjugate of u_1, and its interior values come from the truncated analytic
 Fourier series of u_1 + i conj(u_1).
+
+The map is read through its coordinates f_1 and f_2, so the layer needs no
+ball-point type from :mod:`~npdisclab.geometry`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError
-from .geometry import BallPoint
 
 _POLE_TOL = 1e-8
 
@@ -126,8 +128,9 @@ class TangentialEmbedding:
     ``u1`` and ``u1_tilde`` and complex arrays ``f1_boundary`` and
     ``f2_boundary``, with u1[0] the model value at the singular angle 0;
     interior values of f_2 come from exponentiating the truncated analytic
-    completion h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0)
-    exactly.
+    completion h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0) at
+    the singular point: f_1(1) = 1 exactly, but the truncated f_2 does not
+    vanish there.
     """
 
     def __init__(self, chain: ConformalChain, m: int):
@@ -163,12 +166,6 @@ class TangentialEmbedding:
 
     def f1(self, z: complex) -> complex:
         return complex(self.chain.eval(complex(z)))
-
-    def eval(self, z: complex) -> BallPoint:
-        z = complex(z)
-        if z == 1.0:
-            return BallPoint([1.0, 0.0])
-        return BallPoint([self.f1(z), self.f2(z)])
 
     def sphere_defect(self) -> np.ndarray:
         """|f_1|^2 + |f_2|^2 - 1 on the construction grid."""

@@ -12,6 +12,11 @@
   :func:`~npdisclab.sequences.garnett_targets`.
 - :func:`numeric_deriv`: central differences against the curves'
   closed-form derivatives.
+- :func:`dyadic_separated`: the named sequence built one point at a time,
+  against the array generator of
+  :func:`~npdisclab.sequences.named_sequence`.
+- :func:`tangential_point`: the tangential map F = (f_1, f_2) at one point
+  as a ball point, for the norm and distance checks.
 """
 
 import math
@@ -116,6 +121,27 @@ def numeric_deriv(curve, z) -> np.ndarray:
     z, h = complex(z), 1e-6
 
     def central(step):
-        return (curve.eval(z + step).coords - curve.eval(z - step).coords) / (2.0 * step)
+        return (curve.coords(z + step) - curve.coords(z - step)) / (2.0 * step)
 
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def tangential_point(emb, z) -> BallPoint:
+    """F(z) = (f_1(z), f_2(z)) of a TangentialEmbedding, with F(1) = (1, 0) exactly."""
+    z = complex(z)
+    if z == 1.0:
+        return BallPoint([1.0, 0.0])
+    return BallPoint([emb.f1(z), emb.f2(z)])
+
+
+def dyadic_separated(n: int) -> DiscSequence:
+    """``named_sequence("dyadic_separated", n)`` one point at a time."""
+    pts, gaps, angles = [], [], []
+    for m in range(1, n + 1):
+        radius_gap = 2.0**-m
+        for k in range(int(math.floor(2.0 ** (m / 2.0)))):
+            theta = k * radius_gap  # k 2^-m, exact in binary
+            pts.append((1.0 - radius_gap) * np.exp(1j * theta))
+            gaps.append(radius_gap)
+            angles.append(theta)
+    return DiscSequence(pts, "dyadic_separated", gaps=gaps, angles=angles)

@@ -45,7 +45,7 @@ from npdisclab.tangential import (
     tangency_report,
 )
 
-from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_point
+from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_point, tangential_point
 
 
 def _random_moduli_batch(count, n, seed):
@@ -254,9 +254,8 @@ def test_criterion_14_schwarz_pick_contraction(fine_embedding):
     for _ in range(250):
         lam, mu = disc_point(), disc_point()
         d_src = pseudo_dist_scalar(lam, mu)
-        d_img = pseudo_dist(
-            fine_embedding.eval(0.9 * lam), fine_embedding.eval(0.9 * mu)
-        )
+        d_img = pseudo_dist(tangential_point(fine_embedding, 0.9 * lam),
+                            tangential_point(fine_embedding, 0.9 * mu))
         assert d_img <= d_src * (1.0 + 1e-10)
         checked += 1
     assert checked == 1000

@@ -94,8 +94,8 @@ RECIPE_IMPORTS = {
     "distortion": {"geometry", "net"},
     "carleson": {"geometry", "sequences"},
     "separation": {"geometry", "sequences", "series"},
-    "tangential-embed": {"geometry", "tangential"},
-    "tangency-report": {"geometry", "tangential"},
+    "tangential-embed": {"tangential"},
+    "tangency-report": {"tangential"},
 }
 
 

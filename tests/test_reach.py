@@ -197,7 +197,6 @@ CONTRACT = {"DomainError", "NotCertifiedError"}
 #: bug in npdisclab can reach them
 INTERNAL_RAISES = {
     ("csvio", "ValueError"): "write_rows and read_rows check tables the recipes build",
-    ("geometry", "NotImplementedError"): "GeneralCurve.eval is abstract; every curve overrides it",
 }
 
 

@@ -12,7 +12,7 @@ from npdisclab.sequences import (
     named_sequence,
 )
 
-from .oracles import separation_delta
+from .oracles import dyadic_separated, separation_delta
 
 
 class TestNamedSequences:
@@ -29,6 +29,13 @@ class TestNamedSequences:
         for m in range(1, 7):
             count = int(np.sum(s.gaps == 2.0**-m))
             assert count == math.floor(2.0 ** (m / 2.0)), f"generation {m}"
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 24, 30])
+    def test_dyadic_matches_point_by_point_oracle(self, n):
+        s, ref = named_sequence("dyadic_separated", n), dyadic_separated(n)
+        for name in ("points", "gaps", "log_gaps", "angles"):
+            got, want = getattr(s, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     def test_gaussian_log_gaps_survive_underflow(self):
         s = named_sequence("wn_gaussian", 40)
