@@ -152,14 +152,15 @@ def _run_pick_check(p):
 
 
 def _run_interp_extract(p):
-    from .geometry import BallPoint
+    import numpy as np
+
+    from .geometry import PointTable
     from .pick import extract_interpolating_subsequence
     from .sequences import named_sequence
 
     seq = named_sequence(p["tag"], p["n"])
     # each point keeps its angle; an underflowed gap is left out
-    points = [BallPoint([pt], gap=g if g > 0.0 else None)
-              for g, pt in zip(seq.gaps, seq.points)]
+    points = PointTable(seq.points, np.where(seq.gaps > 0.0, seq.gaps, np.nan))
     res = extract_interpolating_subsequence(points, p["r"], p["kmax"])
     cols = ["k", "index", "point_norm", "min_eigenvalue", "rule"]
     return cols, [[r.k, r.index, r.point_norm, r.min_eigenvalue, r.rule]

@@ -8,15 +8,17 @@ where phi_w is the ball automorphism swapping w and 0.  Points very close
 to the boundary lose all their information in plain coordinates, so a point
 may carry its boundary gap 1 - |z| exactly.
 
-:class:`PointTable` is the one owner of 1 - <z_i, z_j>, the quantity behind
-every kernel entry and ball-point distance: it stacks the points'
-coordinates once and forms 1 - <z_i, z_j> over broadcast index arrays,
-through the exact gap algebra 1 - z*w = g_z + g_w - g_z*g_w wherever both
-points are radial and real, so pairs far below double-precision resolution
-stay cancellation-free.  The Pick layer reads it; disc-sequence distances
-come from :func:`pseudo_dist_scalar` or :func:`radial_log_gap_dist`
-instead.  Pairwise consumers of both reduce over the row slices of
-:func:`~npdisclab.row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
+:class:`PointTable` is the one ball-point type and the one owner of
+1 - <z_i, z_j>, the quantity behind every kernel entry and ball-point
+distance.  Built from a coordinate array and the known gaps, it holds
+1 - ||z_i||^2, the norms and the interior test as arrays, and forms
+1 - <z_i, z_j> over broadcast index arrays, through the exact gap algebra
+1 - z*w = g_z + g_w - g_z*g_w wherever both points are radial, so pairs far
+below double-precision resolution stay cancellation-free.  The Pick layer
+reads it; disc-sequence distances come from :func:`pseudo_dist_scalar` or
+:func:`radial_log_gap_dist` instead.  Pairwise consumers of both reduce
+over the row slices of :func:`~npdisclab.row_blocks`, at most
+``BLOCK_ENTRIES`` entries each.
 
 The curves are :class:`EmbeddedDisc` and :class:`CrossingCurve`.  The
 curve functions read three closed-form methods of either: ``coords(z)``
@@ -39,82 +41,64 @@ from . import DomainError
 #: is carried exactly
 _INTERIOR_EPS = 1e-15
 
-class BallPoint:
-    """Point of a finite-dimensional slice of the ball, boundary flagged.
-
-    ``gap`` is the exact value of 1 - ||z|| when the constructor knows it
-    (e.g. radial sequences {1 - e^{-n^2}} whose coordinates round to 1.0 in
-    floating point).  ``one_minus_sq`` caches 1 - ||z||^2.
-    """
-
-    __slots__ = ("coords", "gap", "one_minus_sq")
-
-    def __init__(self, coords, gap: float | None = None,
-                 one_minus_sq: float | None = None):
-        self.coords = np.atleast_1d(np.asarray(coords, dtype=complex))
-        self.gap = gap
-        if gap is not None:
-            self.one_minus_sq = gap * (2.0 - gap)
-        elif one_minus_sq is not None:
-            self.one_minus_sq = float(one_minus_sq)
-        else:
-            with np.errstate(over="ignore"):  # an infinite norm is exterior anyway
-                sq = float(np.sum(np.abs(self.coords) ** 2))
-            self.one_minus_sq = 1.0 - sq
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(max(1.0 - self.one_minus_sq, 0.0))
-
-    @property
-    def is_interior(self) -> bool:
-        return self.one_minus_sq > _INTERIOR_EPS or (
-            self.gap is not None and self.gap > 0.0
-        )
-
-    @property
-    def is_radial_real(self) -> bool:
-        return (
-            self.gap is not None
-            and self.coords.size == 1
-            and self.coords[0].imag == 0.0
-            and self.coords[0].real >= 0.0
-        )
-
-    def __repr__(self) -> str:
-        return f"BallPoint(dim={self.coords.size}, norm={self.norm:.6g})"
-
 
 class PointTable:
     """Ball points stacked once: the single owner of 1 - <z_i, z_j>.
 
-    ``coords`` holds the coordinates as rows of one matrix, shorter points
-    zero-padded; ``gaps`` holds the exact gap of every radial real point and
-    nan for the others.
+    ``coords`` is an (n,) array of disc points or an (n, d) array of ball
+    points, held as the rows of an (n, d) matrix.  ``gaps`` holds the exact
+    1 - ||z_i|| where the caller knows it (e.g. radial sequences
+    {1 - e^{-n^2}} whose coordinates round to 1.0 in floating point) and
+    nan elsewhere; ``one_minus_sq`` is 1 - ||z_i||^2, from the gap where
+    there is one.  A point is radial when it has a gap, its first
+    coordinate is real and >= 0 and its other coordinates are zero;
+    ``radial_gaps`` holds the gaps of the radial points and nan for the
+    others.
     """
 
-    __slots__ = ("coords", "gaps")
+    __slots__ = ("coords", "gaps", "one_minus_sq", "radial_gaps")
 
-    def __init__(self, pts):
-        dim = max((p.coords.size for p in pts), default=1)
-        self.coords = np.zeros((len(pts), dim), dtype=complex)
-        for i, p in enumerate(pts):
-            self.coords[i, : p.coords.size] = p.coords
-        self.gaps = np.array([p.gap if p.is_radial_real else math.nan for p in pts])
+    def __init__(self, coords, gaps=None):
+        z = np.asarray(coords, dtype=complex)
+        self.coords = z[:, None] if z.ndim == 1 else z
+        n = len(self.coords)
+        self.gaps = np.full(n, math.nan) if gaps is None else np.asarray(gaps, dtype=float)
+        with np.errstate(over="ignore"):  # an infinite norm is exterior anyway
+            sq = np.sum(np.abs(self.coords) ** 2, axis=1)
+        self.one_minus_sq = np.where(np.isnan(self.gaps), 1.0 - sq,
+                                     self.gaps * (2.0 - self.gaps))
+        first = self.coords[:, 0]
+        radial = (first.imag == 0.0) & (first.real >= 0.0) & ~self.coords[:, 1:].any(axis=1)
+        self.radial_gaps = np.where(radial, self.gaps, math.nan)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, rows) -> PointTable:
+        """The table of the rows a slice or an index array selects."""
+        return PointTable(self.coords[rows], self.gaps[rows])
+
+    @property
+    def norms(self) -> np.ndarray:
+        return np.sqrt(np.maximum(1.0 - self.one_minus_sq, 0.0))
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Whether each point keeps its distance from the sphere, or carries a gap > 0."""
+        return (self.one_minus_sq > _INTERIOR_EPS) | (self.gaps > 0.0)
 
     def one_minus_inner(self, rows, cols) -> np.ndarray:
         """1 - <z_i, z_j> over broadcast index arrays ``rows`` and ``cols``.
 
-        Pairs of radial real points use the exact gap algebra
-        g_i + g_j - g_i g_j, which stays accurate when both gaps are far
-        below machine epsilon; all other pairs use the coordinates.  Where
-        ``rows == cols`` only the real part 1 - |z_i|^2 is kept, dropping
-        the rounding residue the complex product leaves in the imaginary
-        part.
+        Pairs of radial points use the exact gap algebra g_i + g_j - g_i g_j,
+        which stays accurate when both gaps are far below machine epsilon;
+        all other pairs use the coordinates.  Where ``rows == cols`` only
+        the real part 1 - |z_i|^2 is kept, dropping the rounding residue the
+        complex product leaves in the imaginary part.
         """
         omt = 1.0 - np.sum(self.coords[rows] * np.conj(self.coords[cols]), axis=-1)
         omt = np.where(np.equal(rows, cols), omt.real, omt)
-        gi, gj = self.gaps[rows], self.gaps[cols]
+        gi, gj = self.radial_gaps[rows], self.radial_gaps[cols]
         return np.where(np.isnan(gi + gj), omt, gi + gj - gi * gj)
 
 
@@ -180,14 +164,6 @@ class EmbeddedDisc:
             raise DomainError("embedding evaluated outside the closed disc")
         return self.amplitudes * z ** np.arange(1, self.n + 1)
 
-    def eval(self, z: complex) -> BallPoint:
-        """f(z) with ||f(z)||^2 = g(|z|^2).  Within 1e-12 of the circle
-        |z|^2 is taken as exactly 1: in floating point it often misses 1
-        there, and for s >= -1 the hs sum refuses every circle point but 1."""
-        z = complex(z)
-        t = 1.0 if abs(z) > 1.0 - 1e-12 else abs(z) ** 2
-        return BallPoint(self.coords(z), one_minus_sq=1.0 - self.handle.generating_value(t).real)
-
     def deriv(self, z: complex) -> np.ndarray:
         """f'(z) of the truncated coordinates; refused on the circle unless the
         renewal mean mu = sum n c_n, which is <f(z), z f'(z)> there, is finite."""
@@ -220,9 +196,6 @@ class CrossingCurve:
         """The closed form (z^2, b(z)^2)/sqrt(2)."""
         z = complex(z)
         return np.array([z * z, self.b(z) ** 2]) / math.sqrt(2.0)
-
-    def eval(self, z: complex) -> BallPoint:
-        return BallPoint(self.coords(z))
 
     def deriv(self, z: complex) -> np.ndarray:
         z, r = complex(z), self.r

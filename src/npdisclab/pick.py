@@ -14,7 +14,9 @@ through Hadamard bounds, and once a Rayleigh margin on the normalized Gram
 matrix proves every Pick matrix over the closed target polydisc positive
 definite.
 
-Everything works on arrays, and every 1 - <z_i, z_j> comes from one owner,
+Everything works on arrays.  The nodes are one
+:class:`~npdisclab.geometry.PointTable`, which each entry point builds once
+from a table or from disc points, and every 1 - <z_i, z_j> comes from its
 :meth:`~npdisclab.geometry.PointTable.one_minus_inner`, which keeps the
 exact gap algebra for radial points.  Pairwise and stacked work runs in the
 row blocks of :func:`~npdisclab.row_blocks`, so temporaries stay
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import DomainError, NotCertifiedError, row_blocks
-from .geometry import BallPoint, CrossingCurve, PointTable, crossing_scalar
+from .geometry import CrossingCurve, PointTable, crossing_scalar
 
 if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
     from .kernels import KernelHandle
@@ -61,25 +63,26 @@ _CORNER_CAP = 512
 _CORNER_MULT = 0x9E3779B97F4A7C15
 
 
-def _as_ball_point(node) -> BallPoint:
-    if isinstance(node, BallPoint):
-        return node
-    return BallPoint([complex(node)])
+def _as_table(points) -> PointTable:
+    """``points`` as a table: a PointTable as it is, anything else as disc points."""
+    return points if isinstance(points, PointTable) else PointTable(points)
 
 
 class PickProblem:
     """Interpolation nodes, targets and a kernel handle.
 
+    ``nodes`` is a :class:`~npdisclab.geometry.PointTable` or anything
+    ``np.asarray`` reads as complex disc points; it is held as a table.
     ``kernel`` is a :class:`~npdisclab.kernels.KernelHandle`, evaluated at
     1 - <z_i, z_j>; ``kernels.hardy`` gives the Drury-Arveson kernel
     K = 1/(1 - <x, y>) on ball points.
     """
 
     def __init__(self, nodes, targets, kernel: KernelHandle):
-        self.nodes = [_as_ball_point(z) for z in nodes]
+        self.nodes = _as_table(nodes)
         self.targets = np.atleast_1d(np.asarray(targets, dtype=complex))
         self.kernel = kernel
-        if not self.nodes:
+        if not len(self.nodes):
             raise DomainError("nodes is empty: a Pick problem needs at least one node")
         if len(self.nodes) != self.targets.size:
             raise DomainError("node and target counts differ")
@@ -87,9 +90,8 @@ class PickProblem:
             raise DomainError("problem size capped at 2000 nodes")
         if not np.all(np.abs(self.targets) < 1.0):  # also refuses nan
             raise DomainError("all targets must lie in the open disc")
-        for p in self.nodes:
-            if not p.is_interior:
-                raise DomainError("all nodes must be interior points")
+        if not np.all(self.nodes.interior):
+            raise DomainError("all nodes must be interior points")
         pair = _first_coincident_pair(self.nodes)
         if pair is not None:
             raise DomainError(
@@ -101,22 +103,19 @@ class PickProblem:
         return len(self.nodes)
 
 
-def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
+def _first_coincident_pair(table: PointTable) -> tuple[int, int] | None:
     """Lexicographically first (i, j), i < j, of coinciding points, by row blocks.
 
-    Points coincide when they have the same dimension and equal coordinates
-    and, if either carries an exact gap, equal gaps.  Blocks run in row
-    order and each is searched row-major, so the first hit is the smallest.
+    Points coincide when their zero-padded coordinates are equal and so are
+    their gaps, a missing gap matching only a missing gap.  Blocks run in
+    row order and each is searched row-major, so the first hit is the
+    smallest.
     """
-    dims = np.array([p.coords.size for p in pts])
-    has_gap = np.array([p.gap is not None for p in pts])
-    gaps = np.array([0.0 if p.gap is None else p.gap for p in pts])
-    z = PointTable(pts).coords
-    for rows in row_blocks(len(pts), z.size):
+    z, gaps = table.coords, table.gaps
+    no_gap = np.isnan(gaps)
+    for rows in row_blocks(len(z), z.size):
         same = (
-            (dims[rows, None] == dims[None, :])
-            & (has_gap[rows, None] == has_gap[None, :])
-            & (gaps[rows, None] == gaps[None, :])
+            ((gaps[rows, None] == gaps[None, :]) | (no_gap[rows, None] & no_gap[None, :]))
             & (z[rows, None, :] == z[None, :, :]).all(axis=2)
         )
         hits = np.argwhere(np.triu(same, rows.start + 1))
@@ -128,16 +127,16 @@ def _first_coincident_pair(pts: list[BallPoint]) -> tuple[int, int] | None:
 def kernel_gram(nodes, kernel: KernelHandle) -> np.ndarray:
     """Hermitian kernel matrix [K(z_i, z_j)], upper triangle mirrored.
 
-    Row block by row block, 1 - <z_i, z_j> comes from the point table in one
-    call, with the exact gap algebra wherever both points are radial and
-    real, and the kernel evaluates the block in one ``kernel_from_defect``
-    call.  The output serves as the scratch space for the defects, since
-    the real-path choice needs all of them first: the entries take the real
-    path only if no pair has an imaginary part.
+    ``nodes`` is a point table or disc points, as for :class:`PickProblem`.
+    Row block by row block, 1 - <z_i, z_j> comes from the table in one
+    call, with the exact gap algebra wherever both points are radial, and
+    the kernel evaluates the block in one ``kernel_from_defect`` call.  The
+    output serves as the scratch space for the defects, since the real-path
+    choice needs all of them first: the entries take the real path only if
+    no pair has an imaginary part.
     """
-    pts = [_as_ball_point(z) for z in nodes]
-    n = len(pts)
-    table = PointTable(pts)
+    table = _as_table(nodes)
+    n = len(table)
     g = np.empty((n, n), dtype=complex)
     blocks = list(row_blocks(n, n))
     # first sweep: 1 - <z_i, z_j> into the rectangle right of each block's
@@ -292,7 +291,7 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
         # conj(w)/|w| part by part: complex division by a subnormal |w| of
         # a radial pair would overflow to nan
         gram = gram * (omt.real / mag - 1j * (omt.imag / mag))
-    gaps = table.gaps[idx]
+    gaps = table.radial_gaps[idx]
     coord_rel = np.divide((table.coords.shape[1] + 3) * np.finfo(float).eps, mag,
                           out=np.zeros_like(mag), where=np.isnan(gaps[:, None] + gaps[None, :]))
     return gram, log_block, coord_rel
@@ -390,6 +389,7 @@ def extract_interpolating_subsequence(
 ) -> ExtractionResult:
     """Greedy extraction of a subsequence whose Pick matrices stay definite.
 
+    ``points`` is a point table or disc points, as for :class:`PickProblem`.
     At stage k the candidate z is accepted once the dominant determinant
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
     last-row expansion terms, where delta estimates the infimum of
@@ -408,22 +408,22 @@ def extract_interpolating_subsequence(
     alone.  Raises NotCertifiedError when no candidate passes dominance,
     and a distinct one when candidates pass it but none is certified.
     """
-    pts = [_as_ball_point(z) for z in points]
+    table = _as_table(points)
     if not 0.0 < r < 1.0:
         raise DomainError("target radius r must lie in (0, 1)")
     if not 1 <= k_max <= 50:
         raise DomainError("k_max must lie in 1..50")
-    if not pts:
+    if not len(table):
         raise DomainError("point list is empty: extraction needs points approaching the boundary")
-    if pts[-1].norm <= 0.9:
+    norms = table.norms
+    if norms[-1] <= 0.9:
         raise DomainError("point list must approach the boundary (final norm > 0.9)")
 
-    table = PointTable(pts)
     log_one_minus_rsq = math.log1p(-r * r)
     log_one_plus_rsq = math.log1p(r * r)
 
     selected = [0]
-    rows = [ExtractionRow(1, 0, pts[0].norm, 1.0, "initial")]
+    rows = [ExtractionRow(1, 0, float(norms[0]), 1.0, "initial")]
 
     for k in range(2, k_max + 1):
         idx = np.array(selected)
@@ -448,7 +448,7 @@ def extract_interpolating_subsequence(
             log_delta = min(log_delta, float(log_det.min()))
 
         # vectorized dominance scan over all remaining candidates
-        cands = np.arange(selected[-1] + 1, len(pts))
+        cands = np.arange(selected[-1] + 1, len(table))
         if cands.size == 0:
             raise NotCertifiedError(
                 f"point list exhausted at stage {k}: no candidates remain"
@@ -498,7 +498,7 @@ def extract_interpolating_subsequence(
                 f"boundary too slowly for this truncation"
             )
         selected.append(accepted)
-        rows.append(ExtractionRow(k, accepted, pts[accepted].norm, margin, "dominance"))
+        rows.append(ExtractionRow(k, accepted, float(norms[accepted]), margin, "dominance"))
     return ExtractionResult(selected, rows)
 
 

@@ -5,8 +5,10 @@
   which leaves it invariant (W. Rudin, *Function Theory in the Unit Ball of
   C^n*, section 2.2); the Schwarz-Pick contraction of the embedded discs is
   checked with the distance too.
-- :func:`radial_point` and :func:`radial_gap_dist`: real points 1 - gap
-  whose gap is kept exact, and their distance through the gap algebra.
+- :func:`radial_points` and :func:`radial_gap_dist`: a table of real
+  points 1 - gap whose gaps are kept exact, and their distance through the
+  gap algebra; :func:`stacked` joins tables, as tests that mix radial and
+  general points need.
 - :func:`separation_delta`: one point's separation constant delta_n, a
   factor at a time, against the sweep of
   :func:`~npdisclab.sequences.garnett_targets`.
@@ -15,8 +17,8 @@
 - :func:`dyadic_separated`: the named sequence built one point at a time,
   against the array generator of
   :func:`~npdisclab.sequences.named_sequence`.
-- :func:`tangential_point`: the tangential map F = (f_1, f_2) at one point
-  as a ball point, for the norm and distance checks.
+- :func:`tangential_point`: the coordinates of the tangential map
+  F = (f_1, f_2) at one point, for the norm and distance checks.
 """
 
 import math
@@ -24,19 +26,27 @@ import math
 import numpy as np
 
 from npdisclab import DomainError
-from npdisclab.geometry import BallPoint, PointTable
+from npdisclab.geometry import PointTable
 from npdisclab.sequences import DiscSequence, SeparationDelta, _delta_record
 
 
-def radial_point(gap: float) -> BallPoint:
-    """The real point 1 - gap on the first axis, with the gap kept exact."""
-    if not 0.0 < gap <= 1.0:
+def radial_points(gaps) -> PointTable:
+    """The real points 1 - gap on the first axis, with the gaps kept exact."""
+    gaps = np.asarray(gaps, dtype=float)
+    if not np.all((0.0 < gaps) & (gaps <= 1.0)):
         raise DomainError("radial gap must lie in (0, 1]")
-    return BallPoint([1.0 - gap], gap=gap)
+    return PointTable(1.0 - gaps, gaps)
 
 
-def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
-    """Pseudohyperbolic distance between interior points, in [0, 1).
+def stacked(*tables: PointTable) -> PointTable:
+    """The rows of ``tables`` in order, shorter coordinate rows zero-padded."""
+    dim = max(t.coords.shape[1] for t in tables)
+    coords = [np.pad(t.coords, ((0, 0), (0, dim - t.coords.shape[1]))) for t in tables]
+    return PointTable(np.concatenate(coords), np.concatenate([t.gaps for t in tables]))
+
+
+def pseudo_dist(table: PointTable, i: int = 0, j: int = 1) -> float:
+    """Pseudohyperbolic distance between interior rows i and j of a table, in [0, 1).
 
     Uses the rearrangement
 
@@ -44,14 +54,14 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
 
     which is free of the 1 - (nearly 1) cancellation: it is exactly zero at
     coincident points and stays relatively accurate for close ones.  Radial
-    real pairs (no Gram defect) take :func:`radial_gap_dist` on their gaps.
+    pairs (no Gram defect) take :func:`radial_gap_dist` on their gaps.
     """
-    if not (p.is_interior and q.is_interior):
+    if not (table.interior[i] and table.interior[j]):
         raise DomainError("distance formula degenerates at the boundary")
-    if p.is_radial_real and q.is_radial_real:
-        return radial_gap_dist(p.gap, q.gap)
-    table = PointTable([p, q])
-    a, b = table.coords
+    gap_i, gap_j = table.radial_gaps[[i, j]]
+    if not math.isnan(gap_i + gap_j):
+        return radial_gap_dist(gap_i, gap_j)
+    a, b = table.coords[i], table.coords[j]
     diff_sq = float(np.sum(np.abs(a - b) ** 2))
     # all three through the same dot-product path, so the defect is an
     # exact zero for identical coordinate arrays
@@ -59,7 +69,7 @@ def pseudo_dist(p: BallPoint, q: BallPoint) -> float:
     nw_sq = complex(np.dot(b, np.conj(b))).real
     ip = complex(np.dot(a, np.conj(b)))
     num = diff_sq - (nz_sq * nw_sq - abs(ip) ** 2)
-    dsq = num / abs(complex(table.one_minus_inner(1, 0))) ** 2
+    dsq = num / abs(complex(table.one_minus_inner(j, i))) ** 2
     return math.sqrt(min(max(dsq, 0.0), 1.0))
 
 
@@ -69,20 +79,20 @@ def radial_gap_dist(gap_a: float, gap_b: float) -> float:
     Cancellation-free: the difference is formed from the gaps directly and
     1 - zw through the gap algebra of :class:`PointTable`.
     """
-    table = PointTable([radial_point(gap_a), radial_point(gap_b)])
+    table = radial_points([gap_a, gap_b])
     return abs(gap_a - gap_b) / float(table.one_minus_inner(0, 1).real)
 
 
-def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
-    """The ball automorphism phi_w applied to z.
+def mobius_auto(w, z) -> np.ndarray:
+    """The ball automorphism phi_w applied to z, both coordinate vectors.
 
     phi_w swaps w and 0; its norm at z reproduces the pseudohyperbolic
     distance: ||phi_w(z)|| = d(z, w).
     """
-    wc, zc = PointTable([w, z]).coords
+    wc, zc = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
     wn_sq = float(np.sum(np.abs(wc) ** 2))
     if wn_sq == 0.0:
-        return BallPoint(-zc)
+        return -zc
     ip_zw = complex(np.dot(zc, np.conj(wc)))
     denom = 1.0 - ip_zw
     if abs(denom) < 1e-15:
@@ -90,7 +100,7 @@ def mobius_auto(w: BallPoint, z: BallPoint) -> BallPoint:
     proj = (ip_zw / wn_sq) * wc
     perp = zc - proj
     scale = math.sqrt(max(1.0 - wn_sq, 0.0))
-    return BallPoint((wc - proj - scale * perp) / denom)
+    return (wc - proj - scale * perp) / denom
 
 
 def separation_delta(s: DiscSequence, n: int) -> SeparationDelta:
@@ -126,12 +136,12 @@ def numeric_deriv(curve, z) -> np.ndarray:
     return (4.0 * central(h / 2.0) - central(h)) / 3.0
 
 
-def tangential_point(emb, z) -> BallPoint:
+def tangential_point(emb, z) -> np.ndarray:
     """F(z) = (f_1(z), f_2(z)) of a TangentialEmbedding, with F(1) = (1, 0) exactly."""
     z = complex(z)
     if z == 1.0:
-        return BallPoint([1.0, 0.0])
-    return BallPoint([emb.f1(z), emb.f2(z)])
+        return np.array([1.0, 0.0], dtype=complex)
+    return np.array([emb.f1(z), emb.f2(z)], dtype=complex)
 
 
 def dyadic_separated(n: int) -> DiscSequence:

@@ -14,7 +14,6 @@ import pytest
 
 from npdisclab import kernels
 from npdisclab.geometry import (
-    BallPoint,
     CrossingCurve,
     EmbeddedDisc,
     PointTable,
@@ -45,7 +44,7 @@ from npdisclab.tangential import (
     tangency_report,
 )
 
-from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_point, tangential_point
+from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_points, tangential_point
 
 
 def _random_moduli_batch(count, n, seed):
@@ -115,15 +114,16 @@ def test_criterion_05_automorphism_identities():
     def sample(dim):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
-        return BallPoint(v * 0.9 * rng.uniform() ** 0.25)
+        return v * 0.9 * rng.uniform() ** 0.25
 
     for dim in (2, 4):
         worst_norm, worst_inv = 0.0, 0.0
         for _ in range(1000):
             w, z, y = sample(dim), sample(dim), sample(dim)
-            worst_norm = max(worst_norm, abs(mobius_auto(w, z).norm - pseudo_dist(z, w)))
-            lhs = pseudo_dist(mobius_auto(w, z), mobius_auto(w, y))
-            worst_inv = max(worst_inv, abs(lhs - pseudo_dist(z, y)))
+            worst_norm = max(worst_norm, abs(np.linalg.norm(mobius_auto(w, z))
+                                             - pseudo_dist(PointTable([z, w]))))
+            lhs = pseudo_dist(PointTable([mobius_auto(w, z), mobius_auto(w, y)]))
+            worst_inv = max(worst_inv, abs(lhs - pseudo_dist(PointTable([z, y]))))
         assert worst_norm < 1e-12, f"dim={dim}"
         assert worst_inv < 1e-10, f"dim={dim}"
     print("\nACCEPTANCE 5 PASS: ||phi_w(z)|| = d(z,w) to 1e-12; invariance to 1e-10 (C^2, C^4)")
@@ -167,7 +167,7 @@ def test_criterion_08_crossing_distortion():
 def test_criterion_09_transversality_pairing():
     for r in (0.3, 0.5, 0.7):
         curve = CrossingCurve(r)
-        pair = complex(np.dot(curve.deriv(1.0), np.conj(curve.eval(1.0).coords))).real
+        pair = complex(np.dot(curve.deriv(1.0), np.conj(curve.coords(1.0)))).real
         assert abs(pair - 2.0 / (1.0 - r)) < 1e-10
     curve = CrossingCurve(0.5)
     for t in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
@@ -176,10 +176,10 @@ def test_criterion_09_transversality_pairing():
 
 
 def test_criterion_10_extractor_soundness():
-    points = [radial_point(math.exp(-float(n * n))) for n in range(1, 13)]
+    table = radial_points([math.exp(-float(n * n)) for n in range(1, 13)])
     start = time.monotonic()
-    res = extract_interpolating_subsequence(points, 0.5, 10)
-    table, idx = PointTable(points), np.array(res.indices)
+    res = extract_interpolating_subsequence(table, 0.5, 10)
+    idx = np.array(res.indices)
     blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
     rng = np.random.default_rng(np.random.Philox(110))
     for _ in range(500):
@@ -254,8 +254,8 @@ def test_criterion_14_schwarz_pick_contraction(fine_embedding):
     for _ in range(250):
         lam, mu = disc_point(), disc_point()
         d_src = pseudo_dist_scalar(lam, mu)
-        d_img = pseudo_dist(tangential_point(fine_embedding, 0.9 * lam),
-                            tangential_point(fine_embedding, 0.9 * mu))
+        d_img = pseudo_dist(PointTable([tangential_point(fine_embedding, 0.9 * lam),
+                                        tangential_point(fine_embedding, 0.9 * mu)]))
         assert d_img <= d_src * (1.0 + 1e-10)
         checked += 1
     assert checked == 1000

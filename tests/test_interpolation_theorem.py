@@ -1,0 +1,106 @@
+"""Separation constants against the certified Gram spectrum (Carleson's theorem).
+
+For distinct disc points with normalized Szego Gram matrix G, every
+delta_n = prod_{k != n} d(z_n, z_k) is at least rho* = sqrt(lambda_min(G) /
+lambda_max(G)): with D = diag(w), ||D|| <= rho*, G - D G D* >= 0, so by Pick
+the targets rho* e_n are interpolated by some phi with ||phi|| <= 1, which
+vanishes at the other points, so rho* = |phi(z_n)| <= |B_n(z_n)| = delta_n
+(Garnett, *Bounded Analytic Functions*, ch. VII).  A certified extractor
+stage has lambda_min - r^2 lambda_max > 0, so every selection has
+delta_min > r.
+
+delta_n comes from ``sequences``' pair sweep, G from the extractor's
+:class:`~npdisclab.geometry.PointTable`, so the check ties the two owners of
+the pair geometry together.  As d(z_n, z_k)^2 = 1 - |G_nk|^2, each delta_n
+is also read from G itself, which catches a factor the sweep drops; the
+lower bound alone cannot, since every factor is at most 1.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from npdisclab import pick
+from npdisclab.csvio import read_rows
+from npdisclab.pick import extract_interpolating_subsequence
+from npdisclab.sequences import DiscSequence, garnett_targets, named_sequence
+
+from .test_pick import named_points
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EPS = np.finfo(float).eps
+
+#: (tag, n, r, kmax) that certify, at or near the largest kmax that does
+CONFIGS = [
+    *[("wn_gaussian", n, r, k) for n, r, k in (
+        (8, 0.3, 8), (9, 0.5, 9), (10, 0.7, 8), (11, 0.3, 11), (12, 0.5, 12), (13, 0.7, 10),
+        (14, 0.3, 14), (15, 0.5, 14), (16, 0.7, 12), (17, 0.3, 17), (18, 0.5, 16),
+        (19, 0.7, 14), (20, 0.3, 18), (21, 0.5, 18), (22, 0.7, 16), (23, 0.3, 18),
+        (24, 0.5, 18), (25, 0.7, 18), (26, 0.3, 18), (27, 0.5, 18))],
+    *[("vn_quadratic", n, r, k) for n, r, k in (
+        (100, 0.3, 3), (100, 0.5, 2), (100, 0.7, 2), (1000, 0.3, 4), (1000, 0.5, 3),
+        (1000, 0.7, 3))],
+    *[("xn_alternating", n, r, k) for n, r, k in (
+        (100, 0.3, 5), (100, 0.5, 4), (100, 0.7, 3), (1000, 0.3, 6), (1000, 0.5, 5),
+        (1000, 0.7, 4))],
+    *[("dyadic_separated", n, r, k) for n, r, k in (
+        (8, 0.3, 2), (10, 0.3, 3), (12, 0.3, 4), (14, 0.3, 5), (14, 0.5, 3), (14, 0.7, 2))],
+]
+
+
+def _check(tag: str, n: int, idx: np.ndarray, r: float) -> None:
+    """The selection ``idx`` of the named sequence, certified at radius r."""
+    seq = named_sequence(tag, n)
+    sel = DiscSequence(seq.points[idx], tag, gaps=seq.gaps[idx],
+                       log_gaps=seq.log_gaps[idx], angles=seq.angles[idx])
+    log_delta = np.array([b.delta.log_value for b in garnett_targets(sel)])
+    gram, log_block, coord_rel = pick._normalized_gram(named_points(tag, n), idx)
+    e = pick._rayleigh_bound(gram, log_block, coord_rel)
+    eig = np.linalg.eigvalsh(gram)
+    rho_lower = math.sqrt(max(eig[0] - e, 0.0) / (eig[-1] + e))
+    k = len(idx)
+    off = ~np.eye(k, dtype=bool)
+
+    # delta's own rounding bound, on log delta_n: each distance carries at
+    # most 8 eps relative from its few roundings (the log-gap formula reads
+    # exact log-gaps), plus c eps/|1 - z conj(w)|, c = 4, where the sweep
+    # forms 1 - z conj(w) from coordinates; the log and the column sum
+    # add eps per factor
+    if sel.is_radial_positive:
+        per_factor = np.full((k, k), 9 * EPS)
+    else:
+        per_factor = 9 * EPS + 4 * EPS * np.exp(log_block)
+    delta_err = np.where(off, per_factor, 0.0).sum(axis=1)
+    assert np.all(log_delta >= math.log(rho_lower) - delta_err)
+    assert math.exp(log_delta.min()) > r
+
+    # the same delta_n from G: log delta_n = sum_k log(1 - |G_nk|^2) / 2.
+    # G_nk carries the relative error _rayleigh_bound charges it, rel, so
+    # the term moves by at most rel |G|^2/(1 - |G|^2), plus eps for log1p
+    # and the sum
+    a = np.where(off, np.abs(gram) ** 2, 0.0)
+    ell, diag_rel = np.abs(log_block), np.diag(coord_rel)
+    rel = (EPS * (10 + 2 * ell + np.diag(ell)[:, None] + np.diag(ell)[None, :])
+           + 2 * coord_rel + diag_rel[:, None] + diag_rel[None, :])
+    gram_form = 0.5 * np.log1p(-a).sum(axis=1)
+    gram_err = np.where(off, rel * a / (1.0 - a) + 2 * EPS, 0.0).sum(axis=1)
+    assert np.all(np.abs(log_delta - gram_form) <= delta_err + gram_err)
+
+
+@pytest.mark.parametrize("golden", ["interp-extract.csv", "interp-extract-k18.csv"])
+def test_golden_selections(golden):
+    with open(GOLDEN / golden, encoding="utf-8") as fh:
+        doc = read_rows(fh)
+    params = dict(c.removeprefix("param ").split(" = ") for c in doc.comments
+                  if c.startswith("param "))
+    idx = np.array([row[doc.columns.index("index")] for row in doc.rows])
+    _check(params["tag"], int(params["n"]), idx, float(params["r"]))
+
+
+@pytest.mark.parametrize("tag, n, r, kmax", CONFIGS)
+def test_extractor_selections(tag, n, r, kmax):
+    res = extract_interpolating_subsequence(named_points(tag, n), r, kmax)
+    _check(tag, n, np.array(res.indices), r)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import npdisclab
 from npdisclab import DomainError, NotCertifiedError, kernels, pick, row_blocks
-from npdisclab.geometry import BallPoint, PointTable, pseudo_dist_scalar
+from npdisclab.geometry import PointTable, pseudo_dist_scalar
 from npdisclab.pick import (
     CrossingObstruction,
     PickProblem,
@@ -18,15 +18,15 @@ from npdisclab.pick import (
     psd_check,
 )
 
-from .oracles import radial_point
+from .oracles import radial_points, stacked
 
 
 def gaussian_points(n):
-    return [radial_point(math.exp(-float(k * k))) for k in range(1, n + 1)]
+    return radial_points([math.exp(-float(k * k)) for k in range(1, n + 1)])
 
 
 def quadratic_points(n):
-    return [radial_point(1.0 / k**2) for k in range(2, n + 2)]
+    return radial_points([1.0 / k**2 for k in range(2, n + 2)])
 
 
 def named_points(tag, n):
@@ -34,7 +34,7 @@ def named_points(tag, n):
     from npdisclab.sequences import named_sequence
 
     seq = named_sequence(tag, n)
-    return [BallPoint([pt], gap=g if g > 0.0 else None) for g, pt in zip(seq.gaps, seq.points)]
+    return PointTable(seq.points, np.where(seq.gaps > 0.0, seq.gaps, np.nan))
 
 
 def certified_margin(gram, log_block, coord_rel, r):
@@ -104,17 +104,20 @@ class TestCoincidence:
             PickProblem(nodes, np.zeros(300), kernels.hardy(1))
 
     def test_equal_coordinates_with_different_gaps_are_distinct(self):
-        p = BallPoint([0.5], gap=0.5)
-        q = BallPoint([0.5], gap=0.5 + 2.0**-40)
-        assert PickProblem([p, q, BallPoint([0.5])], [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
-        with pytest.raises(DomainError, match="nodes 0 and 2 coincide"):
-            PickProblem([p, q, BallPoint([0.5], gap=0.5)], [0.0, 0.1, 0.2], kernels.hardy(1))
-
-    def test_different_dimensions_are_distinct(self):
-        nodes = [BallPoint([0.5]), BallPoint([0.5, 0.0]), BallPoint([0.5, 0.0, 0.0])]
+        gaps = [0.5, 0.5 + 2.0**-40, math.nan]
+        nodes = PointTable([0.5] * 3, gaps)
         assert PickProblem(nodes, [0.0, 0.1, 0.2], kernels.hardy(1)).size == 3
+        with pytest.raises(DomainError, match="nodes 0 and 2 coincide"):
+            PickProblem(PointTable([0.5] * 3, gaps[:2] + [0.5]), [0.0, 0.1, 0.2], kernels.hardy(1))
+
+    def test_zero_padded_dimensions_coincide(self):
+        # [0.5] and [0.5, 0] are one ball point once the table pads them
+        nodes = stacked(PointTable([0.5]), PointTable([[0.5, 0.0]]))
+        with pytest.raises(DomainError, match="nodes 0 and 1 coincide"):
+            PickProblem(nodes, [0.0, 0.1], kernels.hardy(1))
+        nodes = PointTable([[0.5, 0.0, 0.0], [0.5, 0.0, 0.1], [0.5, 0.1, 0.0], [0.5, 0.0, 0.1]])
         with pytest.raises(DomainError, match="nodes 1 and 3 coincide"):
-            PickProblem(nodes + [BallPoint([0.5, 0.0])], [0.0, 0.1, 0.2, 0.3], kernels.hardy(1))
+            PickProblem(nodes, [0.0, 0.1, 0.2, 0.3], kernels.hardy(1))
 
     def test_signed_zero_coordinates_coincide(self):
         with pytest.raises(DomainError, match="nodes 0 and 1 coincide"):
@@ -165,7 +168,7 @@ class TestGramOracle:
         # 1 - z w rounds to 0 for these radial points; only the exact gaps
         # g_i + g_j - g_i g_j keep the kernel finite
         gaps = [1e-20, 3e-20]
-        pts = [radial_point(g) for g in gaps] + [BallPoint([0.3j])]
+        pts = stacked(radial_points(gaps), PointTable([0.3j]))
         for kernel in (kernels.hardy(1), kernels.hardy(64)):
             gram = kernel_gram(pts, kernel)
             for i, gi in enumerate(gaps):
@@ -359,7 +362,7 @@ class TestPsdCheck:
         s = crossing_scalar(curve)
         x, big_c = 1e-3, 2.0
         z1, z2 = 1.0 - x, -1.0 + s * x
-        nodes = [curve.eval(z1), curve.eval(z2)]
+        nodes = PointTable([curve.coords(z1), curve.coords(z2)])
         p = PickProblem(nodes, [z1 / big_c, z2 / big_c], kernels.hardy(1))
         assert psd_check(pick_matrix(p)).verdict == "indefinite"
 
@@ -420,17 +423,16 @@ class TestExtractor:
         from npdisclab.pick import _log_kernel, _normalized_pick
 
         idx = np.array([90000, 90001])
-        block = _log_kernel(PointTable(pts), idx[:, None], idx[None, :])
+        block = _log_kernel(pts, idx[:, None], idx[None, :])
         b = _normalized_pick(block, np.array([0.5, -0.5]))
         assert np.linalg.eigvalsh(b).min() < 0.0
 
     def test_soundness_on_random_targets(self):
         res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
-        pts = gaussian_points(12)
         rng = np.random.default_rng(np.random.Philox(45))
         from npdisclab.pick import _log_kernel, _normalized_pick
 
-        table, idx = PointTable(pts), np.array(res.indices)
+        table, idx = gaussian_points(12), np.array(res.indices)
         blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
         for _ in range(500):
             mag = 0.5 * np.sqrt(rng.uniform(size=10))
@@ -447,7 +449,7 @@ class TestExtractor:
     def test_point_on_sphere_without_gap_is_an_error(self):
         # the gap of 1 - e^{-28^2} underflows, leaving the point [1.0]; the
         # log-kernel must refuse it rather than carry log(0) = -inf along
-        pts = gaussian_points(3) + [BallPoint([1.0])]
+        pts = stacked(gaussian_points(3), PointTable([1.0]))
         with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
             extract_interpolating_subsequence(pts, 0.5, 3)
 
@@ -458,7 +460,7 @@ class TestExtractor:
 
     def test_rejects_interior_bound_sequences(self):
         with pytest.raises(ValueError):
-            extract_interpolating_subsequence([BallPoint([0.1]), BallPoint([0.2])], 0.5, 2)
+            extract_interpolating_subsequence([0.1, 0.2], 0.5, 2)
 
 
 class TestCorners:
@@ -495,11 +497,11 @@ class TestRayleighCertificate:
         if radial:
             # exact gaps, some far below machine epsilon
             logs = draw(st.lists(st.floats(0.1, 300.0), min_size=k, max_size=k))
-            pts = [radial_point(math.exp(-t)) for t in logs]
+            pts = radial_points([math.exp(-t) for t in logs])
         else:
             polar = draw(st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi)),
                                   min_size=k, max_size=k))
-            pts = [BallPoint([rho * complex(math.cos(a), math.sin(a))]) for rho, a in polar]
+            pts = PointTable([rho * complex(math.cos(a), math.sin(a)) for rho, a in polar])
         # each target on the torus |w_i| = r (a corner), or inside, real or not
         mags = draw(st.lists(st.one_of(st.just(r), st.floats(0.0, r)), min_size=k, max_size=k))
         angles = draw(st.lists(st.one_of(st.sampled_from([0.0, math.pi]),
@@ -510,8 +512,8 @@ class TestRayleighCertificate:
     @settings(max_examples=300, deadline=None)
     @given(cases())
     def test_bound_holds_over_the_polydisc(self, case):
-        pts, r, radial, w = case
-        table, idx = PointTable(pts), np.arange(len(pts))
+        table, r, radial, w = case
+        idx = np.arange(len(table))
         cert = certified_margin(*pick._normalized_gram(table, idx), r)
         omt = table.one_minus_inner(idx[:, None], idx[None, :])
         # the block the Pick matrix is built from carries the phase
@@ -547,11 +549,11 @@ class TestRayleighCertificate:
         # absolute error up to c eps, c = d + 3 = 4; moving those entries by
         # c eps moves the margin by less than the bound, and by more than
         # the bound without its coordinate term
-        pts = named_points("dyadic_separated", 20)
-        res = extract_interpolating_subsequence(pts, 0.5, 5)
-        table, idx = PointTable(pts), np.array(res.indices[:stage])
+        table = named_points("dyadic_separated", 20)
+        res = extract_interpolating_subsequence(table, 0.5, 5)
+        idx = np.array(res.indices[:stage])
         gram, log_block, coord_rel = pick._normalized_gram(table, idx)
-        gaps = table.gaps[idx]
+        gaps = table.radial_gaps[idx]
         coord = np.isnan(gaps[:, None] + gaps[None, :])
         omt = table.one_minus_inner(idx[:, None], idx[None, :]).astype(complex)
 
@@ -573,7 +575,7 @@ class TestRayleighCertificate:
         # delta > 1/4 leaves the doubled first-order term unproved: a point
         # given by coordinates within 4 eps of the sphere is never certified
         z = 1.0 - 4 * np.finfo(float).eps
-        table = PointTable([BallPoint([0.5j]), BallPoint([z * np.exp(0.1j)])])
+        table = PointTable([0.5j, z * np.exp(0.1j)])
         parts = pick._normalized_gram(table, np.arange(2))
         assert parts[2].max() > 0.25 and pick._rayleigh_bound(*parts) == math.inf
 
@@ -581,9 +583,8 @@ class TestRayleighCertificate:
         # dyadic_separated points off the real axis: from stage 4 the Gram
         # block has a phase, and the entrywise modulus would print another
         # margin, further off than the rounding bound
-        pts = named_points("dyadic_separated", 20)
-        res = extract_interpolating_subsequence(pts, 0.5, 5)
-        table, phased = PointTable(pts), []
+        table, phased = named_points("dyadic_separated", 20), []
+        res = extract_interpolating_subsequence(table, 0.5, 5)
         for row in res.rows[1:]:
             idx = np.array(res.indices[:row.k])
             gram, log_block, coord_rel = pick._normalized_gram(table, idx)

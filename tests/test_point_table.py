@@ -15,11 +15,11 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from npdisclab.geometry import BallPoint, PointTable  # noqa: E402
+from npdisclab.geometry import PointTable  # noqa: E402
 from npdisclab.kernels import hardy, parse_family  # noqa: E402
 from npdisclab.pick import kernel_gram  # noqa: E402
 
-from .oracles import radial_point  # noqa: E402
+from .oracles import radial_points, stacked  # noqa: E402
 
 #: the hardy closed form read on ball points: 1/(1 - <x, y>)
 DRURY_ARVESON = hardy(1)
@@ -45,17 +45,16 @@ def _in_ball(parts, radius=0.9):
 c2_points = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).map(_in_ball)
 
 
-def _owner_entry(p: BallPoint, q: BallPoint) -> complex:
-    """Entry (0, 1) of the owner's 2x2 block for the pair."""
+def _owner_entry(pair: PointTable) -> complex:
+    """Entry (0, 1) of the owner's 2x2 block for a two-row table."""
     idx = np.arange(2)
-    return PointTable([p, q]).one_minus_inner(idx[:, None], idx[None, :])[0, 1]
+    return pair.one_minus_inner(idx[:, None], idx[None, :])[0, 1]
 
 
 @ORACLE
 @given(gaps, gaps)
 def test_radial_pairs_are_relatively_exact(ga, gb):
-    p, q = radial_point(ga), radial_point(gb)
-    got = _owner_entry(p, q)
+    got = _owner_entry(radial_points([ga, gb]))
     with mpmath.workdps(50):
         # the points are 1 - g exactly, so 1 - z w = 1 - (1 - g_a)(1 - g_b);
         # expanded, it keeps all 50 digits for gaps down to 1e-300
@@ -68,8 +67,7 @@ def test_radial_pairs_are_relatively_exact(ga, gb):
 @ORACLE
 @given(c2_points, c2_points)
 def test_general_pairs_are_absolutely_exact(a, b):
-    p, q = BallPoint(a), BallPoint(b)
-    got = _owner_entry(p, q)
+    got = _owner_entry(PointTable([a, b]))
     with mpmath.workdps(50):
         want = 1 - mpmath.fsum(mpmath.mpc(x) * mpmath.conj(mpmath.mpc(y)) for x, y in zip(a, b))
         assert abs(mpmath.mpc(got) - want) <= BOUND
@@ -78,10 +76,10 @@ def test_general_pairs_are_absolutely_exact(a, b):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.lists(gaps, min_size=1, max_size=6), st.lists(c2_points, max_size=6))
 def test_drury_arveson_gram_is_one_over_the_owner(radial, general):
-    pts = [radial_point(g) for g in radial] + [BallPoint(v) for v in general]
+    pts = stacked(radial_points(radial), PointTable(np.reshape(general, (-1, 2))))
     gram = kernel_gram(pts, DRURY_ARVESON)
     rows, cols = np.triu_indices(len(pts))
-    want = 1.0 / PointTable(pts).one_minus_inner(rows, cols)
+    want = 1.0 / pts.one_minus_inner(rows, cols)
     off = rows != cols
     assert np.array_equal(gram[rows[off], cols[off]], want[off])
     # the conjugate mirror writes the diagonal last
@@ -93,10 +91,27 @@ def test_drury_arveson_gram_is_one_over_the_owner(radial, general):
 )
 def test_gram_diagonal_is_real_for_complex_nodes(kernel):
     rng = np.random.default_rng(np.random.Philox(17))
-    nodes = [BallPoint(_in_ball(rng.uniform(-1.0, 1.0, 4))) for _ in range(20)]
+    nodes = [_in_ball(rng.uniform(-1.0, 1.0, 4)) for _ in range(20)]
     # z conj(z) leaves -1.47e-17j on 1 - |z|^2 for this point
-    nodes.append(BallPoint([0.0, 0.9 * (1 + 1j) / math.sqrt(2.0)]))
+    nodes = PointTable([*nodes, [0.0, 0.9 * (1 + 1j) / math.sqrt(2.0)]])
     k = kernel if kernel == DRURY_ARVESON else parse_family(kernel, 64)
     gram = kernel_gram(nodes, k)
     assert np.any(gram.imag != 0.0)  # the nodes are complex
     assert np.all(np.diag(gram).imag == 0.0)
+
+
+def test_radial_rule_survives_padding_and_row_selection():
+    # a point is radial when it has a gap, a real first coordinate >= 0 and
+    # zeros elsewhere; 1-D rows padded into a 2-D table stay radial
+    table = stacked(radial_points([1e-20, 3e-20]),
+                    PointTable([[0.5, 0.0], [0.5, 0.1], [-0.5, 0.0], [0.5j, 0.0]], [0.5] * 4))
+    assert np.array_equal(np.isnan(table.radial_gaps), [False] * 3 + [True] * 3)
+    # both coordinates round to 1.0: only the gap algebra keeps 1 - z w off 0
+    assert table.one_minus_inner(0, 1) == 1e-20 + 3e-20 - 1e-20 * 3e-20
+    # the gap gives 1 - ||z||^2 and the norm; a gap > 0 keeps a point interior
+    assert np.array_equal(table.norms, [1.0, 1.0] + [0.5] * 4)
+    assert np.all(table.interior)
+    assert np.array_equal(PointTable([1.0, 0.5]).interior, [False, True])
+    part = table[1:4]
+    assert np.array_equal(part.coords, table.coords[1:4])
+    assert np.array_equal(part.radial_gaps, table.radial_gaps[1:4], equal_nan=True)

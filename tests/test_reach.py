@@ -14,6 +14,13 @@ says why it stays.
 Reference code that only the tests run lives in ``tests/oracles.py``, and
 no name it defines is defined in src again.
 
+The reach check reads names, not classes, so a method is reached as soon
+as any src code reads a method of the same name on any class; a method only
+the tests call passes it when another class shares its name.  So every
+public method name that two or more src classes define is listed in
+``SHARED_METHODS`` with the reason the classes share it, and a new shared
+name needs review.
+
 And every ``raise`` belongs to the failure contract: it names
 ``DomainError`` or ``NotCertifiedError`` (the only exception classes src
 defines), or it is a bare re-raise, or ``INTERNAL_RAISES`` says why only a
@@ -51,6 +58,19 @@ KEPT_DEFAULTS = {
 }
 
 
+_CURVE = "the curve protocol: the curve functions read it from EmbeddedDisc and CrossingCurve"
+
+#: public method names that two or more src classes define, each with the
+#: reason they share it
+SHARED_METHODS = {
+    "coords": _CURVE,
+    "deriv": _CURVE,
+    "inner": _CURVE,
+    "n": "the length of coefficients, weights, handles, embeddings and disc sequences",
+    "padded": "moduli and weights both hand the series layer a fixed number of terms",
+}
+
+
 def _public_definitions(tree):
     """(module-level functions, classes and UPPER_CASE constants, methods of
     those classes), public ones."""
@@ -84,6 +104,23 @@ def _scan():
 def test_every_public_name_is_reached_or_kept():
     defined, named = _scan()
     assert sorted(defined - named - set(KEPT)) == []
+
+
+def _shared_method_names():
+    """Public method names defined by two or more src classes."""
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        owners.setdefault(sub.name, set()).add(f"{path.stem}.{node.name}")
+    return {name for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_shared_method_names_are_reviewed():
+    # a new shared name, or a listed one that is no longer shared, changes the map
+    assert sorted(_shared_method_names()) == sorted(SHARED_METHODS)
 
 
 def test_kept_names_exist_and_stay_unreached():

@@ -10,11 +10,11 @@ import pytest
 
 import npdisclab
 from npdisclab import kernels, row_blocks
-from npdisclab.geometry import BallPoint, PointTable
+from npdisclab.geometry import PointTable
 from npdisclab.pick import PickProblem, kernel_gram, pick_matrix
 from npdisclab.sequences import garnett_targets, named_sequence
 
-from .oracles import radial_point
+from .oracles import radial_points, stacked
 
 
 def _bits(a) -> np.ndarray:
@@ -24,13 +24,13 @@ def _bits(a) -> np.ndarray:
 
 def whole_gram(nodes, kernel) -> np.ndarray:
     """Every upper-triangle pair in one owner call and one kernel call."""
-    pts = [z if isinstance(z, BallPoint) else BallPoint([complex(z)]) for z in nodes]
-    rows, cols = np.triu_indices(len(pts))
-    omt = PointTable(pts).one_minus_inner(rows, cols)
+    table = nodes if isinstance(nodes, PointTable) else PointTable(nodes)
+    rows, cols = np.triu_indices(len(table))
+    omt = table.one_minus_inner(rows, cols)
     if not omt.imag.any():
         omt = omt.real
     upper = kernel.kernel_from_defect(omt)
-    g = np.empty((len(pts), len(pts)), dtype=complex)
+    g = np.empty((len(table), len(table)), dtype=complex)
     g[rows, cols] = upper
     g[cols, rows] = np.conj(upper)
     return g
@@ -89,7 +89,7 @@ def test_gram_equals_the_whole_array_formula(family, kind, size):
 
 def test_gram_keeps_the_gap_algebra_across_blocks(monkeypatch):
     monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", 8)
-    pts = [radial_point(g) for g in (1e-20, 3e-20, 0.5)] + [BallPoint([0.3j, 0.1])]
+    pts = stacked(radial_points([1e-20, 3e-20, 0.5]), PointTable([[0.3j, 0.1]]))
     for family in ("hardy", "geom:0.5"):
         kernel = kernels.parse_family(family, 64)
         assert np.array_equal(_bits(kernel_gram(pts, kernel)), _bits(whole_gram(pts, kernel)))
