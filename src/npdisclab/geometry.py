@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError
+from .rounding import CIRCLE_BAND, MASS_SLACK, MODULI_FLOOR
 
 #: interior points must keep this much distance from the sphere unless a gap
 #: is carried exactly
@@ -136,12 +137,12 @@ class EmbeddedDisc:
 
     def __init__(self, handle):
         cv = handle.moduli.values
-        if np.any(cv < -1e-12):
+        if np.any(cv < MODULI_FLOOR):
             raise DomainError(
                 f"family {handle.family_tag!r} has negative moduli; no embedding"
             )
         mass = cv.sum()
-        if mass > 1.0 + 1e-12:
+        if mass > 1.0 + MASS_SLACK:
             raise DomainError(
                 f"family {handle.family_tag!r} has moduli summing to {mass:.17g}, "
                 f"above 1; no embedding"
@@ -160,7 +161,7 @@ class EmbeddedDisc:
     def coords(self, z: complex) -> np.ndarray:
         """The truncated coordinates b_n z^n, without the generating function."""
         z = complex(z)
-        if abs(z) > 1.0 + 1e-12:
+        if abs(z) > 1.0 + CIRCLE_BAND:
             raise DomainError("embedding evaluated outside the closed disc")
         return self.amplitudes * z ** np.arange(1, self.n + 1)
 
@@ -168,7 +169,7 @@ class EmbeddedDisc:
         """f'(z) of the truncated coordinates; refused on the circle unless the
         renewal mean mu = sum n c_n, which is <f(z), z f'(z)> there, is finite."""
         z = complex(z)
-        if abs(z) > 1.0 - 1e-12 and not math.isfinite(self.handle.renewal_mean()):
+        if abs(z) > 1.0 - CIRCLE_BAND and not math.isfinite(self.handle.renewal_mean()):
             raise DomainError(
                 "derivative series diverges on the boundary for this embedding"
             )

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, row_blocks
+from .rounding import CIRCLE_BAND, CNP_TOL, log_ratio_error
 from .series import (
-    CNP_TOL,
     CoefficientSequence,
     KernelWeights,
     doubling_limit,
@@ -129,13 +129,13 @@ def _hs_generating(s: float, t) -> np.ndarray:
     terms, not by truncation.  On the circle |t| = 1 the sum is only taken
     when s < -1 (absolutely summable), and it is truncated silently after
     ``_HS_TERM_CAP`` terms (ROADMAP item 4).  For s >= -1, A_s(1) = inf and
-    every other point within 1e-12 of the circle raises DomainError: there
-    the series does not converge absolutely.
+    every other point within ``CIRCLE_BAND`` of the circle raises
+    DomainError: there the series does not converge absolutely.
     """
     t = np.atleast_1d(np.asarray(t, dtype=complex))
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    if np.any(np.abs(t) > 1.0 + CIRCLE_BAND):
         raise DomainError("generating function evaluated outside the closed disc")
-    if s >= -1.0 and np.any((np.abs(t) > 1.0 - 1e-12) & (t != 1.0)):
+    if s >= -1.0 and np.any((np.abs(t) > 1.0 - CIRCLE_BAND) & (t != 1.0)):
         raise DomainError(f"hs:{s:g} series is not absolutely summable on the unit circle")
     total = np.where((t == 1.0) & (s >= -1.0), complex(math.inf), 0j)
     live = np.flatnonzero(np.isfinite(total))
@@ -300,12 +300,11 @@ class ComparabilityReport(NamedTuple):
 def _log_limit(r: np.ndarray):
     """Doubling limit of log r, which converges iff r tends to a positive finite limit.
 
-    Each log carries r's relative rounding as absolute error: a few ulps, and up
-    to N more for weights from a recursion or an inversion.  So power laws give
-    q = 1 within rounding, and moduli (0.7, 0.3), whose float sum is
-    1 - 5.6e-17, drift by rounding only."""
+    The logs are read within :func:`~npdisclab.rounding.log_ratio_error`.  So
+    power laws give q = 1 within rounding, and moduli (0.7, 0.3), whose float
+    sum is 1 - 5.6e-17, drift by rounding only."""
     logs = np.log(doubling_points(r))
-    return doubling_limit(logs, np.finfo(float).eps * (4.0 + 4.0 * np.abs(logs).max() + r.size))
+    return doubling_limit(logs, log_ratio_error(logs, r.size))
 
 
 def are_comparable(a: KernelWeights, a2: KernelWeights) -> ComparabilityReport:

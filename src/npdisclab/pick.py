@@ -44,12 +44,10 @@ import numpy as np
 
 from . import DomainError, NotCertifiedError, row_blocks
 from .geometry import CrossingCurve, PointTable, crossing_scalar
+from .rounding import PSD_TOL, coordinate_rel, rayleigh_bound
 
 if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
     from .kernels import KernelHandle
-
-#: relative eigenvalue tolerance separating the three verdict zones
-PSD_TOL = 1e-10
 
 #: not a code path: perfbench/layers.py counts calls of this name in its
 #: traced runs (always 0 now), so the name stays until that counter goes
@@ -281,7 +279,8 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
     w_ij = 1 - <z_i, z_j> from one owner call and l = -log |w|; G stays
     real where no w_ij has an imaginary part.  Returns G, l and
     ``coord_rel``, c eps/|w_ij| on the pairs the owner forms from d
-    coordinates (c = d + 3; see :func:`_rayleigh_bound`) and 0 elsewhere.
+    coordinates (c = d + 3; see :func:`~npdisclab.rounding.rayleigh_bound`)
+    and 0 elsewhere.
     """
     omt = table.one_minus_inner(idx[:, None], idx[None, :])
     log_block = _log_modulus(omt)
@@ -292,54 +291,8 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
         # a radial pair would overflow to nan
         gram = gram * (omt.real / mag - 1j * (omt.imag / mag))
     gaps = table.radial_gaps[idx]
-    coord_rel = np.divide((table.coords.shape[1] + 3) * np.finfo(float).eps, mag,
-                          out=np.zeros_like(mag), where=np.isnan(gaps[:, None] + gaps[None, :]))
+    coord_rel = coordinate_rel(table.coords.shape[1], mag, np.isnan(gaps[:, None] + gaps[None, :]))
     return gram, log_block, coord_rel
-
-
-def _rayleigh_bound(gram: np.ndarray, log_block: np.ndarray, coord_rel: np.ndarray) -> float:
-    """Rounding bound on the computed margin lambda_min(G) - r^2 lambda_max(G).
-
-    With D = diag(w), |w_i| <= r, and E = diag(1 - |w_i|^2) <= I, the
-    normalized Pick matrix is E^{-1/2} (G - D G D*) E^{-1/2} and
-    G - D G D* >= (lambda_min(G) - r^2 lambda_max(G)) I, so a margin >= 0
-    bounds its smallest eigenvalue over the closed r-polydisc.
-
-    The data are the gaps of radial real points and the coordinates of the
-    others.  The owner's w_ij = 1 - <z_i, z_j> carries 4 units u = eps/2 of
-    relative error (the gap algebra's or the last subtraction's).  A pair of
-    d coordinates in the closed unit ball adds the complex inner product's
-    sqrt(2) gamma_{d+2} <= 2(d + 2)u and u for a radial point's rounded
-    1 - g (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
-    at most c eps, c = d + 3, so delta_ij = c eps/|w_ij| relative
-    (``coord_rel``).  As G_ij = sqrt(w_ii w_jj)/w_ij, that moves G_ij by at
-    most 2 delta_ij + delta_ii + delta_jj relative, twice the first-order
-    term, while every delta <= 1/4 (past that the bound is inf).  In units
-    of u, with l = -log |w|:
-    - the 4, |.| (2) and log (2|l_ij|) leave l_ij within 6 + 2|l_ij|;
-    - l_ij - (l_ii + l_jj)/2 adds two roundings, exp 2 and the unit phase
-      5, so an off-diagonal entry is within 19 + 3|l_ij| + 2(|l_ii| + |l_jj|),
-      rounded up here to eps (10 + 2|l_ij| + |l_ii| + |l_jj|), relative to
-      |G_ij|, plus the data's share above; the diagonal is exactly 1;
-    - that Hermitian error has 2-norm at most its largest absolute row sum;
-    - ``eigvalsh`` returns the exact eigenvalues of G + F with
-      ||F|| <= 2k^2 u ||G|| (Householder tridiagonalization then implicit
-      QL; Higham, ch. 3 and 19), and ||G|| is at most s, the largest
-      absolute row sum of G;
-    - by Weyl the margin moves by at most (1 + r^2) <= 2 times the two
-      norms, plus eps s for its own rounding.
-    """
-    if coord_rel.max() > 0.25:
-        return math.inf
-    eps = np.finfo(float).eps
-    ell = np.abs(log_block)
-    diag, dd = np.diag(ell), np.diag(coord_rel)
-    err = (eps * (10 + 2 * ell + diag[:, None] + diag[None, :])
-           + 2 * coord_rel + dd[:, None] + dd[None, :]) * np.abs(gram)
-    np.fill_diagonal(err, 0)
-    k = gram.shape[0]
-    s = float(np.abs(gram).sum(axis=1).max())
-    return 2 * float(err.sum(axis=1).max()) + eps * (2 * k * k + 1) * s
 
 
 def _corners(k: int, r: float) -> np.ndarray:
@@ -396,11 +349,11 @@ def extract_interpolating_subsequence(
     det A_{k-1}(w) over the r-polydisc corners of :func:`_corners`.  A
     candidate that passes dominance is accepted only when the Rayleigh margin
     lambda_min(G) - r^2 lambda_max(G) of its trial block's phase-correct
-    normalized Gram matrix G, less :func:`_rayleigh_bound`, exceeds
-    ``PSD_TOL``; that proves every normalized A_k(w), |w_i| <= r, positive
-    definite with smallest eigenvalue at least the margin, which the audit
-    row records.  Candidates are tried in order, and one that is not
-    certified is skipped.
+    normalized Gram matrix G, less
+    :func:`~npdisclab.rounding.rayleigh_bound`, exceeds ``PSD_TOL``; that
+    proves every normalized A_k(w), |w_i| <= r, positive definite with
+    smallest eigenvalue at least the margin, which the audit row records.
+    Candidates are tried in order, and one that is not certified is skipped.
 
     The sampled delta may over-estimate the true infimum, so dominance can
     fire earlier than the proof's asymptotic rule would; the certificate
@@ -480,7 +433,7 @@ def extract_interpolating_subsequence(
             cand = int(cands[pos])
             gram, log_block, coord_rel = _normalized_gram(table, np.append(idx, cand))
             eig = np.linalg.eigvalsh(gram)
-            margin = float(eig[0] - r * r * eig[-1]) - _rayleigh_bound(gram, log_block, coord_rel)
+            margin = float(eig[0] - r * r * eig[-1]) - rayleigh_bound(gram, log_block, coord_rel)
             if margin > PSD_TOL:
                 accepted = cand
                 break

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError
+from .rounding import CNP_TOL, MASS_SLACK, RESIDUAL_TOL
 
 # above this length inversion switches to the FFT/Newton reciprocal
 _FFT_N = 8192
@@ -49,7 +50,7 @@ class CoefficientSequence:
                 raise DomainError("c_1 must be strictly positive")
             if np.any(v < 0.0):
                 raise DomainError("moduli must be nonnegative")
-            if float(v.sum()) > 1.0 + 1e-12:
+            if float(v.sum()) > 1.0 + MASS_SLACK:
                 raise DomainError(
                     f"moduli must sum to at most 1, got {v.sum():.17g}"
                 )
@@ -165,7 +166,7 @@ def verified_moduli(a: KernelWeights) -> CoefficientSequence:
     the O(N^2) recursion anyway, the sums are direct.  Each check raises
     DomainError:
 
-    - consistency: |r_n| <= 1e-10 max(|a_n|, 1) for every n;
+    - consistency: |r_n| <= ``RESIDUAL_TOL`` max(|a_n|, 1) for every n;
     - certification, Newton path only: the exact moduli c* satisfy
       c - c* = -r * (1 - C*), so each modulus lies within
       ||r||_inf (1 + ||c||_1) of its exact value (to first order); that
@@ -191,7 +192,7 @@ def verified_moduli(a: KernelWeights) -> CoefficientSequence:
         r = av - conv(np.concatenate(([0.0], c.values)), av)[: av.size]
         r[0] -= 1.0
         err = np.abs(r)
-        if not np.all(err <= 1e-10 * np.maximum(np.abs(av), 1.0)):
+        if not np.all(err <= RESIDUAL_TOL * np.maximum(np.abs(av), 1.0)):
             raise DomainError(
                 f"weights and moduli are inconsistent (max defect {err.max():.3g})"
             )
@@ -284,10 +285,6 @@ def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:
         raise DomainError("n_terms must be at least 1")
     d = np.concatenate(([1.0], -c.padded(n_terms)))
     return series_reciprocal(d, n_terms)
-
-
-#: inverted moduli down to -CNP_TOL still count as nonnegative
-CNP_TOL = 1e-10
 
 
 #: a ratio of successive doubling increments at or below this reads as converging

@@ -96,18 +96,9 @@ class ConformalChain:
         return out
 
 
-def _require_grid(m: int, minimum: int = 256) -> None:
-    if m < minimum or m & (m - 1) != 0:
-        raise DomainError(f"grid size must be a power of two >= {minimum}, got {m}")
-
-
-def _conjugate_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
-    """Inverse real FFT of ``spec`` times -i sign(k), zero and Nyquist bins cleared."""
-    spec = spec * -1j
-    spec[0] = 0.0
-    if m % 2 == 0:
-        spec[-1] = 0.0
-    return np.fft.irfft(spec, n=m)
+def _require_grid(m: int) -> None:
+    if m < 256 or m & (m - 1) != 0:
+        raise DomainError(f"grid size must be a power of two >= 256, got {m}")
 
 
 def harmonic_conjugate(values) -> np.ndarray:
@@ -118,7 +109,12 @@ def harmonic_conjugate(values) -> np.ndarray:
     polynomials below the Nyquist frequency.
     """
     values = np.asarray(values, dtype=float)
-    return _conjugate_spectrum(np.fft.rfft(values), values.size)
+    m = values.size
+    spec = np.fft.rfft(values) * -1j
+    spec[0] = 0.0
+    if m % 2 == 0:
+        spec[-1] = 0.0
+    return np.fft.irfft(spec, n=m)
 
 
 class TangentialEmbedding:
@@ -148,9 +144,8 @@ class TangentialEmbedding:
         fit = 0.5 * (u1[1] + u1[-1]) + math.log(math.log(1.0 / t1))
         u1[0] = fit - math.log(math.log(2.0 / t1))
         self.u1 = u1
-        spec = np.fft.rfft(u1)
-        self.u1_tilde = _conjugate_spectrum(spec, m)
-        spec /= m
+        self.u1_tilde = harmonic_conjugate(u1)
+        spec = np.fft.rfft(u1) / m
         coeffs = 2.0 * spec[:-1]
         coeffs[0] = spec[0].real
         self._h_coeffs = coeffs

@@ -416,7 +416,7 @@ class TestExitCodes:
         # the run with their own line, naming the stage and the best margin
         from npdisclab import pick
 
-        monkeypatch.setattr(pick, "_rayleigh_bound", lambda *block: 10.0)
+        monkeypatch.setattr(pick, "rayleigh_bound", lambda *block: 10.0)
         assert main(["interp-extract", "tag=wn_gaussian", "n=8"]) == EXIT_NOT_CERTIFIED
         out, err = capsys.readouterr()
         assert out == ""

@@ -86,14 +86,14 @@ def test_recipes_run_without_scipy():
 #: net is numpy uint64 arithmetic) or dataclasses (every record is a
 #: NamedTuple)
 RECIPE_IMPORTS = {
-    "classify": {"kernels", "series"},
-    "compare": {"kernels", "series"},
-    "pick-check": {"geometry", "kernels", "pick", "series"},
-    "interp-extract": {"geometry", "pick", "sequences"},
-    "crossing": {"geometry", "pick"},
-    "distortion": {"geometry", "net"},
-    "carleson": {"geometry", "sequences"},
-    "separation": {"geometry", "sequences", "series"},
+    "classify": {"kernels", "rounding", "series"},
+    "compare": {"kernels", "rounding", "series"},
+    "pick-check": {"geometry", "kernels", "pick", "rounding", "series"},
+    "interp-extract": {"geometry", "pick", "rounding", "sequences"},
+    "crossing": {"geometry", "pick", "rounding"},
+    "distortion": {"geometry", "net", "rounding"},
+    "carleson": {"geometry", "rounding", "sequences"},
+    "separation": {"geometry", "rounding", "sequences", "series"},
     "tangential-embed": {"tangential"},
     "tangency-report": {"tangential"},
 }
@@ -132,13 +132,13 @@ def test_each_recipe_loads_only_its_layers():
 
 def test_pinch_pair_distortion_draws_nothing():
     loaded = _loaded_after(_recipe_run(["distortion", "map=crossing:0.5", "xs=0.05;0.2"]))
-    assert loaded == ({"cli", "csvio", "geometry"}, False, False)
+    assert loaded == ({"cli", "csvio", "geometry", "rounding"}, False, False)
 
 
 def test_extraction_past_the_corner_cap_loads_no_more_layers():
     # stage 11 enumerates the 2^9 corner classes of its 10 targets; stage 12
     # has 2^10 > _CORNER_CAP classes and samples _CORNER_CAP of them
     argv = ["interp-extract", "tag=wn_gaussian", "n=14", "r=0.5"]
-    layers = {"cli", "csvio", "geometry", "pick", "sequences"}
+    layers = {"cli", "csvio", "geometry", "pick", "rounding", "sequences"}
     assert _loaded_after(_recipe_run([*argv, "kmax=11"])) == (layers, False, False)
     assert _loaded_after(_recipe_run([*argv, "kmax=12"])) == (layers, False, False)

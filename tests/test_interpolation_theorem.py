@@ -25,6 +25,7 @@ import pytest
 from npdisclab import pick
 from npdisclab.csvio import read_rows
 from npdisclab.pick import extract_interpolating_subsequence
+from npdisclab.rounding import rayleigh_bound
 from npdisclab.sequences import DiscSequence, garnett_targets, named_sequence
 
 from .test_pick import named_points
@@ -58,7 +59,7 @@ def _check(tag: str, n: int, idx: np.ndarray, r: float) -> None:
                        log_gaps=seq.log_gaps[idx], angles=seq.angles[idx])
     log_delta = np.array([b.delta.log_value for b in garnett_targets(sel)])
     gram, log_block, coord_rel = pick._normalized_gram(named_points(tag, n), idx)
-    e = pick._rayleigh_bound(gram, log_block, coord_rel)
+    e = rayleigh_bound(gram, log_block, coord_rel)
     eig = np.linalg.eigvalsh(gram)
     rho_lower = math.sqrt(max(eig[0] - e, 0.0) / (eig[-1] + e))
     k = len(idx)
@@ -78,7 +79,7 @@ def _check(tag: str, n: int, idx: np.ndarray, r: float) -> None:
     assert math.exp(log_delta.min()) > r
 
     # the same delta_n from G: log delta_n = sum_k log(1 - |G_nk|^2) / 2.
-    # G_nk carries the relative error _rayleigh_bound charges it, rel, so
+    # G_nk carries the relative error rayleigh_bound charges it, rel, so
     # the term moves by at most rel |G|^2/(1 - |G|^2), plus eps for log1p
     # and the sum
     a = np.where(off, np.abs(gram) ** 2, 0.0)

@@ -12,8 +12,8 @@ from npdisclab.kernels import (
     continuity_bound,
     monomial_multiplier_norm,
 )
+from npdisclab.rounding import CNP_TOL
 from npdisclab.series import (
-    CNP_TOL,
     CoefficientSequence,
     KernelWeights,
     _renewal,

@@ -2,8 +2,9 @@
 
 Each test asserts the right answer and names the ROADMAP item that tracks
 the defect.  A change that fixes one sees its test XPASS, which fails under
-``strict``; it then removes the marker.  A change that breaks a fixed answer
-again sees a plain failure.
+pyproject.toml's ``xfail_strict``; it then removes the marker.  A change
+that breaks a fixed answer again sees a plain failure, and so does a test
+that fails by anything but an ``assert`` (``raises=AssertionError``).
 """
 
 import math
@@ -33,7 +34,7 @@ def _complex_list(values):
     return ";".join(repr(complex(v)) for v in values)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 2")
 def test_six_node_pick_example_is_not_solvable(tmp_path):
     # targets (1 + eps) B(z_i) of a degree-2 Blaschke product: for every
     # eps > 0 the Pick matrix is indefinite, so no interpolant exists
@@ -46,7 +47,7 @@ def test_six_node_pick_example_is_not_solvable(tmp_path):
     assert _column(doc, "solvable") == [False]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 3")
 def test_steep_power_weights_keep_a_finite_strictly_cyclic_sup(tmp_path):
     # the true sup is 2.1001, reached at n <= 4
     code, doc = _run(tmp_path, "classify", "family=hs:-8", "N=4096")
@@ -54,7 +55,7 @@ def test_steep_power_weights_keep_a_finite_strictly_cyclic_sup(tmp_path):
     assert math.isfinite(_column(doc, "strictly_cyclic_sup")[0])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 5")
 def test_hs_one_is_classified_past_the_direct_inversion(tmp_path):
     # the Newton moduli are within 4.7e-11 of the exact (2, -1, 0, ...)
     code, doc = _run(tmp_path, "classify", "family=hs:1", "N=16384")
@@ -62,14 +63,14 @@ def test_hs_one_is_classified_past_the_direct_inversion(tmp_path):
     assert _column(doc, "cnp") == [False]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 6")
 def test_defaults_are_recorded_in_the_header(tmp_path):
     code, doc = _run(tmp_path, "crossing")
     assert code == EXIT_OK
     assert any(line.startswith("param x = ") for line in doc.comments)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 10")
 def test_ratio1_stays_positive_past_the_grid(tmp_path):
     # ratio1 lies in (0, 1]; the 1024-point grid cannot resolve 2^-18
     code, doc = _run(tmp_path, "tangency-report", "m=1024", "jmax=18")
@@ -77,7 +78,7 @@ def test_ratio1_stays_positive_past_the_grid(tmp_path):
     assert all(value > 0.0 for value in _column(doc, "ratio1"))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 11")
 def test_crossing_defect_survives_a_tiny_pinch(tmp_path):
     # 1 - kernel_ratio is about 2x
     code, doc = _run(tmp_path, "crossing", "x=1e-12")
@@ -85,14 +86,14 @@ def test_crossing_defect_survives_a_tiny_pinch(tmp_path):
     assert _column(doc, "kernel_ratio")[0] < 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 13")
 def test_gaussian_extraction_past_underflowed_gaps(tmp_path):
     # w_28 = 1 - e^-784 has a gap that underflows; its log-gap does not
     code, _ = _run(tmp_path, "interp-extract", "tag=wn_gaussian", "n=28")
     assert code == EXIT_OK
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 16")
 def test_negative_modulus_is_not_complete_pick(tmp_path):
     # moduli 0.5^n with c_5 = -1e-11; the weights a_n = sum_k c_k a_{n-k}
     # come from a 60-digit recursion, rounded to doubles

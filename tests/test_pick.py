@@ -17,6 +17,7 @@ from npdisclab.pick import (
     pick_matrix,
     psd_check,
 )
+from npdisclab.rounding import PSD_TOL, rayleigh_bound
 
 from .oracles import radial_points, stacked
 
@@ -40,7 +41,7 @@ def named_points(tag, n):
 def certified_margin(gram, log_block, coord_rel, r):
     """lambda_min(G) - r^2 lambda_max(G) less the rounding bound, as the extractor prints it."""
     eig = np.linalg.eigvalsh(gram)
-    return float(eig[0] - r * r * eig[-1]) - pick._rayleigh_bound(gram, log_block, coord_rel)
+    return float(eig[0] - r * r * eig[-1]) - rayleigh_bound(gram, log_block, coord_rel)
 
 
 class TestPickMatrix:
@@ -539,7 +540,7 @@ class TestRayleighCertificate:
                 eig = sorted(mpmath.eigsy(gram, eigvals_only=True))
                 exact = eig[0] - mpmath.mpf(0.5) ** 2 * eig[-1]
                 printed = res.rows[k - 1].min_eigenvalue
-                assert pick.PSD_TOL < printed <= exact
+                assert PSD_TOL < printed <= exact
                 assert float(exact - printed) <= 1e-12
 
     @pytest.mark.parametrize("stage", [4, 5])
@@ -568,8 +569,8 @@ class TestRayleighCertificate:
             shift += np.conj(shift).T + np.diag(rng.choice([-1.0, 1.0], stage))
             moved = max(moved, abs(margin(omt + 4 * np.finfo(float).eps * coord * shift)
                                    - margin(omt)))
-        assert moved <= pick._rayleigh_bound(gram, log_block, coord_rel)
-        assert moved > pick._rayleigh_bound(gram, log_block, np.zeros_like(coord_rel))
+        assert moved <= rayleigh_bound(gram, log_block, coord_rel)
+        assert moved > rayleigh_bound(gram, log_block, np.zeros_like(coord_rel))
 
     def test_no_bound_past_a_quarter_of_relative_data_error(self):
         # delta > 1/4 leaves the doubled first-order term unproved: a point
@@ -577,7 +578,7 @@ class TestRayleighCertificate:
         z = 1.0 - 4 * np.finfo(float).eps
         table = PointTable([0.5j, z * np.exp(0.1j)])
         parts = pick._normalized_gram(table, np.arange(2))
-        assert parts[2].max() > 0.25 and pick._rayleigh_bound(*parts) == math.inf
+        assert parts[2].max() > 0.25 and rayleigh_bound(*parts) == math.inf
 
     def test_complex_nodes_print_the_phase_correct_margin(self):
         # dyadic_separated points off the real axis: from stage 4 the Gram
@@ -591,7 +592,7 @@ class TestRayleighCertificate:
             assert row.min_eigenvalue == certified_margin(gram, log_block, coord_rel, 0.5)
             if np.iscomplexobj(gram):
                 modulus = certified_margin(pick._correlation(log_block), log_block, coord_rel, 0.5)
-                bound = pick._rayleigh_bound(gram, log_block, coord_rel)
+                bound = rayleigh_bound(gram, log_block, coord_rel)
                 assert abs(modulus - row.min_eigenvalue) > bound
                 phased.append(row.k)
         assert phased == [4, 5]

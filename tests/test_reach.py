@@ -1,10 +1,13 @@
 """Every public library name is reached from the library, or kept for a reason.
 
-A public function, class, method or module-level UPPER_CASE constant that
-no code in ``src/npdisclab`` names (as a name that is read or an attribute;
-docstrings, comments and the constant's own assignment do not count) is
-either a second owner of a fact computed elsewhere, which should go, or kept
-on purpose, in which case ``KEPT`` says why.
+A public function, class or module-level UPPER_CASE constant that no code
+in ``src/npdisclab`` names (as a name that is read or an attribute;
+docstrings, comments and the constant's own assignment do not count), or a
+public method that no src code reads as an attribute, is either a second
+owner of a fact computed elsewhere, which should go, or kept on purpose, in
+which case ``KEPT`` says why.  A local variable named like a method does
+not reach it; numpy's attributes still do, so ``a.size`` on an array
+reaches ``PickProblem.size``.
 
 The same holds for parameter defaults.  A default that every call in src
 overrides is a second owner of a value its callers fix, and one that no
@@ -25,6 +28,10 @@ And every ``raise`` belongs to the failure contract: it names
 ``DomainError`` or ``NotCertifiedError`` (the only exception classes src
 defines), or it is a bare re-raise, or ``INTERNAL_RAISES`` says why only a
 bug can reach it.
+
+Tolerances and rounding bounds live in ``npdisclab/rounding.py``.  A float
+literal below 1e-6 in magnitude anywhere else in src is a guard that
+decides no verdict, and ``GUARD_LITERALS`` says why it stays where it is.
 """
 
 import ast
@@ -35,7 +42,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "npdisclab"
 _ORACLE = "acceptance oracle: tests/test_acceptance.py checks the paper's claims with it"
 _DIAG = "first producer planned for the recipes' diagnostic lines; the tests read it until then"
 _PAPER = "paper quantity that no other function computes"
-_SMALL = "moving it into the tests would not reduce anything"
 
 #: public names nothing in src reaches, each with the reason it stays
 KEPT = {
@@ -46,7 +52,6 @@ KEPT = {
     "midpoint_sphere_defect": _DIAG,
     "continuity_bound": _PAPER,
     "monomial_multiplier_norm": _PAPER,
-    "harmonic_conjugate": _SMALL,
     "read_rows": "the CSV round-trip reader that the checks use",
 }
 
@@ -72,33 +77,36 @@ SHARED_METHODS = {
 
 
 def _public_definitions(tree):
-    """(module-level functions, classes and UPPER_CASE constants, methods of
-    those classes), public ones."""
+    """(name, whether it is a method) of the public module-level functions,
+    classes and UPPER_CASE constants and the public methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name
+            yield node.name, False
             if isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                        yield sub.name
+                        yield sub.name, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if (isinstance(target, ast.Name) and target.id.isupper()
                         and not target.id.startswith("_")):
-                    yield target.id
+                    yield target.id, False
 
 
 def _scan():
-    defined, named = set(), set()
+    """(public names src defines, names src reaches): a method only through an
+    attribute read, anything else through a read name or an attribute."""
+    defined, methods, read, attributes = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(_public_definitions(tree))
+        for name, is_method in _public_definitions(tree):
+            (methods if is_method else defined).add(name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                named.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-    return defined, named
+                attributes.add(node.attr)
+    return defined | methods, attributes | (read - methods)
 
 
 def test_every_public_name_is_reached_or_kept():
@@ -134,7 +142,7 @@ def test_no_oracle_is_defined_in_src_again():
     # the reference code the tests check src against has one home
     oracles = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
     defined, _ = _scan()
-    assert sorted(set(_public_definitions(oracles)) & defined) == []
+    assert sorted({name for name, _ in _public_definitions(oracles)} & defined) == []
 
 
 def _defaulted(fn, bound):
@@ -269,3 +277,35 @@ def test_every_raise_is_in_the_contract():
     assert sorted(raised - set(INTERNAL_RAISES)) == []
     assert sorted(set(INTERNAL_RAISES) - raised) == []
     assert sorted(_exception_classes()) == [("__init__", c) for c in sorted(CONTRACT)]
+
+
+#: float literals below 1e-6 in magnitude outside rounding.py, by (module,
+#: value), each with the reason it is a guard and not a verdict tolerance
+GUARD_LITERALS = {
+    ("geometry", 1e-15): "_INTERIOR_EPS: a point without a gap keeps this distance from the sphere",
+    ("pick", 1e-13): "psd_check refuses a matrix this far from Hermitian before judging it",
+    ("pick", 1e-300): "keeps the asymmetry test relative when the largest entry is 0",
+    ("kernels", 1e-17): "_hs_generating's stop rule: a chunk's last terms against the running sum",
+    ("kernels", 1e-300): "keeps the stop rule relative when the running sum is 0",
+    ("tangential", 1e-8): "_POLE_TOL: the chain refuses points this close to its pole at +i",
+}
+
+
+def _small_literals():
+    """(module, value) of each float literal 0 < |x| < 1e-6 in src outside rounding.py."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "rounding":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < 1e-6):
+                found.add((path.stem, node.value))
+    return found
+
+
+def test_small_literals_are_listed_guards():
+    # a tolerance written inline outside the owner, or a stale entry, changes the map
+    found = _small_literals()
+    assert sorted(found - set(GUARD_LITERALS)) == []
+    assert sorted(set(GUARD_LITERALS) - found) == []

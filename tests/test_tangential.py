@@ -97,7 +97,7 @@ class TestBoundarySampling:
         with pytest.raises(ValueError):
             TangentialEmbedding(chain, 3000)
 
-    def test_one_chain_evaluation_and_one_spectrum(self, chain, monkeypatch):
+    def test_one_chain_evaluation_and_two_spectra(self, chain, monkeypatch):
         m = 4096
         sizes, rffts = [], []
         chain_eval, rfft = ConformalChain.eval, np.fft.rfft
@@ -114,7 +114,8 @@ class TestBoundarySampling:
         monkeypatch.setattr(np.fft, "rfft", rfft_spy)
         TangentialEmbedding(chain, m)
         assert sizes.count(m) == 1
-        assert rffts == [m]
+        # harmonic_conjugate's spectrum of u_1, then the completion's coefficients
+        assert rffts == [m, m]
 
 class TestHarmonicConjugate:
     def test_cosine_to_sine(self):
