@@ -152,16 +152,11 @@ def _run_pick_check(p):
 
 
 def _run_interp_extract(p):
-    import numpy as np
-
-    from .geometry import PointTable
     from .pick import extract_interpolating_subsequence
     from .sequences import named_sequence
 
     seq = named_sequence(p["tag"], p["n"])
-    # each point keeps its angle; an underflowed gap is left out
-    points = PointTable(seq.points, np.where(seq.gaps > 0.0, seq.gaps, np.nan))
-    res = extract_interpolating_subsequence(points, p["r"], p["kmax"])
+    res = extract_interpolating_subsequence(seq.table, p["r"], p["kmax"])
     cols = ["k", "index", "point_norm", "min_eigenvalue", "rule"]
     return cols, [[r.k, r.index, r.point_norm, r.min_eigenvalue, r.rule]
                   for r in res.rows]
@@ -329,7 +324,7 @@ RECIPES = {
                 Param("map", _parse_text, "crossing:0.5", "curve tag: crossing:<r> | hs:<s>"),
                 Param("xs", _parse_list(float), [], "pinch parameters, ';'-separated"),
                 Param("pairs", _parse_count, 100, "random pair count when xs is empty"),
-                Param("N", _parse_count, 512, "embedding truncation for hs maps"),
+                Param("N", _parse_count, 512, "moduli the hs map's embedding check reads"),
             ),
             _run_distortion,
         ),

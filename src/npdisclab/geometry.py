@@ -15,10 +15,11 @@ distance.  Built from a coordinate array and the known gaps, it holds
 1 - <z_i, z_j> over broadcast index arrays, through the exact gap algebra
 1 - z*w = g_z + g_w - g_z*g_w wherever both points are radial, so pairs far
 below double-precision resolution stay cancellation-free.  The Pick layer
-reads it; disc-sequence distances come from :func:`pseudo_dist_scalar` or
-:func:`radial_log_gap_dist` instead.  Pairwise consumers of both reduce
-over the row slices of :func:`~npdisclab.row_blocks`, at most
-``BLOCK_ENTRIES`` entries each.
+reads it.  A :class:`~npdisclab.sequences.DiscSequence` builds one and
+follows its radial rule pair by pair: a pair of radial points takes
+:func:`radial_log_gap_dist` of their log-gaps, any other pair
+:func:`pseudo_dist_scalar`.  Pairwise consumers reduce over the row slices
+of :func:`~npdisclab.row_blocks`, at most ``BLOCK_ENTRIES`` entries each.
 
 The curves are :class:`EmbeddedDisc` and :class:`CrossingCurve`.  The
 curve functions read three closed-form methods of either: ``coords(z)``
@@ -64,6 +65,8 @@ class PointTable:
         self.coords = z[:, None] if z.ndim == 1 else z
         n = len(self.coords)
         self.gaps = np.full(n, math.nan) if gaps is None else np.asarray(gaps, dtype=float)
+        if self.gaps.shape != (n,):
+            raise DomainError(f"gaps hold {self.gaps.size} entries for {n} points")
         with np.errstate(over="ignore"):  # an infinite norm is exterior anyway
             sq = np.sum(np.abs(self.coords) ** 2, axis=1)
         self.one_minus_sq = np.where(np.isnan(self.gaps), 1.0 - sq,

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DomainError, row_blocks
-from .geometry import pseudo_dist_scalar, radial_log_gap_dist
+from .geometry import PointTable, pseudo_dist_scalar, radial_log_gap_dist
 
 #: minimum pairwise distance for the separation verdict
 SEPARATION_THRESHOLD = 1e-3
@@ -35,7 +35,10 @@ class DiscSequence:
 
     ``gaps`` holds 1 - |v_n| exactly, as the caller knows it;
     ``log_gaps`` extends this below the underflow threshold.  ``angles``
-    holds exact arguments for the membership tests of Carleson boxes.
+    holds exact arguments for the membership tests of Carleson boxes.  Each
+    column holds one entry per point.  ``table`` is the points'
+    :class:`~npdisclab.geometry.PointTable`, built once with every gap; its
+    radial rule decides the form of each pair distance.
     """
 
     def __init__(self, points, label: str, *, gaps, log_gaps=None, angles):
@@ -45,29 +48,39 @@ class DiscSequence:
         self.points = pts
         self.label = label
         self.gaps = np.asarray(gaps, dtype=float)
-        if np.any(self.gaps < 0.0) or (log_gaps is None and np.any(self.gaps == 0.0)):
-            raise DomainError("all points must lie in the open disc")
-        self.log_gaps = (
-            np.asarray(log_gaps, dtype=float)
-            if log_gaps is not None
-            else np.log(self.gaps)
-        )
         self.angles = np.asarray(angles, dtype=float)
-        #: all points on [0, 1): distances then come from the exact log-gaps
-        self.is_radial_positive = bool(
-            np.all(pts.imag == 0.0) and np.all(pts.real >= 0.0)
-            and np.all(self.angles == 0.0)
-        )
+        if any(np.shape(c) != pts.shape for c in (self.gaps, self.angles, log_gaps) if c is not None):
+            raise DomainError("gaps, log_gaps and angles must hold one entry per point")
+        if not np.all(self.gaps >= 0.0) or (log_gaps is None and np.any(self.gaps == 0.0)):
+            raise DomainError("all points must lie in the open disc, each gap a number >= 0")
+        self.log_gaps = np.log(self.gaps) if log_gaps is None else np.asarray(log_gaps, dtype=float)
+        self.table = PointTable(pts, self.gaps)
 
     @property
     def n(self) -> int:
         return self.points.size
 
     def pair_dist(self, i, j):
-        """d(v_i, v_j) over broadcast indices: exact log-gaps if radial, else the points."""
-        if self.is_radial_positive:
+        """d(v_i, v_j) over broadcast indices, by the table's per-pair rule.
+
+        A pair of two radial points (see :class:`~npdisclab.geometry.PointTable`)
+        takes :func:`~npdisclab.geometry.radial_log_gap_dist` of its
+        log-gaps; any other pair takes
+        :func:`~npdisclab.geometry.pseudo_dist_scalar` of its points.  A
+        block mixing both, which must be a column of rows ``i`` against a row
+        of columns ``j``, evaluates the log-gap form on its radial sub-block
+        only.
+        """
+        gi, gj = self.table.radial_gaps[i], self.table.radial_gaps[j]
+        if not np.isnan(gi + gj).any():
             return radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
-        return pseudo_dist_scalar(self.points[i], self.points[j])
+        d = pseudo_dist_scalar(self.points[i], self.points[j])
+        ri, rj = ~np.isnan(gi), ~np.isnan(gj)
+        if ri.any() and rj.any():
+            rows, cols = np.nonzero(ri)[0], np.nonzero(rj)[-1]
+            d[np.ix_(rows, cols)] = radial_log_gap_dist(self.log_gaps[i[rows]],
+                                                        self.log_gaps[j[..., cols]])
+        return d
 
     def __repr__(self) -> str:
         return f"DiscSequence({self.label!r}, n={self.n})"

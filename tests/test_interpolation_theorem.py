@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npdisclab import pick
 from npdisclab.csvio import read_rows
 from npdisclab.pick import extract_interpolating_subsequence
 from npdisclab.rounding import rayleigh_bound
 from npdisclab.sequences import DiscSequence, garnett_targets, named_sequence
-
-from .test_pick import named_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,31 +51,31 @@ CONFIGS = [
 ]
 
 
-def _check(tag: str, n: int, idx: np.ndarray, r: float) -> None:
-    """The selection ``idx`` of the named sequence, certified at radius r."""
-    seq = named_sequence(tag, n)
-    sel = DiscSequence(seq.points[idx], tag, gaps=seq.gaps[idx],
+def _check(seq: DiscSequence, idx: np.ndarray) -> np.ndarray:
+    """Both sides of the theorem on the points ``idx`` of ``seq``; returns log delta_n."""
+    sel = DiscSequence(seq.points[idx], seq.label, gaps=seq.gaps[idx],
                        log_gaps=seq.log_gaps[idx], angles=seq.angles[idx])
     log_delta = np.array([b.delta.log_value for b in garnett_targets(sel)])
-    gram, log_block, coord_rel = pick._normalized_gram(named_points(tag, n), idx)
+    gram, log_block, coord_rel = pick._normalized_gram(seq.table, idx)
     e = rayleigh_bound(gram, log_block, coord_rel)
     eig = np.linalg.eigvalsh(gram)
     rho_lower = math.sqrt(max(eig[0] - e, 0.0) / (eig[-1] + e))
-    k = len(idx)
-    off = ~np.eye(k, dtype=bool)
 
-    # delta's own rounding bound, on log delta_n: each distance carries at
-    # most 8 eps relative from its few roundings (the log-gap formula reads
-    # exact log-gaps), plus c eps/|1 - z conj(w)|, c = 4, where the sweep
-    # forms 1 - z conj(w) from coordinates; the log and the column sum
-    # add eps per factor
-    if sel.is_radial_positive:
-        per_factor = np.full((k, k), 9 * EPS)
-    else:
-        per_factor = 9 * EPS + 4 * EPS * np.exp(log_block)
-    delta_err = np.where(off, per_factor, 0.0).sum(axis=1)
-    assert np.all(log_delta >= math.log(rho_lower) - delta_err)
-    assert math.exp(log_delta.min()) > r
+    # b_n, delta's own rounding bound on log delta_n, one term per pair by
+    # the table's radial rule: each distance carries at most 8 eps relative
+    # from its few roundings, and the log and the column sum add eps.  A
+    # pair the sweep forms from coordinates adds c eps/|1 - z conj(w)|,
+    # which is coord_rel; a radial pair adds the rounding of its log-gaps
+    # l_i, l_j instead, u (|l_i| + |l_j|) (1 + 1/|l_i - l_j|) relative
+    lg = sel.log_gaps
+    radial = ~np.isnan(sel.table.radial_gaps)
+    off = ~np.eye(len(idx), dtype=bool)
+    with np.errstate(divide="ignore"):  # coincident points: delta_n = 0, rho*_lower = 0
+        log_gap_rel = (EPS / 2 * (np.abs(lg)[:, None] + np.abs(lg)[None, :])
+                       * (1.0 + 1.0 / np.abs(lg[:, None] - lg[None, :])))
+        per_pair = 9 * EPS + coord_rel + np.where(radial[:, None] & radial[None, :], log_gap_rel, 0.0)
+        delta_err = np.where(off, per_pair, 0.0).sum(axis=1)
+        assert np.all(log_delta >= np.log(rho_lower) - delta_err)
 
     # the same delta_n from G: log delta_n = sum_k log(1 - |G_nk|^2) / 2.
     # G_nk carries the relative error rayleigh_bound charges it, rel, so
@@ -89,6 +88,7 @@ def _check(tag: str, n: int, idx: np.ndarray, r: float) -> None:
     gram_form = 0.5 * np.log1p(-a).sum(axis=1)
     gram_err = np.where(off, rel * a / (1.0 - a) + 2 * EPS, 0.0).sum(axis=1)
     assert np.all(np.abs(log_delta - gram_form) <= delta_err + gram_err)
+    return log_delta
 
 
 @pytest.mark.parametrize("golden", ["interp-extract.csv", "interp-extract-k18.csv"])
@@ -98,10 +98,29 @@ def test_golden_selections(golden):
     params = dict(c.removeprefix("param ").split(" = ") for c in doc.comments
                   if c.startswith("param "))
     idx = np.array([row[doc.columns.index("index")] for row in doc.rows])
-    _check(params["tag"], int(params["n"]), idx, float(params["r"]))
+    log_delta = _check(named_sequence(params["tag"], int(params["n"])), idx)
+    assert math.exp(log_delta.min()) > float(params["r"])
 
 
 @pytest.mark.parametrize("tag, n, r, kmax", CONFIGS)
 def test_extractor_selections(tag, n, r, kmax):
-    res = extract_interpolating_subsequence(named_points(tag, n), r, kmax)
-    _check(tag, n, np.array(res.indices), r)
+    seq = named_sequence(tag, n)
+    res = extract_interpolating_subsequence(seq.table, r, kmax)
+    assert math.exp(_check(seq, np.array(res.indices)).min()) > r
+
+
+#: points on the positive ray, gaps spread over their exponent from 1e-12 to 0.9
+radial_points = st.floats(-12.0, math.log10(0.9)).map(lambda e: (10.0**e, 0.0))
+
+#: points off the ray: gaps from 1e-6 to 0.9, angles from 1e-6 to 2 pi, both
+#: spread over their exponent
+angled_points = st.tuples(st.floats(-6.0, math.log10(0.9)).map(lambda e: 10.0**e),
+                          st.floats(-6.0, math.log10(2 * math.pi)).map(lambda e: 10.0**e))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.one_of(radial_points, angled_points), min_size=2, max_size=30, unique=True))
+def test_random_sets(points):
+    gaps, angles = np.array(points).T
+    seq = DiscSequence((1.0 - gaps) * np.exp(1j * angles), "random", gaps=gaps, angles=angles)
+    _check(seq, np.arange(seq.n))

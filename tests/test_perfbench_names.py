@@ -76,3 +76,5 @@ def test_halved_problems_are_built_from_the_first_rows(layers):
     seq = named_sequence("wn_gaussian", 9)
     (half,) = layers._halved("sequences.garnett_targets", (seq,), mods)
     assert half.n == 4 and np.array_equal(half.log_gaps, seq.log_gaps[:4])
+    for column in ("coords", "gaps", "radial_gaps"):
+        assert np.array_equal(getattr(half.table, column), getattr(seq.table, column)[:4]), column

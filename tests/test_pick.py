@@ -31,11 +31,10 @@ def quadratic_points(n):
 
 
 def named_points(tag, n):
-    """The points ``interp-extract`` builds for a named sequence."""
+    """The points ``interp-extract`` hands the extractor: the named sequence's table."""
     from npdisclab.sequences import named_sequence
 
-    seq = named_sequence(tag, n)
-    return PointTable(seq.points, np.where(seq.gaps > 0.0, seq.gaps, np.nan))
+    return named_sequence(tag, n).table
 
 
 def certified_margin(gram, log_block, coord_rel, r):

@@ -15,6 +15,7 @@ mpmath = pytest.importorskip("mpmath")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from npdisclab import DomainError  # noqa: E402
 from npdisclab.geometry import PointTable  # noqa: E402
 from npdisclab.kernels import hardy, parse_family  # noqa: E402
 from npdisclab.pick import kernel_gram  # noqa: E402
@@ -115,3 +116,9 @@ def test_radial_rule_survives_padding_and_row_selection():
     part = table[1:4]
     assert np.array_equal(part.coords, table.coords[1:4])
     assert np.array_equal(part.radial_gaps, table.radial_gaps[1:4], equal_nan=True)
+
+
+def test_a_gap_column_of_another_length_is_refused():
+    # one gap for two points was once given to both
+    with pytest.raises(DomainError, match="gaps hold 1 entries for 2 points"):
+        PointTable([0.5, 0.6], [0.5])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from npdisclab import DomainError
 from npdisclab.sequences import (
     DiscSequence,
     blaschke_sum,
@@ -45,6 +46,29 @@ class TestNamedSequences:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             named_sequence("mystery", 5)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("columns", [
+        {"gaps": [0.5], "angles": [0.0, 0.0]},               # once an IndexError on use
+        {"gaps": [0.5, 0.4], "angles": [0.0]},               # once broadcast silently
+        {"gaps": [0.5, 0.4], "angles": [0.0, 0.0], "log_gaps": [-0.7]},
+    ])
+    def test_ragged_columns_are_refused(self, columns):
+        with pytest.raises(DomainError, match="one entry per point"):
+            DiscSequence([0.5, 0.6], "ragged", **columns)
+
+    def test_nan_gap_is_refused(self):
+        # once delta = 0.0 and a nan Blaschke sum
+        with pytest.raises(DomainError, match="open disc"):
+            DiscSequence([0.5, 0.6], "nan", gaps=[math.nan, 0.4], angles=[0.0, 0.0])
+
+    def test_table_holds_every_gap(self):
+        # underflowed gaps stay 0.0, and radial points keep them in radial_gaps
+        s = named_sequence("wn_gaussian", 30)
+        assert np.array_equal(s.table.gaps, s.gaps)
+        assert np.array_equal(s.table.radial_gaps, s.gaps)
+        assert np.array_equal(s.table.coords[:, 0], s.points)
 
 
 class TestBlaschkeSum:
@@ -237,6 +261,21 @@ class TestDistanceMatrix:
             exact = [d[0]] + [min(a, b) for a, b in zip(d, d[1:])] + [d[-1]]
             err = max(abs(float((mpmath.mpf(float(x)) - e) / e)) for x, e in zip(gaps, exact))
         assert err <= 1e-12, err
+
+
+    def test_alternating_radial_pairs_match_mpmath(self):
+        # pairs of two positive points take the log-gap form inside a
+        # sequence that also holds negative points; from coordinates the
+        # last of them lost 1.9e-7 relative
+        mpmath = pytest.importorskip("mpmath")
+        s = named_sequence("xn_alternating", 2000)
+        pos = np.flatnonzero(s.points.real > 0.0)[-101:]
+        got = s.pair_dist(pos[:-1], pos[1:])
+        with mpmath.workdps(40):
+            g = [mpmath.mpf(float(x)) for x in s.gaps[pos]]
+            exact = [abs(a - b) / (a + b - a * b) for a, b in zip(g, g[1:])]
+            err = max(abs(float((mpmath.mpf(float(x)) - e) / e)) for x, e in zip(got, exact))
+        assert err <= 1e-11, err
 
 
 class TestAlternatingTargets:
