@@ -119,6 +119,5 @@ def test_radial_rule_survives_padding_and_row_selection():
 
 
 def test_a_gap_column_of_another_length_is_refused():
-    # one gap for two points was once given to both
     with pytest.raises(DomainError, match="gaps hold 1 entries for 2 points"):
         PointTable([0.5, 0.6], [0.5])

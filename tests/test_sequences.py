@@ -50,8 +50,8 @@ class TestNamedSequences:
 
 class TestColumns:
     @pytest.mark.parametrize("columns", [
-        {"gaps": [0.5], "angles": [0.0, 0.0]},               # once an IndexError on use
-        {"gaps": [0.5, 0.4], "angles": [0.0]},               # once broadcast silently
+        {"gaps": [0.5], "angles": [0.0, 0.0]},
+        {"gaps": [0.5, 0.4], "angles": [0.0]},
         {"gaps": [0.5, 0.4], "angles": [0.0, 0.0], "log_gaps": [-0.7]},
     ])
     def test_ragged_columns_are_refused(self, columns):
@@ -59,7 +59,6 @@ class TestColumns:
             DiscSequence([0.5, 0.6], "ragged", **columns)
 
     def test_nan_gap_is_refused(self):
-        # once delta = 0.0 and a nan Blaschke sum
         with pytest.raises(DomainError, match="open disc"):
             DiscSequence([0.5, 0.6], "nan", gaps=[math.nan, 0.4], angles=[0.0, 0.0])
 
@@ -265,8 +264,7 @@ class TestDistanceMatrix:
 
     def test_alternating_radial_pairs_match_mpmath(self):
         # pairs of two positive points take the log-gap form inside a
-        # sequence that also holds negative points; from coordinates the
-        # last of them lost 1.9e-7 relative
+        # sequence that also holds negative points
         mpmath = pytest.importorskip("mpmath")
         s = named_sequence("xn_alternating", 2000)
         pos = np.flatnonzero(s.points.real > 0.0)[-101:]
