@@ -67,19 +67,26 @@ class DiscSequence:
         takes :func:`~npdisclab.geometry.radial_log_gap_dist` of its
         log-gaps; any other pair takes
         :func:`~npdisclab.geometry.pseudo_dist_scalar` of its points.  A
-        block mixing both, which must be a column of rows ``i`` against a row
-        of columns ``j``, evaluates the log-gap form on its radial sub-block
-        only.
+        block mixing both evaluates the log-gap form on its radial pairs
+        only: on the radial sub-block when ``i`` is a column of rows against
+        a row of columns ``j``, as the pair sweep calls it, and through the
+        broadcast mask of radial pairs for any other shape.
         """
-        gi, gj = self.table.radial_gaps[i], self.table.radial_gaps[j]
-        if not np.isnan(gi + gj).any():
+        ri = ~np.isnan(self.table.radial_gaps[i])
+        rj = ~np.isnan(self.table.radial_gaps[j])
+        if ri.all() and rj.all():
             return radial_log_gap_dist(self.log_gaps[i], self.log_gaps[j])
         d = pseudo_dist_scalar(self.points[i], self.points[j])
-        ri, rj = ~np.isnan(gi), ~np.isnan(gj)
-        if ri.any() and rj.any():
-            rows, cols = np.nonzero(ri)[0], np.nonzero(rj)[-1]
-            d[np.ix_(rows, cols)] = radial_log_gap_dist(self.log_gaps[i[rows]],
-                                                        self.log_gaps[j[..., cols]])
+        if not (ri.any() and rj.any()):
+            return d
+        lg_i, lg_j = self.log_gaps[i], self.log_gaps[j]
+        if np.ndim(i) == 2 and np.shape(i)[1] == 1 and np.ndim(j) == 2 and np.shape(j)[0] == 1:
+            rows, cols = np.nonzero(ri[:, 0])[0], np.nonzero(rj[0])[0]
+            d[np.ix_(rows, cols)] = radial_log_gap_dist(lg_i[rows], lg_j[:, cols])
+        else:
+            both = ri & rj
+            d[both] = radial_log_gap_dist(np.broadcast_to(lg_i, d.shape)[both],
+                                          np.broadcast_to(lg_j, d.shape)[both])
         return d
 
     def __repr__(self) -> str:

@@ -18,6 +18,7 @@ from npdisclab.pick import (
     psd_check,
 )
 from npdisclab.rounding import PSD_TOL, rayleigh_bound
+from npdisclab.sequences import named_sequence
 
 from .oracles import radial_points, stacked
 
@@ -28,13 +29,6 @@ def gaussian_points(n):
 
 def quadratic_points(n):
     return radial_points([1.0 / k**2 for k in range(2, n + 2)])
-
-
-def named_points(tag, n):
-    """The points ``interp-extract`` hands the extractor: the named sequence's table."""
-    from npdisclab.sequences import named_sequence
-
-    return named_sequence(tag, n).table
 
 
 def certified_margin(gram, log_block, coord_rel, r):
@@ -526,13 +520,11 @@ class TestRayleighCertificate:
         # 50-digit margins of the wn_gaussian n=22 selection, whose gaps
         # reach e^-400, from the exact gap algebra g_i + g_j - g_i g_j
         mpmath = pytest.importorskip("mpmath")
-        from npdisclab.sequences import named_sequence
-
-        gaps = named_sequence("wn_gaussian", 22).gaps
-        res = extract_interpolating_subsequence(named_points("wn_gaussian", 22), 0.5, 18)
+        seq = named_sequence("wn_gaussian", 22)
+        res = extract_interpolating_subsequence(seq.table, 0.5, 18)
         with mpmath.workdps(50):
             for k in (2, 10, 18):
-                g = [mpmath.mpf(float(gaps[i])) for i in res.indices[:k]]
+                g = [mpmath.mpf(float(seq.gaps[i])) for i in res.indices[:k]]
                 omt = [[g[i] + g[j] - g[i] * g[j] for j in range(k)] for i in range(k)]
                 gram = mpmath.matrix([[mpmath.sqrt(omt[i][i] * omt[j][j]) / omt[i][j]
                                        for j in range(k)] for i in range(k)])
@@ -549,7 +541,7 @@ class TestRayleighCertificate:
         # absolute error up to c eps, c = d + 3 = 4; moving those entries by
         # c eps moves the margin by less than the bound, and by more than
         # the bound without its coordinate term
-        table = named_points("dyadic_separated", 20)
+        table = named_sequence("dyadic_separated", 20).table
         res = extract_interpolating_subsequence(table, 0.5, 5)
         idx = np.array(res.indices[:stage])
         gram, log_block, coord_rel = pick._normalized_gram(table, idx)
@@ -583,7 +575,7 @@ class TestRayleighCertificate:
         # dyadic_separated points off the real axis: from stage 4 the Gram
         # block has a phase, and the entrywise modulus would print another
         # margin, further off than the rounding bound
-        table, phased = named_points("dyadic_separated", 20), []
+        table, phased = named_sequence("dyadic_separated", 20).table, []
         res = extract_interpolating_subsequence(table, 0.5, 5)
         for row in res.rows[1:]:
             idx = np.array(res.indices[:row.k])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from npdisclab import DomainError
+from npdisclab.geometry import pseudo_dist_scalar, radial_log_gap_dist
 from npdisclab.sequences import (
     DiscSequence,
     blaschke_sum,
@@ -263,25 +264,45 @@ class TestDistanceMatrix:
 
 
     def test_alternating_radial_pairs_match_mpmath(self):
-        # pairs of two positive points take the log-gap form inside a
-        # sequence that also holds negative points
+        # the sweep's mixed block, positive rows against every column, takes
+        # the log-gap form on its pairs of two positive points
         mpmath = pytest.importorskip("mpmath")
         s = named_sequence("xn_alternating", 2000)
         pos = np.flatnonzero(s.points.real > 0.0)[-101:]
-        got = s.pair_dist(pos[:-1], pos[1:])
+        got = s.pair_dist(pos[:-1, None], np.arange(s.n)[None, :])[np.arange(100), pos[1:]]
         with mpmath.workdps(40):
             g = [mpmath.mpf(float(x)) for x in s.gaps[pos]]
             exact = [abs(a - b) / (a + b - a * b) for a, b in zip(g, g[1:])]
             err = max(abs(float((mpmath.mpf(float(x)) - e) / e)) for x, e in zip(got, exact))
         assert err <= 1e-11, err
 
+    def test_mixed_broadcasts_match_scalar_calls(self):
+        # radial gaps near 1e-12, where the coordinate form is off by ~1e-5
+        # relative, among points off the ray: each broadcast shape takes
+        # every pair's own rule, as one scalar call does
+        gaps = np.array([1e-12, 2e-12, 0.5, 3e-12, 0.25, 4e-12, 0.1])
+        angles = np.array([0.0, 0.0, math.pi, 0.0, 1.0, 0.0, 2.0])
+        s = DiscSequence((1.0 - gaps) * np.exp(1j * angles), "mixed", gaps=gaps, angles=angles)
+        idx = np.arange(s.n)
+        want = np.array([[s.pair_dist(a, b) for b in idx] for a in idx])
+        radial = np.outer(angles == 0.0, angles == 0.0)
+        lg, z = np.log(gaps), s.points
+        rule = np.where(radial, radial_log_gap_dist(lg[:, None], lg[None, :]),
+                        pseudo_dist_scalar(z[:, None], z[None, :]))
+        np.testing.assert_allclose(want, rule, rtol=1e-15)
+        assert np.abs(rule - pseudo_dist_scalar(z[:, None], z[None, :]))[radial].max() > 1e-6
+        rows, cols = np.meshgrid(idx, idx[::-1], indexing="ij")
+        for i, j in [(idx[:, None], idx[None, :]),
+                     (np.array([0, 0, 2, 3])[:, None], idx[None, ::-1]),
+                     (idx, idx[::-1]), (np.array([0, 1]), np.array([3, 5])),
+                     (0, idx), (idx, 3), (rows, cols), (rows.T, cols)]:
+            np.testing.assert_allclose(s.pair_dist(i, j), want[i, j], rtol=1e-13)
+
 
 class TestAlternatingTargets:
     def test_no_contraction_compatible_map_reaches_alternating_targets(self):
         # any analytic disc self-map contracts the metric, so consecutive
         # images can never stay separated once d(v_n, v_{n+1}) -> 0
-        from npdisclab.geometry import pseudo_dist_scalar
-
         s = named_sequence("vn_quadratic", 200)
         sep = pseudo_dist_scalar(0.25, -0.25)  # target gap for C = 2
         candidates = [
