@@ -14,8 +14,11 @@ bug in npdisclab.
 __version__ = "0.1.0"
 
 #: most entries one row block of a temporary holds (a block always takes at
-#: least one row): pairwise layers, the hs generating sum and the CSV byte
-#: matrices work block by block, so their temporaries stay at this size
+#: least one row): pairwise layers, the hs generating sum, the tangential
+#: grid and the CSV writer work block by block, so their temporaries grow
+#: with this size, not with the input; a writer block of this many cells
+#: holds its 56-byte fields plus the Schubfach uint64 temporaries, under
+#: 4 MiB in all, and drops the fields' NUL padding through a boolean mask
 BLOCK_ENTRIES = 2**14
 
 

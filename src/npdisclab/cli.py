@@ -238,12 +238,12 @@ def _run_tangential_embed(p):
     from .tangential import ConformalChain, TangentialEmbedding
 
     emb = TangentialEmbedding(ConformalChain(p["r"]), p["m"])
-    f1, f2 = emb.f1_boundary, emb.f2_boundary
+    rows = np.empty((emb.m, 6))
+    rows[:, 0], rows[:, 1], rows[:, 2] = emb.angles, emb.u1, emb.u1_tilde
     # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
-    rows = np.column_stack([
-        emb.angles, emb.u1, emb.u1_tilde,
-        np.hypot(f1.real, f1.imag), np.hypot(f2.real, f2.imag), emb.sphere_defect(),
-    ])
+    for k, f in ((3, emb.f1_boundary), (4, emb.f2_boundary)):
+        np.hypot(f.real, f.imag, out=rows[:, k])
+    rows[:, 5] = emb.sphere_defect()
     cols = ["t", "u1", "u1_tilde", "abs_f1", "abs_f2", "sphere_defect"]
     return cols, rows
 

@@ -243,13 +243,24 @@ class ExtractionResult(NamedTuple):
     rows: list[ExtractionRow]
 
 
-def _log_modulus(omt: np.ndarray) -> np.ndarray:
-    """-log |1 - <z_i, z_j>| of the owner's values ``omt``.
+def _log_modulus(omt: np.ndarray, table: PointTable, rows, cols) -> np.ndarray:
+    """-log |1 - <z_i, z_j>| of the owner's values ``omt`` on the pairs (rows, cols).
 
-    Refuses the zeros np.log would turn into inf.
+    Refuses the zeros np.log would turn into inf, naming the first point of
+    those pairs whose exact gap underflowed to 0.0 where there is one.
     """
     mag = np.abs(omt)
     if not np.all(mag > 0.0):
+        zero = ~(mag > 0.0)
+        points = np.concatenate([np.broadcast_to(rows, mag.shape)[zero],
+                                 np.broadcast_to(cols, mag.shape)[zero]])
+        underflowed = points[table.gaps[points] == 0.0]
+        if underflowed.size:
+            raise DomainError(
+                f"1 - <z_i, z_j> rounds to 0: the gap 1 - |z| of the point at index "
+                f"{underflowed.min()} underflowed to 0.0, so it lies on the "
+                f"sphere to double precision"
+            )
         raise DomainError(
             "1 - <z_i, z_j> rounds to 0: a point without an exact gap lies on "
             "the sphere to double precision"
@@ -259,7 +270,7 @@ def _log_modulus(omt: np.ndarray) -> np.ndarray:
 
 def _log_kernel(table: PointTable, rows, cols) -> np.ndarray:
     """log |K(z_i, z_j)| = -log |1 - <z_i, z_j>| over broadcast index arrays."""
-    return _log_modulus(table.one_minus_inner(rows, cols))
+    return _log_modulus(table.one_minus_inner(rows, cols), table, rows, cols)
 
 
 def _correlation(log_block: np.ndarray) -> np.ndarray:
@@ -283,7 +294,7 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
     and 0 elsewhere.
     """
     omt = table.one_minus_inner(idx[:, None], idx[None, :])
-    log_block = _log_modulus(omt)
+    log_block = _log_modulus(omt, table, idx[:, None], idx[None, :])
     gram = _correlation(log_block)
     mag = np.abs(omt)
     if omt.imag.any():

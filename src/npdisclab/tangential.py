@@ -10,7 +10,9 @@ by rho(z) = r z + 1 - r.  The second coordinate restores the sphere
 identity |f_1|^2 + |f_2|^2 = 1 on the circle: its boundary modulus is
 exp(u_1) with u_1 = log sqrt(1 - |f_1|^2), its phase the discrete harmonic
 conjugate of u_1, and its interior values come from the truncated analytic
-Fourier series of u_1 + i conj(u_1).
+Fourier series of u_1 + i conj(u_1).  The grid is built in
+:func:`~npdisclab.row_blocks` slices of the angles, so the chain's
+temporaries stay at one block whatever the grid size.
 
 The map is read through its coordinates f_1 and f_2, so the layer needs no
 ball-point type from :mod:`~npdisclab.geometry`.
@@ -23,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError
+from . import DomainError, row_blocks
 
 _POLE_TOL = 1e-8
 
@@ -126,7 +128,10 @@ class TangentialEmbedding:
     interior values of f_2 come from exponentiating the truncated analytic
     completion h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0) at
     the singular point: f_1(1) = 1 exactly, but the truncated f_2 does not
-    vanish there.
+    vanish there.  ``f1_boundary``, ``u1``, ``f2_boundary`` and
+    :meth:`sphere_defect` are evaluated one row block of the grid at a time
+    into preallocated arrays; every step is elementwise, so the values are
+    those of the whole-grid formulas bit for bit.
     """
 
     def __init__(self, chain: ConformalChain, m: int):
@@ -134,22 +139,27 @@ class TangentialEmbedding:
         self.chain = chain
         self.m = m
         self.angles = 2.0 * math.pi * np.arange(m) / m
-        self.f1_boundary = chain.eval(np.exp(1j * self.angles))
+        self.f1_boundary = np.empty(m, dtype=complex)
+        u1 = np.empty(m)
         # u_1 = log sqrt(1 - |f_1|^2); at the singular angle its true value
         # is -inf, so the sample there is the model u = A - log log (1/|t|)
         # fitted on the two neighbours and evaluated at half the grid spacing
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u1 = 0.5 * np.log1p(-np.abs(self.f1_boundary) ** 2)
+        for rows in row_blocks(m, 1):
+            f1 = self.f1_boundary[rows] = chain.eval(np.exp(1j * self.angles[rows]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u1[rows] = 0.5 * np.log1p(-np.abs(f1) ** 2)
         t1 = self.angles[1]
         fit = 0.5 * (u1[1] + u1[-1]) + math.log(math.log(1.0 / t1))
         u1[0] = fit - math.log(math.log(2.0 / t1))
         self.u1 = u1
         self.u1_tilde = harmonic_conjugate(u1)
+        self.f2_boundary = np.empty(m, dtype=complex)
+        for rows in row_blocks(m, 1):
+            self.f2_boundary[rows] = np.exp(u1[rows] + 1j * self.u1_tilde[rows])
         spec = np.fft.rfft(u1) / m
         coeffs = 2.0 * spec[:-1]
         coeffs[0] = spec[0].real
         self._h_coeffs = coeffs
-        self.f2_boundary = np.exp(u1 + 1j * self.u1_tilde)
 
     def h(self, z: complex) -> complex:
         """Truncated analytic completion of u_1 at |z| <= 1."""
@@ -163,8 +173,12 @@ class TangentialEmbedding:
         return complex(self.chain.eval(complex(z)))
 
     def sphere_defect(self) -> np.ndarray:
-        """|f_1|^2 + |f_2|^2 - 1 on the construction grid."""
-        return np.abs(self.f1_boundary) ** 2 + np.abs(self.f2_boundary) ** 2 - 1.0
+        """|f_1|^2 + |f_2|^2 - 1 on the construction grid, row block by row block."""
+        out = np.empty(self.m)
+        for rows in row_blocks(self.m, 1):
+            f1, f2 = self.f1_boundary[rows], self.f2_boundary[rows]
+            out[rows] = np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0
+        return out
 
     def _h_at_midpoints(self) -> np.ndarray:
         """h at the m grid midpoints e^{i(theta_j + pi/m)}, by one inverse FFT.

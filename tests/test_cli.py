@@ -426,14 +426,15 @@ class TestExitCodes:
         assert "largest Rayleigh margin was -9.25," in err[0]
 
     def test_underflowed_gap_is_bad_parameter(self, capsys):
-        # ROADMAP item 13: wn_gaussian gaps underflow to 0 from n = 28, leaving
-        # points at 1.0 without a gap; until log-gaps reach the extractor
-        # this must stay one error line and no CSV of inf/nan
+        # ROADMAP item 13: wn_gaussian gaps underflow to an exact 0.0 from
+        # n = 28 (index 27); until log-gaps reach the extractor this must stay
+        # one error line that names the point, and no CSV of inf/nan
         assert main(["interp-extract", "tag=wn_gaussian", "n=30"]) == EXIT_BAD_PARAMETER
         out, err = capsys.readouterr()
         assert out == ""
         err = err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "rounds to 0" in err[0]
+        assert "the gap 1 - |z| of the point at index 27 underflowed to 0.0" in err[0]
 
     def test_closed_output_pipe(self):
         # 4096 rows are far more than a pipe buffer holds

@@ -9,6 +9,7 @@ little to draw.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,3 +218,18 @@ def test_float_cells_of_mixed_columns_take_the_kernel(monkeypatch):
 def test_text_with_nul_raises():
     with pytest.raises(ValueError, match="NUL"):
         written([], ["family"], [["a\0b"]])
+
+
+def test_float_block_stays_below_four_mib():
+    # a 2^14-cell block holds its 56-byte fields and the Schubfach uint64
+    # temporaries; the NUL strip adds no int64 index of the kept bytes, as
+    # np.compress did (4.5 MiB in all)
+    block = np.random.default_rng(9).standard_normal((2**12, 4))
+    csvio._block_text(block[:1], 4)  # the cached tables
+    tracemalloc.start()
+    try:
+        csvio._block_text(block, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 2**20

@@ -110,3 +110,17 @@ def test_negative_modulus_is_not_complete_pick(tmp_path):
     code, doc = _run(tmp_path, "classify", f"family=custom:{path}", f"N={n_max}")
     assert code == EXIT_OK
     assert _column(doc, "cnp") == [False]
+
+
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 24")
+def test_tangential_row_zero_is_the_map_or_named_as_the_truncation(tmp_path):
+    # F(1) = (1, 0), yet row t = 0 prints the truncated f_2: abs_f2 0.637 and
+    # sphere_defect 0.406 at m = 256; either fix is allowed
+    code, doc = _run(tmp_path, "tangential-embed", "m=256")
+    assert code == EXIT_OK
+    assert _column(doc, "t")[0] == 0.0
+    abs_f2, defect = _column(doc, "abs_f2")[0], _column(doc, "sphere_defect")[0]
+    at_the_map = abs(abs_f2) <= 1e-12 and abs(defect) <= 1e-12
+    named = any("trunc" in line and (repr(abs_f2) in line or repr(defect) in line)
+                for line in doc.comments)
+    assert at_the_map or named

@@ -444,8 +444,18 @@ class TestExtractor:
         # the gap of 1 - e^{-28^2} underflows, leaving the point [1.0]; the
         # log-kernel must refuse it rather than carry log(0) = -inf along
         pts = stacked(gaussian_points(3), PointTable([1.0]))
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="rounds to 0"):
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match="rounds to 0: a point without an exact gap lies on the sphere"):
             extract_interpolating_subsequence(pts, 0.5, 3)
+
+    def test_underflowed_gap_names_its_point(self):
+        # 1 - e^{-28^2} keeps an exact gap, but the gap underflows to 0.0
+        table = named_sequence("wn_gaussian", 30).table
+        assert table.gaps[27] == 0.0 and table.gaps[26] > 0.0
+        with pytest.raises(
+                ValueError, match=r"rounds to 0: the gap 1 - \|z\| of the point at index 27 "
+                                  r"underflowed to 0\.0"):
+            extract_interpolating_subsequence(table, 0.5, 10)
 
     def test_rejects_the_empty_point_list(self):
         # used to raise IndexError on pts[-1]

@@ -13,6 +13,7 @@ from npdisclab import kernels, row_blocks
 from npdisclab.geometry import PointTable
 from npdisclab.pick import PickProblem, kernel_gram, pick_matrix
 from npdisclab.sequences import garnett_targets, named_sequence
+from npdisclab.tangential import ConformalChain, TangentialEmbedding
 
 from .oracles import radial_points, stacked
 
@@ -129,3 +130,18 @@ def test_distance_blocks_have_zero_diagonal(monkeypatch):
     for rows, d in seen:
         assert d.shape == (rows.size, 10)
         assert np.all(d[np.arange(rows.size), rows] == 0.0)
+
+
+@pytest.mark.parametrize("m", [2**14, 2**16])  # one block, then four
+def test_tangential_grid_equals_the_whole_array_formulas(m):
+    chain = ConformalChain(0.75)
+    emb = TangentialEmbedding(chain, m)
+    f1 = chain.eval(np.exp(1j * emb.angles))
+    with np.errstate(divide="ignore"):
+        u1 = 0.5 * np.log1p(-np.abs(f1) ** 2)
+    f2 = np.exp(emb.u1 + 1j * emb.u1_tilde)
+    defect = np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0
+    assert np.array_equal(_bits(emb.f1_boundary.view(float)), _bits(f1.view(float)))
+    assert np.array_equal(_bits(emb.u1[1:]), _bits(u1[1:]))  # u1[0] is the model value
+    assert np.array_equal(_bits(emb.f2_boundary.view(float)), _bits(f2.view(float)))
+    assert np.array_equal(_bits(emb.sphere_defect()), _bits(defect))

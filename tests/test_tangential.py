@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,20 @@ class TestHarmonicConjugate:
 
 
 class TestEmbedding:
+    def test_grid_is_built_in_row_blocks(self, chain):
+        # the transients of the construction stay within 1.5 MiB of the
+        # arrays the embedding keeps; whole-grid evaluation took 4.5 MiB more
+        TangentialEmbedding(chain, 256)
+        tracemalloc.start()
+        try:
+            emb = TangentialEmbedding(chain, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (emb.angles, emb.u1, emb.u1_tilde, emb.f1_boundary,
+                                       emb.f2_boundary, emb._h_coeffs))
+        assert peak - kept <= 1.5 * 2**20
+
     def test_sphere_identity_on_grid(self, embedding):
         defect = embedding.sphere_defect()
         assert np.max(np.abs(defect[1:])) < 1e-8  # singular sample excluded
