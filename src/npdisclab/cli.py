@@ -15,8 +15,9 @@ Exit codes: 0 success, 2 unknown recipe, 3 an input outside its domain
 unreadable input file or a size whose arrays do not fit in memory,
 4 unwritable output path, closed stdout or closed output pipe, 5 a
 computation that did not certify (a :class:`~npdisclab.NotCertifiedError`:
-the interpolating-subsequence extractor ran out of points, certified no
-candidate that passed dominance, or lost definiteness).  Every such failure prints one ``error:`` line on stderr.
+the interpolating-subsequence extractor ran out of points or certified no
+candidate that passed dominance).  Every such failure prints one
+``error:`` line on stderr.
 Any other exception is a bug in npdisclab: it is not caught, so it ends
 the run with its traceback and exit code 1.
 """

@@ -27,10 +27,10 @@ forms (hardy, Drury-Arveson on ball points, and geometric), the series by
 Horner otherwise.  It is the only n x n array besides ``eigvalsh``'s copy.
 The coincidence check is one broadcast comparison per row block.  Each
 extractor stage reads its log kernel blocks -log |1 - <z_i, z_j>| from the
-owner in one broadcast call per block.  The delta estimate stacks at
-most 512 distinct real polydisc corner classes into (S, k, k) chunks and
-needs only log determinants, 2 sum log diag(L), from one batched Cholesky
-call per chunk.  Certifying a candidate takes one owner call for its
+owner in one broadcast call per block.  Its delta is one log
+determinant, 2 sum log diag(L) from one real Cholesky call, of the
+entrywise worst case of the previous stage's Pick block over the closed
+r-polydisc.  Certifying a candidate takes one owner call for its
 phase-correct Gram block and one k x k ``eigvalsh`` call, and the audit
 row records the certified margin.
 """
@@ -52,13 +52,6 @@ if TYPE_CHECKING:  # callers pass the handle, so kernels is never imported here
 #: not a code path: perfbench/layers.py counts calls of this name in its
 #: traced runs (always 0 now), so the name stays until that counter goes
 _pivoted_cholesky_floor = None
-
-#: the delta estimate's targets: every r-polydisc corner class {s, -s} (one
-#: Pick block) while there are at most this many, else this many distinct ones
-_CORNER_CAP = 512
-
-#: spreads the corner rows over the sign classes: 2**64 / golden ratio, odd
-_CORNER_MULT = 0x9E3779B97F4A7C15
 
 
 def _as_table(points) -> PointTable:
@@ -235,7 +228,9 @@ class ExtractionRow(NamedTuple):
     # certified lower bound on the smallest eigenvalue of every normalized
     # A_k(w) with |w_i| <= r (the Rayleigh margin less its rounding bound)
     min_eigenvalue: float
-    rule: str               # "initial" | "dominance"
+    # "initial" for index 0; "dominance" for a point that passed the scan
+    # against the worst-case delta and then the certificate
+    rule: str
 
 
 class ExtractionResult(NamedTuple):
@@ -306,38 +301,26 @@ def _normalized_gram(table: PointTable, idx: np.ndarray) -> tuple[np.ndarray, ..
     return gram, log_block, coord_rel
 
 
-def _corners(k: int, r: float) -> np.ndarray:
-    """The delta estimate's r-polydisc corners, a real (S, k) stack fixed by (k, r).
+def _log_delta(sel_block: np.ndarray, r: float) -> float:
+    """log det of the entrywise worst case of a Pick block over the closed r-polydisc.
 
-    Row i has -r where bit k-1-j of i * ``_CORNER_MULT`` mod 2^(k-1) is set,
-    for i below min(2^(k-1), ``_CORNER_CAP``).  The multiplier is odd, so
-    the rows are distinct sign classes {s, -s}, each with first sign +r:
-    every class while there are at most ``_CORNER_CAP``, else that many.
+    ``sel_block`` is the real log kernel block l of the k selected points.
+    The worst case has (1 - r^2) K_ii on the diagonal and (1 + r^2) |K_ij|
+    off it, the bounds the dominance scan applies to the candidate row, so
+    its determinant is e^{tr l} (1 - r^2)^k det M with M = I + c (C - I),
+    c = (1 + r^2)/(1 - r^2) and C = :func:`_correlation` of the block;
+    log det M = 2 sum log diag(L) from one Cholesky call.  A block whose M
+    is not positive definite gives -inf, so no candidate dominates it.
     """
-    rows = (np.arange(min(2 ** (k - 1), _CORNER_CAP), dtype=np.uint64) * np.uint64(_CORNER_MULT)
-            & np.uint64(2 ** (k - 1) - 1))
-    return np.where(rows[:, None] >> np.arange(k - 1, -1, -1, dtype=np.uint64) & np.uint64(1), -r, r)
-
-
-def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Diagonally rescaled Pick blocks: unit diagonal, entries O(1).
-
-    ``w`` is one target vector of length k or an (S, k) stack of them; the
-    result is (k, k) or (S, k, k), formed in place in one array beside the
-    real (S, k, k) normalizer.  Congruence keeps definiteness while
-    avoiding the e^{n^2} dynamic range of raw kernel entries near the
-    boundary.  A complex ``log_block`` (see :func:`_correlation`) with
-    complex ``w`` gives the phase-correct matrix.
-    """
-    corr = _correlation(log_block)
-    om = 1.0 - np.abs(w) ** 2
-    b = w[..., :, None] * np.conj(w)[..., None, :]
-    np.subtract(1.0, b, out=b)
-    norm = om[..., :, None] * om[..., None, :]
-    b /= np.sqrt(norm, out=norm)
-    np.multiply(corr, b, out=b)
-    b[..., np.arange(len(corr)), np.arange(len(corr))] = 1.0
-    return b
+    rsq = r * r
+    m = (1.0 + rsq) / (1.0 - rsq) * _correlation(sel_block)
+    np.fill_diagonal(m, 1.0)
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return -math.inf
+    return (2.0 * float(np.sum(np.log(np.diagonal(chol))))
+            + len(m) * math.log1p(-rsq) + float(np.trace(sel_block)))
 
 
 def _logsumexp(values: np.ndarray) -> np.ndarray:
@@ -356,21 +339,23 @@ def extract_interpolating_subsequence(
     ``points`` is a point table or disc points, as for :class:`PickProblem`.
     At stage k the candidate z is accepted once the dominant determinant
     term (1 - r^2) * delta * K(z, z) exceeds a Hadamard bound on all other
-    last-row expansion terms, where delta estimates the infimum of
-    det A_{k-1}(w) over the r-polydisc corners of :func:`_corners`.  A
-    candidate that passes dominance is accepted only when the Rayleigh margin
-    lambda_min(G) - r^2 lambda_max(G) of its trial block's phase-correct
-    normalized Gram matrix G, less
+    last-row expansion terms, where delta is the determinant of the
+    entrywise worst case of A_{k-1}(w) over the closed r-polydisc, from
+    :func:`_log_delta`.  A candidate that passes dominance is accepted only
+    when the Rayleigh margin lambda_min(G) - r^2 lambda_max(G) of its trial
+    block's phase-correct normalized Gram matrix G, less
     :func:`~npdisclab.rounding.rayleigh_bound`, exceeds ``PSD_TOL``; that
     proves every normalized A_k(w), |w_i| <= r, positive definite with
     smallest eigenvalue at least the margin, which the audit row records.
     Candidates are tried in order, and one that is not certified is skipped.
 
-    The sampled delta may over-estimate the true infimum, so dominance can
-    fire earlier than the proof's asymptotic rule would; the certificate
-    keeps the output sound.  The output depends on the points, r and k_max
-    alone.  Raises NotCertifiedError when no candidate passes dominance,
-    and a distinct one when candidates pass it but none is certified.
+    The worst-case delta need not bound the infimum of det A_{k-1}(w), so
+    dominance can fire earlier than the proof's asymptotic rule would; the
+    certificate keeps the output sound.  A worst case that is not positive
+    definite gives delta = 0, and no candidate passes dominance.  The output
+    depends on the points, r and k_max alone.  Raises NotCertifiedError
+    when no candidate passes dominance, and a distinct one when candidates
+    pass it but none is certified.
     """
     table = _as_table(points)
     if not 0.0 < r < 1.0:
@@ -392,24 +377,6 @@ def extract_interpolating_subsequence(
     for k in range(2, k_max + 1):
         idx = np.array(selected)
         sel_block = _log_kernel(table, idx[:, None], idx[None, :])
-        # delta estimate: smallest determinant of the previous stage over
-        # the corners, assembled in log space from the normalized blocks, one
-        # batched Cholesky call per chunk
-        corners = _corners(k - 1, r)
-        log_delta = math.inf
-        for chunk in row_blocks(len(corners), (k - 1) ** 2):
-            w = corners[chunk]
-            try:
-                chol = np.linalg.cholesky(_normalized_pick(sel_block, w))
-            except np.linalg.LinAlgError:
-                raise NotCertifiedError(
-                    f"stage {k - 1} block lost definiteness during sampling"
-                ) from None
-            log_diag = np.log(np.diagonal(chol, axis1=1, axis2=2).real)
-            log_det = (2.0 * np.sum(log_diag, axis=1)
-                       + np.sum(np.log1p(-np.abs(w) ** 2), axis=1)
-                       + np.trace(sel_block))
-            log_delta = min(log_delta, float(log_det.min()))
 
         # vectorized dominance scan over all remaining candidates
         cands = np.arange(selected[-1] + 1, len(table))
@@ -419,7 +386,7 @@ def extract_interpolating_subsequence(
             )
         log_kzz = _log_kernel(table, cands, cands)
         log_kc = _log_kernel(table, cands[:, None], idx[None, :])
-        lhs = log_one_minus_rsq + log_delta + log_kzz
+        lhs = log_one_minus_rsq + _log_delta(sel_block, r) + log_kzz
         # Hadamard bound on the remaining last-row expansion terms: for the
         # term dropping column `drop`, each minor row i mixes fixed selected
         # entries with the single candidate-dependent entry K(z_i, z);

@@ -19,6 +19,9 @@
   :func:`~npdisclab.sequences.named_sequence`.
 - :func:`tangential_point`: the coordinates of the tangential map
   F = (f_1, f_2) at one point, for the norm and distance checks.
+- :func:`_normalized_pick`: unit-diagonal Pick blocks at given targets,
+  against which the extractor's certified margins and its worst-case
+  delta are checked.
 """
 
 import math
@@ -27,6 +30,7 @@ import numpy as np
 
 from npdisclab import DomainError
 from npdisclab.geometry import PointTable
+from npdisclab.pick import _correlation
 from npdisclab.sequences import DiscSequence, SeparationDelta, _delta_record
 
 
@@ -155,3 +159,24 @@ def dyadic_separated(n: int) -> DiscSequence:
             gaps.append(radius_gap)
             angles.append(theta)
     return DiscSequence(pts, "dyadic_separated", gaps=gaps, angles=angles)
+
+
+def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Diagonally rescaled Pick blocks: unit diagonal, entries O(1).
+
+    ``w`` is one target vector of length k or an (S, k) stack of them; the
+    result is (k, k) or (S, k, k), formed in place in one array beside the
+    real (S, k, k) normalizer.  Congruence keeps definiteness while
+    avoiding the e^{n^2} dynamic range of raw kernel entries near the
+    boundary.  A complex ``log_block`` (see :func:`_correlation`) with
+    complex ``w`` gives the phase-correct matrix.
+    """
+    corr = _correlation(log_block)
+    om = 1.0 - np.abs(w) ** 2
+    b = w[..., :, None] * np.conj(w)[..., None, :]
+    np.subtract(1.0, b, out=b)
+    norm = om[..., :, None] * om[..., None, :]
+    b /= np.sqrt(norm, out=norm)
+    np.multiply(corr, b, out=b)
+    b[..., np.arange(len(corr)), np.arange(len(corr))] = 1.0
+    return b

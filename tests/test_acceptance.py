@@ -27,7 +27,6 @@ from npdisclab.geometry import (
 )
 from npdisclab.pick import (
     _log_kernel,
-    _normalized_pick,
     crossing_determinant,
     extract_interpolating_subsequence,
 )
@@ -44,7 +43,14 @@ from npdisclab.tangential import (
     tangency_report,
 )
 
-from .oracles import mobius_auto, pseudo_dist, radial_gap_dist, radial_points, tangential_point
+from .oracles import (
+    _normalized_pick,
+    mobius_auto,
+    pseudo_dist,
+    radial_gap_dist,
+    radial_points,
+    tangential_point,
+)
 
 
 def _random_moduli_batch(count, n, seed):

@@ -39,7 +39,7 @@ RECIPE_ARGS = {
 }
 
 #: ``--reproducible`` output of every RECIPE_ARGS run, one file per recipe,
-#: plus ``interp-extract-k18.csv`` for the extractor past its corner cap
+#: plus ``interp-extract-k18.csv`` for an eighteen-stage extraction
 GOLDEN = Path(__file__).parent / "golden"
 
 #: the benchmark's workload generators, read by TestOpenBlasTimeout
@@ -560,9 +560,9 @@ class TestDeterminism:
         )
 
     def test_extractor_matches_golden_past_corner_cap(self, tmp_path):
-        # from stage 12 on, the 2^(k-1) corner classes of k >= 11 targets
-        # exceed the cap, so the delta estimate samples _CORNER_CAP of them,
-        # which the kmax = 5 golden never reaches
+        # eighteen stages, where the kmax = 5 golden takes five: the
+        # worst-case delta of up to 17 selected points, and dominance skips
+        # indices 12 and 17
         out = tmp_path / "k18.csv"
         args = ["tag=wn_gaussian", "n=22", "r=0.5", "kmax=18", "--seed", "7"]
         assert main(["interp-extract", *args, "--reproducible", "--out", str(out)]) == 0

@@ -136,8 +136,8 @@ def test_pinch_pair_distortion_draws_nothing():
 
 
 def test_extraction_past_the_corner_cap_loads_no_more_layers():
-    # stage 11 enumerates the 2^9 corner classes of its 10 targets; stage 12
-    # has 2^10 > _CORNER_CAP classes and samples _CORNER_CAP of them
+    # a longer extraction takes more stages of the same kind, each one
+    # worst-case determinant and its certificates, and loads no other layer
     argv = ["interp-extract", "tag=wn_gaussian", "n=14", "r=0.5"]
     layers = {"cli", "csvio", "geometry", "pick", "rounding", "sequences"}
     assert _loaded_after(_recipe_run([*argv, "kmax=11"])) == (layers, False, False)

@@ -1,5 +1,5 @@
-import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from npdisclab.pick import (
 from npdisclab.rounding import PSD_TOL, rayleigh_bound
 from npdisclab.sequences import named_sequence
 
-from .oracles import radial_points, stacked
+from .oracles import _normalized_pick, radial_points, stacked
 
 
 def gaussian_points(n):
@@ -193,60 +193,40 @@ class TestCallCounts:
             assert len(calls) == blocks
 
     def test_extractor_stage_eigvalsh_calls(self, monkeypatch):
-        # each stage takes one corner stack for its delta estimate and
-        # spends one batched Cholesky call on each chunk of it, the whole
-        # stack wherever its (S, k, k) Pick stack fits the bound; then each
-        # candidate tried takes one k x k eigvalsh call on its Gram block,
-        # and no corner reaches eigvalsh
+        # each stage makes one real (k-1) x (k-1) Cholesky call for its
+        # delta, and then each candidate tried takes one k x k eigvalsh call
+        # on its Gram block
         log = []
         eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
-        corners, normalized_gram = pick._corners, pick._normalized_gram
-
-        def sample(k, r):
-            out = corners(k, r)
-            log.append(("sample", k, len(out)))
-            return out
-
+        normalized_gram = pick._normalized_gram
         monkeypatch.setattr(np.linalg, "eigvalsh",
                             lambda a: log.append(("eigvalsh", a.shape)) or eigvalsh(a))
         monkeypatch.setattr(np.linalg, "cholesky",
                             lambda a: log.append(("cholesky", a.shape, a.dtype)) or cholesky(a))
-        monkeypatch.setattr(pick, "_corners", sample)
         monkeypatch.setattr(pick, "_normalized_gram",
                             lambda table, idx: log.append(("tried", idx.size))
                             or normalized_gram(table, idx))
-        for bound in (npdisclab.BLOCK_ENTRIES, 2**40):
-            monkeypatch.setattr(npdisclab, "BLOCK_ENTRIES", bound)
-            log.clear()
-            res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
-            assert len(res.indices) == 12
-            starts = [i for i, entry in enumerate(log) if entry[0] == "sample"]
-            assert len(starts) == 11  # one corner stack per stage
-            for stage, (i, j) in enumerate(zip(starts, starts[1:] + [len(log)]), start=2):
-                _, k, size = log[i]
-                assert k == stage - 1
-                calls = log[i + 1:j]
-                chol = [entry for entry in calls if entry[0] == "cholesky"]
-                assert calls[:len(chol)] == chol
-                assert len(chol) == len(list(row_blocks(size, k * k)))
-                assert all(shape[1:] == (k, k) and (shape[0] * k * k <= bound or shape[0] == 1)
-                           and dtype == np.float64 for _, shape, dtype in chol)
-                assert sum(shape[0] for _, shape, _ in chol) == size
-                if bound > 2**30:
-                    assert len(chol) == 1  # the whole real stack in one call
-                # certification: (tried, eigvalsh) pairs on stage x stage blocks
-                certify = calls[len(chol):]
-                assert certify and certify == [("tried", stage), ("eigvalsh", (stage, stage))] * (
-                    len(certify) // 2)
+        res = extract_interpolating_subsequence(gaussian_points(14), 0.5, 12)
+        assert len(res.indices) == 12
+        starts = [i for i, entry in enumerate(log) if entry[0] == "cholesky"]
+        assert len(starts) == 11 and starts[0] == 0  # one Cholesky call per stage
+        for stage, (i, j) in enumerate(zip(starts, starts[1:] + [len(log)]), start=2):
+            assert log[i] == ("cholesky", (stage - 1, stage - 1), np.float64)
+            # certification: (tried, eigvalsh) pairs on stage x stage blocks
+            certify = log[i + 1:j]
+            assert certify and certify == [("tried", stage), ("eigvalsh", (stage, stage))] * (
+                len(certify) // 2)
 
     def test_lost_definiteness_in_delta_estimate(self, monkeypatch):
-        # a Cholesky failure on the delta sample ends the run as exhausted
+        # a worst case that is not positive definite gives delta = 0, so no
+        # candidate passes dominance and the run ends as exhausted
         def fail(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(NotCertifiedError,
-                           match="stage 1 block lost definiteness during sampling"):
+                           match="point list exhausted at stage 2: no candidate after index 0 "
+                                 "passed dominance"):
             extract_interpolating_subsequence(gaussian_points(14), 0.5, 4)
 
     def test_one_minus_inner_calls(self, monkeypatch):
@@ -414,17 +394,20 @@ class TestExtractor:
         assert max(np.diff(res.indices)) > 1  # strictly sparser than the input
         # the consecutive-index two-point block loses definiteness for large
         # n, forcing the skips: check it directly at the tail
-        from npdisclab.pick import _log_kernel, _normalized_pick
+        from npdisclab.pick import _log_kernel
 
         idx = np.array([90000, 90001])
         block = _log_kernel(pts, idx[:, None], idx[None, :])
         b = _normalized_pick(block, np.array([0.5, -0.5]))
         assert np.linalg.eigvalsh(b).min() < 0.0
+        # so the worst case over the polydisc, this corner, has no
+        # Cholesky factor and the extractor's delta for the pair is 0
+        assert pick._log_delta(block, 0.5) == -math.inf
 
     def test_soundness_on_random_targets(self):
         res = extract_interpolating_subsequence(gaussian_points(12), 0.5, 10)
         rng = np.random.default_rng(np.random.Philox(45))
-        from npdisclab.pick import _log_kernel, _normalized_pick
+        from npdisclab.pick import _log_kernel
 
         table, idx = gaussian_points(12), np.array(res.indices)
         blocks = [_log_kernel(table, idx[:k, None], idx[None, :k]) for k in range(1, 11)]
@@ -467,25 +450,80 @@ class TestExtractor:
             extract_interpolating_subsequence([0.1, 0.2], 0.5, 2)
 
 
-class TestCorners:
-    """The delta estimate's targets depend on (k, r) alone."""
+def _depth(table, r):
+    """Points the extractor selects at kmax = 50, read from its exit line if it stops."""
+    try:
+        return len(extract_interpolating_subsequence(table, r, 50).indices)
+    except NotCertifiedError as exc:
+        return int(re.search(r"stage (\d+)", str(exc)).group(1)) - 1
 
-    @pytest.mark.parametrize("k", range(1, 11))
-    def test_every_sign_class_up_to_the_cap(self, k):
-        c = pick._corners(k, 0.3)
-        assert c.shape == (2 ** (k - 1), k) and c.dtype == np.float64
-        # s and -s give one Pick block: each class appears once, first sign +r
-        classes = {tuple(row) for row in c}
-        every = {(0.3, *signs) for signs in itertools.product((0.3, -0.3), repeat=k - 1)}
-        assert len(classes) == len(c) and classes == every
 
-    @pytest.mark.parametrize("k", [11, 18, 49])
-    def test_past_the_cap_distinct_sign_classes(self, k):
-        c = pick._corners(k, 0.7)
-        assert c.shape == (pick._CORNER_CAP, k) and c.dtype == np.float64
-        assert np.all(np.abs(c) == 0.7) and np.all(c[:, 0] == 0.7)
-        assert len({tuple(row) for row in c}) == pick._CORNER_CAP
-        assert np.array_equal(pick._corners(k, 0.7), c)  # no state carried between calls
+class TestLogDelta:
+    """The extractor's delta: the log determinant of the entrywise worst case
+    of the previous stage's Pick block over the closed r-polydisc."""
+
+    @pytest.mark.parametrize("tag, n, k_max", [("wn_gaussian", 22, 18),
+                                               ("dyadic_separated", 20, 5)])
+    def test_every_stage_against_mpmath(self, tag, n, k_max):
+        # 30-digit log det of the worst case (1 - r^2) K_ii, (1 + r^2) |K_ij|
+        # from the exact gaps and angles, |1 - <z_i, z_j>| = |g_i + g_j -
+        # g_i g_j - (1 - g_i)(1 - g_j)(e^{i(t_i - t_j)} - 1)|, scaled to unit
+        # diagonal first so that mpmath's LU sees no e^400 dynamic range.
+        # Bound: 1e-11 relative to max(1, |log delta|); radial stages agree to
+        # 3e-16, and the dyadic stages holding points off the real axis to
+        # 5e-13, from the owner's rounding of coordinate pairs
+        mpmath = pytest.importorskip("mpmath")
+        seq, r = named_sequence(tag, n), 0.5
+        res = extract_interpolating_subsequence(seq.table, r, k_max)
+        with mpmath.workdps(30):
+            g = [mpmath.mpf(float(seq.gaps[i])) for i in res.indices]
+            t = [mpmath.mpf(float(seq.angles[i])) for i in res.indices]
+            rsq = mpmath.mpf(r) ** 2
+            for k in range(1, k_max + 1):
+                mod = [[abs(g[i] + g[j] - g[i] * g[j]
+                            - (1 - g[i]) * (1 - g[j]) * mpmath.expm1(1j * (t[i] - t[j])))
+                        for j in range(k)] for i in range(k)]
+                scaled = mpmath.matrix([[1 if i == j else (1 + rsq) / (1 - rsq)
+                                         * mpmath.sqrt(mod[i][i] * mod[j][j]) / mod[i][j]
+                                         for j in range(k)] for i in range(k)])
+                exact = mpmath.log(mpmath.det(scaled)) + sum(
+                    mpmath.log((1 - rsq) / mod[i][i]) for i in range(k))
+                idx = np.array(res.indices[:k])
+                got = pick._log_delta(pick._log_kernel(seq.table, idx[:, None], idx[None, :]), r)
+                assert math.isfinite(got) and mpmath.isfinite(exact)
+                assert abs(got - exact) <= 1e-11 * max(1, abs(exact)), (k, got, exact)
+
+    def test_two_points_take_the_opposite_sign_corner(self):
+        # with two points the worst case is the Pick block at the corner
+        # (r, -r), the smaller of the two real sign classes of the old
+        # corner sample
+        for tag, n in (("wn_gaussian", 8), ("vn_quadratic", 200), ("xn_alternating", 40),
+                       ("dyadic_separated", 12)):
+            table = named_sequence(tag, n).table
+            for r in (0.1, 0.5, 0.9):
+                idx = np.array(extract_interpolating_subsequence(table, r, 2).indices)
+                block = pick._log_kernel(table, idx[:, None], idx[None, :])
+                corners = []
+                for w in (np.array([r, r]), np.array([r, -r])):
+                    chol = np.linalg.cholesky(_normalized_pick(block, w))
+                    corners.append(2.0 * np.sum(np.log(np.diag(chol))) + np.sum(np.log1p(-w * w))
+                                   + np.trace(block))
+                assert pick._log_delta(block, r) == pytest.approx(min(corners), rel=1e-14)
+
+    @pytest.mark.parametrize("tag, n, r, depth", [
+        ("dyadic_separated", 16, 0.5, 4),
+        ("dyadic_separated", 20, 0.3, 7),
+        ("dyadic_separated", 20, 0.5, 5),
+        ("dyadic_separated", 20, 0.7, 4),
+        ("xn_alternating", 100, 0.7, 4),
+    ])
+    def test_depth_floor(self, tag, n, r, depth):
+        # the depth the extractor reaches at kmax = 50 is at least this:
+        # accepting the first certified candidate alone goes shallower on
+        # the dyadic_separated cases, and the worst-case delta goes one
+        # stage deeper than a 512-corner sample did on the xn_alternating
+        # case (4, where the sample reached 3)
+        assert _depth(named_sequence(tag, n).table, r) >= depth
 
 
 class TestRayleighCertificate:
@@ -522,7 +560,7 @@ class TestRayleighCertificate:
         omt = table.one_minus_inner(idx[:, None], idx[None, :])
         # the block the Pick matrix is built from carries the phase
         block = pick._log_kernel(table, idx[:, None], idx[None, :]) if radial else -np.log(omt)
-        lam = np.linalg.eigvalsh(pick._normalized_pick(block, w))[0]
+        lam = np.linalg.eigvalsh(_normalized_pick(block, w))[0]
         # P >= cert E^{-1} with E = diag(1 - |w_i|^2) <= I
         assert lam >= min(cert, cert / (1.0 - np.abs(w) ** 2).min())
 
