@@ -234,19 +234,11 @@ def _run_separation(p):
 
 
 def _run_tangential_embed(p):
-    import numpy as np
-
-    from .tangential import ConformalChain, TangentialEmbedding
+    from .tangential import BoundaryTable, ConformalChain, TangentialEmbedding
 
     emb = TangentialEmbedding(ConformalChain(p["r"]), p["m"])
-    rows = np.empty((emb.m, 6))
-    rows[:, 0], rows[:, 1], rows[:, 2] = emb.angles, emb.u1, emb.u1_tilde
-    # np.hypot gives the bits of the scalar abs(); np.abs on a complex array can differ
-    for k, f in ((3, emb.f1_boundary), (4, emb.f2_boundary)):
-        np.hypot(f.real, f.imag, out=rows[:, k])
-    rows[:, 5] = emb.sphere_defect()
     cols = ["t", "u1", "u1_tilde", "abs_f1", "abs_f2", "sphere_defect"]
-    return cols, rows
+    return cols, BoundaryTable(emb)
 
 
 def _run_tangency_report(p):

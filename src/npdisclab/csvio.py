@@ -254,9 +254,14 @@ def _block_text(block, width) -> str:
 
 
 def write_rows(stream, comments, columns, rows) -> None:
-    """Write ``comments``, the header and ``rows`` (a sequence of rows or a 2-D array).
+    """Write ``comments``, the header and ``rows``.
 
-    Raises ValueError if the header is empty or a row's width differs from it.
+    ``rows`` is a sequence of rows, a 2-D array, or any table with ``len()``
+    whose slices of rows are 2-D float arrays; it is read one
+    :func:`~npdisclab.row_blocks` slice at a time, so a table that forms
+    each slice on demand (:class:`~npdisclab.tangential.BoundaryTable`) is
+    never held whole.  Raises ValueError if the header is empty or a row's
+    width differs from it.
     """
     if not columns:
         raise ValueError("a table needs at least one column")

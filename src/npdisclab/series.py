@@ -233,13 +233,16 @@ def fft_convolve(x, y) -> np.ndarray:
     third of random products do), and for ``a * <temporary>`` numpy's
     temporary elision computes ``<temporary> * a``.  A rewrite that reuses
     a spectrum keeps rfft(x) * rfft(y) in this order, for instance with
-    ``np.multiply(fx, fy, out=fy)``.
+    ``np.multiply(fx, fy, out=fy)``, which is how the product is formed
+    here: in the memory of rfft(y), so two spectra are held, not three.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     size = x.size + y.size - 1
     n = _fast_fft_len(size)
-    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:size]
+    fy = np.fft.rfft(y, n)
+    np.multiply(np.fft.rfft(x, n), fy, out=fy)
+    return np.fft.irfft(fy, n)[:size]
 
 
 def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
@@ -249,6 +252,12 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
     linear recursion, used as its cross-check and as the O(N log N)
     inversion above ``_FFT_N``.  Convolutions longer than 512 go through
     :func:`fft_convolve`.
+
+    Each step, the refinement pass included, holds r, dr = D r and one
+    product r dr.  A truncated product is copied out of its padded
+    transform, so the padded buffer is freed, and the update is formed in
+    the product's memory, with the bits of the plain r(2 - D r) formula:
+    2r - r dr below r's length and 0 - r dr above it.
     """
     d = np.asarray(d, dtype=float)
     if d[0] == 0.0:
@@ -256,21 +265,25 @@ def series_reciprocal(d: np.ndarray, n_terms: int) -> np.ndarray:
 
     def conv(x, y, length):
         if length > 512:
-            return fft_convolve(x, y)[:length]
+            return fft_convolve(x, y)[:length].copy()
         return np.convolve(x, y)[:length]
+
+    def update(r, m):
+        """r(2 - D r) through order m - 1, in place of the product."""
+        dr = conv(d[:m], r, m)
+        out = conv(r, dr, m)
+        k = r.size
+        r *= 2.0
+        np.subtract(r, out[:k], out=out[:k])
+        np.subtract(0.0, out[k:], out=out[k:])
+        return out
 
     r = np.array([1.0 / d[0]])
     size = n_terms + 1
     while r.size < size:
-        m = min(2 * r.size, size)
-        dr = conv(d[:m], r, m)
-        grown = np.zeros(m)
-        grown[: r.size] = 2.0 * r
-        r = grown - conv(r, dr, m)
+        r = update(r, min(2 * r.size, size))
     # one refinement pass at full length tightens the last doubling step
-    dr = conv(d[:size], r, size)
-    r = 2.0 * r - conv(r, dr, size)
-    return r
+    return update(r, size)
 
 
 def weights_by_reciprocal(c: CoefficientSequence, n_terms: int) -> np.ndarray:

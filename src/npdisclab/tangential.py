@@ -12,7 +12,9 @@ exp(u_1) with u_1 = log sqrt(1 - |f_1|^2), its phase the discrete harmonic
 conjugate of u_1, and its interior values come from the truncated analytic
 Fourier series of u_1 + i conj(u_1).  The grid is built in
 :func:`~npdisclab.row_blocks` slices of the angles, so the chain's
-temporaries stay at one block whatever the grid size.
+temporaries stay at one block whatever the grid size, and
+:class:`BoundaryTable` forms the ``tangential-embed`` table one slice of
+rows at a time as the CSV writer reads it.
 
 The map is read through its coordinates f_1 and f_2, so the layer needs no
 ball-point type from :mod:`~npdisclab.geometry`.
@@ -21,6 +23,7 @@ ball-point type from :mod:`~npdisclab.geometry`.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -89,12 +92,14 @@ class ConformalChain:
     def _f(self, z: np.ndarray) -> np.ndarray:
         """f on the closed disc; the boundary singularity z = 1 maps to 1."""
         g = self._g(z)
-        out = np.empty_like(g)
         sing = g == 0.0
+        if np.any(sing):
+            g = g[~sing]
+        lg = _upper_log(g)
+        del g  # freed before out is allocated: one temporary fewer per block
+        out = np.empty(sing.shape, dtype=complex)
         out[sing] = 1.0
-        if np.any(~sing):
-            lg = _upper_log(g[~sing])
-            out[~sing] = (lg - 1j * math.pi) / (lg + 2j * math.pi)
+        out[~sing] = (lg - 1j * math.pi) / (lg + 2j * math.pi)
         return out
 
 
@@ -123,15 +128,18 @@ class TangentialEmbedding:
     """The assembled proper map F = (f_1, f_2) of the disc into the two-ball.
 
     Boundary data lives on the construction grid as float arrays ``angles``,
-    ``u1`` and ``u1_tilde`` and complex arrays ``f1_boundary`` and
-    ``f2_boundary``, with u1[0] the model value at the singular angle 0;
-    interior values of f_2 come from exponentiating the truncated analytic
-    completion h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1.  F(1) = (1, 0) at
-    the singular point: f_1(1) = 1 exactly, but the truncated f_2 does not
-    vanish there.  ``f1_boundary``, ``u1``, ``f2_boundary`` and
-    :meth:`sphere_defect` are evaluated one row block of the grid at a time
-    into preallocated arrays; every step is elementwise, so the values are
-    those of the whole-grid formulas bit for bit.
+    ``u1`` and ``u1_tilde`` and the complex array ``f1_boundary``, with u1[0]
+    the model value at the singular angle 0.  f_2's grid values
+    exp(u_1 + i u1_tilde) are not stored: :meth:`f2_grid` forms them for a
+    slice of grid rows, with f_2 = 0 at the singular angle, since
+    F(1) = (1, 0) there and f_1(1) = 1 exactly.  Interior values of f_2
+    come from exponentiating the truncated analytic completion
+    h(z) = c_0 + 2 sum_{0<k<m/2} c_k z^k of u_1, whose coefficients are
+    computed at the first :meth:`h` call and then kept; the truncated f_2
+    does not vanish at z = 1.  ``f1_boundary``, ``u1`` and
+    :meth:`sphere_defect` are evaluated one row block of the grid at a time;
+    every step is elementwise, so the values are those of the whole-grid
+    formulas bit for bit.
     """
 
     def __init__(self, chain: ConformalChain, m: int):
@@ -153,13 +161,13 @@ class TangentialEmbedding:
         u1[0] = fit - math.log(math.log(2.0 / t1))
         self.u1 = u1
         self.u1_tilde = harmonic_conjugate(u1)
-        self.f2_boundary = np.empty(m, dtype=complex)
-        for rows in row_blocks(m, 1):
-            self.f2_boundary[rows] = np.exp(u1[rows] + 1j * self.u1_tilde[rows])
-        spec = np.fft.rfft(u1) / m
+
+    @cached_property
+    def _h_coeffs(self) -> np.ndarray:
+        spec = np.fft.rfft(self.u1) / self.m
         coeffs = 2.0 * spec[:-1]
         coeffs[0] = spec[0].real
-        self._h_coeffs = coeffs
+        return coeffs
 
     def h(self, z: complex) -> complex:
         """Truncated analytic completion of u_1 at |z| <= 1."""
@@ -172,12 +180,24 @@ class TangentialEmbedding:
     def f1(self, z: complex) -> complex:
         return complex(self.chain.eval(complex(z)))
 
-    def sphere_defect(self) -> np.ndarray:
-        """|f_1|^2 + |f_2|^2 - 1 on the construction grid, row block by row block."""
-        out = np.empty(self.m)
-        for rows in row_blocks(self.m, 1):
-            f1, f2 = self.f1_boundary[rows], self.f2_boundary[rows]
-            out[rows] = np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0
+    def f2_grid(self, rows: slice) -> np.ndarray:
+        """f_2 on the grid rows ``rows`` (a slice of step 1): exp(u_1 + i u1_tilde),
+        and 0 at the singular angle."""
+        f2 = np.exp(self.u1[rows] + 1j * self.u1_tilde[rows])
+        start, stop, _ = rows.indices(self.m)
+        if start == 0 < stop:
+            f2[0] = 0.0
+        return f2
+
+    def sphere_defect(self, rows: slice = slice(None)) -> np.ndarray:
+        """|f_1|^2 + |f_2|^2 - 1 on the grid rows ``rows`` (a slice of step 1;
+        the whole grid by default), row block by row block."""
+        start, stop, _ = rows.indices(self.m)
+        out = np.empty(max(stop - start, 0))
+        for block in row_blocks(out.size, 1):
+            grid = slice(start + block.start, start + block.stop)
+            f1, f2 = self.f1_boundary[grid], self.f2_grid(grid)
+            out[block] = np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0
         return out
 
     def _h_at_midpoints(self) -> np.ndarray:
@@ -203,6 +223,34 @@ class TangentialEmbedding:
         f1 = self.chain.eval(np.exp(1j * mids[keep]))
         f2 = np.exp(self._h_at_midpoints()[keep])
         return float(np.max(np.abs(np.abs(f1) ** 2 + np.abs(f2) ** 2 - 1.0)))
+
+
+class BoundaryTable:
+    """An embedding's grid table, formed one slice of rows at a time.
+
+    ``table[rows]`` is the (k, 6) float array of t, u1, u1_tilde, |f_1|,
+    |f_2| and the sphere defect on the grid rows ``rows`` (a slice of step
+    1), and ``len(table)`` is the grid size, so a row-block writer reads the
+    whole table without it ever being built.  |f| is taken by np.hypot,
+    which gives the bits of the scalar abs(); np.abs on a complex array can
+    differ.
+    """
+
+    def __init__(self, emb: TangentialEmbedding):
+        self.emb = emb
+
+    def __len__(self) -> int:
+        return self.emb.m
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        emb = self.emb
+        f1, f2 = emb.f1_boundary[rows], emb.f2_grid(rows)
+        out = np.empty((f1.size, 6))
+        out[:, 0], out[:, 1], out[:, 2] = emb.angles[rows], emb.u1[rows], emb.u1_tilde[rows]
+        for k, f in ((3, f1), (4, f2)):
+            np.hypot(f.real, f.imag, out=out[:, k])
+        out[:, 5] = emb.sphere_defect(rows)
+        return out
 
 
 class TangencyReport(NamedTuple):

@@ -22,6 +22,12 @@
 - :func:`_normalized_pick`: unit-diagonal Pick blocks at given targets,
   against which the extractor's certified margins and its worst-case
   delta are checked.
+- :func:`newton_reciprocal` and :func:`rfft_product_convolve`: the Newton
+  reciprocal as one expression per step, with a fresh array for every
+  product and update, and the real-FFT convolution as one expression,
+  against which the in-place steps of
+  :func:`~npdisclab.series.series_reciprocal` and
+  :func:`~npdisclab.series.fft_convolve` are checked bit for bit.
 """
 
 import math
@@ -32,6 +38,7 @@ from npdisclab import DomainError
 from npdisclab.geometry import PointTable
 from npdisclab.pick import _correlation
 from npdisclab.sequences import DiscSequence, SeparationDelta, _delta_record
+from npdisclab.series import _fast_fft_len
 
 
 def radial_points(gaps) -> PointTable:
@@ -180,3 +187,33 @@ def _normalized_pick(log_block: np.ndarray, w: np.ndarray) -> np.ndarray:
     np.multiply(corr, b, out=b)
     b[..., np.arange(len(corr)), np.arange(len(corr))] = 1.0
     return b
+
+
+def rfft_product_convolve(x, y) -> np.ndarray:
+    """Full linear convolution as irfft(rfft(x) * rfft(y)) at the 5-smooth length."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    size = x.size + y.size - 1
+    n = _fast_fft_len(size)
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(y, n), n)[:size]
+
+
+def newton_reciprocal(d, n_terms: int) -> np.ndarray:
+    """Coefficients of 1/D(z) through order ``n_terms`` by r <- r(2 - D r)."""
+    d = np.asarray(d, dtype=float)
+
+    def conv(x, y, length):
+        if length > 512:
+            return rfft_product_convolve(x, y)[:length]
+        return np.convolve(x, y)[:length]
+
+    r = np.array([1.0 / d[0]])
+    size = n_terms + 1
+    while r.size < size:
+        m = min(2 * r.size, size)
+        dr = conv(d[:m], r, m)
+        grown = np.zeros(m)
+        grown[: r.size] = 2.0 * r
+        r = grown - conv(r, dr, m)
+    dr = conv(d[:size], r, size)
+    return 2.0 * r - conv(r, dr, size)

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -668,13 +669,28 @@ class TestTangentialAtWorkloadSize:
         out = tmp_path / "t.csv"
         assert main(["tangential-embed", f"m={m}", "--reproducible", "--out", str(out)]) == 0
         emb = TangentialEmbedding(ConformalChain(0.75), m)
-        defect = emb.sphere_defect()
+        f2, defect = emb.f2_grid(slice(None)), emb.sphere_defect()
         lines = [",".join(format_cell(v) for v in (
             emb.angles[i], emb.u1[i], emb.u1_tilde[i],
-            abs(emb.f1_boundary[i]), abs(emb.f2_boundary[i]), defect[i],
+            abs(emb.f1_boundary[i]), abs(f2[i]), defect[i],
         )) for i in range(m)]
         body = out.read_text(encoding="utf-8").split("\n")[-m - 1:-1]
         assert body == lines
+
+    def test_table_streams_to_the_writer(self, tmp_path):
+        # the (m, 6) table is never built: the run peaks within 4.5 MiB, one
+        # writer block (about 3.9 MiB) and one table block, of the arrays the
+        # embedding keeps, 40 bytes a row (angles, u1, u1_tilde and f1_boundary);
+        # a prebuilt table took 5.4 MiB
+        m = 2**16
+        assert main(["tangential-embed", "m=256", "--out", str(tmp_path / "warm.csv")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["tangential-embed", f"m={m}", "--out", str(tmp_path / "t.csv")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - 40 * m <= 4.5 * 2**20
 
 
 class TestBenchmarkHook:

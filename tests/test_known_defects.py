@@ -112,10 +112,9 @@ def test_negative_modulus_is_not_complete_pick(tmp_path):
     assert _column(doc, "cnp") == [False]
 
 
-@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 24")
 def test_tangential_row_zero_is_the_map_or_named_as_the_truncation(tmp_path):
-    # F(1) = (1, 0), yet row t = 0 prints the truncated f_2: abs_f2 0.637 and
-    # sphere_defect 0.406 at m = 256; either fix is allowed
+    # F(1) = (1, 0): row t = 0 prints the map's value there, not the
+    # truncated f_2's; either that or a comment naming the truncation passes
     code, doc = _run(tmp_path, "tangential-embed", "m=256")
     assert code == EXIT_OK
     assert _column(doc, "t")[0] == 0.0

@@ -60,6 +60,9 @@ KEPT = {
 #: the reason it stays
 KEPT_DEFAULTS = {
     "main.argv": "tests and perfbench call main in process with their own argv",
+    "TangentialEmbedding.sphere_defect.rows": "the tests and acceptance 12 read the whole "
+                                              "grid's defect, the recipe's table one row "
+                                              "block at a time",
 }
 
 

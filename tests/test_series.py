@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,12 @@ from npdisclab.series import (
     doubling_points,
     fft_convolve,
     moduli_from_weights,
+    series_reciprocal,
     weights_by_reciprocal,
     weights_from_moduli,
 )
+
+from .oracles import newton_reciprocal, rfft_product_convolve
 
 
 def geometric_moduli(n):
@@ -263,6 +268,48 @@ class TestFftConvolve:
 
         x, y = self._pair(n)
         assert np.array_equal(fft_convolve(x, y), fftconvolve(x, y))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestNewtonBits:
+    """The in-place Newton steps and spectrum product against the one-expression
+    forms of tests/oracles.py, both run here, so the pin holds on any CPU."""
+
+    @pytest.mark.parametrize("n", [1000, 8193, 65536])
+    def test_reciprocal_of_power_weights(self, n):
+        d = (np.arange(n + 1) + 1.0) ** -0.5  # hs:-0.5, the classify workload's family
+        assert np.array_equal(_bits(series_reciprocal(d, n)), _bits(newton_reciprocal(d, n)))
+
+    @pytest.mark.parametrize("n", [1000, 8193, 65536])
+    def test_reciprocal_of_one_minus_moduli(self, n):
+        c = random_valid_moduli(np.random.default_rng(np.random.Philox(n)), n)
+        d = np.concatenate(([1.0], -c.values))
+        assert np.array_equal(_bits(series_reciprocal(d, n)), _bits(newton_reciprocal(d, n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 513, 1025, 4099, 65537])
+    def test_spectrum_product_keeps_its_operand_order(self, n):
+        rng = np.random.default_rng(np.random.Philox(n + 7))
+        for other in (n, 3 * n + 5):
+            x, y = rng.standard_normal(n), rng.standard_normal(other)
+            assert np.array_equal(_bits(fft_convolve(x, y)), _bits(rfft_product_convolve(x, y)))
+            assert np.array_equal(_bits(fft_convolve(y, x)), _bits(rfft_product_convolve(y, x)))
+
+    def test_reciprocal_holds_one_product_per_step(self):
+        # r, dr, two spectra of 2N + 1 padded entries: about 6 (N + 1) doubles
+        # at the peak, where a fresh array for every product and update took 9
+        n = 2**16
+        d = (np.arange(n + 1) + 1.0) ** -0.5
+        series_reciprocal(d[:1000], 999)
+        tracemalloc.start()
+        try:
+            series_reciprocal(d, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * 8 * (n + 1)
 
 
 class TestDoublingLimit:

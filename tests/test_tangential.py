@@ -113,10 +113,31 @@ class TestBoundarySampling:
 
         monkeypatch.setattr(ConformalChain, "eval", eval_spy)
         monkeypatch.setattr(np.fft, "rfft", rfft_spy)
-        TangentialEmbedding(chain, m)
+        emb = TangentialEmbedding(chain, m)
         assert sizes.count(m) == 1
-        # harmonic_conjugate's spectrum of u_1, then the completion's coefficients
+        # harmonic_conjugate's spectrum of u_1; the completion's coefficients
+        # wait for the first h call and are kept
+        assert rffts == [m]
+        emb.f2(0.5)
+        emb.h(0.25)
         assert rffts == [m, m]
+
+    def test_stores_neither_f2_nor_the_completion(self, chain):
+        # what construction leaves allocated is the four grid arrays: f_2 on
+        # the grid (1 MiB at 2^16) and the completion's coefficients (0.5 MiB)
+        # are formed when read
+        TangentialEmbedding(chain, 256)
+        tracemalloc.start()
+        try:
+            emb = TangentialEmbedding(chain, 2**16)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = {k for k, v in vars(emb).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"angles", "u1", "u1_tilde", "f1_boundary"}
+        kept = sum(getattr(emb, k).nbytes for k in arrays)
+        assert held - kept <= 2**16
+
 
 class TestHarmonicConjugate:
     def test_cosine_to_sine(self):
@@ -157,8 +178,7 @@ class TestEmbedding:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (emb.angles, emb.u1, emb.u1_tilde, emb.f1_boundary,
-                                       emb.f2_boundary, emb._h_coeffs))
+        kept = sum(a.nbytes for a in (emb.angles, emb.u1, emb.u1_tilde, emb.f1_boundary))
         assert peak - kept <= 1.5 * 2**20
 
     def test_sphere_identity_on_grid(self, embedding):
